@@ -61,7 +61,6 @@ pub fn run_analyze(files: &[PathBuf]) -> Result<(Vec<AnalyzeRow>, Report), Strin
                 .is_some_and(|p| p.verdict == PresolveVerdict::Unrealizable),
             iterations: report.diagnostics.len() as u64,
             millis,
-            tainted: false,
             family: String::new(),
         });
         rows.push(AnalyzeRow {

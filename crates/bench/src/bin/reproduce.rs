@@ -32,7 +32,8 @@
 //!
 //! solve OPTIONS:
 //!   --engine nay|nope|race   which engine to drive (default: race)
-//!   --timeout-ms MS          per-engine wall-clock budget (default: 600000)
+//!   --timeout-ms MS          per-solve wall-clock budget; cancels the engines
+//!                            at expiry (default: 600000)
 //!   --json PATH              write the runner-schema JSON report to PATH
 //!   --no-presolve            disable the race's static presolve stage
 //!   --trace                  print a span waterfall per solve (parse,

@@ -4,8 +4,8 @@
 //! `run_gen` materializes a deterministic generated corpus on disk;
 //! `run_fuzz` runs a sharded, constant-memory fuzz campaign: the draw
 //! index space `0..count` is split into [`FuzzConfig::shards`] contiguous
-//! ranges, each worker thread claims shards round-robin, **constructs its
-//! instances locally** from per-instance seeds
+//! ranges, each a [`runner::run_jobs`] job on `--jobs` workers that
+//! **constructs its instances locally** from per-instance seeds
 //! ([`GenConfig::instance_at`] — no generator thread, no corpus on disk,
 //! no queue of pending problems), solves them one at a time, and folds
 //! every result into a per-shard single-pass accumulator (per-(family,
@@ -28,10 +28,13 @@ use gen::{
     ShardStream, Violation,
 };
 use portfolio::{solve_nay, solve_nope, Cancel, NopeEngine, Portfolio, SolveVerdict};
-use runner::{DeadlineTimer, Entry, JobStatus, Report, Throughput};
+use runner::{
+    run_jobs, DeadlineTimer, Entry, Job, JobStatus, PoolConfig, Report, Throughput, WarmPool,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which engines a fuzz sweep drives.
@@ -90,7 +93,8 @@ pub struct FuzzConfig {
     pub engine: FuzzEngine,
     /// Worker threads attacking the campaign (`fuzz` only).
     pub jobs: usize,
-    /// Per-engine wall-clock budget.
+    /// Per-solve wall-clock budget (a solo engine, or a whole race),
+    /// enforced by cancellation.
     pub timeout: Duration,
     /// Restrict generation to these families (`None` = the full
     /// catalogue).
@@ -171,7 +175,6 @@ struct FamilyAgg {
     worst_status: Option<JobStatus>,
     iterations: u64,
     millis: f64,
-    tainted: bool,
     peak_arena: usize,
     hist: LatencyHist,
 }
@@ -183,7 +186,6 @@ impl FamilyAgg {
         verdict: &str,
         iterations: u64,
         millis: f64,
-        tainted: bool,
         arena_terms: usize,
     ) {
         self.instances += 1;
@@ -191,7 +193,6 @@ impl FamilyAgg {
         self.worst_status = Some(self.worst_status.map_or(status, |w| w.worst(status)));
         self.iterations += iterations;
         self.millis += millis;
-        self.tainted |= tainted;
         self.peak_arena = self.peak_arena.max(arena_terms);
         self.hist.record_millis(millis);
     }
@@ -208,7 +209,6 @@ impl FamilyAgg {
         };
         self.iterations += other.iterations;
         self.millis += other.millis;
-        self.tainted |= other.tainted;
         self.peak_arena = self.peak_arena.max(other.peak_arena);
         self.hist.merge(&other.hist);
     }
@@ -244,7 +244,6 @@ impl FamilyAgg {
             proved: definitive == self.instances,
             iterations: self.iterations,
             millis: self.millis,
-            tainted: self.tainted,
             family: family.to_string(),
         }
     }
@@ -362,25 +361,32 @@ impl MemGauge {
     }
 }
 
+/// What every shard of a sweep shares.
+struct Sweep<O> {
+    config: FuzzConfig,
+    gen_config: GenConfig,
+    /// Arms a fresh cancel token per solve.
+    timer: DeadlineTimer,
+    /// Runs the races' engine jobs: two workers per shard worker, so every
+    /// concurrent race has both its engines running at once.
+    engines: WarmPool,
+    mem: MemGauge,
+    observer: O,
+}
+
 /// Attacks every instance of one shard, streaming: construct from the
 /// per-instance seed, round-trip-gate, solve, judge, fold, drop.
-fn run_shard(
-    config: &FuzzConfig,
-    gen_config: &GenConfig,
-    start: u64,
-    end: u64,
-    timer: &DeadlineTimer,
-    mem: &MemGauge,
-    observer: &(impl Fn(u64, &str, &str) + Sync),
-) -> ShardResult {
+fn run_shard(sweep: &Sweep<impl Fn(u64, &str, &str)>, draws: std::ops::Range<u64>) -> ShardResult {
+    let Sweep {
+        config,
+        timer,
+        mem,
+        observer,
+        ..
+    } = sweep;
     let mut shard = ShardResult::default();
-    // Engine state is per shard: the race portfolio is a small config
-    // struct, and solo engines take a reusable cancel token armed per
-    // instance by the shared deadline timer.
-    let portfolio = Portfolio::new()
-        .with_timeout(config.timeout)
-        .with_presolve(config.presolve);
-    for instance in ShardStream::new(gen_config.clone(), start, end) {
+    let portfolio = Portfolio::new().with_presolve(config.presolve);
+    for instance in ShardStream::new(sweep.gen_config.clone(), draws.start, draws.end) {
         mem.enter();
         let family = instance.family.name();
         shard.attacked += 1;
@@ -399,10 +405,14 @@ fn run_shard(
                     .aggs
                     .entry((family, "check".into()))
                     .or_default()
-                    .fold(JobStatus::Ok, instance.expected.name(), 0, 0.0, false, 0);
+                    .fold(JobStatus::Ok, instance.expected.name(), 0, 0.0, 0);
             }
             FuzzEngine::Race => {
-                let race = portfolio.race(&instance.problem);
+                let cancel = Cancel::new();
+                let race = {
+                    let _deadline = timer.register(&cancel, config.timeout);
+                    portfolio.race_on_pool(&instance.problem, &sweep.engines, &cancel)
+                };
                 let mut claims = vec![
                     EngineClaim::new(
                         "race/nay",
@@ -448,7 +458,6 @@ fn run_shard(
                     race.verdict.name(),
                     race.nay.iterations + race.nope.iterations,
                     race.wall_millis,
-                    race.nay.tainted || race.nope.tainted,
                     race.nay.arena_terms.max(race.nope.arena_terms),
                 );
                 for side in [&race.nay, &race.nope] {
@@ -466,7 +475,6 @@ fn run_shard(
                             side.verdict.name(),
                             side.iterations,
                             side.millis,
-                            side.tainted,
                             side.arena_terms,
                         );
                 }
@@ -480,14 +488,7 @@ fn run_shard(
                         .aggs
                         .entry((family, "race/presolve".into()))
                         .or_default()
-                        .fold(
-                            JobStatus::Ok,
-                            stage.verdict.name(),
-                            0,
-                            stage.millis,
-                            false,
-                            0,
-                        );
+                        .fold(JobStatus::Ok, stage.verdict.name(), 0, stage.millis, 0);
                 }
             }
             FuzzEngine::Both | FuzzEngine::Nay | FuzzEngine::Nope => {
@@ -500,10 +501,7 @@ fn run_shard(
                 for &tool in tools {
                     // Purely cooperative timeout: the shared timer trips a
                     // fresh token at the deadline and the engine exits at
-                    // its next iteration poll — unlike the batch pool of
-                    // old, no thread is ever abandoned, so no measurement
-                    // is ever tainted and CPU is never burned past the
-                    // budget.
+                    // its next poll.
                     let cancel = Cancel::new();
                     let guard = timer.register(&cancel, config.timeout);
                     let solve_started = Instant::now();
@@ -536,7 +534,7 @@ fn run_shard(
                         .aggs
                         .entry((family, tool.to_string()))
                         .or_default()
-                        .fold(status, verdict_name, iterations, millis, false, arena_terms);
+                        .fold(status, verdict_name, iterations, millis, arena_terms);
                 }
                 for violation in check_instance(&instance, &claims) {
                     shard.push_violation(violation);
@@ -562,7 +560,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzOutcome {
 #[doc(hidden)]
 pub fn run_fuzz_observed(
     config: &FuzzConfig,
-    observer: impl Fn(u64, &str, &str) + Sync,
+    observer: impl Fn(u64, &str, &str) + Send + Sync + 'static,
 ) -> FuzzOutcome {
     let sweep_started = Instant::now();
     let gen_config = config.gen_config();
@@ -575,58 +573,31 @@ pub fn run_fuzz_observed(
     let bounds = |shard: usize| {
         let start = (shard as u64 * chunk).min(config.count as u64);
         let end = ((shard as u64 + 1) * chunk).min(config.count as u64);
-        (start, end)
+        start..end
     };
 
-    let timer = DeadlineTimer::new();
-    let mem = MemGauge::default();
-    // One slot per shard, filled by whichever worker claims the shard
-    // (worker w takes shards w, w+W, w+2W, …) and merged *in shard order*
-    // afterwards, so the merged result is independent of the claim
-    // schedule — including f64 time sums, which are order-sensitive.
-    let mut slots: Vec<Option<ShardResult>> = Vec::with_capacity(shards);
-    slots.resize_with(shards, || None);
-    if workers == 1 {
-        for (shard, slot) in slots.iter_mut().enumerate() {
-            let (start, end) = bounds(shard);
-            *slot = Some(run_shard(
-                config,
-                &gen_config,
-                start,
-                end,
-                &timer,
-                &mem,
-                &observer,
-            ));
-        }
-    } else {
-        let observer = &observer;
-        let (timer, mem, gen_config) = (&timer, &mem, &gen_config);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let mut mine: Vec<(usize, ShardResult)> = Vec::new();
-                        let mut shard = worker;
-                        while shard < shards {
-                            let (start, end) = bounds(shard);
-                            mine.push((
-                                shard,
-                                run_shard(config, gen_config, start, end, timer, mem, observer),
-                            ));
-                            shard += workers;
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (shard, result) in handle.join().expect("fuzz worker panicked") {
-                    slots[shard] = Some(result);
-                }
-            }
-        });
-    }
+    let sweep = Arc::new(Sweep {
+        config: config.clone(),
+        gen_config,
+        timer: DeadlineTimer::new(),
+        engines: WarmPool::new(2 * workers),
+        mem: MemGauge::default(),
+        observer,
+    });
+    // Shards are jobs on `workers` workers; results come back in shard
+    // order whatever the schedule, so the merge below — f64 time sums
+    // included, which are order-sensitive — does not depend on it.
+    let shard_jobs = (0..shards)
+        .map(|shard| {
+            let (sweep, draws) = (Arc::clone(&sweep), bounds(shard));
+            Job::new(format!("shard-{shard}"), move || run_shard(&sweep, draws))
+        })
+        .collect();
+    let shard_pool = PoolConfig {
+        jobs: workers,
+        timeout: None,
+    };
+    let shard_results = run_jobs(shard_jobs, &shard_pool);
 
     // Merge once, in shard order.
     let mut aggs: BTreeMap<(&'static str, String), FamilyAgg> = BTreeMap::new();
@@ -634,8 +605,8 @@ pub fn run_fuzz_observed(
     let mut violations_total = 0usize;
     let mut attacked = 0usize;
     let mut family_counts: BTreeMap<String, u64> = BTreeMap::new();
-    for slot in slots {
-        let shard = slot.expect("every shard ran");
+    for result in shard_results {
+        let shard = result.output.expect("fuzz shard panicked");
         for (key, agg) in &shard.aggs {
             aggs.entry(key.clone()).or_default().merge(agg);
         }
@@ -683,7 +654,7 @@ pub fn run_fuzz_observed(
         instances: attacked,
         wall_millis,
         mem: FuzzMemStats {
-            peak_live_instances: mem.peak.load(Ordering::SeqCst),
+            peak_live_instances: sweep.mem.peak.load(Ordering::SeqCst),
         },
     }
 }
@@ -721,19 +692,22 @@ pub fn run_presolve_diff(config: &FuzzConfig) -> PresolveDiffOutcome {
     let mut presolved: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut instances: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut aggs: BTreeMap<(&'static str, &'static str), FamilyAgg> = BTreeMap::new();
-    let with_presolve = Portfolio::new()
-        .with_timeout(config.timeout)
-        .with_presolve(true);
-    let without_presolve = Portfolio::new()
-        .with_timeout(config.timeout)
-        .with_presolve(false);
+    let with_presolve = Portfolio::new().with_presolve(true);
+    let without_presolve = Portfolio::new().with_presolve(false);
+    let pool = WarmPool::new(2);
+    let timer = DeadlineTimer::new();
+    let race = |portfolio: &Portfolio, problem: &sygus::Problem| {
+        let cancel = Cancel::new();
+        let _deadline = timer.register(&cancel, config.timeout);
+        portfolio.race_on_pool(problem, &pool, &cancel)
+    };
 
     let mut stream = ProblemStream::new(config.gen_config());
     for instance in stream.by_ref().take(config.count) {
         let family = instance.family.name();
         *instances.entry(family).or_insert(0) += 1;
-        let on = with_presolve.race(&instance.problem);
-        let off = without_presolve.race(&instance.problem);
+        let on = race(&with_presolve, &instance.problem);
+        let off = race(&without_presolve, &instance.problem);
         // A sound presolve may *add* a definitive verdict where the
         // engines said unknown (that is its whole point on hard
         // instances), but it may never contradict a definitive engine
@@ -760,7 +734,6 @@ pub fn run_presolve_diff(config: &FuzzConfig) -> PresolveDiffOutcome {
             on.verdict.name(),
             on.nay.iterations + on.nope.iterations,
             on.wall_millis,
-            on.nay.tainted || on.nope.tainted,
             on.nay.arena_terms.max(on.nope.arena_terms),
         );
         aggs.entry((family, "race-presolve")).or_default().fold(
@@ -768,7 +741,6 @@ pub fn run_presolve_diff(config: &FuzzConfig) -> PresolveDiffOutcome {
             off.verdict.name(),
             off.nay.iterations + off.nope.iterations,
             off.wall_millis,
-            off.nay.tainted || off.nope.tainted,
             off.nay.arena_terms.max(off.nope.arena_terms),
         );
     }
@@ -786,7 +758,6 @@ pub fn run_presolve_diff(config: &FuzzConfig) -> PresolveDiffOutcome {
             proved: presolved.get(family).copied().unwrap_or(0) > 0,
             iterations: presolved.get(family).copied().unwrap_or(0),
             millis: 0.0,
-            tainted: false,
             family: family.to_string(),
         });
         debug_assert!(*n > 0);
@@ -1115,16 +1086,17 @@ mod tests {
     #[test]
     fn observer_sees_every_instance_exactly_once_per_tool() {
         use std::sync::Mutex;
-        let seen: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
+        let seen: Arc<Mutex<Vec<(u64, String)>>> = Arc::default();
         let config = FuzzConfig {
             jobs: 3,
             shards: 5,
             ..quick_config(FuzzEngine::Both)
         };
-        run_fuzz_observed(&config, |index, tool, _verdict| {
-            seen.lock().unwrap().push((index, tool.to_string()));
+        let observed = Arc::clone(&seen);
+        run_fuzz_observed(&config, move |index, tool, _verdict| {
+            observed.lock().unwrap().push((index, tool.to_string()));
         });
-        let mut seen = seen.into_inner().unwrap();
+        let mut seen = seen.lock().unwrap().clone();
         seen.sort();
         let expected: Vec<(u64, String)> = (0..12)
             .flat_map(|i| [(i, "nay".to_string()), (i, "nope".to_string())])

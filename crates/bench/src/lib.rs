@@ -8,9 +8,11 @@
 //! Execution is layered on `crates/runner`: the evaluation functions
 //! ([`eval_nay`], [`eval_nope`]) are *pure* — they run a tool and report its
 //! verdict and iteration count, nothing else — while all wall-clock timing,
-//! parallelism, per-job timeouts, and panic isolation live in the runner's
-//! work-stealing pool. The suite module assembles the (benchmark, tool)
-//! jobs and the schema-versioned JSON [`runner::Report`] that the CI
+//! parallelism, per-job deadlines, and panic isolation live in the
+//! runner's `run_jobs`. Their `_cancellable` twins poll the job's token,
+//! so a deadline stops a check mid-fixpoint. The suite module assembles
+//! the (benchmark, tool) jobs and the schema-versioned JSON
+//! [`runner::Report`] that the CI
 //! perf-regression gate diffs against the committed `BENCH_quick.json`
 //! baseline. The [`run_solve`] front-end drives the same machinery over
 //! on-disk SyGuS-IF corpora, racing [`portfolio::Portfolio`] or a single
@@ -51,10 +53,10 @@ pub use suite::{
 };
 
 use benchmarks::{Benchmark, Family};
-use nay::check::{check_unrealizable, Verdict};
+use nay::check::{check_unrealizable, check_unrealizable_cancellable, Verdict};
 use nay::Mode;
 use nope::{NopeSolver, NopeVerdict};
-use runner::{measure, PoolConfig, Report};
+use runner::{measure, Cancel, PoolConfig, Report};
 use std::fmt::Write as _;
 
 /// The timing-free outcome of running one tool on one benchmark: what the
@@ -75,7 +77,14 @@ pub struct Evaluation {
 /// Pure with respect to timing: measure it with [`runner::measure`] or run
 /// it as a pool job.
 pub fn eval_nay(bench: &Benchmark, mode: &Mode) -> Evaluation {
-    let outcome = check_unrealizable(&bench.problem, &bench.witness_examples, mode);
+    eval_nay_cancellable(bench, mode, &Cancel::never())
+}
+
+/// [`eval_nay`] polling `cancel` inside the check; a tripped check
+/// evaluates to `unknown`.
+pub fn eval_nay_cancellable(bench: &Benchmark, mode: &Mode, cancel: &Cancel) -> Evaluation {
+    let outcome =
+        check_unrealizable_cancellable(&bench.problem, &bench.witness_examples, mode, cancel);
     Evaluation {
         verdict: outcome.verdict.name(),
         proved: outcome.verdict == Verdict::Unrealizable,
@@ -86,7 +95,13 @@ pub fn eval_nay(bench: &Benchmark, mode: &Mode) -> Evaluation {
 /// Runs the nope baseline on a benchmark's witness example set (pure, like
 /// [`eval_nay`]).
 pub fn eval_nope(bench: &Benchmark) -> Evaluation {
-    let (verdict, stats) = NopeSolver::new().check(&bench.problem, &bench.witness_examples);
+    eval_nope_cancellable(bench, &Cancel::never())
+}
+
+/// [`eval_nope`] polling `cancel` once per round of the checker.
+pub fn eval_nope_cancellable(bench: &Benchmark, cancel: &Cancel) -> Evaluation {
+    let (verdict, stats) =
+        NopeSolver::new().check_cancellable(&bench.problem, &bench.witness_examples, cancel);
     Evaluation {
         verdict: verdict.name(),
         proved: verdict == NopeVerdict::Unrealizable,
@@ -124,17 +139,6 @@ pub fn run_nay(bench: &Benchmark, mode: &Mode) -> Measurement {
     }
 }
 
-/// Runs the nope baseline on a benchmark, measured.
-pub fn run_nope(bench: &Benchmark) -> Measurement {
-    let (eval, elapsed) = measure(|| eval_nope(bench));
-    Measurement {
-        benchmark: bench.name.clone(),
-        tool: "nope",
-        proved: eval.proved,
-        seconds: elapsed.as_secs_f64(),
-    }
-}
-
 /// Selects the benchmarks of a family that are cheap enough for the `quick`
 /// harness mode (small grammars and few examples); the full mode runs all of
 /// them.
@@ -163,32 +167,17 @@ fn family_table(title: &str, family: Family, quick: bool, config: &PoolConfig) -
     render_family_table(title, family, quick, &entries)
 }
 
-/// Table 1 (LimitedPlus rows): naySL vs nayHorn vs nope.
-pub fn reproduce_table1_plus(quick: bool) -> String {
-    reproduce_table1_plus_with(quick, &PoolConfig::serial())
-}
-
-/// [`reproduce_table1_plus`] with an explicit pool configuration.
+/// Table 1 (LimitedPlus rows): naySL vs nayHorn vs nope, run on `config`.
 pub fn reproduce_table1_plus_with(quick: bool, config: &PoolConfig) -> String {
     family_table("Table 1 — LimitedPlus", Family::LimitedPlus, quick, config)
 }
 
-/// Table 1 (LimitedIf rows).
-pub fn reproduce_table1_if(quick: bool) -> String {
-    reproduce_table1_if_with(quick, &PoolConfig::serial())
-}
-
-/// [`reproduce_table1_if`] with an explicit pool configuration.
+/// Table 1 (LimitedIf rows), run on `config`.
 pub fn reproduce_table1_if_with(quick: bool, config: &PoolConfig) -> String {
     family_table("Table 1 — LimitedIf", Family::LimitedIf, quick, config)
 }
 
-/// Table 2 (LimitedConst rows).
-pub fn reproduce_table2(quick: bool) -> String {
-    reproduce_table2_with(quick, &PoolConfig::serial())
-}
-
-/// [`reproduce_table2`] with an explicit pool configuration.
+/// Table 2 (LimitedConst rows), run on `config`.
 pub fn reproduce_table2_with(quick: bool, config: &PoolConfig) -> String {
     family_table(
         "Table 2 — LimitedConst",
@@ -317,12 +306,7 @@ pub fn reproduce_summary_with(quick: bool, config: &PoolConfig) -> String {
     render_summary(&report.entries, quick)
 }
 
-/// Runs every experiment and concatenates the reports.
-pub fn reproduce_all(quick: bool) -> String {
-    reproduce_all_with(quick, &PoolConfig::serial()).0
-}
-
-/// Runs every experiment with an explicit pool configuration.
+/// Runs every experiment on `config` and concatenates the reports.
 ///
 /// The table suite runs exactly once on the pool; the three tables and the
 /// §8.1 summary are rendered from that single sweep, which is also returned

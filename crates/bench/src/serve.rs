@@ -405,7 +405,6 @@ fn build_report(
             proved: o.verdict == "unrealizable",
             iterations: 0,
             millis: o.latency_ms,
-            tainted: false,
             family: o.family.clone(),
         })
         .collect();
@@ -434,7 +433,6 @@ fn build_report(
             proved: summary.errors == 0 && mismatches.is_empty(),
             iterations: summary.requests as u64,
             millis: summary.wall_millis,
-            tainted: false,
             family: String::new(),
         });
     }
@@ -458,7 +456,6 @@ fn build_report(
             proved: false,
             iterations: stats.requests,
             millis: 0.0,
-            tainted: false,
             family: String::new(),
         });
     }

@@ -7,15 +7,15 @@
 //! is what the CI `corpus-check` job gates on.
 
 use portfolio::{solve_nay, solve_nope, Cancel, NopeEngine, Portfolio, SolveVerdict};
-use runner::{run_jobs, Entry, Job, JobStatus, PoolConfig, Report};
+use runner::{run_jobs, DeadlineTimer, Entry, Job, JobStatus, PoolConfig, Report, WarmPool};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// The per-engine wall-clock budget `run_solve` applies when the caller
-/// does not pass one (solo and race alike): generous enough for any sane
-/// corpus instance, finite so a diverging engine becomes a `timed_out`
-/// entry instead of a hung run.
+/// The per-run wall-clock budget `run_solve` applies when the caller does
+/// not pass one (solo and race alike): generous enough for any sane corpus
+/// instance, finite so a diverging engine becomes a `timed_out` entry
+/// instead of a hung run.
 pub const DEFAULT_SOLVE_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// Which engine `reproduce solve` drives.
@@ -141,8 +141,11 @@ pub struct SolveTotals {
 /// latency is `race/<loser>.millis − race/<winner>.millis`.
 ///
 /// Engines run under a wall-clock budget of `timeout`, defaulting to
-/// [`DEFAULT_SOLVE_TIMEOUT`] for solo and race alike, so a diverging
-/// engine always lands as a `timed_out` entry instead of hanging the run.
+/// [`DEFAULT_SOLVE_TIMEOUT`] for solo and race alike. The budget trips the
+/// engines' cancellation token, so a diverging engine winds down and lands
+/// as a `timed_out` entry instead of hanging the run. Races share one warm
+/// two-worker pool for the whole sweep; solo runs go through
+/// [`run_jobs`] one file at a time.
 ///
 /// When racing with the presolve stage enabled, each race additionally
 /// contributes a `race/presolve` entry carrying the static analyzer's own
@@ -167,23 +170,27 @@ pub fn run_solve(
     let timeout = timeout.unwrap_or(DEFAULT_SOLVE_TIMEOUT);
     let mut entries: Vec<Entry> = Vec::new();
     let mut rows: Vec<SolveRow> = Vec::new();
-    for path in files {
-        let parse_started = Instant::now();
-        let problem = load_problem(path)?;
-        let parse_millis = parse_started.elapsed().as_secs_f64() * 1000.0;
-        let name = problem_name(path);
-        match engine {
-            Engine::Race => {
-                let report = Portfolio::new()
-                    .with_timeout(timeout)
-                    .with_presolve(presolve)
-                    .race(&problem);
+    match engine {
+        Engine::Race => {
+            // One warm pool and one deadline timer serve every race.
+            let pool = WarmPool::new(2);
+            let timer = DeadlineTimer::new();
+            let portfolio = Portfolio::new().with_presolve(presolve);
+            for path in files {
+                let parse_started = Instant::now();
+                let problem = load_problem(path)?;
+                let parse_millis = parse_started.elapsed().as_secs_f64() * 1000.0;
+                let name = problem_name(path);
+                let cancel = Cancel::new();
+                let report = {
+                    let _deadline = timer.register(&cancel, timeout);
+                    portfolio.race_on_pool(&problem, &pool, &cancel)
+                };
                 // The race entry surfaces the *worst* engine status: a
-                // panicking engine is a crash and a budget-exhausting
-                // engine is a timeout even when the other side produced a
-                // verdict — the corpus gate must fail on either (a loser
-                // that observes the cancel exits Ok with verdict
-                // `cancelled`, so healthy races are unaffected).
+                // panicking engine is a crash and an engine stopped by the
+                // deadline is a timeout — the corpus gate must fail on
+                // either (a loser cancelled by the winner exits Ok with
+                // verdict `cancelled`, so healthy races are unaffected).
                 let race_status = report.nay.status.worst(report.nope.status);
                 entries.push(Entry {
                     benchmark: name.clone(),
@@ -193,7 +200,6 @@ pub fn run_solve(
                     proved: report.verdict == SolveVerdict::Unrealizable,
                     iterations: report.nay.iterations + report.nope.iterations,
                     millis: report.wall_millis,
-                    tainted: report.nay.tainted || report.nope.tainted,
                     family: String::new(),
                 });
                 for side in [&report.nay, &report.nope] {
@@ -205,7 +211,6 @@ pub fn run_solve(
                         proved: side.verdict == SolveVerdict::Unrealizable,
                         iterations: side.iterations,
                         millis: side.millis,
-                        tainted: side.tainted,
                         family: String::new(),
                     });
                 }
@@ -218,7 +223,6 @@ pub fn run_solve(
                         proved: stage.verdict == SolveVerdict::Unrealizable,
                         iterations: 0,
                         millis: stage.millis,
-                        tainted: false,
                         family: String::new(),
                     });
                 }
@@ -233,19 +237,21 @@ pub fn run_solve(
                     arena_terms: report.nay.arena_terms.max(report.nope.arena_terms),
                 });
             }
-            Engine::Nay | Engine::Nope => {
-                let job_problem = problem.clone();
-                let job = Job::new(name.clone(), move || match engine {
-                    Engine::Nay => solve_nay(&job_problem, &Cancel::never(), &nay::Nay::default()),
-                    _ => solve_nope(&job_problem, &Cancel::never(), &NopeEngine::default()),
-                });
-                let config = PoolConfig {
-                    jobs: 1,
-                    timeout: Some(timeout),
-                };
-                let result = run_jobs(vec![job], &config)
-                    .pop()
-                    .expect("one job, one result");
+        }
+        Engine::Nay | Engine::Nope => {
+            let mut jobs = Vec::new();
+            for path in files {
+                let problem = load_problem(path)?;
+                jobs.push(Job::cancellable(
+                    problem_name(path),
+                    move |cancel| match engine {
+                        Engine::Nay => solve_nay(&problem, cancel, &nay::Nay::default()),
+                        _ => solve_nope(&problem, cancel, &NopeEngine::default()),
+                    },
+                ));
+            }
+            let config = PoolConfig::serial().with_timeout(timeout);
+            for result in run_jobs(jobs, &config) {
                 let millis = result.elapsed.as_secs_f64() * 1000.0;
                 let (verdict, iterations, arena_terms) = match &result.output {
                     Some(outcome) => (
@@ -256,18 +262,17 @@ pub fn run_solve(
                     None => ("-".to_string(), 0, 0),
                 };
                 entries.push(Entry {
-                    benchmark: name.clone(),
+                    benchmark: result.id.clone(),
                     tool: engine.name().into(),
                     status: result.status,
                     verdict: verdict.clone(),
                     proved: verdict == "unrealizable",
                     iterations,
                     millis,
-                    tainted: result.tainted,
                     family: String::new(),
                 });
                 rows.push(SolveRow {
-                    name,
+                    name: result.id,
                     verdict,
                     winner: None,
                     millis,
@@ -507,7 +512,6 @@ mod tests {
                     proved: true,
                     iterations: 1,
                     millis: 1.0,
-                    tainted: false,
                     family: String::new(),
                 },
                 Entry {
@@ -518,7 +522,6 @@ mod tests {
                     proved: false,
                     iterations: 1,
                     millis: 1.0,
-                    tainted: false,
                     family: String::new(),
                 },
                 Entry {
@@ -529,7 +532,6 @@ mod tests {
                     proved: false,
                     iterations: 1,
                     millis: 1.0,
-                    tainted: false,
                     family: String::new(),
                 },
             ],

@@ -1,5 +1,5 @@
 //! The parallel benchmark suite: turns (benchmark, tool) pairs into runner
-//! [`Job`]s, executes them on the work-stealing pool, and assembles the
+//! [`Job`]s, executes them with [`run_jobs`], and assembles the
 //! schema-versioned [`Report`] the CI perf gate consumes.
 //!
 //! Timing lives entirely in the runner (`runner::measure` around the job
@@ -8,7 +8,7 @@
 //! depend on the worker count, which is what makes `--jobs 1` and
 //! `--jobs 8` produce byte-identical canonicalized reports.
 
-use crate::{eval_nay, eval_nope, select, Evaluation};
+use crate::{eval_nay_cancellable, eval_nope_cancellable, select, Evaluation};
 use benchmarks::{Benchmark, Family};
 use nay::Mode;
 use runner::{run_jobs, Entry, Job, JobResult, JobStatus, PoolConfig, Report};
@@ -33,11 +33,14 @@ pub fn run_benches(benches: &[Benchmark], config: &PoolConfig) -> Vec<Entry> {
         .map(|(bench, tool)| {
             let bench = (*bench).clone();
             let tool = *tool;
-            Job::new(format!("{}::{tool}", bench.name), move || match tool {
-                "naySL" => eval_nay(&bench, &Mode::default()),
-                "nayHorn" => eval_nay(&bench, &Mode::horn()),
-                _ => eval_nope(&bench),
-            })
+            Job::cancellable(
+                format!("{}::{tool}", bench.name),
+                move |cancel| match tool {
+                    "naySL" => eval_nay_cancellable(&bench, &Mode::default(), cancel),
+                    "nayHorn" => eval_nay_cancellable(&bench, &Mode::horn(), cancel),
+                    _ => eval_nope_cancellable(&bench, cancel),
+                },
+            )
         })
         .collect();
     let results = run_jobs(jobs, config);
@@ -59,7 +62,6 @@ fn entry_from(benchmark: String, tool: String, result: JobResult<Evaluation>) ->
             proved: eval.proved,
             iterations: eval.iterations as u64,
             millis,
-            tainted: result.tainted,
             family: String::new(),
         },
         (status, _) => Entry {
@@ -70,7 +72,6 @@ fn entry_from(benchmark: String, tool: String, result: JobResult<Evaluation>) ->
             proved: false,
             iterations: 0,
             millis,
-            tainted: result.tainted,
             family: String::new(),
         },
     }

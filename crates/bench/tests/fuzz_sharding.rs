@@ -7,7 +7,7 @@
 use bench::{run_fuzz, run_fuzz_observed, FuzzConfig, FuzzEngine};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Per-instance (tool, verdict) observations, keyed by draw index. A
@@ -28,9 +28,10 @@ fn sweep(count: usize, seed: u64, shards: usize, jobs: usize) -> (String, Verdic
         presolve: true,
         shards,
     };
-    let verdicts: Mutex<VerdictMap> = Mutex::new(BTreeMap::new());
-    let outcome = run_fuzz_observed(&config, |index, tool, verdict| {
-        verdicts
+    let verdicts: Arc<Mutex<VerdictMap>> = Arc::default();
+    let observed = Arc::clone(&verdicts);
+    let outcome = run_fuzz_observed(&config, move |index, tool, verdict| {
+        observed
             .lock()
             .unwrap()
             .entry(index)
@@ -38,10 +39,8 @@ fn sweep(count: usize, seed: u64, shards: usize, jobs: usize) -> (String, Verdic
             .insert((tool.to_string(), verdict.to_string()));
     });
     assert_eq!(outcome.violations_total, 0, "oracle violations in sweep");
-    (
-        outcome.report.canonicalized().to_json(),
-        verdicts.into_inner().unwrap(),
-    )
+    let verdicts = verdicts.lock().unwrap().clone();
+    (outcome.report.canonicalized().to_json(), verdicts)
 }
 
 proptest! {

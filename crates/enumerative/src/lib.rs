@@ -115,7 +115,7 @@ impl Enumerator {
     /// grammar derives any term at all).
     pub fn solve(&self, problem: &Problem, examples: &ExampleSet) -> EnumerationResult {
         let mut arena = TermArena::new();
-        let outcome = self.solve_with_arena(&mut arena, problem, examples);
+        let outcome = self.solve_with_arena(&mut arena, problem, examples, || false);
         self.extract_result(&arena, outcome)
     }
 
@@ -125,37 +125,24 @@ impl Enumerator {
     /// structure across iterations instead of rebuilding it. The found
     /// candidate is returned as an id — the owned [`Term`] is only
     /// materialized where the caller needs it (the witness boundary).
+    ///
+    /// `stop` is polled once per term size; once it returns `true` the
+    /// search ends with `NotFound { exhausted: false }` — a stopped search
+    /// proves nothing.
     pub fn solve_with_arena(
         &self,
         arena: &mut TermArena,
         problem: &Problem,
         examples: &ExampleSet,
+        stop: impl Fn() -> bool,
     ) -> IdEnumerationResult {
         let spec = problem.spec();
-        self.enumerate_ids(arena, problem.grammar(), examples, |_, _, out| {
+        self.enumerate_ids(arena, problem.grammar(), examples, stop, |_, _, out| {
             examples
                 .iter()
                 .enumerate()
                 .all(|(j, e)| spec.holds(e, out.as_i64(j)))
         })
-    }
-
-    /// Generic driver: enumerate `grammar` terms (modulo observational
-    /// equivalence on `examples`) and return the first term derivable from
-    /// the start symbol for which `accept` holds. The accept callback sees
-    /// the extracted owned tree; id-level callers should use
-    /// [`Enumerator::solve_with_arena`] to avoid the materialization.
-    pub fn solve_grammar(
-        &self,
-        grammar: &Grammar,
-        examples: &ExampleSet,
-        accept: impl Fn(&Term) -> bool,
-    ) -> EnumerationResult {
-        let mut arena = TermArena::new();
-        let outcome = self.enumerate_ids(&mut arena, grammar, examples, |arena, id, _| {
-            accept(&arena.extract(id))
-        });
-        self.extract_result(&arena, outcome)
     }
 
     fn extract_result(&self, arena: &TermArena, outcome: IdEnumerationResult) -> EnumerationResult {
@@ -174,12 +161,13 @@ impl Enumerator {
     /// The size-by-size enumeration loop on interned ids. `accept` is
     /// called (with the arena and the candidate's output vector) only for
     /// candidates derivable from the start symbol that open a new
-    /// observational-equivalence class.
+    /// observational-equivalence class. `stop` is polled before each size.
     fn enumerate_ids(
         &self,
         arena: &mut TermArena,
         grammar: &Grammar,
         examples: &ExampleSet,
+        stop: impl Fn() -> bool,
         mut accept: impl FnMut(&mut TermArena, TermId, &Output) -> bool,
     ) -> IdEnumerationResult {
         // signature tables: nonterminal → set of output signatures seen
@@ -203,6 +191,12 @@ impl Enumerator {
         let mut largest_new_size = 0usize;
 
         for size in 1..=self.max_size {
+            if stop() {
+                return IdEnumerationResult::NotFound {
+                    size_bound: size - 1,
+                    exhausted: false,
+                };
+            }
             let mut added_any = false;
             for nt in grammar.nonterminals() {
                 let mut new_terms: Vec<TermId> = Vec::new();
@@ -370,7 +364,7 @@ mod tests {
         let examples = ExampleSet::for_single_var("x", [0, 5]);
         let mut arena = TermArena::new();
         let enumerator = Enumerator::new();
-        let by_id = enumerator.solve_with_arena(&mut arena, &problem, &examples);
+        let by_id = enumerator.solve_with_arena(&mut arena, &problem, &examples, || false);
         let IdEnumerationResult::Found(id) = by_id else {
             panic!("unexpected {by_id:?}");
         };
@@ -394,8 +388,8 @@ mod tests {
             ExampleSet::for_single_var("x", [1, 2, -3]),
         ] {
             let mut fresh = TermArena::new();
-            let reused = enumerator.solve_with_arena(&mut shared, &problem, &examples);
-            let isolated = enumerator.solve_with_arena(&mut fresh, &problem, &examples);
+            let reused = enumerator.solve_with_arena(&mut shared, &problem, &examples, || false);
+            let isolated = enumerator.solve_with_arena(&mut fresh, &problem, &examples, || false);
             match (reused, isolated) {
                 (IdEnumerationResult::Found(a), IdEnumerationResult::Found(b)) => {
                     assert_eq!(shared.extract(a), fresh.extract(b));
@@ -438,6 +432,35 @@ mod tests {
             EnumerationResult::NotFound { exhausted, .. } => assert!(exhausted),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_stopped_search_never_claims_exhaustion() {
+        // The finite language above saturates at size 2; a search stopped
+        // after its first size must not report the space exhausted.
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .production("Start", Symbol::Num(1), &[])
+            .production("Start", Symbol::Num(2), &[])
+            .build()
+            .unwrap();
+        let spec = Spec::output_equals(LinearExpr::constant(3), vec!["x".to_string()]);
+        let problem = Problem::new("finite", grammar, spec);
+        let examples = ExampleSet::for_single_var("x", [0]);
+        let polls = std::cell::Cell::new(0);
+        let stop = || {
+            polls.set(polls.get() + 1);
+            polls.get() > 1
+        };
+        let outcome =
+            Enumerator::new().solve_with_arena(&mut TermArena::new(), &problem, &examples, stop);
+        assert_eq!(
+            outcome,
+            IdEnumerationResult::NotFound {
+                size_bound: 1,
+                exhausted: false
+            }
+        );
     }
 
     #[test]

@@ -21,21 +21,33 @@ use crate::equations::{EquationSystem, Solution};
 use crate::semiring::Semiring;
 
 /// Computes the star `A⊛ = I ⊕ A ⊕ A² ⊕ …` of a square matrix over the
-/// semiring using Lehmann's (Floyd–Warshall–Kleene) algorithm.
+/// semiring using Lehmann's (Floyd–Warshall–Kleene) algorithm. `stop` is
+/// polled before every pivot and every cell update; once it returns `true`
+/// the result is partial.
 ///
 /// # Panics
 /// Panics if the matrix is not square.
-pub fn matrix_star<S: Semiring>(semiring: &S, matrix: &[Vec<S::Elem>]) -> Vec<Vec<S::Elem>> {
+pub fn matrix_star<S: Semiring>(
+    semiring: &S,
+    matrix: &[Vec<S::Elem>],
+    stop: impl Fn() -> bool,
+) -> Vec<Vec<S::Elem>> {
     let n = matrix.len();
     for row in matrix {
         assert_eq!(row.len(), n, "matrix must be square");
     }
     let mut current: Vec<Vec<S::Elem>> = matrix.to_vec();
-    for k in 0..n {
+    'pivots: for k in 0..n {
+        if stop() {
+            break;
+        }
         let pivot_star = semiring.star(&current[k][k]);
         let mut next = current.clone();
         for (i, next_row) in next.iter_mut().enumerate() {
             for (j, cell) in next_row.iter_mut().enumerate() {
+                if stop() {
+                    break 'pivots;
+                }
                 let through_k = semiring.extend(
                     &semiring.extend(&current[i][k], &pivot_star),
                     &current[k][j],
@@ -52,13 +64,15 @@ pub fn matrix_star<S: Semiring>(semiring: &S, matrix: &[Vec<S::Elem>]) -> Vec<Ve
     current
 }
 
-/// Solves the linear system `Y = A·Y ⊕ b` exactly, returning `Y = A⊛·b`.
+/// Solves the linear system `Y = A·Y ⊕ b` exactly, returning `Y = A⊛·b`
+/// (partial once `stop` fires, see [`matrix_star`]).
 pub fn solve_linear<S: Semiring>(
     semiring: &S,
     matrix: &[Vec<S::Elem>],
     rhs: &[S::Elem],
+    stop: impl Fn() -> bool,
 ) -> Vec<S::Elem> {
-    let star = matrix_star(semiring, matrix);
+    let star = matrix_star(semiring, matrix, stop);
     star.iter()
         .map(|row| {
             let mut acc = semiring.zero();
@@ -102,9 +116,15 @@ fn differential<S: Semiring>(
 ///
 /// For commutative idempotent ω-continuous semirings the result after
 /// `num_vars` iterations is the least fixed point, so [`Solution::exact`] is
-/// always `true`; the solver stops earlier if an iteration leaves the
-/// valuation unchanged.
-pub fn solve<S: Semiring>(semiring: &S, system: &EquationSystem<S::Elem>) -> Solution<S::Elem> {
+/// `true`; the solver stops earlier if an iteration leaves the valuation
+/// unchanged. `stop` is polled before every iteration and inside its
+/// matrix star (see [`matrix_star`]): once it returns `true` the solver returns the current
+/// under-approximation with `exact: false`.
+pub fn solve<S: Semiring>(
+    semiring: &S,
+    system: &EquationSystem<S::Elem>,
+    stop: impl Fn() -> bool,
+) -> Solution<S::Elem> {
     let n = system.num_vars();
     if n == 0 {
         return Solution {
@@ -117,11 +137,21 @@ pub fn solve<S: Semiring>(semiring: &S, system: &EquationSystem<S::Elem>) -> Sol
     let bottom = vec![semiring.zero(); n];
     let mut valuation = system.eval_all(semiring, &bottom);
     let mut iterations = 0;
+    let mut exact = true;
     for _ in 0..n {
+        if stop() {
+            exact = false;
+            break;
+        }
         iterations += 1;
         let matrix = differential(semiring, system, &valuation);
         let rhs = system.eval_all(semiring, &valuation);
-        let delta = solve_linear(semiring, &matrix, &rhs);
+        let delta = solve_linear(semiring, &matrix, &rhs, &stop);
+        if stop() {
+            // A cut-short star must never pass for convergence.
+            exact = false;
+            break;
+        }
         let next: Vec<S::Elem> = valuation
             .iter()
             .zip(&delta)
@@ -135,7 +165,7 @@ pub fn solve<S: Semiring>(semiring: &S, system: &EquationSystem<S::Elem>) -> Sol
     Solution {
         values: valuation,
         iterations,
-        exact: true,
+        exact,
     }
 }
 
@@ -156,7 +186,7 @@ mod tests {
     #[test]
     fn one_by_one_matrix_star() {
         let sr = SemiLinearSemiring::new(1);
-        let star = matrix_star(&sr, &[vec![single(&[3])]]);
+        let star = matrix_star(&sr, &[vec![single(&[3])]], || false);
         // ({3})⊛ = {0 + 3λ}
         assert!(star[0][0].contains(&vec1(0)));
         assert!(star[0][0].contains(&vec1(9)));
@@ -170,7 +200,7 @@ mod tests {
         // so A*[0][0] must contain {0, 3, 6, …} (each round trip adds 1+2).
         let z = sr.zero();
         let a = vec![vec![z.clone(), single(&[1])], vec![single(&[2]), z]];
-        let star = matrix_star(&sr, &a);
+        let star = matrix_star(&sr, &a, || false);
         assert!(star[0][0].contains(&vec1(0)));
         assert!(star[0][0].contains(&vec1(3)));
         assert!(star[0][0].contains(&vec1(6)));
@@ -187,13 +217,29 @@ mod tests {
         let mut sys = EquationSystem::new(1);
         sys.add_monomial(0, Monomial::new(single(&[3]), vec![0]));
         sys.add_monomial(0, Monomial::constant(single(&[0])));
-        let sol = solve(&sr, &sys);
+        let sol = solve(&sr, &sys, || false);
         assert!(sol.exact);
         assert!(sol.values[0].contains(&vec1(0)));
         assert!(sol.values[0].contains(&vec1(3)));
         assert!(sol.values[0].contains(&vec1(300)));
         assert!(!sol.values[0].contains(&vec1(4)));
         assert!(!sol.values[0].contains(&vec1(-3)));
+    }
+
+    #[test]
+    fn a_stopped_solve_is_an_inexact_under_approximation() {
+        let sr = SemiLinearSemiring::new(1);
+        let mut sys = EquationSystem::new(1);
+        sys.add_monomial(0, Monomial::new(single(&[3]), vec![0]));
+        sys.add_monomial(0, Monomial::constant(single(&[0])));
+        let sol = solve(&sr, &sys, || true);
+        assert!(!sol.exact);
+        assert_eq!(sol.iterations, 0);
+        // ν⁰ = F(0) only: the base case, none of the recursion.
+        assert!(sol.values[0].contains(&vec1(0)));
+        assert!(!sol.values[0].contains(&vec1(3)));
+        let stratified = crate::strata::solve_stratified(&sr, &sys, || true);
+        assert!(!stratified.exact);
     }
 
     #[test]
@@ -211,7 +257,7 @@ mod tests {
         sys.add_monomial(s1, Monomial::new(single(&[1, 2]), vec![s2]));
         sys.add_monomial(s2, Monomial::new(single(&[1, 2]), vec![s3]));
         sys.add_monomial(s3, Monomial::constant(single(&[1, 2])));
-        let sol = solve(&sr, &sys);
+        let sol = solve(&sr, &sys, || false);
         // nG(S1) = {(3,6)}, nG(S2) = {(2,4)}, nG(S3) = {(1,2)}
         assert_eq!(sol.values[s3], single(&[1, 2]));
         assert_eq!(sol.values[s2], single(&[2, 4]));
@@ -234,7 +280,7 @@ mod tests {
         let mut sys = EquationSystem::new(1);
         sys.add_monomial(0, Monomial::new(SemiLinearSet::one(1), vec![0, 0]));
         sys.add_monomial(0, Monomial::constant(single(&[1])));
-        let sol = solve(&sr, &sys);
+        let sol = solve(&sr, &sys, || false);
         for v in 1..6 {
             assert!(sol.values[0].contains(&vec1(v)), "missing {v}");
         }
@@ -249,7 +295,7 @@ mod tests {
         sys.add_monomial(0, Monomial::new(single(&[3]), vec![0]));
         sys.add_monomial(0, Monomial::constant(single(&[0])));
         let kleene = crate::kleene::solve(&sr, &sys, 20);
-        let newton = solve(&sr, &sys);
+        let newton = solve(&sr, &sys, || false);
         assert!(!kleene.exact);
         assert!(newton.exact);
         // Kleene's under-approximation is contained in Newton's answer
@@ -262,7 +308,7 @@ mod tests {
     fn empty_system() {
         let sr = SemiLinearSemiring::new(1);
         let sys: EquationSystem<SemiLinearSet> = EquationSystem::new(0);
-        let sol = solve(&sr, &sys);
+        let sol = solve(&sr, &sys, || false);
         assert!(sol.exact);
         assert!(sol.values.is_empty());
     }

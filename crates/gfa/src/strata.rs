@@ -104,19 +104,29 @@ pub fn strongly_connected_components(
 /// Newton's method within each stratum. Returns an exact least solution for
 /// commutative idempotent ω-continuous semirings, like [`newton::solve`],
 /// but typically much faster on grammars with many nonterminals.
+///
+/// `stop` is polled before every Newton iteration of every stratum; once it
+/// returns `true` the result is an under-approximation marked
+/// `exact: false`.
 pub fn solve_stratified<S: Semiring>(
     semiring: &S,
     system: &EquationSystem<S::Elem>,
+    stop: impl Fn() -> bool,
 ) -> Solution<S::Elem> {
     let n = system.num_vars();
     let components = strongly_connected_components(n, &system.dependencies());
     let mut values: Vec<Option<S::Elem>> = vec![None; n];
     let mut iterations = 0;
+    let mut exact = true;
 
     for component in &components {
         let (subsystem, mapping) = system.restrict(semiring, component, &values);
-        let sub_solution = newton::solve(semiring, &subsystem);
+        let sub_solution = newton::solve(semiring, &subsystem, &stop);
         iterations += sub_solution.iterations;
+        if !sub_solution.exact {
+            exact = false;
+            break;
+        }
         for (local, &global) in mapping.iter().enumerate() {
             values[global] = Some(sub_solution.values[local].clone());
         }
@@ -128,7 +138,7 @@ pub fn solve_stratified<S: Semiring>(
             .map(|v| v.unwrap_or_else(|| semiring.zero()))
             .collect(),
         iterations,
-        exact: true,
+        exact,
     }
 }
 
@@ -189,8 +199,8 @@ mod tests {
         sys.add_monomial(s2, Monomial::new(single(&[1, 2]), vec![s3]));
         sys.add_monomial(s3, Monomial::constant(single(&[1, 2])));
 
-        let direct = newton::solve(&sr, &sys);
-        let stratified = solve_stratified(&sr, &sys);
+        let direct = newton::solve(&sr, &sys, || false);
+        let stratified = solve_stratified(&sr, &sys, || false);
         for (a, b) in direct.values.iter().zip(&stratified.values) {
             assert!(a.sample_equivalent(b, 4), "{a} vs {b}");
         }
@@ -206,7 +216,7 @@ mod tests {
         sys.add_monomial(0, Monomial::constant(single(&[0])));
         sys.add_monomial(1, Monomial::new(single(&[1]), vec![0]));
         sys.add_monomial(2, Monomial::new(single(&[10]), vec![0]));
-        let sol = solve_stratified(&sr, &sys);
+        let sol = solve_stratified(&sr, &sys, || false);
         // X0 = even numbers, X1 = odd numbers, X2 = 10 + even
         assert!(sol.values[0].contains(&IntVec::from(vec![0])));
         assert!(sol.values[0].contains(&IntVec::from(vec![4])));

@@ -1,9 +1,15 @@
 //! Quantifier-free LIA formulas.
 
 use crate::expr::{LinearExpr, Var};
+use crate::interrupt::stop_requested;
 use crate::model::Model;
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// How many DNF cubes the expansion builds between two polls of the stop
+/// hook: often enough to exit within a few milliseconds, rarely enough to
+/// cost nothing measurable on small formulas.
+const STOP_POLL_CUBES: usize = 256;
 
 /// A comparison relation between two linear expressions.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -372,14 +378,19 @@ impl Formula {
     /// `Ne` atoms are split into `<` and `>` so every returned atom is one of
     /// `=, ≤, <, ≥, >`.
     ///
-    /// The expansion is capped at `max_cubes`; if exceeded, `None` is
-    /// returned and the caller should fall back to a different strategy.
+    /// The expansion is capped at `max_cubes`; if exceeded — or if an
+    /// [`interruptible`](crate::interruptible) scope's stop hook fires —
+    /// `None` is returned and the caller should fall back to a different
+    /// strategy.
     pub fn to_dnf(&self, max_cubes: usize) -> Option<Vec<Vec<Atom>>> {
         let nnf = self.to_nnf();
         let cubes = nnf.dnf_rec(max_cubes)?;
         // split disequalities
         let mut out = Vec::new();
-        for cube in cubes {
+        for (i, cube) in cubes.into_iter().enumerate() {
+            if i % STOP_POLL_CUBES == STOP_POLL_CUBES - 1 && stop_requested() {
+                return None;
+            }
             let mut expanded = vec![Vec::new()];
             for atom in cube {
                 if atom.rel == Rel::Ne {
@@ -438,7 +449,9 @@ impl Formula {
                             let mut merged = cube.clone();
                             merged.extend(s.iter().cloned());
                             next.push(merged);
-                            if next.len() > max_cubes {
+                            if next.len() > max_cubes
+                                || (next.len() % STOP_POLL_CUBES == 0 && stop_requested())
+                            {
                                 return None;
                             }
                         }

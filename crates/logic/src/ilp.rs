@@ -9,11 +9,13 @@
 //! 2. exact elimination of equalities with a unit-coefficient variable,
 //! 3. branch-and-bound over the exact rational simplex relaxation.
 //!
-//! The branch-and-bound search is budgeted; exceeding the budget yields
-//! [`IlpResult::Unknown`], which callers treat conservatively.
+//! The branch-and-bound search is budgeted; exceeding the budget — or an
+//! [`interruptible`](crate::interruptible) scope's stop hook firing —
+//! yields [`IlpResult::Unknown`], which callers treat conservatively.
 
+use crate::interrupt::stop_requested;
 use crate::rational::Rational;
-use crate::simplex::{LpRel, Simplex};
+use crate::simplex::{LpRel, LpResult, Simplex};
 
 /// A single linear constraint `Σ coeffs[i]·xᵢ REL rhs` over variable indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,6 +145,9 @@ impl IlpProblem {
 
     /// Decides integer feasibility.
     pub fn solve(&self) -> IlpResult {
+        if stop_requested() {
+            return IlpResult::Unknown;
+        }
         // Work on a normalised copy: only Le and Eq constraints.
         let mut cons: Vec<Constraint> = Vec::with_capacity(self.constraints.len());
         for c in &self.constraints {
@@ -294,7 +299,7 @@ impl IlpProblem {
 
         while let Some(node) = stack.pop() {
             nodes_used += 1;
-            if nodes_used > self.node_budget {
+            if nodes_used > self.node_budget || stop_requested() {
                 hit_budget = true;
                 break;
             }
@@ -310,8 +315,14 @@ impl IlpProblem {
                 let rel = if is_upper { LpRel::Le } else { LpRel::Ge };
                 lp.add_constraint(coeffs, rel, Rational::from_int(bound));
             }
-            let Some(point) = lp.feasible_point() else {
-                continue;
+            let point = match lp.maximize(&vec![Rational::ZERO; self.num_vars]) {
+                LpResult::Optimal { point, .. } => point,
+                LpResult::Infeasible => continue,
+                LpResult::Interrupted => {
+                    hit_budget = true;
+                    break;
+                }
+                LpResult::Unbounded => unreachable!("zero objective cannot be unbounded"),
             };
             // find a fractional coordinate
             match point.iter().position(|v| !v.is_integer()) {

@@ -9,7 +9,9 @@
 //!   simplification → NNF → DNF → per-cube integer feasibility via
 //!   Omega-style equality elimination, exact rational simplex and
 //!   branch-and-bound,
-//! * [`Model`] — satisfying assignments, usable for counterexample generation.
+//! * [`Model`] — satisfying assignments, usable for counterexample generation,
+//! * [`interruptible`] — a scoped stop hook that cuts long solves short
+//!   (they answer "unknown").
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 mod expr;
 mod formula;
 mod ilp;
+mod interrupt;
 mod model;
 mod rational;
 mod simplex;
@@ -41,6 +44,7 @@ mod solver;
 pub use expr::{LinearExpr, Var};
 pub use formula::{Atom, Formula, Rel};
 pub use ilp::{Constraint, IlpProblem, IlpResult};
+pub use interrupt::interruptible;
 pub use model::Model;
 pub use rational::Rational;
 pub use simplex::{LpRel, LpResult, Simplex};

@@ -5,6 +5,7 @@
 //! [`Rational`] entries and uses Bland's rule, so it always terminates and
 //! never suffers from floating-point error.
 
+use crate::interrupt::stop_requested;
 use crate::rational::Rational;
 
 /// The relation of a linear constraint handed to the LP solver.
@@ -25,6 +26,9 @@ pub enum LpResult {
     Infeasible,
     /// The objective is unbounded above on the feasible region.
     Unbounded,
+    /// The solve was cut short by an [`interruptible`](crate::interruptible)
+    /// scope's stop hook.
+    Interrupted,
     /// An optimal solution; `point[i]` is the value of structural variable `i`.
     Optimal {
         /// Optimal objective value.
@@ -102,10 +106,14 @@ impl Tableau {
     }
 
     /// Runs the simplex loop maximizing `obj` (length ncols) with Bland's
-    /// rule. `allowed` marks columns permitted to enter the basis.
-    /// Returns `None` if unbounded, otherwise the objective value.
-    fn optimize(&mut self, obj: &[Rational], allowed: &[bool]) -> Option<Rational> {
+    /// rule. `allowed` marks columns permitted to enter the basis. Polls
+    /// the stop hook before every pivot. Returns the objective value, or
+    /// how the run ended without one (`Unbounded` or `Interrupted`).
+    fn optimize(&mut self, obj: &[Rational], allowed: &[bool]) -> Result<Rational, LpResult> {
         loop {
+            if stop_requested() {
+                return Err(LpResult::Interrupted);
+            }
             // reduced costs: c_j - c_B B^{-1} A_j. We recompute from scratch:
             // since rows are kept in canonical (basis = identity) form, the
             // reduced cost of column j is obj[j] - Σ_i obj[basis[i]] * rows[i][j].
@@ -129,7 +137,7 @@ impl Tableau {
                 for (i, &b) in self.basis.iter().enumerate() {
                     val += obj[b] * self.rhs[i];
                 }
-                return Some(val);
+                return Ok(val);
             };
             // ratio test
             let mut leaving: Option<(usize, Rational)> = None;
@@ -148,7 +156,7 @@ impl Tableau {
                 }
             }
             let Some((row, _)) = leaving else {
-                return None; // unbounded
+                return Err(LpResult::Unbounded);
             };
             self.pivot(row, col);
         }
@@ -188,12 +196,14 @@ impl Simplex {
         self.constraints.push((coeffs, rel, rhs));
     }
 
-    /// Finds any rational solution of the constraints.
+    /// Finds any rational solution of the constraints; `None` when there
+    /// is none, or when an [`interruptible`](crate::interruptible) scope
+    /// stopped the solve.
     pub fn feasible_point(&self) -> Option<Vec<Rational>> {
         match self.maximize(&vec![Rational::ZERO; self.num_vars]) {
             LpResult::Optimal { point, .. } => Some(point),
             LpResult::Unbounded => unreachable!("zero objective cannot be unbounded"),
-            LpResult::Infeasible => None,
+            LpResult::Infeasible | LpResult::Interrupted => None,
         }
     }
 
@@ -262,9 +272,11 @@ impl Simplex {
             *slot = -Rational::ONE;
         }
         let allowed_all = vec![true; ncols];
-        let val = tab
-            .optimize(&phase1_obj, &allowed_all)
-            .expect("phase-1 objective is bounded above by 0");
+        let val = match tab.optimize(&phase1_obj, &allowed_all) {
+            Ok(val) => val,
+            Err(LpResult::Unbounded) => unreachable!("phase-1 objective is bounded above by 0"),
+            Err(interrupted) => return interrupted,
+        };
         if val.is_negative() {
             return LpResult::Infeasible;
         }
@@ -287,8 +299,9 @@ impl Simplex {
             phase2_obj[2 * j] = objective[j];
             phase2_obj[2 * j + 1] = -objective[j];
         }
-        let Some(objective_value) = tab.optimize(&phase2_obj, &allowed) else {
-            return LpResult::Unbounded;
+        let objective_value = match tab.optimize(&phase2_obj, &allowed) {
+            Ok(val) => val,
+            Err(end) => return end,
         };
 
         // Extract structural variable values.

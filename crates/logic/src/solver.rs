@@ -3,6 +3,7 @@
 use crate::expr::Var;
 use crate::formula::{Atom, Formula, Rel};
 use crate::ilp::{Constraint, IlpProblem, IlpResult};
+use crate::interrupt::stop_requested;
 use crate::model::Model;
 use crate::simplex::LpRel;
 use std::collections::BTreeMap;
@@ -108,6 +109,9 @@ impl Solver {
 
         let mut saw_unknown = false;
         for cube in &cubes {
+            if stop_requested() {
+                return SolverResult::Unknown;
+            }
             match self.check_cube(cube, &vars, &index) {
                 IlpResult::Sat(point) => {
                     let model = vars

@@ -18,7 +18,7 @@
 //!    * if the enumerator runs out of budget, add a temporary random example
 //!      to `E_r` and go back to step 1.
 
-use crate::check::{check_unrealizable, Verdict};
+use crate::check::{check_unrealizable_cancellable, Verdict};
 use crate::modes::Mode;
 use crate::verifier::{verify, Verification};
 use enumerative::{Enumerator, IdEnumerationResult};
@@ -150,9 +150,11 @@ impl Nay {
     }
 
     /// [`Nay::run`] with cooperative cancellation: the token is polled at
-    /// the top of every outer CEGIS iteration and before every inner
-    /// unrealizability check, so a trip is observed within one loop
-    /// iteration and the run returns [`CegisOutcome::Cancelled`].
+    /// the top of every outer CEGIS iteration, inside every
+    /// unrealizability check (per GFA step, see
+    /// [`check_unrealizable_cancellable`]) and by the enumerator (per term
+    /// size), so a trip is observed within one such step and the run
+    /// returns [`CegisOutcome::Cancelled`].
     pub fn run_cancellable(
         &self,
         problem: &Problem,
@@ -166,6 +168,7 @@ impl Nay {
         // counterexample reuses every subterm interned before instead of
         // rebuilding (and re-cloning) the trees.
         let mut arena = TermArena::new();
+        let stop = || cancel.is_cancelled();
         let cancelled = |stats: &mut CegisStats, arena: &TermArena| {
             stats.total_time = started.elapsed();
             stats.arena_terms = arena.len();
@@ -191,7 +194,8 @@ impl Nay {
                     return cancelled(&mut stats, &arena);
                 }
                 stats.gfa_checks += 1;
-                let outcome = check_unrealizable(problem, &extended, &self.mode);
+                let outcome =
+                    check_unrealizable_cancellable(problem, &extended, &self.mode, cancel);
                 stats.check_time += outcome.elapsed;
                 stats.final_abstraction_size = outcome.abstraction_size;
                 match outcome.verdict {
@@ -201,19 +205,23 @@ impl Nay {
                         stats.arena_terms = arena.len();
                         return (CegisOutcome::Unrealizable, stats);
                     }
+                    // A check cut short by the token says Unknown.
+                    Verdict::Realizable | Verdict::Unknown if cancel.is_cancelled() => {
+                        return cancelled(&mut stats, &arena);
+                    }
                     Verdict::Realizable | Verdict::Unknown => {
                         // ① the synthesizer side works on the permanent E
                         // only; the candidate stays an interned id — the
                         // owned tree is materialized at the witness boundary
                         // (verification) below.
-                        match self
+                        let found = self
                             .enumerator
-                            .solve_with_arena(&mut arena, problem, &examples)
-                        {
+                            .solve_with_arena(&mut arena, problem, &examples, stop);
+                        if cancel.is_cancelled() {
+                            return cancelled(&mut stats, &arena);
+                        }
+                        match found {
                             IdEnumerationResult::Found(candidate_id) => {
-                                if cancel.is_cancelled() {
-                                    return cancelled(&mut stats, &arena);
-                                }
                                 let candidate = arena.extract(candidate_id);
                                 match verify(&candidate, problem.spec()) {
                                     Verification::Valid => {

@@ -16,12 +16,18 @@
 //! The `Horn` mode replaces the exact solve with the approximate
 //! abstract-interpretation Horn solver of the `chc` crate, which can only
 //! return *unrealizable* or *unknown*.
+//!
+//! A check cancelled mid-fixpoint ([`check_unrealizable_cancellable`])
+//! returns *unknown* without issuing the final query: the cut-short
+//! abstraction under-approximates the language, so an unsat answer over it
+//! would be a false *unrealizable*.
 
 use crate::clia;
 use crate::lia;
 use crate::modes::Mode;
 use chc::{HornSolver, HornVerdict};
 use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
+use runner::Cancel;
 use semilinear::concretize_semilinear;
 use std::time::{Duration, Instant};
 use sygus::{ExampleSet, Problem, Sort, SygusError};
@@ -70,6 +76,21 @@ pub struct CheckOutcome {
 /// Runs Algorithm 1 on `(problem.grammar(), problem.spec())` restricted to
 /// `examples`, using the given [`Mode`].
 pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode) -> CheckOutcome {
+    check_unrealizable_cancellable(problem, examples, mode, &Cancel::never())
+}
+
+/// [`check_unrealizable`] with cooperative cancellation: the token is
+/// polled in every SolveMutual round, SolveBool round, `⟦<⟧♯`/`⟦=⟧♯` ILP
+/// query, Newton iteration and matrix-star cell, and (through
+/// [`logic::interruptible`]) every simplex pivot, ILP node and DNF cube.
+/// Once it trips the check returns [`Verdict::Unknown`]. The approximate
+/// Horn mode is polled only before it starts.
+pub fn check_unrealizable_cancellable(
+    problem: &Problem,
+    examples: &ExampleSet,
+    mode: &Mode,
+    cancel: &Cancel,
+) -> CheckOutcome {
     let started = Instant::now();
     let outcome = |verdict, abstraction_size, solver_iterations| CheckOutcome {
         verdict,
@@ -94,6 +115,9 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
         );
     }
 
+    if cancel.is_cancelled() {
+        return outcome(Verdict::Unknown, 0, 0);
+    }
     match mode {
         Mode::Horn => {
             let verdict = match HornSolver::new().check(problem.grammar(), examples, problem.spec())
@@ -104,7 +128,12 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
             outcome(verdict, 0, 0)
         }
         Mode::SemiLinear { stratified, prune } => {
-            check_semilinear(problem, examples, *stratified, *prune, started)
+            // ILP solves inside the check stop at their next pivot too.
+            let token = cancel.clone();
+            logic::interruptible(
+                move || token.is_cancelled(),
+                || check_semilinear(problem, examples, *stratified, *prune, cancel, started),
+            )
         }
     }
 }
@@ -114,6 +143,7 @@ fn check_semilinear(
     examples: &ExampleSet,
     stratified: bool,
     prune: bool,
+    cancel: &Cancel,
     started: Instant,
 ) -> CheckOutcome {
     let outcome = |verdict, abstraction_size, solver_iterations| CheckOutcome {
@@ -134,11 +164,12 @@ fn check_semilinear(
         .map(|j| Var::indexed("o", j + 1))
         .collect();
     let spec_formula = problem.spec().conjunction_over(examples, &outputs);
+    let stop = || cancel.is_cancelled();
 
     // γ̂(n(Start), o⃗)
     let (gamma, abstraction_size, solver_iterations) = if rewritten.is_lia() {
-        match lia::analyze(&rewritten, examples, stratified, prune) {
-            Ok(analysis) => {
+        match lia::analyze_until(&rewritten, examples, stratified, prune, &stop) {
+            Ok(Some(analysis)) => {
                 let start = analysis.start_value(&rewritten).clone();
                 (
                     concretize_semilinear(&start, &outputs),
@@ -146,11 +177,12 @@ fn check_semilinear(
                     analysis.newton_iterations,
                 )
             }
-            Err(_) => return outcome(Verdict::Unknown, 0, 0),
+            // stopped, or an ill-formed grammar
+            _ => return outcome(Verdict::Unknown, 0, 0),
         }
     } else {
-        match clia::analyze(&rewritten, examples, stratified, prune) {
-            Ok(analysis) => {
+        match clia::analyze_until(&rewritten, examples, stratified, prune, &stop) {
+            Ok(Some(analysis)) => {
                 let size = analysis.start_size(&rewritten);
                 let iterations = analysis.outer_iterations;
                 let gamma = match rewritten.sort_of(rewritten.start()) {
@@ -175,10 +207,14 @@ fn check_semilinear(
                 };
                 (gamma, size, iterations)
             }
-            Err(_) => return outcome(Verdict::Unknown, 0, 0),
+            // stopped, or an ill-formed grammar
+            _ => return outcome(Verdict::Unknown, 0, 0),
         }
     };
 
+    if stop() {
+        return outcome(Verdict::Unknown, abstraction_size, solver_iterations);
+    }
     // P := γ̂(n(Start), o⃗) ∧ ⋀ⱼ ψ(oⱼ, iⱼ)   (Thm. 4.5)
     let query = Formula::and(vec![gamma, spec_formula]);
     let verdict = match Solver::default().check(&query) {

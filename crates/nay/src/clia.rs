@@ -62,20 +62,27 @@ impl CliaAnalysis {
 /// some pair of members `v₁ ∈ sl₁, v₂ ∈ sl₂` satisfies `b = v₁ < v₂`
 /// component-wise. Computed with `2^|E|` QF-LIA queries.
 pub fn abstract_less_than(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> BoolVecSet {
-    abstract_comparison(sl1, sl2, dim, Formula::lt, Formula::ge)
+    abstract_comparison(sl1, sl2, dim, Formula::lt, Formula::ge, &|| false)
 }
 
 /// `⟦Equal⟧♯(sl₁, sl₂)`: analogous to [`abstract_less_than`] for equality.
 pub fn abstract_equal(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> BoolVecSet {
-    abstract_comparison(sl1, sl2, dim, Formula::eq, Formula::ne)
+    abstract_comparison(sl1, sl2, dim, Formula::eq, Formula::ne, &|| false)
 }
 
+/// A comparison between two linear expressions, e.g. [`Formula::lt`].
+type Rel = fn(logic::LinearExpr, logic::LinearExpr) -> Formula;
+
+/// The shared body of `⟦<⟧♯`/`⟦=⟧♯`: `holds` is the comparison, `fails`
+/// its negation. Polls `stop` before every ILP query; a stopped comparison
+/// returns a partial set.
 fn abstract_comparison(
     sl1: &SemiLinearSet,
     sl2: &SemiLinearSet,
     dim: usize,
-    holds: impl Fn(logic::LinearExpr, logic::LinearExpr) -> Formula,
-    fails: impl Fn(logic::LinearExpr, logic::LinearExpr) -> Formula,
+    holds: Rel,
+    fails: Rel,
+    stop: &dyn Fn() -> bool,
 ) -> BoolVecSet {
     if sl1.is_zero() || sl2.is_zero() {
         return BoolVecSet::empty();
@@ -89,6 +96,9 @@ fn abstract_comparison(
     let solver = Solver::default();
     let mut out = BoolVecSet::empty();
     for b in BoolVec::all(dim) {
+        if stop() {
+            break;
+        }
         let mut conjuncts = vec![gamma.clone()];
         for j in 0..dim {
             let l = logic::LinearExpr::var(left_vars[j].clone());
@@ -110,6 +120,17 @@ pub fn solve_bool(
     examples: &ExampleSet,
     int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
 ) -> (BTreeMap<NonTerminal, BoolVecSet>, usize) {
+    solve_bool_until(grammar, examples, int_values, &|| false)
+}
+
+/// [`solve_bool`] polling `stop` before every Kleene round and every ILP
+/// query of `⟦<⟧♯`/`⟦=⟧♯`; once it fires the values are partial.
+fn solve_bool_until(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
+    stop: &dyn Fn() -> bool,
+) -> (BTreeMap<NonTerminal, BoolVecSet>, usize) {
     let dim = examples.len();
     let bool_nts = grammar.bool_nonterminals();
     let mut values: BTreeMap<NonTerminal, BoolVecSet> = bool_nts
@@ -119,19 +140,22 @@ pub fn solve_bool(
     let max_iterations = bool_nts.len() * (1usize << dim) + 2;
     let mut iterations = 0;
     for _ in 0..max_iterations {
+        if stop() {
+            break;
+        }
         iterations += 1;
         let mut changed = false;
         let mut next = values.clone();
         for nt in &bool_nts {
             let mut acc = BoolVecSet::empty();
             for p in grammar.productions_of(nt) {
+                let compare = |holds: Rel, fails: Rel| {
+                    let (left, right) = (&int_values[&p.args[0]], &int_values[&p.args[1]]);
+                    abstract_comparison(left, right, dim, holds, fails, stop)
+                };
                 let contribution = match &p.symbol {
-                    Symbol::LessThan => {
-                        abstract_less_than(&int_values[&p.args[0]], &int_values[&p.args[1]], dim)
-                    }
-                    Symbol::Equal => {
-                        abstract_equal(&int_values[&p.args[0]], &int_values[&p.args[1]], dim)
-                    }
+                    Symbol::LessThan => compare(Formula::lt, Formula::ge),
+                    Symbol::Equal => compare(Formula::eq, Formula::ne),
                     Symbol::And => values[&p.args[0]].and(&values[&p.args[1]]),
                     Symbol::Or => values[&p.args[0]].or(&values[&p.args[1]]),
                     Symbol::Not => values[&p.args[0]].not(),
@@ -160,6 +184,19 @@ pub fn solve_int(
     bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
     stratified: bool,
     prune: bool,
+) -> Result<BTreeMap<NonTerminal, SemiLinearSet>, SygusError> {
+    solve_int_until(grammar, examples, bool_values, stratified, prune, &|| false)
+}
+
+/// [`solve_int`] polling `stop` before every Newton iteration and
+/// stratum; once it fires the values are partial.
+fn solve_int_until(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
+    stratified: bool,
+    prune: bool,
+    stop: &dyn Fn() -> bool,
 ) -> Result<BTreeMap<NonTerminal, SemiLinearSet>, SygusError> {
     let dim = examples.len();
     let int_nts = grammar.int_nonterminals();
@@ -259,9 +296,9 @@ pub fn solve_int(
     }
 
     let solution = if stratified {
-        gfa::strata::solve_stratified(&semiring, &system)
+        gfa::strata::solve_stratified(&semiring, &system, stop)
     } else {
-        gfa::newton::solve(&semiring, &system)
+        gfa::newton::solve(&semiring, &system, stop)
     };
 
     let all_true = BoolVec::trues(dim);
@@ -284,6 +321,23 @@ pub fn analyze(
     stratified: bool,
     prune: bool,
 ) -> Result<CliaAnalysis, SygusError> {
+    Ok(
+        analyze_until(grammar, examples, stratified, prune, &|| false)?
+            .expect("an analysis that is never stopped completes"),
+    )
+}
+
+/// [`analyze`] polling `stop` in every SolveMutual round, every SolveBool
+/// Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯`, and every Newton
+/// iteration and stratum. `Ok(None)` when `stop` fired: the fixpoint was
+/// cut short, and its under-approximation must never reach a final query.
+pub(crate) fn analyze_until(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    stratified: bool,
+    prune: bool,
+    stop: &dyn Fn() -> bool,
+) -> Result<Option<CliaAnalysis>, SygusError> {
     let dim = examples.len();
     let mut int_values: BTreeMap<NonTerminal, SemiLinearSet> = grammar
         .int_nonterminals()
@@ -296,27 +350,33 @@ pub fn analyze(
     let max_outer = grammar.num_nonterminals() * (1usize << dim) + 2;
 
     loop {
-        let (bools, iters) = solve_bool(grammar, examples, &int_values);
+        let (bools, iters) = solve_bool_until(grammar, examples, &int_values, stop);
+        if stop() {
+            return Ok(None);
+        }
         bool_iterations += iters;
         if prev_bools.as_ref() == Some(&bools) {
-            return Ok(CliaAnalysis {
+            return Ok(Some(CliaAnalysis {
                 int_values,
                 bool_values: bools,
                 outer_iterations,
                 bool_iterations,
-            });
+            }));
         }
-        int_values = solve_int(grammar, examples, &bools, stratified, prune)?;
+        int_values = solve_int_until(grammar, examples, &bools, stratified, prune, stop)?;
+        if stop() {
+            return Ok(None);
+        }
         prev_bools = Some(bools);
         outer_iterations += 1;
         if outer_iterations >= max_outer {
             // Termination is guaranteed by Lemma 6.6; this is a safety net.
-            return Ok(CliaAnalysis {
+            return Ok(Some(CliaAnalysis {
                 int_values,
                 bool_values: prev_bools.unwrap_or_default(),
                 outer_iterations,
                 bool_iterations,
-            });
+            }));
         }
     }
 }

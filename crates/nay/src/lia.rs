@@ -12,7 +12,7 @@
 //! The least solution, computed exactly with Newton's method, assigns to each
 //! nonterminal `X` the set `{⟦e⟧_E | e ∈ L_G(X)}` (Lemma 5.6).
 
-use gfa::{EquationSystem, Monomial, SemiLinearSemiring, Semiring};
+use gfa::{EquationSystem, Monomial, SemiLinearSemiring};
 use semilinear::{IntVec, SemiLinearSet};
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Grammar, NonTerminal, SygusError, Symbol};
@@ -99,38 +99,43 @@ pub fn analyze(
     stratified: bool,
     prune: bool,
 ) -> Result<LiaAnalysis, SygusError> {
+    Ok(
+        analyze_until(grammar, examples, stratified, prune, &|| false)?
+            .expect("an analysis that is never stopped completes"),
+    )
+}
+
+/// [`analyze`] polling `stop` before every Newton iteration and stratum.
+/// `Ok(None)` when `stop` fired: the fixpoint was cut short, and its
+/// under-approximation must never reach a final query.
+pub(crate) fn analyze_until(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    stratified: bool,
+    prune: bool,
+    stop: &dyn Fn() -> bool,
+) -> Result<Option<LiaAnalysis>, SygusError> {
     let (system, order) = build_equations(grammar, examples)?;
     let semiring = SemiLinearSemiring::new(examples.len()).with_pruning(prune);
     let solution = if stratified {
-        gfa::strata::solve_stratified(&semiring, &system)
+        gfa::strata::solve_stratified(&semiring, &system, stop)
     } else {
-        gfa::newton::solve(&semiring, &system)
+        gfa::newton::solve(&semiring, &system, stop)
     };
+    if !solution.exact || stop() {
+        return Ok(None);
+    }
     let values: BTreeMap<NonTerminal, SemiLinearSet> = order
         .iter()
         .cloned()
         .zip(solution.values.iter().cloned())
         .collect();
     let start_size = values.get(grammar.start()).map(|v| v.size()).unwrap_or(0);
-    Ok(LiaAnalysis {
+    Ok(Some(LiaAnalysis {
         values,
         newton_iterations: solution.iterations,
         start_size,
-    })
-}
-
-/// Convenience: the exact abstraction of a single nonterminal's language
-/// (used by the CLIA procedure for integer-only sub-grammars).
-pub fn value_of(
-    analysis: &LiaAnalysis,
-    nt: &NonTerminal,
-    semiring: &SemiLinearSemiring,
-) -> SemiLinearSet {
-    analysis
-        .values
-        .get(nt)
-        .cloned()
-        .unwrap_or_else(|| semiring.zero())
+    }))
 }
 
 #[cfg(test)]

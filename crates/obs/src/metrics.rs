@@ -397,6 +397,8 @@ pub mod names {
     pub const RACE_SECONDS: &str = "solver_race_seconds";
     /// Warm-pool queue wait before an engine job starts.
     pub const QUEUE_WAIT_SECONDS: &str = "solver_queue_wait_seconds";
+    /// Time from a solve's deadline to the return of its cancelled race.
+    pub const CANCEL_LATENCY_SECONDS: &str = "solver_cancel_latency_seconds";
 
     /// Every name above, for "all documented families are exposed" tests.
     pub const ALL: &[&str] = &[
@@ -420,6 +422,7 @@ pub mod names {
         PRESOLVE_SECONDS,
         RACE_SECONDS,
         QUEUE_WAIT_SECONDS,
+        CANCEL_LATENCY_SECONDS,
     ];
 }
 

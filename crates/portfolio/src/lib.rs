@@ -18,9 +18,10 @@
 //! * [`engines`] adapts the two solvers to a common [`SolveVerdict`]
 //!   vocabulary — including the example-growing outer loop that `nope`
 //!   needs to attack a bare SyGuS problem;
-//! * [`race`] runs both adapters as jobs on `runner`'s work-stealing pool
-//!   and assembles a [`RaceReport`] with per-engine timing, iteration
-//!   counts, and the loser's cancellation latency.
+//! * [`race`] runs both adapters as jobs on a caller-owned
+//!   [`runner::WarmPool`] ([`Portfolio::race_on_pool`], the one race entry
+//!   point) and assembles a [`RaceReport`] with per-engine timing,
+//!   iteration counts, and the loser's cancellation latency.
 //!
 //! In front of the race sits a *presolve* stage (crate `analyze`, on by
 //! default): a static analyzer that can settle a problem without running

@@ -1,6 +1,11 @@
-//! The racer: a static presolve in front, then both engines on `runner`'s
-//! pool, first definitive verdict wins, the loser is cancelled
-//! cooperatively.
+//! The racer: a static presolve in front, then both engines as jobs on a
+//! caller-owned [`WarmPool`], first definitive verdict wins, the loser is
+//! cancelled cooperatively.
+//!
+//! [`Portfolio::race_on_pool`] is the only race entry point. The CLI, the
+//! fuzz sweeps, the daemon and the benchmark all keep one long-lived pool
+//! of (at least) two workers per racing thread, so both engines genuinely
+//! overlap and no race spawns a thread.
 //!
 //! # The presolve stage
 //!
@@ -17,24 +22,21 @@
 //!
 //! # Cancellation and deadlines
 //!
-//! Engines poll one shared [`Cancel`] token once per loop iteration. In a
-//! plain [`Portfolio::race`] the token is internal: the first engine to
-//! reach a definitive verdict trips it and the loser aborts. A serving
-//! layer that needs *deadlines* passes its own token to
-//! [`Portfolio::race_with_cancel`] (or the warm-pool variant
-//! [`Portfolio::race_on_pool`]): tripping that token from outside — e.g.
-//! when a request's deadline expires — cancels **both** engines within
-//! one loop iteration each, and the race returns with verdict `unknown`
-//! and both sides reporting `cancelled`. Because winners also trip the
-//! shared token, a caller must hand each race a fresh token and must not
-//! interpret a tripped token as "deadline exceeded" — the race report's
-//! verdict is the source of truth.
+//! Both engines poll the race's [`Cancel`] token, down to single GFA
+//! steps inside `nay`'s unrealizability checks. The first engine to reach
+//! a definitive verdict trips it and the loser aborts. Deadlines are the
+//! caller's: arm the token on a [`runner::DeadlineTimer`], and when it
+//! trips both engines wind down, the race returns verdict `unknown`, and
+//! each engine that observed the trip reports [`JobStatus::TimedOut`] with
+//! verdict `cancelled`. Because winners also trip the token, a caller
+//! must hand each race a fresh token and must not interpret a tripped
+//! token alone as "deadline exceeded" — the race report is the source of
+//! truth.
 
-use crate::engines::{solve_nay, solve_nope, NopeEngine, SolveVerdict};
+use crate::engines::{solve_nay, solve_nope, EngineOutcome, NopeEngine, SolveVerdict};
 use analyze::{PresolveVerdict, Presolver};
 use nay::Nay;
-use runner::{measure, run_jobs, Cancel, Job, JobResult, JobStatus, PoolConfig, WarmPool};
-use std::time::Duration;
+use runner::{measure, Cancel, Job, JobResult, JobStatus, WarmPool};
 use sygus::{Problem, Term};
 
 /// What one engine did inside a race: its verdict plus the wall-clock view
@@ -43,8 +45,8 @@ use sygus::{Problem, Term};
 pub struct EngineReport {
     /// Engine name (`nay` or `nope`).
     pub engine: &'static str,
-    /// How the engine's pool job ended (a diverging engine that exceeds the
-    /// race timeout reports [`JobStatus::TimedOut`]).
+    /// How the engine's pool job ended: [`JobStatus::TimedOut`] when it
+    /// was cancelled by the caller's deadline (no engine won the race).
     pub status: JobStatus,
     /// The engine's verdict ([`SolveVerdict::Cancelled`] when it lost and
     /// aborted on the shared token).
@@ -53,17 +55,13 @@ pub struct EngineReport {
     /// iterations for `nope`); 0 when the job did not complete.
     pub iterations: u64,
     /// The engine's peak term-arena size (see
-    /// [`crate::EngineOutcome::arena_terms`]); 0 when the job did not
+    /// [`EngineOutcome::arena_terms`]); 0 when the job did not
     /// complete.
     pub arena_terms: usize,
     /// The engine's own wall-clock milliseconds on the pool.
     pub millis: f64,
-    /// `true` when the job shared the pool sweep with an abandoned
-    /// (timed-out) job thread, making `millis` untrustworthy (see
-    /// [`runner::JobResult::tainted`]).
-    pub tainted: bool,
-    /// Milliseconds the engine job waited in a [`WarmPool`] queue before a
-    /// worker picked it up; 0 on the scoped-pool path (no queue).
+    /// Milliseconds the engine job waited in the [`WarmPool`] queue before
+    /// a worker picked it up.
     pub queue_millis: f64,
 }
 
@@ -208,14 +206,12 @@ impl RaceReport {
     }
 }
 
-/// The portfolio configuration: one `nay` and one `nope` engine plus an
-/// optional per-race wall-clock budget, with a static presolve stage in
-/// front (on by default).
+/// The portfolio configuration: one `nay` and one `nope` engine, with a
+/// static presolve stage in front (on by default).
 #[derive(Clone, Debug)]
 pub struct Portfolio {
     nay: Nay,
     nope: NopeEngine,
-    timeout: Option<Duration>,
     presolve: bool,
 }
 
@@ -224,7 +220,6 @@ impl Default for Portfolio {
         Portfolio {
             nay: Nay::default(),
             nope: NopeEngine::default(),
-            timeout: None,
             presolve: true,
         }
     }
@@ -254,24 +249,23 @@ impl Portfolio {
         self
     }
 
-    /// Sets a wall-clock budget per engine job; an engine exceeding it is
-    /// abandoned by the pool and reported as timed out.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Races both engines on the problem and returns the first definitive
-    /// verdict, with per-engine timing and the loser's cancellation
-    /// latency.
+    /// Races both engines on the problem as jobs on `pool` and returns
+    /// the first definitive verdict, with per-engine timing and the
+    /// loser's cancellation latency.
     ///
-    /// Both engines run as jobs on `runner`'s work-stealing pool (two
-    /// workers, so they genuinely overlap). Each engine trips the shared
-    /// [`Cancel`] token the moment it reaches a definitive verdict; the
-    /// other engine polls the token once per loop iteration and aborts.
-    /// When an engine is inapplicable or out of budget it returns
-    /// `Unknown` and the race simply degrades to the other engine's
-    /// answer.
+    /// Each engine trips `cancel` the moment it reaches a definitive
+    /// verdict; the other engine polls the token and aborts. When an
+    /// engine is inapplicable or out of budget it returns `Unknown` and
+    /// the race simply degrades to the other engine's answer. Tripping
+    /// `cancel` from outside (a deadline) cancels both engines; see the
+    /// [module docs](self) for the token contract. Hand every race a fresh
+    /// token.
+    ///
+    /// The pool should have at least two workers, so the engines overlap.
+    /// Under load an engine job may wait for a free worker; `wall_millis`
+    /// then includes queueing time (the serving latency view) while each
+    /// engine's own `millis` measures its body only, so
+    /// `loser_cancel_millis` remains an engine-time delta.
     ///
     /// When the presolve stage is enabled (the default), the static
     /// analyzer runs first; if it settles the problem — *and* its outcome
@@ -281,67 +275,13 @@ impl Portfolio {
     /// enabling it can never change a race verdict: it only ever replaces
     /// an engine's definitive verdict with the same verdict, or adds a
     /// definitive verdict where the engines would have said `Unknown`.
-    pub fn race(&self, problem: &Problem) -> RaceReport {
-        self.race_with_cancel(problem, &Cancel::new())
-    }
-
-    /// [`Portfolio::race`] with a caller-supplied cancellation token.
-    ///
-    /// The token is the race's shared token: tripping it from outside
-    /// (e.g. on a request deadline) cancels both engines within one loop
-    /// iteration each, and the race returns verdict `unknown` with both
-    /// sides `cancelled`. The race also trips the token itself the moment
-    /// one engine reaches a definitive verdict, so hand every race a
-    /// fresh token — see the [module docs](self).
-    pub fn race_with_cancel(&self, problem: &Problem, cancel: &Cancel) -> RaceReport {
-        let presolve_summary = match self.presolve_stage(problem) {
-            Ok(report) => return report,
-            Err(summary) => summary,
-        };
-
-        let (nay_job, nope_job) = self.engine_jobs(problem, cancel);
-        let config = PoolConfig {
-            jobs: 2,
-            timeout: self.timeout,
-        };
-        let (mut results, wall) = measure(|| run_jobs(vec![nay_job, nope_job], &config));
-        // A timed-out engine's thread is abandoned, not killed; trip the
-        // token so it exits at its next poll instead of burning CPU for the
-        // rest of the process.
-        cancel.cancel();
-
-        let nope_result = results.pop().expect("two jobs, two results");
-        let nay_result = results.pop().expect("two jobs, two results");
-        assemble_race_report(
-            nay_result,
-            nope_result,
-            wall.as_secs_f64() * 1000.0,
-            presolve_summary,
-        )
-    }
-
-    /// Races both engines as jobs on a persistent [`WarmPool`] instead of
-    /// a per-race scoped pool — the serving path, where engine workers are
-    /// reused across requests.
-    ///
-    /// Differences from [`Portfolio::race`]:
-    ///
-    /// * **no abandonment timeout** — a warm worker cannot be abandoned,
-    ///   so the per-engine budget set by [`Portfolio::with_timeout`] does
-    ///   not apply here; the caller enforces deadlines by tripping
-    ///   `cancel`, which both engines observe within one loop iteration
-    ///   (see [`Portfolio::race_with_cancel`] for the token contract);
-    /// * **queueing** — under load an engine job may wait for a free
-    ///   worker; `wall_millis` then includes queueing time (the serving
-    ///   latency view) while each engine's own `millis` measures its body
-    ///   only, so `loser_cancel_millis` remains an engine-time delta.
     pub fn race_on_pool(&self, problem: &Problem, pool: &WarmPool, cancel: &Cancel) -> RaceReport {
         let presolve_summary = match self.presolve_stage(problem) {
             Ok(report) => return report,
             Err(summary) => summary,
         };
 
-        let (nay_job, nope_job) = self.engine_jobs(problem, cancel);
+        let [nay_job, nope_job] = self.engine_jobs(problem, cancel);
         let ((nay_result, nope_result), wall) = measure(|| {
             let nay_ticket = pool.submit(nay_job);
             let nope_ticket = pool.submit(nope_job);
@@ -406,45 +346,37 @@ impl Portfolio {
         }
     }
 
-    /// Builds the two engine jobs sharing one cancellation token. Each
-    /// engine trips the token the moment it reaches a definitive verdict,
-    /// cancelling the other side.
-    fn engine_jobs(
-        &self,
-        problem: &Problem,
-        cancel: &Cancel,
-    ) -> (Job<crate::EngineOutcome>, Job<crate::EngineOutcome>) {
-        let nay_job = {
-            let problem = problem.clone();
-            let cancel = cancel.clone();
-            let nay = self.nay.clone();
-            Job::new("nay", move || {
-                let outcome = solve_nay(&problem, &cancel, &nay);
-                if outcome.verdict.is_definitive() {
-                    cancel.cancel();
-                }
-                outcome
-            })
-        };
-        let nope_job = {
-            let problem = problem.clone();
-            let cancel = cancel.clone();
-            let nope = self.nope.clone();
-            Job::new("nope", move || {
-                let outcome = solve_nope(&problem, &cancel, &nope);
-                if outcome.verdict.is_definitive() {
-                    cancel.cancel();
-                }
-                outcome
-            })
-        };
-        (nay_job, nope_job)
+    /// Builds the two engine jobs sharing one cancellation token.
+    fn engine_jobs(&self, problem: &Problem, cancel: &Cancel) -> [Job<EngineOutcome>; 2] {
+        let (nay, nope) = (self.nay.clone(), self.nope.clone());
+        [
+            engine_job("nay", problem, cancel, move |p, c| solve_nay(p, c, &nay)),
+            engine_job("nope", problem, cancel, move |p, c| solve_nope(p, c, &nope)),
+        ]
     }
+}
+
+/// One engine as a job: it trips the shared token the moment it reaches a
+/// definitive verdict, cancelling the other side.
+fn engine_job(
+    name: &'static str,
+    problem: &Problem,
+    cancel: &Cancel,
+    solve: impl FnOnce(&Problem, &Cancel) -> EngineOutcome + Send + 'static,
+) -> Job<EngineOutcome> {
+    let (problem, cancel) = (problem.clone(), cancel.clone());
+    Job::new(name, move || {
+        let outcome = solve(&problem, &cancel);
+        if outcome.verdict.is_definitive() {
+            cancel.cancel();
+        }
+        outcome
+    })
 }
 
 /// Turns one engine job result into the race's per-engine view, plus the
 /// solution term when the engine produced one.
-fn engine_report(result: JobResult<crate::EngineOutcome>) -> (EngineReport, Option<Term>) {
+fn engine_report(result: JobResult<EngineOutcome>) -> (EngineReport, Option<Term>) {
     let millis = result.elapsed.as_secs_f64() * 1000.0;
     let (engine, verdict, iterations, arena_terms, solution) = match result.output {
         Some(outcome) => (
@@ -470,7 +402,6 @@ fn engine_report(result: JobResult<crate::EngineOutcome>) -> (EngineReport, Opti
             iterations,
             arena_terms,
             millis,
-            tainted: result.tainted,
             queue_millis: result
                 .queue_wait
                 .map_or(0.0, |wait| wait.as_secs_f64() * 1000.0),
@@ -479,18 +410,25 @@ fn engine_report(result: JobResult<crate::EngineOutcome>) -> (EngineReport, Opti
     )
 }
 
-/// Assembles the final [`RaceReport`] from the two engines' job results —
-/// the tail shared by the scoped-pool and warm-pool race paths.
+/// Assembles the final [`RaceReport`] from the two engines' job results.
 fn assemble_race_report(
-    nay_result: JobResult<crate::EngineOutcome>,
-    nope_result: JobResult<crate::EngineOutcome>,
+    nay_result: JobResult<EngineOutcome>,
+    nope_result: JobResult<EngineOutcome>,
     wall_millis: f64,
     presolve_summary: Option<PresolveSummary>,
 ) -> RaceReport {
-    let (nay_report, nay_solution) = engine_report(nay_result);
-    let (nope_report, _) = engine_report(nope_result);
+    let (mut nay_report, nay_solution) = engine_report(nay_result);
+    let (mut nope_report, _) = engine_report(nope_result);
 
     let (verdict, winner) = pick_winner(&nay_report, &nope_report);
+    if winner.is_none() {
+        // Nobody won, so the token was tripped from outside: a deadline.
+        for side in [&mut nay_report, &mut nope_report] {
+            if side.was_cancelled() && side.status == JobStatus::Ok {
+                side.status = JobStatus::TimedOut;
+            }
+        }
+    }
     let loser_cancel_millis = match winner {
         Some("nay") if nope_report.was_cancelled() => {
             Some((nope_report.millis - nay_report.millis).max(0.0))
@@ -526,7 +464,6 @@ fn skipped_report(engine: &'static str) -> EngineReport {
         iterations: 0,
         arena_terms: 0,
         millis: 0.0,
-        tainted: false,
         queue_millis: 0.0,
     }
 }
@@ -556,9 +493,14 @@ mod tests {
     use super::*;
     use crate::test_problems::{realizable_xplus2, section2_lia};
 
+    /// One race on a fresh two-worker pool with a fresh token.
+    fn race(portfolio: &Portfolio, problem: &Problem) -> RaceReport {
+        portfolio.race_on_pool(problem, &WarmPool::new(2), &Cancel::new())
+    }
+
     #[test]
     fn race_proves_unrealizability() {
-        let report = Portfolio::new().race(&section2_lia());
+        let report = race(&Portfolio::new(), &section2_lia());
         assert_eq!(report.verdict, SolveVerdict::Unrealizable);
         assert!(report.winner.is_some());
         assert!(report.wall_millis >= 0.0);
@@ -570,7 +512,7 @@ mod tests {
 
     #[test]
     fn race_finds_solutions_and_reports_the_winner() {
-        let report = Portfolio::new().race(&realizable_xplus2());
+        let report = race(&Portfolio::new(), &realizable_xplus2());
         // only nay can prove realizability, so it must win
         assert_eq!(report.verdict, SolveVerdict::Realizable);
         assert_eq!(report.winner, Some("nay"));
@@ -579,7 +521,7 @@ mod tests {
 
     #[test]
     fn loser_latency_is_reported_when_the_loser_was_cancelled() {
-        let report = Portfolio::new().race(&section2_lia());
+        let report = race(&Portfolio::new(), &section2_lia());
         if let Some(latency) = report.loser_cancel_millis {
             assert!(latency >= 0.0);
             let loser = if report.winner == Some("nay") {
@@ -595,7 +537,7 @@ mod tests {
     fn presolve_settles_section2_without_engines() {
         // at x = 0 the §2 grammar only produces 0, but the spec demands
         // 2·0 + 2 = 2 — the abstract refutation settles this statically
-        let report = Portfolio::new().race(&section2_lia());
+        let report = race(&Portfolio::new(), &section2_lia());
         assert_eq!(report.verdict, SolveVerdict::Unrealizable);
         assert_eq!(report.winner, Some("presolve"));
         let summary = report.presolve.as_ref().expect("presolve ran");
@@ -607,7 +549,7 @@ mod tests {
 
     #[test]
     fn disabling_presolve_restores_the_engine_race() {
-        let report = Portfolio::new().with_presolve(false).race(&section2_lia());
+        let report = race(&Portfolio::new().with_presolve(false), &section2_lia());
         assert!(report.presolve.is_none());
         assert_eq!(report.verdict, SolveVerdict::Unrealizable);
         assert_ne!(report.winner, Some("presolve"));
@@ -616,8 +558,8 @@ mod tests {
     #[test]
     fn presolve_never_flips_engine_verdicts() {
         for problem in [section2_lia(), realizable_xplus2()] {
-            let with = Portfolio::new().race(&problem);
-            let without = Portfolio::new().with_presolve(false).race(&problem);
+            let with = race(&Portfolio::new(), &problem);
+            let without = race(&Portfolio::new().with_presolve(false), &problem);
             assert_eq!(
                 with.verdict,
                 without.verdict,
@@ -629,7 +571,7 @@ mod tests {
 
     #[test]
     fn presolve_abstains_on_realizable_infinite_languages() {
-        let report = Portfolio::new().race(&realizable_xplus2());
+        let report = race(&Portfolio::new(), &realizable_xplus2());
         assert_eq!(report.verdict, SolveVerdict::Realizable);
         assert_eq!(report.winner, Some("nay"));
         let summary = report.presolve.as_ref().expect("presolve ran");
@@ -637,17 +579,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_pool_race_matches_the_scoped_race() {
+    fn one_warm_pool_serves_many_races() {
         let pool = WarmPool::new(2);
-        for problem in [section2_lia(), realizable_xplus2()] {
-            let scoped = Portfolio::new().race(&problem);
-            let warm = Portfolio::new().race_on_pool(&problem, &pool, &Cancel::new());
-            assert_eq!(
-                warm.verdict,
-                scoped.verdict,
-                "warm-pool race disagreed on {}",
-                problem.name()
-            );
+        for _ in 0..3 {
+            for (problem, expected) in [
+                (section2_lia(), SolveVerdict::Unrealizable),
+                (realizable_xplus2(), SolveVerdict::Realizable),
+            ] {
+                let report = Portfolio::new().race_on_pool(&problem, &pool, &Cancel::new());
+                assert_eq!(report.verdict, expected, "on {}", problem.name());
+            }
         }
         // the same pool serves many races without respawning workers
         assert_eq!(pool.workers(), 2);
@@ -658,18 +599,23 @@ mod tests {
     fn pre_tripped_cancel_returns_unknown_with_both_engines_cancelled() {
         let cancel = Cancel::new();
         cancel.cancel();
-        let report = Portfolio::new()
-            .with_presolve(false)
-            .race_with_cancel(&section2_lia(), &cancel);
+        let report = Portfolio::new().with_presolve(false).race_on_pool(
+            &section2_lia(),
+            &WarmPool::new(2),
+            &cancel,
+        );
         assert_eq!(report.verdict, SolveVerdict::Unknown);
         assert_eq!(report.winner, None);
         assert_eq!(report.nay.verdict, SolveVerdict::Cancelled);
         assert_eq!(report.nope.verdict, SolveVerdict::Cancelled);
+        // With no winner the trip came from outside: both engines timed out.
+        assert_eq!(report.nay.status, JobStatus::TimedOut);
+        assert_eq!(report.nope.status, JobStatus::TimedOut);
     }
 
     #[test]
     fn presolve_settled_trace_has_the_minimal_structure() {
-        let report = Portfolio::new().race(&section2_lia());
+        let report = race(&Portfolio::new(), &section2_lia());
         assert_eq!(report.winner, Some("presolve"));
         let trace = report.trace_with("t-test", 0.3, None);
         assert_eq!(trace.trace_id, "t-test");
@@ -687,7 +633,7 @@ mod tests {
 
     #[test]
     fn engine_race_trace_nests_queue_and_run_under_each_engine() {
-        let report = Portfolio::new().with_presolve(false).race(&section2_lia());
+        let report = race(&Portfolio::new().with_presolve(false), &section2_lia());
         let trace = report.trace_with("t-race", 0.1, Some(0.05));
         // The cancel span's presence depends on which engine won, so the
         // snapshot filters it; everything else is fixed.
@@ -739,7 +685,7 @@ mod tests {
                     .with_enumerator(enumerative::Enumerator::new().with_max_size(7)),
             )
             .with_nope(NopeEngine::new().with_max_rounds(2));
-        let report = portfolio.race(&problem);
+        let report = race(&portfolio, &problem);
         assert_eq!(report.verdict, SolveVerdict::Unknown);
         assert_eq!(report.winner, None);
         assert_eq!(report.loser_cancel_millis, None);

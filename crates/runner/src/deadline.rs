@@ -1,19 +1,13 @@
 //! A shared deadline timer: one monitor thread trips [`Cancel`] tokens
 //! when their wall-clock budget expires.
 //!
-//! This is the third timeout mechanism in the stack, and the only one fit
-//! for million-job streams:
-//!
-//! * [`crate::pool::run_jobs`] *abandons* a timed-out job's thread (std
-//!   has no cancellation), which taints subsequent measurements and leaks
-//!   a busy thread per timeout;
-//! * `server`'s per-request monitor is private to the daemon;
-//! * `DeadlineTimer` is purely cooperative — it flips the job's own
-//!   [`Cancel`] token at the deadline and the job winds down at its next
-//!   poll, so no thread is ever abandoned and memory stays bounded by the
-//!   number of jobs *in flight*, not the number registered over the
-//!   timer's lifetime (finished registrations are pruned in amortized
-//!   constant time).
+//! This is the stack's only timeout mechanism. It is purely cooperative:
+//! it flips the job's own [`Cancel`] token at the deadline and the job
+//! winds down at its next poll, so no thread is ever abandoned and memory
+//! stays bounded by the number of jobs *in flight*, not the number
+//! registered over the timer's lifetime (finished registrations are
+//! pruned in amortized constant time). [`crate::run_jobs`] arms one per
+//! job; the CLI's races and the daemon's requests arm one per race.
 //!
 //! ```
 //! use runner::{Cancel, DeadlineTimer};

@@ -1,22 +1,20 @@
-//! Parallel benchmark runner: the execution substrate of the experiment
-//! harness in `crates/bench`.
+//! Execution substrate of the stack: the experiment harness in
+//! `crates/bench`, the CLI races, and the serving daemon.
 //!
-//! The paper's evaluation (§8.1) is a large sweep — 132 benchmarks × 3
-//! tools — and a credible perf trajectory needs three things the naive
-//! serial loop cannot give:
+//! There is one executor and one timeout model:
 //!
-//! * **parallelism** — a [`pool`] of worker threads with per-worker deques
-//!   and work stealing saturates the machine (std-only: `std::thread` +
-//!   channels, no external dependencies),
-//! * **isolation** — every job runs with a wall-clock [timeout] and panic
-//!   containment, so one diverging or crashing benchmark cannot take the
-//!   whole sweep down, and
+//! * **one executor** — the [`WarmPool`], a fixed set of worker threads
+//!   fed from a FIFO queue (std-only: `std::thread`, a mutex and a
+//!   condvar). [`run_jobs`] is the batch helper over it: results in
+//!   submission order, panics contained per job;
+//! * **cancellation-only deadlines** — a [`DeadlineTimer`] trips a job's
+//!   [`Cancel`] token when its budget expires and the job winds down at
+//!   its next poll. No thread is ever abandoned, so a timeout never
+//!   leaves CPU burning behind the measurements that follow it;
 //! * **comparability** — results land in a deterministic, schema-versioned
 //!   [`report::Report`] (JSON, hand-rolled in [`json`] since the build is
 //!   offline) that [`report::compare`] can diff against a committed
 //!   baseline, turning perf PRs into measurable deltas.
-//!
-//! [timeout]: pool::PoolConfig::timeout
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,33 +1,29 @@
-//! A work-stealing thread pool for benchmark jobs, built on `std::thread`
-//! and channels only.
+//! Jobs, their results, and [`run_jobs`]: the batch helper over a
+//! [`WarmPool`].
 //!
-//! Jobs are distributed round-robin over per-worker deques; a worker pops
-//! from the front of its own deque and, when that runs dry, steals from the
-//! back of a sibling's. Because the job set is static (no job spawns new
-//! jobs), a worker may exit as soon as every deque is empty.
-//!
-//! Each job body runs on a dedicated thread so that the worker can enforce a
-//! wall-clock timeout with `recv_timeout`: a job that overruns is abandoned
-//! (its thread keeps running detached until process exit) and reported as
-//! [`JobStatus::TimedOut`] without stalling the pool, and a job that panics
-//! is caught and reported as [`JobStatus::Crashed`] while its siblings keep
-//! going.
+//! A batch runs on a fresh [`WarmPool`] of `config.jobs` workers. Each job
+//! gets its own [`Cancel`] token; when a worker picks the job up, the
+//! batch's [`DeadlineTimer`] arms the token to trip after
+//! [`PoolConfig::timeout`]. A job that polls its token winds down at the
+//! deadline and is reported as [`JobStatus::TimedOut`]; a job that panics
+//! is reported as [`JobStatus::Crashed`]; its siblings keep going either
+//! way. No job is ever abandoned: `run_jobs` returns only after every job
+//! body has returned.
 
-use crate::timing::measure;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::Mutex;
-use std::thread;
-use std::time::{Duration, Instant};
+use crate::cancel::Cancel;
+use crate::deadline::DeadlineTimer;
+use crate::warm::WarmPool;
+use std::sync::Arc;
+use std::time::Duration;
 
-/// How the pool executes a batch of jobs.
+/// How [`run_jobs`] executes a batch of jobs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Number of worker threads (clamped to at least 1).
     pub jobs: usize,
-    /// Per-job wall-clock budget; `None` means unlimited.
+    /// Per-job deadline, counted from the moment a worker picks the job
+    /// up; `None` means unlimited. Enforced by tripping the job's
+    /// [`Cancel`] token, so only jobs that poll it stop early.
     pub timeout: Option<Duration>,
 }
 
@@ -40,16 +36,6 @@ impl PoolConfig {
         }
     }
 
-    /// As many workers as the machine advertises, no timeout.
-    pub fn parallel() -> Self {
-        PoolConfig {
-            jobs: thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            timeout: None,
-        }
-    }
-
     /// Overrides the per-job timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -57,31 +43,38 @@ impl PoolConfig {
     }
 }
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig::serial()
-    }
-}
+/// The erased body of a job: it receives the token its executor trips at
+/// the job's deadline.
+type Body<T> = Box<dyn FnOnce(&Cancel) -> T + Send + 'static>;
 
 /// A unit of work: an identifier plus a closure producing a `T`.
 pub struct Job<T> {
     /// Identifier echoed into the [`JobResult`] (e.g. `benchmark::tool`).
     pub id: String,
-    run: Box<dyn FnOnce() -> T + Send + 'static>,
+    run: Body<T>,
 }
 
 impl<T> Job<T> {
-    /// Wraps a closure as a job.
+    /// Wraps a closure that ignores deadlines as a job.
     pub fn new(id: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Self {
+        Job::cancellable(id, move |_| run())
+    }
+
+    /// Wraps a closure that polls the job's [`Cancel`] token. [`run_jobs`]
+    /// trips the token at the job's deadline; a bare [`WarmPool`] never
+    /// does (its callers cancel through tokens of their own).
+    pub fn cancellable(
+        id: impl Into<String>,
+        run: impl FnOnce(&Cancel) -> T + Send + 'static,
+    ) -> Self {
         Job {
             id: id.into(),
             run: Box::new(run),
         }
     }
 
-    /// Splits the job into its identifier and body (for executors outside
-    /// this module, e.g. the warm pool).
-    pub(crate) fn into_parts(self) -> (String, Box<dyn FnOnce() -> T + Send + 'static>) {
+    /// Splits the job into its identifier and body.
+    pub(crate) fn into_parts(self) -> (String, Body<T>) {
         (self.id, self.run)
     }
 }
@@ -91,9 +84,10 @@ impl<T> Job<T> {
 pub enum JobStatus {
     /// The job ran to completion.
     Ok,
-    /// The job exceeded the pool's wall-clock budget and was abandoned.
+    /// The job returned after its deadline had tripped its token.
     TimedOut,
-    /// The job panicked; the panic was contained to the job's thread.
+    /// The job panicked (or never ran because its pool shut down); the
+    /// panic was contained to the job.
     Crashed,
 }
 
@@ -138,151 +132,60 @@ pub struct JobResult<T> {
     pub status: JobStatus,
     /// The job's value, present exactly when `status` is [`JobStatus::Ok`].
     pub output: Option<T>,
-    /// Wall-clock time: the job body's own time when it completed, the
-    /// budget when it timed out.
+    /// Wall-clock time of the job body (a timed-out job's body runs past
+    /// its deadline by its cancellation latency).
     pub elapsed: Duration,
-    /// `true` when this job shared its sweep with an abandoned (timed-out)
-    /// job thread. An abandoned thread keeps consuming CPU until process
-    /// exit, so the wall-clock numbers of every job still running — or
-    /// started — after the abandonment are inflated and should not gate
-    /// slowdown comparisons.
-    pub tainted: bool,
-    /// Time the job spent queued before a worker picked it up. `Some` only
-    /// on the [`WarmPool`](crate::WarmPool) path — the batch pool admits
-    /// jobs straight onto workers, so there is no queue to wait in.
+    /// Time the job spent queued before a worker picked it up; `None` when
+    /// it never ran.
     pub queue_wait: Option<Duration>,
 }
 
-/// Runs every job and returns the results in submission order.
+/// Runs every job on a fresh [`WarmPool`] and returns the results in
+/// submission order.
 ///
 /// Results are position-stable: `results[i]` corresponds to `jobs[i]`
-/// regardless of worker count or stealing, which is what makes the JSON
-/// report deterministic across `--jobs 1` and `--jobs 8`.
+/// regardless of worker count, which is what makes the JSON report
+/// deterministic across `--jobs 1` and `--jobs 8`. A job is reported
+/// [`JobStatus::TimedOut`] exactly when it returns with its token tripped
+/// by the deadline; its output is then dropped.
 pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, config: &PoolConfig) -> Vec<JobResult<T>> {
-    let workers = config.jobs.max(1).min(jobs.len().max(1));
-    let total = jobs.len();
-
-    // Round-robin distribution over per-worker deques.
-    type Deque<T> = Mutex<VecDeque<(usize, Job<T>)>>;
-    let queues: Vec<Deque<T>> = (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        queues[index % workers]
-            .lock()
-            .unwrap()
-            .push_back((index, job));
-    }
-
-    let slots: Vec<Mutex<Option<JobResult<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    // Set when any job of this batch is abandoned on timeout; jobs finishing
-    // afterwards are marked tainted (their timings overlapped a runaway
-    // thread).
-    let abandoned = AtomicBool::new(false);
-
-    thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let abandoned = &abandoned;
-            let timeout = config.timeout;
-            scope.spawn(move || loop {
-                // Own deque first (front), then steal from a sibling (back).
-                let task = queues[me].lock().unwrap().pop_front().or_else(|| {
-                    (1..workers)
-                        .map(|offset| (me + offset) % workers)
-                        .find_map(|victim| queues[victim].lock().unwrap().pop_back())
-                });
-                let Some((index, job)) = task else { break };
-                *slots[index].lock().unwrap() = Some(execute(job, timeout, abandoned));
-            });
-        }
-    });
-
-    slots
+    let pool = WarmPool::new(config.jobs.max(1).min(jobs.len().max(1)));
+    let deadline = config
+        .timeout
+        .map(|timeout| (Arc::new(DeadlineTimer::new()), timeout));
+    let tickets: Vec<_> = jobs
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every job produced a result")
+        .map(|job| {
+            let (id, run) = job.into_parts();
+            let deadline = deadline.clone();
+            pool.submit(Job::new(id, move || {
+                let cancel = Cancel::new();
+                let _guard = deadline
+                    .as_ref()
+                    .map(|(timer, timeout)| timer.register(&cancel, *timeout));
+                let output = run(&cancel);
+                (output, cancel.is_cancelled())
+            }))
+        })
+        .collect();
+    tickets
+        .into_iter()
+        .map(|ticket| {
+            let result = ticket.wait();
+            let (status, output) = match result.output {
+                Some((output, false)) => (JobStatus::Ok, Some(output)),
+                Some((_, true)) => (JobStatus::TimedOut, None),
+                None => (result.status, None),
+            };
+            JobResult {
+                id: result.id,
+                status,
+                output,
+                elapsed: result.elapsed,
+                queue_wait: result.queue_wait,
+            }
         })
         .collect()
-}
-
-/// Runs one job on its own thread, enforcing the timeout from the worker.
-/// `abandoned` is the batch-wide flag recording that some job thread has
-/// been abandoned; a job finishing while it is set is marked tainted.
-fn execute<T: Send + 'static>(
-    job: Job<T>,
-    timeout: Option<Duration>,
-    abandoned: &AtomicBool,
-) -> JobResult<T> {
-    let Job { id, run } = job;
-    let (tx, rx) = channel();
-    let started = Instant::now();
-    let spawned = thread::Builder::new()
-        .name(format!("runner-job-{id}"))
-        .spawn(move || {
-            let (outcome, elapsed) = measure(|| catch_unwind(AssertUnwindSafe(run)));
-            // The receiver is gone when the job already timed out; the
-            // result is discarded in that case.
-            let _ = tx.send((outcome, elapsed));
-        });
-    if spawned.is_err() {
-        // Thread exhaustion (e.g. a long timeout-heavy sweep accumulating
-        // abandoned job threads) must cost this one job, not panic the
-        // scoped worker and lose every already-finished result.
-        return JobResult {
-            id,
-            status: JobStatus::Crashed,
-            output: None,
-            elapsed: started.elapsed(),
-            tainted: abandoned.load(Ordering::Acquire),
-            queue_wait: None,
-        };
-    }
-
-    let received = match timeout {
-        Some(budget) => rx.recv_timeout(budget),
-        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-    };
-    // Taint is assessed when the job *finishes*: any job still in flight —
-    // or started — after an abandonment shares CPU with the runaway thread.
-    match received {
-        Ok((Ok(output), elapsed)) => JobResult {
-            id,
-            status: JobStatus::Ok,
-            output: Some(output),
-            elapsed,
-            tainted: abandoned.load(Ordering::Acquire),
-            queue_wait: None,
-        },
-        Ok((Err(_panic), elapsed)) => JobResult {
-            id,
-            status: JobStatus::Crashed,
-            output: None,
-            elapsed,
-            tainted: abandoned.load(Ordering::Acquire),
-            queue_wait: None,
-        },
-        Err(RecvTimeoutError::Timeout) => {
-            abandoned.store(true, Ordering::Release);
-            JobResult {
-                id,
-                status: JobStatus::TimedOut,
-                output: None,
-                elapsed: timeout.expect("timeout error implies a budget"),
-                tainted: true,
-                queue_wait: None,
-            }
-        }
-        Err(RecvTimeoutError::Disconnected) => JobResult {
-            id,
-            status: JobStatus::Crashed,
-            output: None,
-            elapsed: started.elapsed(),
-            tainted: abandoned.load(Ordering::Acquire),
-            queue_wait: None,
-        },
-    }
 }
 
 #[cfg(test)]
@@ -323,7 +226,7 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        let results: Vec<JobResult<()>> = run_jobs(vec![], &PoolConfig::parallel());
+        let results: Vec<JobResult<()>> = run_jobs(vec![], &PoolConfig::serial());
         assert!(results.is_empty());
     }
 

@@ -18,8 +18,8 @@ use std::fmt;
 /// Version of the JSON layout; bump on any breaking change to the schema.
 ///
 /// Version history:
-/// * **1** — entries + aggregates (+ additive `tainted`/`family`/
-///   per-family rollups).
+/// * **1** — entries + aggregates (+ additive `family`/per-family
+///   rollups; an entry-level `tainted`, no longer written, is ignored).
 /// * **2** — adds the optional top-level `throughput` object
 ///   ([`Throughput`]): sweep-level instances/sec, per family and total,
 ///   with elapsed wall-clock and worker/shard counts.
@@ -151,10 +151,6 @@ pub struct Entry {
     pub iterations: u64,
     /// Wall-clock milliseconds.
     pub millis: f64,
-    /// `true` when the job shared its sweep with an abandoned (timed-out)
-    /// job thread, making its wall-clock time untrustworthy. Absent in
-    /// reports written before this field existed; parsed as `false`.
-    pub tainted: bool,
     /// The workload family the benchmark belongs to (e.g. a generated-
     /// instance family like `plus_mod`), or empty for standalone
     /// benchmarks. Families group entries in the per-family aggregates
@@ -174,7 +170,6 @@ impl Entry {
             ("proved".into(), Json::Bool(self.proved)),
             ("iterations".into(), Json::Num(self.iterations as f64)),
             ("millis".into(), Json::Num(self.millis)),
-            ("tainted".into(), Json::Bool(self.tainted)),
         ];
         // Family is additive and only serialized when set, so family-less
         // reports keep their pre-family byte layout.
@@ -193,6 +188,8 @@ impl Entry {
         let status_name = field("status")?
             .as_str()
             .ok_or("`status` is not a string")?;
+        // Compatibility: reports written while timed-out job threads were
+        // abandoned carry a boolean `tainted`, which is ignored.
         Ok(Entry {
             benchmark: field("benchmark")?
                 .as_str()
@@ -217,13 +214,6 @@ impl Entry {
             millis: field("millis")?
                 .as_f64()
                 .ok_or("`millis` is not a number")?,
-            // Additive field: reports written before taint tracking simply
-            // lack it, and their entries are treated as untainted.
-            tainted: value
-                .get("tainted")
-                .map(|t| t.as_bool().ok_or("`tainted` is not a boolean"))
-                .transpose()?
-                .unwrap_or(false),
             // Additive field: reports written before family tracking lack
             // it, and their entries are family-less.
             family: value
@@ -512,13 +502,6 @@ impl fmt::Display for Regression {
 /// means the gate passes; improvements (faster, newly solved, new entries)
 /// are never flagged.
 pub fn compare(old: &Report, new: &Report, config: &CompareConfig) -> Vec<Regression> {
-    // A timed-out job's thread is abandoned, not killed (std has no thread
-    // cancellation), so it keeps consuming CPU and inflates the measured
-    // time of every job that runs after it. The pool records exactly which
-    // jobs overlapped an abandoned thread (`Entry::tainted`); slowdown
-    // comparisons are suppressed for those entries only, while entries that
-    // finished before the first abandonment still gate. Entries from
-    // reports written before taint tracking parse as untainted.
     let mut regressions = Vec::new();
     for old_entry in &old.entries {
         let regression = |kind, detail| Regression {
@@ -565,7 +548,7 @@ pub fn compare(old: &Report, new: &Report, config: &CompareConfig) -> Vec<Regres
         }
         let above_floor = new_entry.millis >= config.min_millis;
         let budget = old_entry.millis * (1.0 + config.threshold_pct / 100.0);
-        if !new_entry.tainted && both_ok && above_floor && new_entry.millis > budget {
+        if both_ok && above_floor && new_entry.millis > budget {
             regressions.push(regression(
                 RegressionKind::Slowdown,
                 format!(
@@ -627,7 +610,6 @@ mod tests {
             proved: true,
             iterations: 3,
             millis,
-            tainted: false,
             family: String::new(),
         }
     }
@@ -650,7 +632,6 @@ mod tests {
                     verdict: "-".into(),
                     proved: false,
                     iterations: 0,
-                    tainted: true,
                     ..entry("plane1", "nayHorn", 5000.0)
                 },
             ],
@@ -745,44 +726,45 @@ mod tests {
     }
 
     #[test]
-    fn tainted_entries_suppress_slowdown_noise() {
-        // An entry that shared its sweep with an abandoned job thread has an
-        // inflated wall clock: the timeout itself gates (StatusChange), but
-        // no Slowdown finding piles on top for the tainted entry.
-        let mut old = all_ok();
-        old.entries.push(entry("plane1", "nayHorn", 100.0));
+    fn reports_carrying_tainted_still_parse_and_their_slowdowns_gate() {
+        // Reports written while timed-out job threads were abandoned mark
+        // entries `"tainted": true` and used to exempt them from the
+        // slowdown gate. The field still parses, but no longer exempts.
+        let old = all_ok();
         let mut new = all_ok();
-        new.entries[1].millis = 9000.0; // would be a Slowdown on a clean run
-        new.entries[1].tainted = true; // overlapped the abandoned thread
-        new.entries.push(Entry {
-            status: JobStatus::TimedOut,
-            verdict: "-".into(),
-            proved: false,
-            iterations: 0,
-            tainted: true,
-            ..entry("plane1", "nayHorn", 5000.0)
-        });
-        let new = Report::new("quick", new.entries);
-        let regressions = compare(&old, &new, &CompareConfig::default());
+        new.entries[1].millis = 9000.0;
+        let text = new.to_json().replace(
+            "\"millis\": 9000",
+            "\"millis\": 9000,\n      \"tainted\": true",
+        );
+        assert!(text.contains("\"tainted\": true"));
+        let parsed = Report::from_json(&text).expect("parse a report carrying `tainted`");
+        assert_eq!(parsed, new);
+        let regressions = compare(&old, &parsed, &CompareConfig::default());
         assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].kind, RegressionKind::StatusChange);
+        assert_eq!(regressions[0].kind, RegressionKind::Slowdown);
     }
 
     #[test]
-    fn untainted_entries_still_gate_despite_a_timeout_elsewhere() {
-        // The fix over the old behaviour: a slowdown on an entry that
-        // finished *before* any abandonment is a real regression even when
-        // some other entry in the same report timed out.
+    fn reports_without_the_tainted_field_parse_as_untainted() {
+        // The writer no longer emits the field; its reports parse back
+        // unchanged.
+        let text = sample().to_json();
+        assert!(!text.contains("tainted"));
+        assert_eq!(Report::from_json(&text).expect("parse"), sample());
+    }
+
+    #[test]
+    fn slowdowns_gate_despite_a_timeout_elsewhere() {
         let mut old = all_ok();
         old.entries.push(entry("plane1", "nayHorn", 100.0));
         let mut new = all_ok();
-        new.entries[1].millis = 9000.0; // Slowdown, untainted
+        new.entries[1].millis = 9000.0;
         new.entries.push(Entry {
             status: JobStatus::TimedOut,
             verdict: "-".into(),
             proved: false,
             iterations: 0,
-            tainted: true,
             ..entry("plane1", "nayHorn", 5000.0)
         });
         let new = Report::new("quick", new.entries);
@@ -794,21 +776,6 @@ mod tests {
         assert!(regressions
             .iter()
             .any(|r| r.kind == RegressionKind::StatusChange));
-    }
-
-    #[test]
-    fn reports_without_the_tainted_field_parse_as_untainted() {
-        let mut text = sample().to_json();
-        // Strip every "tainted" line, simulating a pre-taint-tracking report.
-        text = text
-            .lines()
-            .filter(|l| !l.contains("\"tainted\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        // The previous line now ends with a trailing comma before `}`.
-        text = text.replace(",\n    }", "\n    }");
-        let parsed = Report::from_json(&text).expect("parse legacy report");
-        assert!(parsed.entries.iter().all(|e| !e.tainted));
     }
 
     #[test]

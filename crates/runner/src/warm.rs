@@ -1,35 +1,30 @@
-//! A long-lived worker pool for serving workloads: threads persist across
-//! submissions instead of being scoped to one batch.
-//!
-//! [`run_jobs`](crate::pool::run_jobs) is batch-shaped — it spawns scoped
-//! workers, drains a fixed job list, and joins. A daemon serving requests
-//! over a socket needs the opposite: a fixed set of *warm* workers that
-//! outlive any individual request, a shared queue that concurrent
-//! connection handlers push into, and per-job result delivery. That is
-//! [`WarmPool`]:
+//! The stack's one executor: a long-lived worker pool whose threads
+//! persist across submissions.
 //!
 //! * workers are spawned once at construction and reused for every job
-//!   until the pool is dropped — no per-request thread spawn;
+//!   until the pool is dropped — no per-job thread spawn;
 //! * [`WarmPool::submit`] enqueues a [`Job`] and returns a [`Ticket`]
-//!   that the submitter can [`wait`](Ticket::wait) on, or
-//!   [`wait_for`](Ticket::wait_for) with a deadline;
-//! * panics are contained per job ([`JobStatus::Crashed`]), like the
-//!   batch pool;
-//! * there is **no abandonment-based timeout**: a warm worker can never be
-//!   abandoned mid-job without shrinking the pool, so deadline enforcement
-//!   is the caller's job via a [`Cancel`](crate::Cancel) token the job
-//!   polls — trip the token, then keep or drop the ticket. The worker
-//!   finishes the (now fast-exiting) job and moves on.
+//!   that the submitter can [`wait`](Ticket::wait) on;
+//! * panics are contained per job ([`JobStatus::Crashed`]);
+//! * deadlines are cancellation-only: a job is never abandoned, so the
+//!   caller enforces a deadline by tripping a [`Cancel`](crate::Cancel)
+//!   token the job polls, typically from a shared
+//!   [`DeadlineTimer`](crate::DeadlineTimer), and then waits for the (now
+//!   fast-exiting) job as usual — a ticket has no wait-with-timeout, since
+//!   giving up on a job that keeps running is exactly the abandonment this
+//!   model rules out. [`run_jobs`](crate::run_jobs) is the batch helper
+//!   that arms a deadline per job.
 //!
 //! Queueing is FIFO and [`WarmPool::queue_depth`] exposes the backlog, so
 //! an admission-control layer can shed load before the queue grows
 //! unboundedly.
 
+use crate::cancel::Cancel;
 use crate::pool::{Job, JobResult, JobStatus};
 use crate::timing::measure;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -160,7 +155,8 @@ impl WarmPool {
             // since submission is exactly the queue wait.
             let queue_wait = enqueued.elapsed();
             queue_wait_hist.observe(queue_wait);
-            let (outcome, elapsed) = measure(|| catch_unwind(AssertUnwindSafe(run)));
+            let (outcome, elapsed) =
+                measure(|| catch_unwind(AssertUnwindSafe(|| run(&Cancel::never()))));
             Box::new(move || {
                 // The submitter may have dropped the ticket (e.g. a request
                 // whose deadline expired); the result is simply discarded.
@@ -244,69 +240,24 @@ pub struct Ticket<T> {
 }
 
 impl<T> Ticket<T> {
-    /// The job's identifier, echoed into the [`JobResult`].
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
     /// Blocks until the job finishes and returns its result.
     ///
     /// `status` is [`JobStatus::Ok`] or [`JobStatus::Crashed`] (panic, or
-    /// pool shutdown before the job ran) — never `TimedOut`: the warm pool
-    /// does not abandon jobs, see the [module docs](self).
+    /// pool shutdown before the job ran) — never `TimedOut`: deadlines
+    /// belong to the caller's token, see the [module docs](self).
     pub fn wait(self) -> JobResult<T> {
-        let id = self.id;
-        match self.rx.recv() {
-            Ok((output, elapsed, queue_wait)) => resolve(id, output, elapsed, queue_wait),
-            Err(_) => crashed(id, self.submitted.elapsed()),
+        let (status, output, elapsed, queue_wait) = match self.rx.recv() {
+            Ok((Some(output), elapsed, wait)) => (JobStatus::Ok, Some(output), elapsed, Some(wait)),
+            Ok((None, elapsed, wait)) => (JobStatus::Crashed, None, elapsed, Some(wait)),
+            Err(_) => (JobStatus::Crashed, None, self.submitted.elapsed(), None),
+        };
+        JobResult {
+            id: self.id,
+            status,
+            output,
+            elapsed,
+            queue_wait,
         }
-    }
-
-    /// Waits up to `budget` for the job to finish.
-    ///
-    /// Returns `Ok` with the result when the job finished in time, and
-    /// `Err(self)` — the still-live ticket — when the budget elapsed
-    /// first. Expiry does **not** stop the job; the caller decides whether
-    /// to trip its cancellation token, keep waiting, or drop the ticket
-    /// and let the result be discarded.
-    pub fn wait_for(self, budget: Duration) -> Result<JobResult<T>, Ticket<T>> {
-        match self.rx.recv_timeout(budget) {
-            Ok((output, elapsed, queue_wait)) => Ok(resolve(self.id, output, elapsed, queue_wait)),
-            Err(RecvTimeoutError::Timeout) => Err(self),
-            Err(RecvTimeoutError::Disconnected) => Ok(crashed(self.id, self.submitted.elapsed())),
-        }
-    }
-}
-
-fn resolve<T>(
-    id: String,
-    output: Option<T>,
-    elapsed: Duration,
-    queue_wait: Duration,
-) -> JobResult<T> {
-    let status = if output.is_some() {
-        JobStatus::Ok
-    } else {
-        JobStatus::Crashed
-    };
-    JobResult {
-        id,
-        status,
-        output,
-        elapsed,
-        tainted: false,
-        queue_wait: Some(queue_wait),
-    }
-}
-
-fn crashed<T>(id: String, elapsed: Duration) -> JobResult<T> {
-    JobResult {
-        id,
-        status: JobStatus::Crashed,
-        output: None,
-        elapsed,
-        tainted: false,
-        queue_wait: None,
     }
 }
 
@@ -346,27 +297,6 @@ mod tests {
         // the worker survives and keeps serving
         let after = pool.submit(Job::new("after", || 7)).wait();
         assert_eq!(after.output, Some(7));
-    }
-
-    #[test]
-    fn wait_for_returns_the_ticket_on_expiry() {
-        let pool = WarmPool::new(1);
-        let gate = Arc::new(Mutex::new(()));
-        let held = gate.lock().unwrap();
-        let slow = {
-            let gate = Arc::clone(&gate);
-            pool.submit(Job::new("slow", move || {
-                let _released = gate.lock().unwrap();
-                42
-            }))
-        };
-        let ticket = match slow.wait_for(Duration::from_millis(20)) {
-            Err(ticket) => ticket,
-            Ok(result) => panic!("job should still be blocked, got {:?}", result.status),
-        };
-        drop(held);
-        let result = ticket.wait();
-        assert_eq!(result.output, Some(42));
     }
 
     #[test]

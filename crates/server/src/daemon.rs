@@ -140,6 +140,7 @@ struct Metrics {
     parse_seconds: obs::Histogram,
     presolve_seconds: obs::Histogram,
     race_seconds: obs::Histogram,
+    cancel_latency_seconds: obs::Histogram,
 }
 
 impl Metrics {
@@ -174,6 +175,10 @@ impl Metrics {
             race_seconds: registry.histogram(
                 names::RACE_SECONDS,
                 "Engine-race latency (excluding presolve)",
+            ),
+            cancel_latency_seconds: registry.histogram(
+                names::CANCEL_LATENCY_SECONDS,
+                "Deadline to race return, for races the deadline cancelled",
             ),
             registry,
         };
@@ -642,7 +647,8 @@ fn handle_solve(request: Request, shared: &Arc<Shared>, trace_id: &str) -> Respo
     let portfolio = Portfolio::new().with_presolve(shared.presolve && !request.no_presolve);
     let report = portfolio.race_on_pool(&problem, &shared.pool, &cancel);
     drop(deadline_guard);
-    let millis = started.elapsed().as_secs_f64() * 1000.0;
+    let elapsed = started.elapsed();
+    let millis = elapsed.as_secs_f64() * 1000.0;
 
     if let Some(presolve) = &report.presolve {
         shared
@@ -685,6 +691,10 @@ fn handle_solve(request: Request, shared: &Arc<Shared>, trace_id: &str) -> Respo
     // (winners only trip the token alongside a definitive verdict).
     if cancel.is_cancelled() {
         shared.metrics.timeouts.inc();
+        shared
+            .metrics
+            .cancel_latency_seconds
+            .observe(elapsed.saturating_sub(deadline));
         let mut response = Response::ok(id);
         response.status = ResponseStatus::Timeout;
         response.verdict = Some(SolveVerdict::Unknown.name().into());

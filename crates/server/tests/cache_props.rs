@@ -1,10 +1,11 @@
 //! Property test: for generated instances, the verdict the daemon serves
-//! from its cache equals a fresh in-process `Portfolio::race` — serving
+//! from its cache equals a fresh in-process `Portfolio::race_on_pool` — serving
 //! memoized verdicts never changes an answer.
 
 use gen::{GenConfig, ProblemStream};
-use portfolio::Portfolio;
+use portfolio::{Cancel, Portfolio};
 use proptest::prelude::*;
+use runner::WarmPool;
 use server::{Client, Endpoint, ResponseStatus, Server, ServerConfig};
 use std::sync::OnceLock;
 use sygus::parser::problem_to_sygus;
@@ -27,9 +28,10 @@ proptest! {
     #[test]
     fn cached_verdicts_equal_a_fresh_race(seed in 0u64..10_000) {
         let portfolio = Portfolio::new();
+        let pool = WarmPool::new(2);
         let mut client = Client::connect(shared_endpoint()).expect("connect");
         for instance in ProblemStream::new(GenConfig::new(seed)).take(2) {
-            let fresh = portfolio.race(&instance.problem);
+            let fresh = portfolio.race_on_pool(&instance.problem, &pool, &Cancel::new());
             let text = problem_to_sygus(&instance.problem, "f");
 
             let first = client.solve(&instance.name(), &text).expect("solve");

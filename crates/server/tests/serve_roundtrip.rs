@@ -375,21 +375,8 @@ fn the_scrape_listener_serves_every_documented_family() {
     client.solve("m-1", UNREALIZABLE).unwrap();
     client.solve("m-2", UNREALIZABLE).unwrap();
 
-    let mut raw = TcpStream::connect(scrape).expect("connecting to the scrape port");
-    raw.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut reply = String::new();
-    use std::io::Read as _;
-    raw.read_to_string(&mut reply).expect("one full response");
-    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
-    assert!(
-        reply.contains("Content-Type: text/plain; version=0.0.4"),
-        "{reply}"
-    );
-    let body = reply
-        .split_once("\r\n\r\n")
-        .expect("headers end with a blank line")
-        .1;
+    let body = scrape_metrics(scrape);
+    let body = body.as_str();
     for name in obs::names::ALL {
         assert!(
             body.contains(&format!("# TYPE {name} ")),
@@ -403,7 +390,50 @@ fn the_scrape_listener_serves_every_documented_family() {
     assert_eq!(metric_value(body, "solver_pool_workers"), Some(4.0));
     let observed = metric_value(body, "solver_request_seconds_count").unwrap();
     assert_eq!(observed, 2.0, "both solves land in the request histogram");
+    assert_eq!(
+        metric_value(body, "solver_cancel_latency_seconds_count"),
+        Some(0.0)
+    );
+
+    // A solve whose deadline cancels the race lands in the cancel-latency
+    // histogram.
+    let slow = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../corpus/mpg_ite1.sl"
+    ))
+    .expect("the corpus ships mpg_ite1.sl");
+    let mut request = Request::solve("m-slow", &slow)
+        .with_deadline_ms(1)
+        .with_no_cache();
+    request.no_presolve = true;
+    let response = client.request(&request).unwrap();
+    assert_eq!(response.status, ResponseStatus::Timeout, "{response:?}");
+    let body = scrape_metrics(scrape);
+    assert_eq!(
+        metric_value(&body, "solver_cancel_latency_seconds_count"),
+        Some(1.0)
+    );
     shut_down(&endpoint, handle);
+}
+
+/// One `GET /metrics` against the scrape listener; returns the body.
+fn scrape_metrics(scrape: std::net::SocketAddr) -> String {
+    let mut raw = TcpStream::connect(scrape).expect("connecting to the scrape port");
+    raw.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut reply = String::new();
+    use std::io::Read as _;
+    raw.read_to_string(&mut reply).expect("one full response");
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+    assert!(
+        reply.contains("Content-Type: text/plain; version=0.0.4"),
+        "{reply}"
+    );
+    reply
+        .split_once("\r\n\r\n")
+        .expect("headers end with a blank line")
+        .1
+        .to_string()
 }
 
 #[cfg(unix)]

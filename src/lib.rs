@@ -21,8 +21,8 @@
 //! * [`enumerative`] — the bottom-up enumerative synthesizer,
 //! * [`nope`] — the program-reachability baseline,
 //! * [`nay`] — Alg. 1 / Alg. 2: the unrealizability checker and CEGIS loop,
-//! * [`runner`] — the parallel benchmark runner: work-stealing pool,
-//!   per-job timeouts, panic isolation, and JSON perf reports,
+//! * [`runner`] — the execution substrate: one warm worker pool,
+//!   cancellation-only deadlines, panic isolation, and JSON perf reports,
 //! * [`benchmarks`] — the LimitedPlus / LimitedIf / LimitedConst families.
 //!
 //! # Quick start
