@@ -9,8 +9,9 @@
 //! ([`eval_nay`], [`eval_nope`]) are *pure* — they run a tool and report its
 //! verdict and iteration count, nothing else — while all wall-clock timing,
 //! parallelism, per-job deadlines, and panic isolation live in the
-//! runner's `run_jobs`. Their `_cancellable` twins poll the job's token,
-//! so a deadline stops a check mid-fixpoint. The suite module assembles
+//! runner's `run_jobs`. The suite runs each of them inside a
+//! `logic::interruptible` scope polling its job's token, so a deadline
+//! stops a check mid-fixpoint. The suite module assembles
 //! the (benchmark, tool) jobs and the schema-versioned JSON
 //! [`runner::Report`] that the CI
 //! perf-regression gate diffs against the committed `BENCH_quick.json`
@@ -53,10 +54,10 @@ pub use suite::{
 };
 
 use benchmarks::{Benchmark, Family};
-use nay::check::{check_unrealizable, check_unrealizable_cancellable, Verdict};
+use nay::check::{check_unrealizable, Verdict};
 use nay::Mode;
 use nope::{NopeSolver, NopeVerdict};
-use runner::{measure, Cancel, PoolConfig, Report};
+use runner::{measure, PoolConfig, Report};
 use std::fmt::Write as _;
 
 /// The timing-free outcome of running one tool on one benchmark: what the
@@ -75,16 +76,10 @@ pub struct Evaluation {
 
 /// Runs one of the nay modes on a benchmark's witness example set.
 /// Pure with respect to timing: measure it with [`runner::measure`] or run
-/// it as a pool job.
+/// it as a pool job. Inside a [`logic::interruptible`] scope a stopped
+/// check evaluates to `unknown`.
 pub fn eval_nay(bench: &Benchmark, mode: &Mode) -> Evaluation {
-    eval_nay_cancellable(bench, mode, &Cancel::never())
-}
-
-/// [`eval_nay`] polling `cancel` inside the check; a tripped check
-/// evaluates to `unknown`.
-pub fn eval_nay_cancellable(bench: &Benchmark, mode: &Mode, cancel: &Cancel) -> Evaluation {
-    let outcome =
-        check_unrealizable_cancellable(&bench.problem, &bench.witness_examples, mode, cancel);
+    let outcome = check_unrealizable(&bench.problem, &bench.witness_examples, mode);
     Evaluation {
         verdict: outcome.verdict.name(),
         proved: outcome.verdict == Verdict::Unrealizable,
@@ -93,15 +88,9 @@ pub fn eval_nay_cancellable(bench: &Benchmark, mode: &Mode, cancel: &Cancel) -> 
 }
 
 /// Runs the nope baseline on a benchmark's witness example set (pure, like
-/// [`eval_nay`]).
+/// [`eval_nay`]), stoppable the same way.
 pub fn eval_nope(bench: &Benchmark) -> Evaluation {
-    eval_nope_cancellable(bench, &Cancel::never())
-}
-
-/// [`eval_nope`] polling `cancel` once per round of the checker.
-pub fn eval_nope_cancellable(bench: &Benchmark, cancel: &Cancel) -> Evaluation {
-    let (verdict, stats) =
-        NopeSolver::new().check_cancellable(&bench.problem, &bench.witness_examples, cancel);
+    let (verdict, stats) = NopeSolver::new().check(&bench.problem, &bench.witness_examples);
     Evaluation {
         verdict: verdict.name(),
         proved: verdict == NopeVerdict::Unrealizable,

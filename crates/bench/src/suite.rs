@@ -8,7 +8,7 @@
 //! depend on the worker count, which is what makes `--jobs 1` and
 //! `--jobs 8` produce byte-identical canonicalized reports.
 
-use crate::{eval_nay_cancellable, eval_nope_cancellable, select, Evaluation};
+use crate::{eval_nay, eval_nope, select, Evaluation};
 use benchmarks::{Benchmark, Family};
 use nay::Mode;
 use runner::{run_jobs, Entry, Job, JobResult, JobStatus, PoolConfig, Report};
@@ -33,14 +33,19 @@ pub fn run_benches(benches: &[Benchmark], config: &PoolConfig) -> Vec<Entry> {
         .map(|(bench, tool)| {
             let bench = (*bench).clone();
             let tool = *tool;
-            Job::cancellable(
-                format!("{}::{tool}", bench.name),
-                move |cancel| match tool {
-                    "naySL" => eval_nay_cancellable(&bench, &Mode::default(), cancel),
-                    "nayHorn" => eval_nay_cancellable(&bench, &Mode::horn(), cancel),
-                    _ => eval_nope_cancellable(&bench, cancel),
-                },
-            )
+            // The job's deadline trips its token; the scope turns the trip
+            // into the stop hook every loop of the check polls.
+            Job::cancellable(format!("{}::{tool}", bench.name), move |cancel| {
+                let token = cancel.clone();
+                logic::interruptible(
+                    move || token.is_cancelled(),
+                    || match tool {
+                        "naySL" => eval_nay(&bench, &Mode::default()),
+                        "nayHorn" => eval_nay(&bench, &Mode::horn()),
+                        _ => eval_nope(&bench),
+                    },
+                )
+            })
         })
         .collect();
     let results = run_jobs(jobs, config);

@@ -1,6 +1,7 @@
 //! Cancellation latency of the naySL check: a token tripped anywhere in a
-//! check is observed within one GFA step, so the check returns a
-//! non-definitive verdict within a quarter of its untripped run time.
+//! check run inside a `logic::interruptible` scope polling it is observed
+//! within one GFA step, so the check returns a non-definitive verdict
+//! within a quarter of its untripped run time.
 //!
 //! Two quick table rows cover the two long-running step kinds:
 //! `array_sum_3_5` spends its time in `⟦<⟧♯` ILP queries inside
@@ -8,7 +9,8 @@
 
 use bench::{select, FAMILIES};
 use benchmarks::Benchmark;
-use nay::{check_unrealizable, check_unrealizable_cancellable, Mode, Verdict};
+use nay::{check_unrealizable, CheckOutcome, Mode, Verdict};
+use nope::{NopeSolver, NopeVerdict};
 use runner::Cancel;
 use std::time::{Duration, Instant};
 
@@ -21,6 +23,15 @@ fn row(name: &str) -> Benchmark {
         .flat_map(|&family| select(family, true))
         .find(|b| b.name == name)
         .unwrap_or_else(|| panic!("`{name}` is a quick row"))
+}
+
+/// The row's check in `mode`, inside a stop-hook scope polling `cancel`.
+fn scoped_check(bench: &Benchmark, mode: &Mode, cancel: &Cancel) -> CheckOutcome {
+    let token = cancel.clone();
+    logic::interruptible(
+        move || token.is_cancelled(),
+        || check_unrealizable(&bench.problem, &bench.witness_examples, mode),
+    )
 }
 
 /// splitmix64: the seeded offsets.
@@ -47,12 +58,7 @@ fn tripped_check(bench: &Benchmark, offset: Duration) -> Option<(Verdict, Durati
             tripped
         })
     };
-    let outcome = check_unrealizable_cancellable(
-        &bench.problem,
-        &bench.witness_examples,
-        &Mode::default(),
-        &cancel,
-    );
+    let outcome = scoped_check(bench, &Mode::default(), &cancel);
     let returned = Instant::now();
     let tripped = tripper.join().expect("tripper thread");
     (tripped <= returned).then(|| (outcome.verdict, returned - tripped))
@@ -110,12 +116,13 @@ fn a_pre_tripped_check_is_unknown_at_once() {
     let bench = row("array_sum_3_5");
     let cancel = Cancel::new();
     cancel.cancel();
-    let outcome = check_unrealizable_cancellable(
-        &bench.problem,
-        &bench.witness_examples,
-        &Mode::default(),
-        &cancel,
-    );
-    assert_eq!(outcome.verdict, Verdict::Unknown);
-    assert!(outcome.elapsed < Duration::from_secs(5));
+    for mode in [Mode::default(), Mode::horn()] {
+        let outcome = scoped_check(&bench, &mode, &cancel);
+        assert_eq!(outcome.verdict, Verdict::Unknown, "{mode:?}");
+        assert!(outcome.elapsed < Duration::from_secs(5), "{mode:?}");
+    }
+    let (verdict, stats) =
+        NopeSolver::new().check_cancellable(&bench.problem, &bench.witness_examples, &cancel);
+    assert_eq!(verdict, NopeVerdict::Cancelled);
+    assert!(stats.elapsed < Duration::from_secs(5));
 }

@@ -9,9 +9,14 @@
 //! already inconsistent with the specification, the query is unreachable and
 //! the problem is unrealizable. Like Spacer, the solver is sound but
 //! incomplete — the other possible verdict is `Unknown`.
+//!
+//! Inside a [`logic::interruptible`] scope the Kleene loop polls the stop
+//! hook once per iteration. A stopped check answers `Unknown` before it
+//! reads the start symbol's value: a fixpoint cut short at ⊥ would
+//! otherwise pass for an empty language, a false `Unrealizable`.
 
 use crate::domain::{AbsBool, AbsInt, AbsValue};
-use logic::{Formula, Solver, SolverResult, Var};
+use logic::{stop_requested, Formula, Solver, SolverResult, Var};
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Grammar, NonTerminal, Spec, Symbol};
 
@@ -87,7 +92,9 @@ impl HornSolver {
     }
 
     /// Computes the abstract fixed point: one [`AbsValue`] per nonterminal,
-    /// over-approximating the set of output vectors producible on `examples`.
+    /// over-approximating the set of output vectors producible on `examples`
+    /// (unless the stop hook cut the iteration short, see the
+    /// [module docs](self)).
     pub fn analyze(
         &self,
         grammar: &Grammar,
@@ -100,6 +107,9 @@ impl HornSolver {
             .collect();
 
         for iteration in 0..self.max_iterations {
+            if stop_requested() {
+                break;
+            }
             let mut changed = false;
             let mut next = values.clone();
             for nt in grammar.nonterminals() {
@@ -138,6 +148,9 @@ impl HornSolver {
             return HornVerdict::Unknown;
         }
         let values = self.analyze(grammar, examples);
+        if stop_requested() {
+            return HornVerdict::Unknown;
+        }
         let start = &values[grammar.start()];
         let outputs: Vec<Var> = (0..examples.len())
             .map(|j| Var::indexed("o", j + 1))
@@ -308,6 +321,23 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_stopped_check_is_unknown_not_unrealizable() {
+        // Stopped before its first Kleene step, the fixpoint is still ⊥
+        // everywhere; read as an empty language it would be a false proof.
+        let examples = ExampleSet::for_single_var("x", [1]);
+        let solver = HornSolver::new();
+        let verdict = logic::interruptible(
+            || true,
+            || solver.check(&g1(), &examples, &spec_2x_plus_2()),
+        );
+        assert_eq!(verdict, HornVerdict::Unknown);
+        assert_eq!(
+            solver.check(&g1(), &examples, &spec_2x_plus_2()),
+            HornVerdict::Unrealizable
+        );
     }
 
     #[test]

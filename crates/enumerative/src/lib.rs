@@ -115,7 +115,7 @@ impl Enumerator {
     /// grammar derives any term at all).
     pub fn solve(&self, problem: &Problem, examples: &ExampleSet) -> EnumerationResult {
         let mut arena = TermArena::new();
-        let outcome = self.solve_with_arena(&mut arena, problem, examples, || false);
+        let outcome = self.solve_with_arena(&mut arena, problem, examples);
         self.extract_result(&arena, outcome)
     }
 
@@ -126,18 +126,17 @@ impl Enumerator {
     /// candidate is returned as an id — the owned [`Term`] is only
     /// materialized where the caller needs it (the witness boundary).
     ///
-    /// `stop` is polled once per term size; once it returns `true` the
-    /// search ends with `NotFound { exhausted: false }` — a stopped search
-    /// proves nothing.
+    /// The [`logic`] stop hook is polled once per term size; once it fires
+    /// the search ends with `NotFound { exhausted: false }` — a stopped
+    /// search proves nothing.
     pub fn solve_with_arena(
         &self,
         arena: &mut TermArena,
         problem: &Problem,
         examples: &ExampleSet,
-        stop: impl Fn() -> bool,
     ) -> IdEnumerationResult {
         let spec = problem.spec();
-        self.enumerate_ids(arena, problem.grammar(), examples, stop, |_, _, out| {
+        self.enumerate_ids(arena, problem.grammar(), examples, |_, _, out| {
             examples
                 .iter()
                 .enumerate()
@@ -161,13 +160,13 @@ impl Enumerator {
     /// The size-by-size enumeration loop on interned ids. `accept` is
     /// called (with the arena and the candidate's output vector) only for
     /// candidates derivable from the start symbol that open a new
-    /// observational-equivalence class. `stop` is polled before each size.
+    /// observational-equivalence class. The stop hook is polled before
+    /// each size.
     fn enumerate_ids(
         &self,
         arena: &mut TermArena,
         grammar: &Grammar,
         examples: &ExampleSet,
-        stop: impl Fn() -> bool,
         mut accept: impl FnMut(&mut TermArena, TermId, &Output) -> bool,
     ) -> IdEnumerationResult {
         // signature tables: nonterminal → set of output signatures seen
@@ -191,7 +190,7 @@ impl Enumerator {
         let mut largest_new_size = 0usize;
 
         for size in 1..=self.max_size {
-            if stop() {
+            if logic::stop_requested() {
                 return IdEnumerationResult::NotFound {
                     size_bound: size - 1,
                     exhausted: false,
@@ -364,7 +363,7 @@ mod tests {
         let examples = ExampleSet::for_single_var("x", [0, 5]);
         let mut arena = TermArena::new();
         let enumerator = Enumerator::new();
-        let by_id = enumerator.solve_with_arena(&mut arena, &problem, &examples, || false);
+        let by_id = enumerator.solve_with_arena(&mut arena, &problem, &examples);
         let IdEnumerationResult::Found(id) = by_id else {
             panic!("unexpected {by_id:?}");
         };
@@ -388,8 +387,8 @@ mod tests {
             ExampleSet::for_single_var("x", [1, 2, -3]),
         ] {
             let mut fresh = TermArena::new();
-            let reused = enumerator.solve_with_arena(&mut shared, &problem, &examples, || false);
-            let isolated = enumerator.solve_with_arena(&mut fresh, &problem, &examples, || false);
+            let reused = enumerator.solve_with_arena(&mut shared, &problem, &examples);
+            let isolated = enumerator.solve_with_arena(&mut fresh, &problem, &examples);
             match (reused, isolated) {
                 (IdEnumerationResult::Found(a), IdEnumerationResult::Found(b)) => {
                     assert_eq!(shared.extract(a), fresh.extract(b));
@@ -448,12 +447,13 @@ mod tests {
         let problem = Problem::new("finite", grammar, spec);
         let examples = ExampleSet::for_single_var("x", [0]);
         let polls = std::cell::Cell::new(0);
-        let stop = || {
+        let stop = move || {
             polls.set(polls.get() + 1);
             polls.get() > 1
         };
-        let outcome =
-            Enumerator::new().solve_with_arena(&mut TermArena::new(), &problem, &examples, stop);
+        let outcome = logic::interruptible(stop, || {
+            Enumerator::new().solve_with_arena(&mut TermArena::new(), &problem, &examples)
+        });
         assert_eq!(
             outcome,
             IdEnumerationResult::NotFound {

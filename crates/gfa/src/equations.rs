@@ -57,7 +57,7 @@ impl<E> Monomial<E> {
 /// let mut sys = EquationSystem::new(1);
 /// sys.add_monomial(0, Monomial::new(SemiLinearSet::singleton(IntVec::from(vec![3])), vec![0]));
 /// sys.add_monomial(0, Monomial::constant(SemiLinearSet::singleton(IntVec::from(vec![0]))));
-/// let solution = gfa::newton::solve(&sr, &sys, || false);
+/// let solution = gfa::newton::solve(&sr, &sys);
 /// assert!(solution.values[0].contains(&IntVec::from(vec![9])));
 /// assert!(!solution.values[0].contains(&IntVec::from(vec![4])));
 /// ```

@@ -19,33 +19,30 @@
 
 use crate::equations::{EquationSystem, Solution};
 use crate::semiring::Semiring;
+use logic::stop_requested;
 
 /// Computes the star `A⊛ = I ⊕ A ⊕ A² ⊕ …` of a square matrix over the
-/// semiring using Lehmann's (Floyd–Warshall–Kleene) algorithm. `stop` is
-/// polled before every pivot and every cell update; once it returns `true`
-/// the result is partial.
+/// semiring using Lehmann's (Floyd–Warshall–Kleene) algorithm. The
+/// [`logic`] stop hook is polled before every pivot and every cell update;
+/// once it fires the result is partial.
 ///
 /// # Panics
 /// Panics if the matrix is not square.
-pub fn matrix_star<S: Semiring>(
-    semiring: &S,
-    matrix: &[Vec<S::Elem>],
-    stop: impl Fn() -> bool,
-) -> Vec<Vec<S::Elem>> {
+pub fn matrix_star<S: Semiring>(semiring: &S, matrix: &[Vec<S::Elem>]) -> Vec<Vec<S::Elem>> {
     let n = matrix.len();
     for row in matrix {
         assert_eq!(row.len(), n, "matrix must be square");
     }
     let mut current: Vec<Vec<S::Elem>> = matrix.to_vec();
     'pivots: for k in 0..n {
-        if stop() {
+        if stop_requested() {
             break;
         }
         let pivot_star = semiring.star(&current[k][k]);
         let mut next = current.clone();
         for (i, next_row) in next.iter_mut().enumerate() {
             for (j, cell) in next_row.iter_mut().enumerate() {
-                if stop() {
+                if stop_requested() {
                     break 'pivots;
                 }
                 let through_k = semiring.extend(
@@ -65,14 +62,13 @@ pub fn matrix_star<S: Semiring>(
 }
 
 /// Solves the linear system `Y = A·Y ⊕ b` exactly, returning `Y = A⊛·b`
-/// (partial once `stop` fires, see [`matrix_star`]).
+/// (partial once the stop hook fires, see [`matrix_star`]).
 pub fn solve_linear<S: Semiring>(
     semiring: &S,
     matrix: &[Vec<S::Elem>],
     rhs: &[S::Elem],
-    stop: impl Fn() -> bool,
 ) -> Vec<S::Elem> {
-    let star = matrix_star(semiring, matrix, stop);
+    let star = matrix_star(semiring, matrix);
     star.iter()
         .map(|row| {
             let mut acc = semiring.zero();
@@ -117,14 +113,10 @@ fn differential<S: Semiring>(
 /// For commutative idempotent ω-continuous semirings the result after
 /// `num_vars` iterations is the least fixed point, so [`Solution::exact`] is
 /// `true`; the solver stops earlier if an iteration leaves the valuation
-/// unchanged. `stop` is polled before every iteration and inside its
-/// matrix star (see [`matrix_star`]): once it returns `true` the solver returns the current
-/// under-approximation with `exact: false`.
-pub fn solve<S: Semiring>(
-    semiring: &S,
-    system: &EquationSystem<S::Elem>,
-    stop: impl Fn() -> bool,
-) -> Solution<S::Elem> {
+/// unchanged. The [`logic`] stop hook is polled before every iteration
+/// and inside its matrix star (see [`matrix_star`]): once it fires the
+/// solver returns the current under-approximation with `exact: false`.
+pub fn solve<S: Semiring>(semiring: &S, system: &EquationSystem<S::Elem>) -> Solution<S::Elem> {
     let n = system.num_vars();
     if n == 0 {
         return Solution {
@@ -139,15 +131,15 @@ pub fn solve<S: Semiring>(
     let mut iterations = 0;
     let mut exact = true;
     for _ in 0..n {
-        if stop() {
+        if stop_requested() {
             exact = false;
             break;
         }
         iterations += 1;
         let matrix = differential(semiring, system, &valuation);
         let rhs = system.eval_all(semiring, &valuation);
-        let delta = solve_linear(semiring, &matrix, &rhs, &stop);
-        if stop() {
+        let delta = solve_linear(semiring, &matrix, &rhs);
+        if stop_requested() {
             // A cut-short star must never pass for convergence.
             exact = false;
             break;
@@ -186,7 +178,7 @@ mod tests {
     #[test]
     fn one_by_one_matrix_star() {
         let sr = SemiLinearSemiring::new(1);
-        let star = matrix_star(&sr, &[vec![single(&[3])]], || false);
+        let star = matrix_star(&sr, &[vec![single(&[3])]]);
         // ({3})⊛ = {0 + 3λ}
         assert!(star[0][0].contains(&vec1(0)));
         assert!(star[0][0].contains(&vec1(9)));
@@ -200,7 +192,7 @@ mod tests {
         // so A*[0][0] must contain {0, 3, 6, …} (each round trip adds 1+2).
         let z = sr.zero();
         let a = vec![vec![z.clone(), single(&[1])], vec![single(&[2]), z]];
-        let star = matrix_star(&sr, &a, || false);
+        let star = matrix_star(&sr, &a);
         assert!(star[0][0].contains(&vec1(0)));
         assert!(star[0][0].contains(&vec1(3)));
         assert!(star[0][0].contains(&vec1(6)));
@@ -217,7 +209,7 @@ mod tests {
         let mut sys = EquationSystem::new(1);
         sys.add_monomial(0, Monomial::new(single(&[3]), vec![0]));
         sys.add_monomial(0, Monomial::constant(single(&[0])));
-        let sol = solve(&sr, &sys, || false);
+        let sol = solve(&sr, &sys);
         assert!(sol.exact);
         assert!(sol.values[0].contains(&vec1(0)));
         assert!(sol.values[0].contains(&vec1(3)));
@@ -232,13 +224,15 @@ mod tests {
         let mut sys = EquationSystem::new(1);
         sys.add_monomial(0, Monomial::new(single(&[3]), vec![0]));
         sys.add_monomial(0, Monomial::constant(single(&[0])));
-        let sol = solve(&sr, &sys, || true);
+        let (sol, stratified) = logic::interruptible(
+            || true,
+            || (solve(&sr, &sys), crate::strata::solve_stratified(&sr, &sys)),
+        );
         assert!(!sol.exact);
         assert_eq!(sol.iterations, 0);
         // ν⁰ = F(0) only: the base case, none of the recursion.
         assert!(sol.values[0].contains(&vec1(0)));
         assert!(!sol.values[0].contains(&vec1(3)));
-        let stratified = crate::strata::solve_stratified(&sr, &sys, || true);
         assert!(!stratified.exact);
     }
 
@@ -257,7 +251,7 @@ mod tests {
         sys.add_monomial(s1, Monomial::new(single(&[1, 2]), vec![s2]));
         sys.add_monomial(s2, Monomial::new(single(&[1, 2]), vec![s3]));
         sys.add_monomial(s3, Monomial::constant(single(&[1, 2])));
-        let sol = solve(&sr, &sys, || false);
+        let sol = solve(&sr, &sys);
         // nG(S1) = {(3,6)}, nG(S2) = {(2,4)}, nG(S3) = {(1,2)}
         assert_eq!(sol.values[s3], single(&[1, 2]));
         assert_eq!(sol.values[s2], single(&[2, 4]));
@@ -280,7 +274,7 @@ mod tests {
         let mut sys = EquationSystem::new(1);
         sys.add_monomial(0, Monomial::new(SemiLinearSet::one(1), vec![0, 0]));
         sys.add_monomial(0, Monomial::constant(single(&[1])));
-        let sol = solve(&sr, &sys, || false);
+        let sol = solve(&sr, &sys);
         for v in 1..6 {
             assert!(sol.values[0].contains(&vec1(v)), "missing {v}");
         }
@@ -295,7 +289,7 @@ mod tests {
         sys.add_monomial(0, Monomial::new(single(&[3]), vec![0]));
         sys.add_monomial(0, Monomial::constant(single(&[0])));
         let kleene = crate::kleene::solve(&sr, &sys, 20);
-        let newton = solve(&sr, &sys, || false);
+        let newton = solve(&sr, &sys);
         assert!(!kleene.exact);
         assert!(newton.exact);
         // Kleene's under-approximation is contained in Newton's answer
@@ -308,7 +302,7 @@ mod tests {
     fn empty_system() {
         let sr = SemiLinearSemiring::new(1);
         let sys: EquationSystem<SemiLinearSet> = EquationSystem::new(0);
-        let sol = solve(&sr, &sys, || false);
+        let sol = solve(&sr, &sys);
         assert!(sol.exact);
         assert!(sol.values.is_empty());
     }

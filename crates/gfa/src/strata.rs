@@ -105,13 +105,12 @@ pub fn strongly_connected_components(
 /// commutative idempotent ω-continuous semirings, like [`newton::solve`],
 /// but typically much faster on grammars with many nonterminals.
 ///
-/// `stop` is polled before every Newton iteration of every stratum; once it
-/// returns `true` the result is an under-approximation marked
-/// `exact: false`.
+/// The [`logic`] stop hook is polled before every Newton iteration of
+/// every stratum; once it fires the result is an under-approximation
+/// marked `exact: false`.
 pub fn solve_stratified<S: Semiring>(
     semiring: &S,
     system: &EquationSystem<S::Elem>,
-    stop: impl Fn() -> bool,
 ) -> Solution<S::Elem> {
     let n = system.num_vars();
     let components = strongly_connected_components(n, &system.dependencies());
@@ -121,7 +120,7 @@ pub fn solve_stratified<S: Semiring>(
 
     for component in &components {
         let (subsystem, mapping) = system.restrict(semiring, component, &values);
-        let sub_solution = newton::solve(semiring, &subsystem, &stop);
+        let sub_solution = newton::solve(semiring, &subsystem);
         iterations += sub_solution.iterations;
         if !sub_solution.exact {
             exact = false;
@@ -199,8 +198,8 @@ mod tests {
         sys.add_monomial(s2, Monomial::new(single(&[1, 2]), vec![s3]));
         sys.add_monomial(s3, Monomial::constant(single(&[1, 2])));
 
-        let direct = newton::solve(&sr, &sys, || false);
-        let stratified = solve_stratified(&sr, &sys, || false);
+        let direct = newton::solve(&sr, &sys);
+        let stratified = solve_stratified(&sr, &sys);
         for (a, b) in direct.values.iter().zip(&stratified.values) {
             assert!(a.sample_equivalent(b, 4), "{a} vs {b}");
         }
@@ -216,7 +215,7 @@ mod tests {
         sys.add_monomial(0, Monomial::constant(single(&[0])));
         sys.add_monomial(1, Monomial::new(single(&[1]), vec![0]));
         sys.add_monomial(2, Monomial::new(single(&[10]), vec![0]));
-        let sol = solve_stratified(&sr, &sys, || false);
+        let sol = solve_stratified(&sr, &sys);
         // X0 = even numbers, X1 = odd numbers, X2 = 10 + even
         assert!(sol.values[0].contains(&IntVec::from(vec![0])));
         assert!(sol.values[0].contains(&IntVec::from(vec![4])));

@@ -1,14 +1,35 @@
-//! A scoped, per-thread stop hook for the decision procedures.
+//! A scoped, per-thread stop hook: the one stop signal below the engine
+//! boundary.
 //!
-//! While an [`interruptible`] scope is active, the simplex polls its `stop`
-//! closure before every pivot, the ILP before every solve and every
-//! branch-and-bound node, and the [`Solver`](crate::Solver) throughout its
-//! DNF expansion and before every cube. Once it returns `true`,
-//! LP solves end as [`LpResult::Interrupted`](crate::LpResult::Interrupted)
-//! and ILP and SMT solves as "unknown", which every caller already treats
-//! conservatively. Other threads are unaffected, and scopes
-//! nest. `stop` should be sticky, so a caller can tell afterwards whether
-//! any answer inside the scope was cut short.
+//! A deadline reaches an engine as a `Cancel` token. Exactly two functions
+//! turn that token into a hook — `Nay::run_cancellable` and
+//! `NopeSolver::check_cancellable` — by running their body inside an
+//! [`interruptible`] scope (the benchmark suite does the same around each
+//! of its jobs). Everything below them polls [`stop_requested`] and takes no
+//! token: the GFA fixpoints (SolveMutual and SolveBool rounds, each
+//! `⟦<⟧♯`/`⟦=⟧♯` query, Newton iterations, matrix-star cells, strata), the
+//! enumerator's size loop, nope's unrolling and fixpoint rounds, nayHorn's
+//! Kleene loop, and the decision procedures here: the simplex before every
+//! pivot, the ILP before every solve and branch-and-bound node, and the
+//! [`Solver`](crate::Solver) throughout its DNF expansion and before every
+//! cube. Once the hook returns `true`, LP solves end as
+//! [`LpResult::Interrupted`](crate::LpResult::Interrupted) and ILP and SMT
+//! solves as "unknown", which every caller already treats conservatively.
+//!
+//! Rules that keep a stopped answer sound:
+//!
+//! * `stop` must be sticky (a tripped token stays tripped), so a caller
+//!   inside a scope can read [`stop_requested`] after a call returns to
+//!   tell whether anything inside it was cut short. A fixpoint cut short
+//!   under-approximates, so a check reads it before its final query, and a
+//!   stopped check answers "unknown" (or "cancelled"), never a definitive
+//!   verdict.
+//! * Scopes nest, and an inner scope replaces the outer hook for its
+//!   duration. No code installs a scope around a token that can never
+//!   trip: it would mask a live deadline outside it. Token-free entry
+//!   points install nothing and inherit the caller's scope.
+//! * Other threads are unaffected, and the hook is removed when its scope
+//!   ends, also by unwinding, so it never outlives the job that set it.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -57,8 +78,8 @@ pub fn interruptible<R>(stop: impl Fn() -> bool + 'static, body: impl FnOnce() -
 }
 
 /// `true` once the innermost installed hook says stop; `false` outside
-/// any [`interruptible`] scope.
-pub(crate) fn stop_requested() -> bool {
+/// any [`interruptible`] scope, where a poll costs one flag read.
+pub fn stop_requested() -> bool {
     ARMED.with(Cell::get) && STOP.with(|hook| hook.borrow().as_ref().is_some_and(|stop| stop()))
 }
 

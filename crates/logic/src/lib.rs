@@ -10,8 +10,8 @@
 //!   Omega-style equality elimination, exact rational simplex and
 //!   branch-and-bound,
 //! * [`Model`] — satisfying assignments, usable for counterexample generation,
-//! * [`interruptible`] — a scoped stop hook that cuts long solves short
-//!   (they answer "unknown").
+//! * [`interruptible`] / [`stop_requested`] — a scoped stop hook that cuts
+//!   long solves short (they answer "unknown").
 //!
 //! # Example
 //!
@@ -44,7 +44,7 @@ mod solver;
 pub use expr::{LinearExpr, Var};
 pub use formula::{Atom, Formula, Rel};
 pub use ilp::{Constraint, IlpProblem, IlpResult};
-pub use interrupt::interruptible;
+pub use interrupt::{interruptible, stop_requested};
 pub use model::Model;
 pub use rational::Rational;
 pub use simplex::{LpRel, LpResult, Simplex};

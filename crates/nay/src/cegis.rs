@@ -18,10 +18,11 @@
 //!    * if the enumerator runs out of budget, add a temporary random example
 //!      to `E_r` and go back to step 1.
 
-use crate::check::{check_unrealizable_cancellable, Verdict};
+use crate::check::{check_unrealizable, Verdict};
 use crate::modes::Mode;
 use crate::verifier::{verify, Verification};
 use enumerative::{Enumerator, IdEnumerationResult};
+use logic::stop_requested;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runner::Cancel;
@@ -37,8 +38,9 @@ pub enum CegisOutcome {
     Solution(Term),
     /// The loop exhausted its iteration budget without a verdict.
     Unknown,
-    /// The loop observed a tripped [`Cancel`] token and stopped early
-    /// (portfolio racing: the other engine answered first).
+    /// [`Nay::run_cancellable`]'s [`Cancel`] token tripped before the loop
+    /// reached a definitive outcome (portfolio racing: the other engine
+    /// answered first, or the deadline passed).
     Cancelled,
 }
 
@@ -145,43 +147,61 @@ impl Nay {
     }
 
     /// Runs the CEGIS loop of Alg. 2 on the problem.
+    ///
+    /// Inside a [`logic::interruptible`] scope the loop polls the stop hook
+    /// at the top of every outer CEGIS iteration and every check, inside
+    /// every unrealizability check (per GFA step, see
+    /// [`check_unrealizable`]), in the enumerator (per term size) and in
+    /// the verifier's solver; a stopped run ends [`CegisOutcome::Unknown`].
     pub fn run(&self, problem: &Problem) -> (CegisOutcome, CegisStats) {
-        self.run_cancellable(problem, &Cancel::never())
-    }
-
-    /// [`Nay::run`] with cooperative cancellation: the token is polled at
-    /// the top of every outer CEGIS iteration, inside every
-    /// unrealizability check (per GFA step, see
-    /// [`check_unrealizable_cancellable`]) and by the enumerator (per term
-    /// size), so a trip is observed within one such step and the run
-    /// returns [`CegisOutcome::Cancelled`].
-    pub fn run_cancellable(
-        &self,
-        problem: &Problem,
-        cancel: &Cancel,
-    ) -> (CegisOutcome, CegisStats) {
         let started = Instant::now();
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut stats = CegisStats::default();
         // One hash-consing arena for the whole run: candidates live as
         // `TermId`s across CEGIS iterations, so re-enumeration after a
         // counterexample reuses every subterm interned before instead of
         // rebuilding (and re-cloning) the trees.
         let mut arena = TermArena::new();
-        let stop = || cancel.is_cancelled();
-        let cancelled = |stats: &mut CegisStats, arena: &TermArena| {
-            stats.total_time = started.elapsed();
-            stats.arena_terms = arena.len();
-            (CegisOutcome::Cancelled, stats.clone())
-        };
+        let outcome = self.cegis(problem, &mut stats, &mut arena);
+        stats.total_time = started.elapsed();
+        stats.arena_terms = arena.len();
+        (outcome, stats)
+    }
+
+    /// [`Nay::run`] under a cancellation token: the run is one
+    /// [`logic::interruptible`] scope polling `cancel`, so a trip is
+    /// observed within one GFA step, term size or solver step, and a run
+    /// that ends without a definitive outcome while the token is tripped
+    /// returns [`CegisOutcome::Cancelled`].
+    pub fn run_cancellable(
+        &self,
+        problem: &Problem,
+        cancel: &Cancel,
+    ) -> (CegisOutcome, CegisStats) {
+        let token = cancel.clone();
+        match logic::interruptible(move || token.is_cancelled(), || self.run(problem)) {
+            (CegisOutcome::Unknown, stats) if cancel.is_cancelled() => {
+                (CegisOutcome::Cancelled, stats)
+            }
+            finished => finished,
+        }
+    }
+
+    /// The loop body of [`Nay::run`].
+    fn cegis(
+        &self,
+        problem: &Problem,
+        stats: &mut CegisStats,
+        arena: &mut TermArena,
+    ) -> CegisOutcome {
+        let mut rng = StdRng::seed_from_u64(self.seed);
 
         // line 1: initialise E with a random input example
         let mut examples = ExampleSet::new();
         examples.push(self.random_example(problem, &mut rng));
 
         for _ in 0..self.max_cegis_iterations {
-            if cancel.is_cancelled() {
-                return cancelled(&mut stats, &arena);
+            if stop_requested() {
+                return CegisOutcome::Unknown;
             }
             stats.cegis_iterations += 1;
             stats.num_examples = examples.len();
@@ -190,44 +210,37 @@ impl Nay {
             let mut extended = examples.clone();
             let mut drew_random = 0usize;
             loop {
-                if cancel.is_cancelled() {
-                    return cancelled(&mut stats, &arena);
+                if stop_requested() {
+                    return CegisOutcome::Unknown;
                 }
                 stats.gfa_checks += 1;
-                let outcome =
-                    check_unrealizable_cancellable(problem, &extended, &self.mode, cancel);
+                let outcome = check_unrealizable(problem, &extended, &self.mode);
                 stats.check_time += outcome.elapsed;
                 stats.final_abstraction_size = outcome.abstraction_size;
                 match outcome.verdict {
                     Verdict::Unrealizable => {
                         stats.num_examples = extended.len();
-                        stats.total_time = started.elapsed();
-                        stats.arena_terms = arena.len();
-                        return (CegisOutcome::Unrealizable, stats);
+                        return CegisOutcome::Unrealizable;
                     }
-                    // A check cut short by the token says Unknown.
-                    Verdict::Realizable | Verdict::Unknown if cancel.is_cancelled() => {
-                        return cancelled(&mut stats, &arena);
+                    // A check cut short by the stop hook says Unknown.
+                    Verdict::Realizable | Verdict::Unknown if stop_requested() => {
+                        return CegisOutcome::Unknown;
                     }
                     Verdict::Realizable | Verdict::Unknown => {
                         // ① the synthesizer side works on the permanent E
                         // only; the candidate stays an interned id — the
                         // owned tree is materialized at the witness boundary
                         // (verification) below.
-                        let found = self
-                            .enumerator
-                            .solve_with_arena(&mut arena, problem, &examples, stop);
-                        if cancel.is_cancelled() {
-                            return cancelled(&mut stats, &arena);
+                        let found = self.enumerator.solve_with_arena(arena, problem, &examples);
+                        if stop_requested() {
+                            return CegisOutcome::Unknown;
                         }
                         match found {
                             IdEnumerationResult::Found(candidate_id) => {
                                 let candidate = arena.extract(candidate_id);
                                 match verify(&candidate, problem.spec()) {
                                     Verification::Valid => {
-                                        stats.total_time = started.elapsed();
-                                        stats.arena_terms = arena.len();
-                                        return (CegisOutcome::Solution(candidate), stats);
+                                        return CegisOutcome::Solution(candidate);
                                     }
                                     Verification::CounterExample(cex) => {
                                         if !examples.contains(&cex) {
@@ -239,11 +252,7 @@ impl Nay {
                                         }
                                         break; // next CEGIS iteration
                                     }
-                                    Verification::Unknown => {
-                                        stats.total_time = started.elapsed();
-                                        stats.arena_terms = arena.len();
-                                        return (CegisOutcome::Unknown, stats);
-                                    }
+                                    Verification::Unknown => return CegisOutcome::Unknown,
                                 }
                             }
                             IdEnumerationResult::NotFound {
@@ -251,17 +260,13 @@ impl Nay {
                             } => {
                                 // the quotiented search space was exhausted:
                                 // sy_E itself is unrealizable
-                                stats.total_time = started.elapsed();
-                                stats.arena_terms = arena.len();
-                                return (CegisOutcome::Unrealizable, stats);
+                                return CegisOutcome::Unrealizable;
                             }
                             IdEnumerationResult::NotFound {
                                 exhausted: false, ..
                             } => {
                                 if drew_random >= self.max_random_examples {
-                                    stats.total_time = started.elapsed();
-                                    stats.arena_terms = arena.len();
-                                    return (CegisOutcome::Unknown, stats);
+                                    return CegisOutcome::Unknown;
                                 }
                                 drew_random += 1;
                                 stats.random_examples += 1;
@@ -273,9 +278,7 @@ impl Nay {
                 }
             }
         }
-        stats.total_time = started.elapsed();
-        stats.arena_terms = arena.len();
-        (CegisOutcome::Unknown, stats)
+        CegisOutcome::Unknown
     }
 }
 

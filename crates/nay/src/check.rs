@@ -17,17 +17,19 @@
 //! abstract-interpretation Horn solver of the `chc` crate, which can only
 //! return *unrealizable* or *unknown*.
 //!
-//! A check cancelled mid-fixpoint ([`check_unrealizable_cancellable`])
+//! The check takes no cancellation token: every loop in it polls the
+//! [`logic`] stop hook, which `Nay::run_cancellable` (or any other caller)
+//! installs with [`logic::interruptible`]. A check stopped mid-fixpoint
 //! returns *unknown* without issuing the final query: the cut-short
 //! abstraction under-approximates the language, so an unsat answer over it
-//! would be a false *unrealizable*.
+//! would be a false *unrealizable*. The same holds for the Horn mode, whose
+//! Kleene loop polls the hook too.
 
 use crate::clia;
 use crate::lia;
 use crate::modes::Mode;
 use chc::{HornSolver, HornVerdict};
-use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
-use runner::Cancel;
+use logic::{stop_requested, Formula, LinearExpr, Solver, SolverResult, Var};
 use semilinear::concretize_semilinear;
 use std::time::{Duration, Instant};
 use sygus::{ExampleSet, Problem, Sort, SygusError};
@@ -75,22 +77,13 @@ pub struct CheckOutcome {
 
 /// Runs Algorithm 1 on `(problem.grammar(), problem.spec())` restricted to
 /// `examples`, using the given [`Mode`].
+///
+/// Inside a [`logic::interruptible`] scope the check polls the stop hook in
+/// every SolveMutual round, SolveBool round, `⟦<⟧♯`/`⟦=⟧♯` ILP query,
+/// Newton iteration, matrix-star cell and stratum, in nayHorn's Kleene
+/// loop, and in every simplex pivot, ILP node and DNF cube. Once it fires
+/// the check returns [`Verdict::Unknown`].
 pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode) -> CheckOutcome {
-    check_unrealizable_cancellable(problem, examples, mode, &Cancel::never())
-}
-
-/// [`check_unrealizable`] with cooperative cancellation: the token is
-/// polled in every SolveMutual round, SolveBool round, `⟦<⟧♯`/`⟦=⟧♯` ILP
-/// query, Newton iteration and matrix-star cell, and (through
-/// [`logic::interruptible`]) every simplex pivot, ILP node and DNF cube.
-/// Once it trips the check returns [`Verdict::Unknown`]. The approximate
-/// Horn mode is polled only before it starts.
-pub fn check_unrealizable_cancellable(
-    problem: &Problem,
-    examples: &ExampleSet,
-    mode: &Mode,
-    cancel: &Cancel,
-) -> CheckOutcome {
     let started = Instant::now();
     let outcome = |verdict, abstraction_size, solver_iterations| CheckOutcome {
         verdict,
@@ -115,42 +108,19 @@ pub fn check_unrealizable_cancellable(
         );
     }
 
-    if cancel.is_cancelled() {
+    if stop_requested() {
         return outcome(Verdict::Unknown, 0, 0);
     }
-    match mode {
+    let (stratified, prune) = match mode {
         Mode::Horn => {
             let verdict = match HornSolver::new().check(problem.grammar(), examples, problem.spec())
             {
                 HornVerdict::Unrealizable => Verdict::Unrealizable,
                 HornVerdict::Unknown => Verdict::Unknown,
             };
-            outcome(verdict, 0, 0)
+            return outcome(verdict, 0, 0);
         }
-        Mode::SemiLinear { stratified, prune } => {
-            // ILP solves inside the check stop at their next pivot too.
-            let token = cancel.clone();
-            logic::interruptible(
-                move || token.is_cancelled(),
-                || check_semilinear(problem, examples, *stratified, *prune, cancel, started),
-            )
-        }
-    }
-}
-
-fn check_semilinear(
-    problem: &Problem,
-    examples: &ExampleSet,
-    stratified: bool,
-    prune: bool,
-    cancel: &Cancel,
-    started: Instant,
-) -> CheckOutcome {
-    let outcome = |verdict, abstraction_size, solver_iterations| CheckOutcome {
-        verdict,
-        abstraction_size,
-        solver_iterations,
-        elapsed: started.elapsed(),
+        Mode::SemiLinear { stratified, prune } => (*stratified, *prune),
     };
 
     let rewritten = match sygus::rewrite::to_plus_form(problem.grammar()) {
@@ -164,12 +134,11 @@ fn check_semilinear(
         .map(|j| Var::indexed("o", j + 1))
         .collect();
     let spec_formula = problem.spec().conjunction_over(examples, &outputs);
-    let stop = || cancel.is_cancelled();
 
     // γ̂(n(Start), o⃗)
     let (gamma, abstraction_size, solver_iterations) = if rewritten.is_lia() {
-        match lia::analyze_until(&rewritten, examples, stratified, prune, &stop) {
-            Ok(Some(analysis)) => {
+        match lia::analyze(&rewritten, examples, stratified, prune) {
+            Ok(analysis) => {
                 let start = analysis.start_value(&rewritten).clone();
                 (
                     concretize_semilinear(&start, &outputs),
@@ -177,12 +146,11 @@ fn check_semilinear(
                     analysis.newton_iterations,
                 )
             }
-            // stopped, or an ill-formed grammar
-            _ => return outcome(Verdict::Unknown, 0, 0),
+            Err(_) => return outcome(Verdict::Unknown, 0, 0),
         }
     } else {
-        match clia::analyze_until(&rewritten, examples, stratified, prune, &stop) {
-            Ok(Some(analysis)) => {
+        match clia::analyze(&rewritten, examples, stratified, prune) {
+            Ok(analysis) => {
                 let size = analysis.start_size(&rewritten);
                 let iterations = analysis.outer_iterations;
                 let gamma = match rewritten.sort_of(rewritten.start()) {
@@ -207,12 +175,12 @@ fn check_semilinear(
                 };
                 (gamma, size, iterations)
             }
-            // stopped, or an ill-formed grammar
-            _ => return outcome(Verdict::Unknown, 0, 0),
+            Err(_) => return outcome(Verdict::Unknown, 0, 0),
         }
     };
 
-    if stop() {
+    // A stopped fixpoint under-approximates: it must never reach the query.
+    if stop_requested() {
         return outcome(Verdict::Unknown, abstraction_size, solver_iterations);
     }
     // P := γ̂(n(Start), o⃗) ∧ ⋀ⱼ ψ(oⱼ, iⱼ)   (Thm. 4.5)

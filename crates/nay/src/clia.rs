@@ -20,7 +20,7 @@
 //! final satisfiability check a decision procedure (Thm. 6.9).
 
 use gfa::{EquationSystem, Monomial, SemiLinearSemiring, Semiring};
-use logic::{Formula, Solver, Var};
+use logic::{stop_requested, Formula, Solver, Var};
 use semilinear::{concretize_semilinear_prefixed, BoolVec, BoolVecSet, IntVec, SemiLinearSet};
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Grammar, NonTerminal, Sort, SygusError, Symbol};
@@ -62,27 +62,26 @@ impl CliaAnalysis {
 /// some pair of members `v₁ ∈ sl₁, v₂ ∈ sl₂` satisfies `b = v₁ < v₂`
 /// component-wise. Computed with `2^|E|` QF-LIA queries.
 pub fn abstract_less_than(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> BoolVecSet {
-    abstract_comparison(sl1, sl2, dim, Formula::lt, Formula::ge, &|| false)
+    abstract_comparison(sl1, sl2, dim, Formula::lt, Formula::ge)
 }
 
 /// `⟦Equal⟧♯(sl₁, sl₂)`: analogous to [`abstract_less_than`] for equality.
 pub fn abstract_equal(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> BoolVecSet {
-    abstract_comparison(sl1, sl2, dim, Formula::eq, Formula::ne, &|| false)
+    abstract_comparison(sl1, sl2, dim, Formula::eq, Formula::ne)
 }
 
 /// A comparison between two linear expressions, e.g. [`Formula::lt`].
 type Rel = fn(logic::LinearExpr, logic::LinearExpr) -> Formula;
 
 /// The shared body of `⟦<⟧♯`/`⟦=⟧♯`: `holds` is the comparison, `fails`
-/// its negation. Polls `stop` before every ILP query; a stopped comparison
-/// returns a partial set.
+/// its negation. Polls the [`logic`] stop hook before every ILP query; a
+/// stopped comparison returns a partial set.
 fn abstract_comparison(
     sl1: &SemiLinearSet,
     sl2: &SemiLinearSet,
     dim: usize,
     holds: Rel,
     fails: Rel,
-    stop: &dyn Fn() -> bool,
 ) -> BoolVecSet {
     if sl1.is_zero() || sl2.is_zero() {
         return BoolVecSet::empty();
@@ -96,7 +95,7 @@ fn abstract_comparison(
     let solver = Solver::default();
     let mut out = BoolVecSet::empty();
     for b in BoolVec::all(dim) {
-        if stop() {
+        if stop_requested() {
             break;
         }
         let mut conjuncts = vec![gamma.clone()];
@@ -114,22 +113,13 @@ fn abstract_comparison(
 
 /// Step 1 of SolveMutual: the least fixed point of the Boolean equations with
 /// the integer abstractions held fixed (algorithm *SolveBool*, §6.3).
-/// Returns the Boolean values and the number of iterations used.
+/// Returns the Boolean values and the number of iterations used. The
+/// [`logic`] stop hook is polled before every Kleene round and every ILP
+/// query of `⟦<⟧♯`/`⟦=⟧♯`; once it fires the values are partial.
 pub fn solve_bool(
     grammar: &Grammar,
     examples: &ExampleSet,
     int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
-) -> (BTreeMap<NonTerminal, BoolVecSet>, usize) {
-    solve_bool_until(grammar, examples, int_values, &|| false)
-}
-
-/// [`solve_bool`] polling `stop` before every Kleene round and every ILP
-/// query of `⟦<⟧♯`/`⟦=⟧♯`; once it fires the values are partial.
-fn solve_bool_until(
-    grammar: &Grammar,
-    examples: &ExampleSet,
-    int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
-    stop: &dyn Fn() -> bool,
 ) -> (BTreeMap<NonTerminal, BoolVecSet>, usize) {
     let dim = examples.len();
     let bool_nts = grammar.bool_nonterminals();
@@ -140,7 +130,7 @@ fn solve_bool_until(
     let max_iterations = bool_nts.len() * (1usize << dim) + 2;
     let mut iterations = 0;
     for _ in 0..max_iterations {
-        if stop() {
+        if stop_requested() {
             break;
         }
         iterations += 1;
@@ -151,7 +141,7 @@ fn solve_bool_until(
             for p in grammar.productions_of(nt) {
                 let compare = |holds: Rel, fails: Rel| {
                     let (left, right) = (&int_values[&p.args[0]], &int_values[&p.args[1]]);
-                    abstract_comparison(left, right, dim, holds, fails, stop)
+                    abstract_comparison(left, right, dim, holds, fails)
                 };
                 let contribution = match &p.symbol {
                     Symbol::LessThan => compare(Formula::lt, Formula::ge),
@@ -178,25 +168,14 @@ fn solve_bool_until(
 
 /// Step 2 of SolveMutual: solve the integer equations with the Boolean
 /// abstractions fixed, eliminating `IfThenElse` via the *RemIf* rewriting.
+/// The Newton solve polls the [`logic`] stop hook; once it fires the values
+/// are partial.
 pub fn solve_int(
     grammar: &Grammar,
     examples: &ExampleSet,
     bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
     stratified: bool,
     prune: bool,
-) -> Result<BTreeMap<NonTerminal, SemiLinearSet>, SygusError> {
-    solve_int_until(grammar, examples, bool_values, stratified, prune, &|| false)
-}
-
-/// [`solve_int`] polling `stop` before every Newton iteration and
-/// stratum; once it fires the values are partial.
-fn solve_int_until(
-    grammar: &Grammar,
-    examples: &ExampleSet,
-    bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
-    stratified: bool,
-    prune: bool,
-    stop: &dyn Fn() -> bool,
 ) -> Result<BTreeMap<NonTerminal, SemiLinearSet>, SygusError> {
     let dim = examples.len();
     let int_nts = grammar.int_nonterminals();
@@ -296,9 +275,9 @@ fn solve_int_until(
     }
 
     let solution = if stratified {
-        gfa::strata::solve_stratified(&semiring, &system, stop)
+        gfa::strata::solve_stratified(&semiring, &system)
     } else {
-        gfa::newton::solve(&semiring, &system, stop)
+        gfa::newton::solve(&semiring, &system)
     };
 
     let all_true = BoolVec::trues(dim);
@@ -312,6 +291,13 @@ fn solve_int_until(
 /// [`solve_int`] until the Boolean abstractions reach their (finite) fixed
 /// point.
 ///
+/// The [`logic`] stop hook is polled in every SolveMutual round, every
+/// SolveBool Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯`, and every
+/// Newton iteration and stratum. Once it fires the analysis returns
+/// partial values: a caller inside a scope reads
+/// [`logic::stop_requested`] after the call, and a cut-short
+/// under-approximation must never reach a final query.
+///
 /// # Errors
 /// Returns an error for grammars containing `Minus` (rewrite first) or
 /// examples not binding a grammar variable.
@@ -321,23 +307,6 @@ pub fn analyze(
     stratified: bool,
     prune: bool,
 ) -> Result<CliaAnalysis, SygusError> {
-    Ok(
-        analyze_until(grammar, examples, stratified, prune, &|| false)?
-            .expect("an analysis that is never stopped completes"),
-    )
-}
-
-/// [`analyze`] polling `stop` in every SolveMutual round, every SolveBool
-/// Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯`, and every Newton
-/// iteration and stratum. `Ok(None)` when `stop` fired: the fixpoint was
-/// cut short, and its under-approximation must never reach a final query.
-pub(crate) fn analyze_until(
-    grammar: &Grammar,
-    examples: &ExampleSet,
-    stratified: bool,
-    prune: bool,
-    stop: &dyn Fn() -> bool,
-) -> Result<Option<CliaAnalysis>, SygusError> {
     let dim = examples.len();
     let mut int_values: BTreeMap<NonTerminal, SemiLinearSet> = grammar
         .int_nonterminals()
@@ -350,33 +319,27 @@ pub(crate) fn analyze_until(
     let max_outer = grammar.num_nonterminals() * (1usize << dim) + 2;
 
     loop {
-        let (bools, iters) = solve_bool_until(grammar, examples, &int_values, stop);
-        if stop() {
-            return Ok(None);
-        }
+        let (bools, iters) = solve_bool(grammar, examples, &int_values);
         bool_iterations += iters;
-        if prev_bools.as_ref() == Some(&bools) {
-            return Ok(Some(CliaAnalysis {
+        if stop_requested() || prev_bools.as_ref() == Some(&bools) {
+            return Ok(CliaAnalysis {
                 int_values,
                 bool_values: bools,
                 outer_iterations,
                 bool_iterations,
-            }));
+            });
         }
-        int_values = solve_int_until(grammar, examples, &bools, stratified, prune, stop)?;
-        if stop() {
-            return Ok(None);
-        }
+        int_values = solve_int(grammar, examples, &bools, stratified, prune)?;
         prev_bools = Some(bools);
         outer_iterations += 1;
-        if outer_iterations >= max_outer {
-            // Termination is guaranteed by Lemma 6.6; this is a safety net.
-            return Ok(Some(CliaAnalysis {
+        // Termination is guaranteed by Lemma 6.6; the cap is a safety net.
+        if stop_requested() || outer_iterations >= max_outer {
+            return Ok(CliaAnalysis {
                 int_values,
                 bool_values: prev_bools.unwrap_or_default(),
                 outer_iterations,
                 bool_iterations,
-            }));
+            });
         }
     }
 }

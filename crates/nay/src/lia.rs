@@ -91,6 +91,12 @@ pub fn build_equations(
 /// Runs the exact LIA analysis: builds the equations and solves them with
 /// Newton's method (stratified or monolithic).
 ///
+/// The Newton solve polls the [`logic`] stop hook before every iteration
+/// and stratum. Once it fires the values are a cut-short
+/// under-approximation: a caller inside a scope reads
+/// [`logic::stop_requested`] after the call, and such values must never
+/// reach a final query.
+///
 /// # Errors
 /// Propagates the errors of [`build_equations`].
 pub fn analyze(
@@ -99,43 +105,24 @@ pub fn analyze(
     stratified: bool,
     prune: bool,
 ) -> Result<LiaAnalysis, SygusError> {
-    Ok(
-        analyze_until(grammar, examples, stratified, prune, &|| false)?
-            .expect("an analysis that is never stopped completes"),
-    )
-}
-
-/// [`analyze`] polling `stop` before every Newton iteration and stratum.
-/// `Ok(None)` when `stop` fired: the fixpoint was cut short, and its
-/// under-approximation must never reach a final query.
-pub(crate) fn analyze_until(
-    grammar: &Grammar,
-    examples: &ExampleSet,
-    stratified: bool,
-    prune: bool,
-    stop: &dyn Fn() -> bool,
-) -> Result<Option<LiaAnalysis>, SygusError> {
     let (system, order) = build_equations(grammar, examples)?;
     let semiring = SemiLinearSemiring::new(examples.len()).with_pruning(prune);
     let solution = if stratified {
-        gfa::strata::solve_stratified(&semiring, &system, stop)
+        gfa::strata::solve_stratified(&semiring, &system)
     } else {
-        gfa::newton::solve(&semiring, &system, stop)
+        gfa::newton::solve(&semiring, &system)
     };
-    if !solution.exact || stop() {
-        return Ok(None);
-    }
     let values: BTreeMap<NonTerminal, SemiLinearSet> = order
         .iter()
         .cloned()
         .zip(solution.values.iter().cloned())
         .collect();
     let start_size = values.get(grammar.start()).map(|v| v.size()).unwrap_or(0);
-    Ok(Some(LiaAnalysis {
+    Ok(LiaAnalysis {
         values,
         newton_iterations: solution.iterations,
         start_size,
-    }))
+    })
 }
 
 #[cfg(test)]

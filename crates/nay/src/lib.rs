@@ -59,5 +59,5 @@ mod modes;
 pub mod verifier;
 
 pub use cegis::{CegisOutcome, CegisStats, Nay};
-pub use check::{check_unrealizable, check_unrealizable_cancellable, CheckOutcome, Verdict};
+pub use check::{check_unrealizable, CheckOutcome, Verdict};
 pub use modes::Mode;

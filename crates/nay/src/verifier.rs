@@ -4,7 +4,9 @@
 //! enumerative synthesizer satisfies the specification on *all* inputs, and
 //! to produce a counterexample input when it does not. Here the same query —
 //! `∃ x̄. ¬ψ(⟦e⟧(x̄), x̄)` — is encoded by `sygus::encode` and discharged by
-//! the `logic` solver.
+//! the `logic` solver. Inside a [`logic::interruptible`] scope that solver
+//! polls the stop hook, and a stopped verification answers
+//! [`Verification::Unknown`].
 
 use logic::{Solver, SolverResult};
 use sygus::encode::counterexample_query;
@@ -73,6 +75,25 @@ mod tests {
                 assert_ne!(cex.get("x"), Some(2));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stopped_verification_is_unknown() {
+        // 2x + 2 is valid, 3x is not: a stopped verifier proves neither.
+        let valid = Term::apply(
+            Symbol::Plus,
+            vec![Term::var("x"), Term::var("x"), Term::num(2)],
+        )
+        .unwrap();
+        let invalid = Term::apply(
+            Symbol::Plus,
+            vec![Term::var("x"), Term::var("x"), Term::var("x")],
+        )
+        .unwrap();
+        for candidate in [valid, invalid] {
+            let verdict = logic::interruptible(|| true, || verify(&candidate, &spec_2x_plus_2()));
+            assert_eq!(verdict, Verification::Unknown, "on {candidate}");
         }
     }
 

@@ -66,25 +66,17 @@ impl NopeSolver {
     }
 
     /// Checks unrealizability of `problem` restricted to `examples`.
+    ///
+    /// Inside a [`logic::interruptible`] scope the bounded search and the
+    /// abstract fixpoint poll the stop hook once per round, and the final
+    /// query per solver step; a stopped check answers
+    /// [`NopeVerdict::Unknown`] unless it had already found a witness.
     pub fn check(&self, problem: &Problem, examples: &ExampleSet) -> (NopeVerdict, NopeStats) {
-        self.check_cancellable(problem, examples, &Cancel::never())
-    }
-
-    /// [`NopeSolver::check`] with cooperative cancellation: the token is
-    /// threaded into the bounded search and the abstract-interpreter
-    /// fixpoint, which poll it once per loop iteration; a trip yields
-    /// [`NopeVerdict::Cancelled`].
-    pub fn check_cancellable(
-        &self,
-        problem: &Problem,
-        examples: &ExampleSet,
-        cancel: &Cancel,
-    ) -> (NopeVerdict, NopeStats) {
         let started = Instant::now();
         let program = Program::from_grammar(problem.grammar(), examples);
         let outcome = self
             .verifier
-            .check_instrumented(&program, examples, problem.spec(), cancel);
+            .check_instrumented(&program, examples, problem.spec());
         let stats = NopeStats {
             num_procedures: program.procedures.len(),
             num_branches: program.num_branches(),
@@ -94,6 +86,28 @@ impl NopeSolver {
             elapsed: started.elapsed(),
         };
         (outcome.verdict, stats)
+    }
+
+    /// [`NopeSolver::check`] under a cancellation token: the check is one
+    /// [`logic::interruptible`] scope polling `cancel`, and a check that
+    /// ends without a definitive verdict while the token is tripped
+    /// returns [`NopeVerdict::Cancelled`].
+    pub fn check_cancellable(
+        &self,
+        problem: &Problem,
+        examples: &ExampleSet,
+        cancel: &Cancel,
+    ) -> (NopeVerdict, NopeStats) {
+        let token = cancel.clone();
+        match logic::interruptible(
+            move || token.is_cancelled(),
+            || self.check(problem, examples),
+        ) {
+            (NopeVerdict::Unknown, stats) if cancel.is_cancelled() => {
+                (NopeVerdict::Cancelled, stats)
+            }
+            finished => finished,
+        }
     }
 }
 

@@ -18,8 +18,7 @@
 
 use crate::program::{ProgExpr, Program};
 use chc::domain::{AbsBool, AbsInt, AbsValue};
-use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
-use runner::Cancel;
+use logic::{stop_requested, Formula, LinearExpr, Solver, SolverResult, Var};
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Op, Spec, Term, TermArena, TermId};
 
@@ -34,8 +33,10 @@ pub enum NopeVerdict {
     RealizableOnExamples(Vec<i64>),
     /// Neither analysis was conclusive.
     Unknown,
-    /// The analysis observed a tripped [`Cancel`] token and stopped early
-    /// (portfolio racing: the other engine answered first).
+    /// [`NopeSolver::check_cancellable`](crate::NopeSolver::check_cancellable)'s
+    /// token tripped before the check reached a definitive verdict
+    /// (portfolio racing: the other engine answered first, or the deadline
+    /// passed).
     Cancelled,
 }
 
@@ -51,11 +52,6 @@ impl NopeVerdict {
         }
     }
 }
-
-/// Marker for a bounded search that stopped because its [`Cancel`] token
-/// tripped (distinct from "no witness found within the depth").
-#[derive(Debug)]
-struct CancelledSearch;
 
 /// Everything [`ProgramVerifier::check_instrumented`] reports alongside
 /// the verdict.
@@ -227,34 +223,24 @@ impl ProgramVerifier {
         examples: &ExampleSet,
         spec: &Spec,
     ) -> (NopeVerdict, usize) {
-        self.check_cancellable(program, examples, spec, &Cancel::never())
-    }
-
-    /// [`ProgramVerifier::check_counted`] with cooperative cancellation:
-    /// the token is polled once per bounded-unrolling round and once per
-    /// abstract fixpoint iteration, so a trip is observed within one loop
-    /// iteration and the check returns [`NopeVerdict::Cancelled`].
-    pub fn check_cancellable(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-        cancel: &Cancel,
-    ) -> (NopeVerdict, usize) {
-        let outcome = self.check_instrumented(program, examples, spec, cancel);
+        let outcome = self.check_instrumented(program, examples, spec);
         (outcome.verdict, outcome.abstract_iterations)
     }
 
-    /// [`ProgramVerifier::check_cancellable`] returning the full
+    /// [`ProgramVerifier::check_counted`] returning the full
     /// [`CheckOutcome`]: the verdict, the fixpoint iteration count, the
     /// bounded search's term-arena size, and (for realizable-on-examples
     /// verdicts) the witness term the arena reconstructed.
+    ///
+    /// Inside a [`logic::interruptible`] scope both analyses poll the stop
+    /// hook once per round (bounded unrolling, abstract fixpoint) and in
+    /// the final query; a stopped check answers [`NopeVerdict::Unknown`]
+    /// unless it had already found a witness.
     pub fn check_instrumented(
         &self,
         program: &Program,
         examples: &ExampleSet,
         spec: &Spec,
-        cancel: &Cancel,
     ) -> CheckOutcome {
         let done = |verdict, abstract_iterations, arena_terms, witness| CheckOutcome {
             verdict,
@@ -268,31 +254,21 @@ impl ProgramVerifier {
         // 1. bounded concrete exploration: can we reach the bad location?
         let mut arena = TermArena::new();
         let mut log = WitnessLog::default();
-        match self.bounded_search_cancellable(program, examples, spec, cancel, &mut arena, &mut log)
+        if let Some((witness_vector, witness_ref)) =
+            self.explore(program, examples, spec, &mut arena, &mut log)
         {
-            Ok(Some((witness_vector, witness_ref))) => {
-                let witness_id = log.intern_into(&mut arena, witness_ref);
-                let witness = arena.extract(witness_id);
-                return done(
-                    NopeVerdict::RealizableOnExamples(witness_vector),
-                    0,
-                    log.len(),
-                    Some(witness),
-                );
-            }
-            Ok(None) => {}
-            Err(CancelledSearch) => return done(NopeVerdict::Cancelled, 0, log.len(), None),
+            let witness_id = log.intern_into(&mut arena, witness_ref);
+            let witness = arena.extract(witness_id);
+            return done(
+                NopeVerdict::RealizableOnExamples(witness_vector),
+                0,
+                log.len(),
+                Some(witness),
+            );
         }
         let arena_terms = log.len();
         // 2. abstract interpretation: is the bad location provably unreachable?
-        if cancel.is_cancelled() {
-            return done(NopeVerdict::Cancelled, 0, arena_terms, None);
-        }
-        let (unreachable, iterations) =
-            self.abstract_unreachable_cancellable(program, examples, spec, cancel);
-        if cancel.is_cancelled() && !unreachable {
-            return done(NopeVerdict::Cancelled, iterations, arena_terms, None);
-        }
+        let (unreachable, iterations) = self.abstract_unreachable_counted(program, examples, spec);
         if unreachable {
             done(NopeVerdict::Unrealizable, iterations, arena_terms, None)
         } else {
@@ -324,45 +300,37 @@ impl ProgramVerifier {
     ) -> Option<(Vec<i64>, Term)> {
         let mut arena = TermArena::new();
         let mut log = WitnessLog::default();
-        self.bounded_search_cancellable(
-            program,
-            examples,
-            spec,
-            &Cancel::never(),
-            &mut arena,
-            &mut log,
-        )
-        .expect("a never-tripped token cannot cancel")
-        .map(|(vector, r)| {
-            let id = log.intern_into(&mut arena, r);
-            (vector, arena.extract(id))
-        })
+        self.explore(program, examples, spec, &mut arena, &mut log)
+            .map(|(vector, r)| {
+                let id = log.intern_into(&mut arena, r);
+                (vector, arena.extract(id))
+            })
     }
 
-    /// [`ProgramVerifier::bounded_search`] polling a [`Cancel`] token once
-    /// per unrolling round; `Err(CancelledSearch)` reports an observed
-    /// trip. Every reachable vector carries the [`WitnessLog`] index of
+    /// The body of [`ProgramVerifier::bounded_search`], polling the
+    /// [`logic`] stop hook once per unrolling round; a stopped search
+    /// returns `None` (no witness found). Every reachable vector carries
+    /// the [`WitnessLog`] index of
     /// the first term found producing it — witnesses stay
     /// [`LazyWitness`]es on the per-combination fast path, vectors
     /// surviving dedup append one log node (no hash-consing), and the
     /// arena only sees the single chain a demanded witness needs, so the
     /// vector sets (and with them every verdict) are exactly the
     /// pre-arena ones.
-    fn bounded_search_cancellable(
+    fn explore(
         &self,
         program: &Program,
         examples: &ExampleSet,
         spec: &Spec,
-        cancel: &Cancel,
         arena: &mut TermArena,
         log: &mut WitnessLog,
-    ) -> Result<Option<(Vec<i64>, u32)>, CancelledSearch> {
+    ) -> Option<(Vec<i64>, u32)> {
         let n = program.procedures.len();
         let mut reachable: Vec<BTreeMap<Vec<i64>, u32>> = vec![BTreeMap::new(); n];
         let mut trail: Vec<(u32, u32)> = Vec::new();
         for _ in 0..self.unroll_depth {
-            if cancel.is_cancelled() {
-                return Err(CancelledSearch);
+            if stop_requested() {
+                return None;
             }
             let mut changed = false;
             for (i, proc_) in program.procedures.iter().enumerate() {
@@ -399,14 +367,14 @@ impl ProgramVerifier {
                     .enumerate()
                     .all(|(j, e)| spec.holds(e, v[j]));
                 if good {
-                    return Ok(Some((v.clone(), *w)));
+                    return Some((v.clone(), *w));
                 }
             }
             if !changed {
                 break;
             }
         }
-        Ok(None)
+        None
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -581,32 +549,22 @@ impl ProgramVerifier {
     /// Like [`ProgramVerifier::abstract_unreachable`], but also reports the
     /// number of fixed-point iterations performed before convergence (or
     /// the configured cap, if the iteration never stabilised).
+    ///
+    /// The [`logic`] stop hook is polled once per iteration (and by the
+    /// final query's solver). A stopped fixpoint is not a post-fixpoint, so
+    /// it answers `false`, which callers must read as "no verdict", never
+    /// as "reachable".
     pub fn abstract_unreachable_counted(
         &self,
         program: &Program,
         examples: &ExampleSet,
         spec: &Spec,
     ) -> (bool, usize) {
-        self.abstract_unreachable_cancellable(program, examples, spec, &Cancel::never())
-    }
-
-    /// The abstract fixpoint with a [`Cancel`] token polled once per
-    /// iteration. On a trip the iteration stops where it is; the partial
-    /// result is only a *sound over-approximation so far*, so the caller
-    /// must treat a cancelled run's `false` as "no verdict", never as
-    /// "reachable".
-    fn abstract_unreachable_cancellable(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-        cancel: &Cancel,
-    ) -> (bool, usize) {
         let n = program.procedures.len();
         let mut values: Vec<AbsValue> = vec![AbsValue::Bottom; n];
         let mut iterations_run = 0;
         for iteration in 0..self.max_abstract_iterations {
-            if cancel.is_cancelled() {
+            if stop_requested() {
                 return (false, iterations_run);
             }
             iterations_run = iteration + 1;
@@ -875,12 +833,8 @@ mod tests {
         let out = term.eval_on(&examples).unwrap();
         assert_eq!(out, sygus::Output::Int(vector));
         // the instrumented check agrees and reports the same witness
-        let outcome = ProgramVerifier::new().check_instrumented(
-            &program,
-            &examples,
-            &spec_2x_plus_2(),
-            &Cancel::never(),
-        );
+        let outcome =
+            ProgramVerifier::new().check_instrumented(&program, &examples, &spec_2x_plus_2());
         assert!(matches!(
             outcome.verdict,
             NopeVerdict::RealizableOnExamples(_)

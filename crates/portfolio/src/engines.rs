@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn nay_engine_proves_the_section2_problem() {
-        let outcome = solve_nay(&section2_lia(), &Cancel::never(), &Nay::new());
+        let outcome = solve_nay(&section2_lia(), &Cancel::new(), &Nay::new());
         assert_eq!(outcome.verdict, SolveVerdict::Unrealizable);
         assert!(outcome.verdict.is_definitive());
         assert!(outcome.iterations >= 1);
@@ -228,21 +228,21 @@ mod tests {
 
     #[test]
     fn nay_engine_finds_solutions() {
-        let outcome = solve_nay(&realizable_xplus2(), &Cancel::never(), &Nay::new());
+        let outcome = solve_nay(&realizable_xplus2(), &Cancel::new(), &Nay::new());
         assert_eq!(outcome.verdict, SolveVerdict::Realizable);
         assert!(outcome.solution.is_some());
     }
 
     #[test]
     fn nope_engine_proves_the_section2_problem() {
-        let outcome = solve_nope(&section2_lia(), &Cancel::never(), &NopeEngine::new());
+        let outcome = solve_nope(&section2_lia(), &Cancel::new(), &NopeEngine::new());
         assert_eq!(outcome.verdict, SolveVerdict::Unrealizable);
         assert!(outcome.examples_used >= 1);
     }
 
     #[test]
     fn nope_engine_cannot_prove_realizability() {
-        let outcome = solve_nope(&realizable_xplus2(), &Cancel::never(), &NopeEngine::new());
+        let outcome = solve_nope(&realizable_xplus2(), &Cancel::new(), &NopeEngine::new());
         assert!(!outcome.verdict.is_definitive(), "{:?}", outcome.verdict);
     }
 

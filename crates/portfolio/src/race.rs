@@ -581,6 +581,8 @@ mod tests {
     #[test]
     fn one_warm_pool_serves_many_races() {
         let pool = WarmPool::new(2);
+        let tripped = Cancel::new();
+        tripped.cancel();
         for _ in 0..3 {
             for (problem, expected) in [
                 (section2_lia(), SolveVerdict::Unrealizable),
@@ -588,6 +590,36 @@ mod tests {
             ] {
                 let report = Portfolio::new().race_on_pool(&problem, &pool, &Cancel::new());
                 assert_eq!(report.verdict, expected, "on {}", problem.name());
+                // A pre-tripped race runs both engines' stop-hook scopes on
+                // the same workers; no hook may outlive its job and stop
+                // the untripped races after it.
+                let stopped = Portfolio::new()
+                    .with_presolve(false)
+                    .race_on_pool(&problem, &pool, &tripped);
+                assert_eq!(
+                    stopped.verdict,
+                    SolveVerdict::Unknown,
+                    "on {}",
+                    problem.name()
+                );
+                // The barrier puts one probe on each worker.
+                let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+                let probes: Vec<_> = (0..2)
+                    .map(|_| {
+                        let barrier = barrier.clone();
+                        pool.submit(Job::new("probe", move || {
+                            barrier.wait();
+                            logic::stop_requested()
+                        }))
+                    })
+                    .collect();
+                for probe in probes {
+                    let outcome = probe.wait().output;
+                    assert_eq!(outcome, Some(false), "a stop hook outlived its job");
+                }
+                let engines = Portfolio::new().with_presolve(false);
+                let report = engines.race_on_pool(&problem, &pool, &Cancel::new());
+                assert_eq!(report.verdict, expected, "engines on {}", problem.name());
             }
         }
         // the same pool serves many races without respawning workers
