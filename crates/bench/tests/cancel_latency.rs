@@ -1,20 +1,24 @@
 //! Cancellation latency of the naySL check: a token tripped anywhere in a
-//! check run inside a `logic::interruptible` scope polling it is observed
-//! within one GFA step, so the check returns a non-definitive verdict
-//! within a quarter of its untripped run time.
+//! check, or in one of its `⟦<⟧♯` comparisons, run inside a
+//! `logic::interruptible` scope polling it is observed within one GFA step
+//! or ILP query, so the run returns a non-definitive answer within a
+//! quarter of its untripped run time.
 //!
-//! Two quick table rows cover the two long-running step kinds:
-//! `array_sum_3_5` spends its time in `⟦<⟧♯` ILP queries inside
-//! SolveBool, `if_search_2` in Newton iterations over the RemIf system.
+//! Two cases cover the two long-running step kinds. A `⟦<⟧♯` over
+//! semilinear sets whose every linear set has generators spends its time
+//! in ILP queries; a pair of points needs no query, so no quick row's
+//! comparisons take long enough to trip. `if_search_2` spends its time in
+//! Newton iterations over the RemIf system.
 
 use bench::{select, FAMILIES};
 use benchmarks::Benchmark;
-use nay::{check_unrealizable, CheckOutcome, Mode, Verdict};
+use nay::{check_unrealizable, clia, CheckOutcome, Mode, Verdict};
 use nope::{NopeSolver, NopeVerdict};
 use runner::Cancel;
+use semilinear::{IntVec, LinearSet, SemiLinearSet};
 use std::time::{Duration, Instant};
 
-/// Trip offsets per row.
+/// Trip offsets per case.
 const TRIPS: u64 = 5;
 
 fn row(name: &str) -> Benchmark {
@@ -43,10 +47,10 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the row's check with its token tripped `offset` into it; returns
-/// the verdict and the exit latency, or `None` when the check finished
-/// before the trip.
-fn tripped_check(bench: &Benchmark, offset: Duration) -> Option<(Verdict, Duration)> {
+/// Runs `work` inside a stop-hook scope polling a token tripped `offset`
+/// into it; returns whether its answer was definitive and the exit
+/// latency, or `None` when it finished before the trip.
+fn tripped(work: &dyn Fn() -> bool, offset: Duration) -> Option<(bool, Duration)> {
     let cancel = Cancel::new();
     let started = Instant::now();
     let tripper = {
@@ -58,57 +62,77 @@ fn tripped_check(bench: &Benchmark, offset: Duration) -> Option<(Verdict, Durati
             tripped
         })
     };
-    let outcome = scoped_check(bench, &Mode::default(), &cancel);
+    let token = cancel.clone();
+    let definitive = logic::interruptible(move || token.is_cancelled(), work);
     let returned = Instant::now();
     let tripped = tripper.join().expect("tripper thread");
-    (tripped <= returned).then(|| (outcome.verdict, returned - tripped))
+    (tripped <= returned).then(|| (definitive, returned - tripped))
 }
 
-fn assert_prompt_exits(name: &str, seed: u64) {
-    let bench = row(name);
-    let check = || {
+/// Trips `work` at seeded offsets and asserts that each tripped run is
+/// non-definitive and exits within a quarter of the untripped run time.
+/// `work` returns whether its answer is definitive.
+fn assert_prompt_exits(name: &str, seed: u64, work: &dyn Fn() -> bool) {
+    let run = || {
         let started = Instant::now();
-        check_unrealizable(&bench.problem, &bench.witness_examples, &Mode::default());
+        assert!(work(), "{name}: an untripped run is definitive");
         started.elapsed()
     };
     // The fastest of three untripped runs: a tighter bound, and trips
     // that land before even a fast run ends.
-    let untripped = check().min(check()).min(check());
+    let untripped = run().min(run()).min(run());
     let bound = untripped / 4;
     let mut state = seed;
     for k in 0..TRIPS {
-        // Offset k falls in the k-th fifth of [5%, 75%] of the check.
+        // Offset k falls in the k-th fifth of [5%, 75%] of the run.
         let unit = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
         let fraction = 0.05 + 0.7 * (k as f64 + unit) / TRIPS as f64;
         let mut offset = untripped.mul_f64(fraction);
         // The host's speed drifts: a run faster than the untripped ones
         // may finish before a late trip. Such a run was never tripped, so
         // trip it again, earlier.
-        let (verdict, latency) = loop {
-            match tripped_check(&bench, offset) {
+        let (definitive, latency) = loop {
+            match tripped(work, offset) {
                 Some(tripped) => break tripped,
                 None if offset > untripped / 20 => offset /= 2,
                 None => panic!("{name}: every run finished before its trip"),
             }
         };
-        assert_eq!(
-            verdict,
-            Verdict::Unknown,
-            "{name}: a check tripped at {offset:?} must not be definitive"
+        assert!(
+            !definitive,
+            "{name}: a run tripped at {offset:?} must not be definitive"
         );
         assert!(
             latency <= bound,
             "{name}: exit took {latency:?} after a trip at {offset:?}; bound {bound:?} \
-             (untripped check {untripped:?})"
+             (untripped run {untripped:?})"
         );
     }
 }
 
-/// One test, so the two rows never time each other's checks.
+/// `⟨(i, 2i, 3i, 4i), {(1, 1, 1, 1)}⟩` for `i < n`, shifted by `shift`: each
+/// linear set is a ray along the diagonal, so a pair's two rays compare
+/// alike on every component far out, and most vectors `b` are infeasible
+/// for every pair — each an ILP query proving it.
+fn rays(n: i64, shift: i64) -> SemiLinearSet {
+    SemiLinearSet::from_linear_sets((0..n).map(|i| {
+        let base: IntVec = (1..=4).map(|k| k * i + shift).collect();
+        LinearSet::new(base, vec![IntVec::splat(1, 4)])
+    }))
+}
+
+/// One test, so the cases never time each other's runs.
 #[test]
 fn tripped_checks_exit_within_a_quarter_of_their_run_time() {
-    assert_prompt_exits("array_sum_3_5", 0x5EED_0001);
-    assert_prompt_exits("if_search_2", 0x5EED_0002);
+    let (left, right) = (rays(8, 0), rays(8, 3));
+    assert_prompt_exits("rays < rays", 0x5EED_0001, &|| {
+        clia::abstract_less_than(&left, &right, 4).is_some()
+    });
+    let bench = row("if_search_2");
+    assert_prompt_exits(&bench.name, 0x5EED_0002, &|| {
+        let check = check_unrealizable(&bench.problem, &bench.witness_examples, &Mode::default());
+        check.verdict != Verdict::Unknown
+    });
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //!   **unrealizable** (and so is `sy`, Lemma 3.5);
 //! * satisfiable ⇒ `sy_E` is **realizable** (the abstraction is exact, so
 //!   this direction holds too — Thm. 4.5(2));
-//! * unknown ⇒ the check is inconclusive (solver budget exceeded).
+//! * unknown ⇒ the check is inconclusive: the solver budget was exceeded,
+//!   or the CLIA abstraction is not exact because SolveMutual stopped at its
+//!   round cap or a `⟦<⟧♯`/`⟦=⟧♯` query came back unknown.
 //!
 //! The `Horn` mode replaces the exact solve with the approximate
 //! abstract-interpretation Horn solver of the `chc` crate, which can only
@@ -82,7 +84,9 @@ pub struct CheckOutcome {
 /// every SolveMutual round, SolveBool round, `⟦<⟧♯`/`⟦=⟧♯` ILP query,
 /// Newton iteration, matrix-star cell and stratum, in nayHorn's Kleene
 /// loop, and in every simplex pivot, ILP node and DNF cube. Once it fires
-/// the check returns [`Verdict::Unknown`].
+/// the check returns [`Verdict::Unknown`]. So does a CLIA analysis that is
+/// not exact: SolveMutual stopped at its round cap, or a `⟦<⟧♯`/`⟦=⟧♯`
+/// query came back unknown.
 pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode) -> CheckOutcome {
     let started = Instant::now();
     let outcome = |verdict, abstraction_size, solver_iterations| CheckOutcome {
@@ -149,8 +153,14 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
             Err(_) => return outcome(Verdict::Unknown, 0, 0),
         }
     } else {
-        match clia::analyze(&rewritten, examples, stratified, prune) {
-            Ok(analysis) => {
+        match clia::solve_mutual(&rewritten, examples, stratified, prune) {
+            // An unfinished SolveMutual, or a comparison query that came back
+            // unknown, leaves an abstraction that is not exact.
+            Ok((analysis, false)) => {
+                let size = analysis.start_size(&rewritten);
+                return outcome(Verdict::Unknown, size, analysis.outer_iterations);
+            }
+            Ok((analysis, true)) => {
                 let size = analysis.start_size(&rewritten);
                 let iterations = analysis.outer_iterations;
                 let gamma = match rewritten.sort_of(rewritten.start()) {
@@ -342,6 +352,43 @@ mod tests {
         let problem = section2_lia();
         let outcome = check_unrealizable(&problem, &ExampleSet::new(), &Mode::default());
         assert_eq!(outcome.verdict, Verdict::Realizable);
+    }
+
+    #[test]
+    fn an_undecided_comparison_is_never_definitive() {
+        // StartB ::= Equal(S, N), S ::= Plus(X, S) | Num(0), N ::= Num(100).
+        // S derives λ·x, so on x = 1..14 the vector (t,f,…,f) is in `⟦=⟧♯`
+        // (λ = 100), but its query is 2^13 DNF cubes, over the solver's
+        // budget. The query comes back unknown, and the check must say so
+        // rather than read it as "no such vector".
+        let grammar = GrammarBuilder::new("StartB")
+            .nonterminal("StartB", Sort::Bool)
+            .nonterminal("S", Sort::Int)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("N", Sort::Int)
+            .production("StartB", Symbol::Equal, &["S", "N"])
+            .production("S", Symbol::Plus, &["X", "S"])
+            .production("S", Symbol::Num(0), &[])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("N", Symbol::Num(100), &[])
+            .build()
+            .unwrap();
+        // f(x) = 0: realizable, e.g. by 0 = 100.
+        let spec = Spec::new(
+            Formula::eq(LinearExpr::var(Spec::output_var()), LinearExpr::constant(0)),
+            vec!["x".to_string()],
+            Sort::Bool,
+        );
+        let problem = Problem::new("undecided", grammar, spec);
+        let examples = ExampleSet::for_single_var("x", 1..=14);
+        let outcome = check_unrealizable(&problem, &examples, &Mode::default());
+        assert_eq!(outcome.verdict, Verdict::Unknown);
+        // With fewer examples every query fits the budget.
+        let few = ExampleSet::for_single_var("x", 1..=3);
+        assert_eq!(
+            check_unrealizable(&problem, &few, &Mode::default()).verdict,
+            Verdict::Realizable
+        );
     }
 
     #[test]

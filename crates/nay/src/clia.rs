@@ -7,8 +7,11 @@
 //!
 //! 1. **SolveBool** (§6.3): with the integer abstractions fixed, the Boolean
 //!    equations are solved by finite fixed-point iteration over sets of
-//!    Boolean vectors; `⟦LessThan⟧♯` is computed with `2^|E|` satisfiability
-//!    queries on the symbolic concretizations (§6.2).
+//!    Boolean vectors. `⟦LessThan⟧♯`/`⟦Equal⟧♯` read only the fixed integer
+//!    values, so each is computed once per call, one pair of linear sets at
+//!    a time: a pair of points is compared directly, and only a pair with
+//!    generators issues satisfiability queries on its symbolic
+//!    concretization (§6.2), one per Boolean vector not yet found.
 //! 2. **SolveInt**: with the Boolean abstractions fixed, the integer
 //!    equations — which may contain `IfThenElse` — are rewritten by *RemIf*
 //!    (§6.4, Fig. 1) into pure `⊕`/`⊗` equations over variables `X^b`
@@ -17,12 +20,15 @@
 //!    `X^{(t,…,t)}`.
 //!
 //! The combined abstraction is exact (Lemma 6.2), which is what makes the
-//! final satisfiability check a decision procedure (Thm. 6.9).
+//! final satisfiability check a decision procedure (Thm. 6.9). It is exact
+//! only once SolveMutual reaches its fixpoint and every comparison query is
+//! answered; [`check_unrealizable`](crate::check_unrealizable) answers
+//! *unknown* otherwise.
 
 use gfa::{EquationSystem, Monomial, SemiLinearSemiring, Semiring};
-use logic::{stop_requested, Formula, Solver, Var};
-use semilinear::{concretize_semilinear_prefixed, BoolVec, BoolVecSet, IntVec, SemiLinearSet};
-use std::collections::BTreeMap;
+use logic::{stop_requested, Atom, Formula, LinearExpr, Rel, Solver, SolverResult, Var};
+use semilinear::{concretize_linear, BoolVec, BoolVecSet, IntVec, SemiLinearSet};
+use std::collections::{BTreeMap, BTreeSet};
 use sygus::{ExampleSet, Grammar, NonTerminal, Sort, SygusError, Symbol};
 
 /// The result of the CLIA analysis.
@@ -60,69 +66,135 @@ impl CliaAnalysis {
 
 /// `⟦LessThan⟧♯(sl₁, sl₂)` (§6.2): the set of Boolean vectors `b` such that
 /// some pair of members `v₁ ∈ sl₁, v₂ ∈ sl₂` satisfies `b = v₁ < v₂`
-/// component-wise. Computed with `2^|E|` QF-LIA queries.
-pub fn abstract_less_than(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> BoolVecSet {
-    abstract_comparison(sl1, sl2, dim, Formula::lt, Formula::ge)
+/// component-wise. Only pairs of linear sets with generators need ILP
+/// queries; `None` if one came back unknown (a solver budget) or the
+/// [`logic`] stop hook, polled before each, fired.
+pub fn abstract_less_than(
+    sl1: &SemiLinearSet,
+    sl2: &SemiLinearSet,
+    dim: usize,
+) -> Option<BoolVecSet> {
+    abstract_comparison(sl1, sl2, dim, Rel::Lt)
 }
 
 /// `⟦Equal⟧♯(sl₁, sl₂)`: analogous to [`abstract_less_than`] for equality.
-pub fn abstract_equal(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> BoolVecSet {
-    abstract_comparison(sl1, sl2, dim, Formula::eq, Formula::ne)
+pub fn abstract_equal(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> Option<BoolVecSet> {
+    abstract_comparison(sl1, sl2, dim, Rel::Eq)
 }
 
-/// A comparison between two linear expressions, e.g. [`Formula::lt`].
-type Rel = fn(logic::LinearExpr, logic::LinearExpr) -> Formula;
-
-/// The shared body of `⟦<⟧♯`/`⟦=⟧♯`: `holds` is the comparison, `fails`
-/// its negation. Polls the [`logic`] stop hook before every ILP query; a
-/// stopped comparison returns a partial set.
+/// The shared body of `⟦<⟧♯`/`⟦=⟧♯` for the comparison `rel`, one pair of
+/// linear sets `(ls₁ ∈ sl₁, ls₂ ∈ sl₂)` at a time. The result is the union
+/// over pairs, which is the set `γ̂(sl₁) ∧ γ̂(sl₂)` denotes as a whole.
+///
+/// * A pair of two points `⟨u₁, ∅⟩, ⟨u₂, ∅⟩` contributes exactly the vector
+///   `bⱼ = rel(u₁[j], u₂[j])`, with no solver.
+/// * Any other pair conjoins its two one-cube concretizations `γ̂(ls₁)`,
+///   `γ̂(ls₂)` and asks, for each `b` not yet found, whether some member
+///   pair compares as `b`.
+///
+/// Returns `None` if a query came back unknown (a solver budget) or the
+/// [`logic`] stop hook, polled before every query, fired.
 fn abstract_comparison(
     sl1: &SemiLinearSet,
     sl2: &SemiLinearSet,
     dim: usize,
-    holds: Rel,
-    fails: Rel,
-) -> BoolVecSet {
-    if sl1.is_zero() || sl2.is_zero() {
-        return BoolVecSet::empty();
+    rel: Rel,
+) -> Option<BoolVecSet> {
+    let mut found: BTreeSet<BoolVec> = BTreeSet::new();
+    let mut symbolic = Vec::new();
+    for ls1 in sl1.linear_sets() {
+        for ls2 in sl2.linear_sets() {
+            if ls1.is_singleton() && ls2.is_singleton() {
+                let (u1, u2) = (ls1.base(), ls2.base());
+                found.insert(BoolVec::from(
+                    (0..dim).map(|j| rel.eval(u1[j], u2[j])).collect::<Vec<_>>(),
+                ));
+            } else {
+                symbolic.push((ls1, ls2));
+            }
+        }
     }
-    let left_vars: Vec<Var> = (0..dim).map(|j| Var::new(format!("cmp_l_{j}"))).collect();
-    let right_vars: Vec<Var> = (0..dim).map(|j| Var::new(format!("cmp_r_{j}"))).collect();
-    let gamma = Formula::and(vec![
-        concretize_semilinear_prefixed(sl1, &left_vars, "cmp_lam_l"),
-        concretize_semilinear_prefixed(sl2, &right_vars, "cmp_lam_r"),
-    ]);
+    let left: Vec<Var> = (0..dim).map(|j| Var::new(format!("cmp_l_{j}"))).collect();
+    let right: Vec<Var> = (0..dim).map(|j| Var::new(format!("cmp_r_{j}"))).collect();
     let solver = Solver::default();
-    let mut out = BoolVecSet::empty();
-    for b in BoolVec::all(dim) {
-        if stop_requested() {
-            break;
-        }
-        let mut conjuncts = vec![gamma.clone()];
-        for j in 0..dim {
-            let l = logic::LinearExpr::var(left_vars[j].clone());
-            let r = logic::LinearExpr::var(right_vars[j].clone());
-            conjuncts.push(if b[j] { holds(l, r) } else { fails(l, r) });
-        }
-        if solver.check(&Formula::and(conjuncts)).is_sat() {
-            out = out.union(&BoolVecSet::singleton(b));
+    for (ls1, ls2) in symbolic {
+        let gamma = Formula::and(vec![
+            concretize_linear(ls1, &left, "cmp_lam_l"),
+            concretize_linear(ls2, &right, "cmp_lam_r"),
+        ]);
+        for b in BoolVec::all(dim) {
+            if found.contains(&b) {
+                continue;
+            }
+            if stop_requested() {
+                return None;
+            }
+            let compared = (0..dim).map(|j| {
+                let holds = if b[j] { rel } else { rel.negate() };
+                Formula::Atom(Atom::new(
+                    LinearExpr::var(left[j].clone()),
+                    holds,
+                    LinearExpr::var(right[j].clone()),
+                ))
+            });
+            match solver.check(&Formula::and(
+                std::iter::once(gamma.clone()).chain(compared),
+            )) {
+                SolverResult::Sat(_) => {
+                    found.insert(b);
+                }
+                SolverResult::Unsat => {}
+                SolverResult::Unknown => return None,
+            }
         }
     }
-    out
+    Some(found.into_iter().collect())
 }
 
 /// Step 1 of SolveMutual: the least fixed point of the Boolean equations with
 /// the integer abstractions held fixed (algorithm *SolveBool*, §6.3).
-/// Returns the Boolean values and the number of iterations used. The
-/// [`logic`] stop hook is polled before every Kleene round and every ILP
-/// query of `⟦<⟧♯`/`⟦=⟧♯`; once it fires the values are partial.
+/// Returns the Boolean values and the number of iterations used. Each
+/// `LessThan`/`Equal` production is computed once, before the Kleene
+/// rounds, which then only apply `And`/`Or`/`Not`. The [`logic`] stop
+/// hook is polled before every Kleene round and every ILP query of
+/// `⟦<⟧♯`/`⟦=⟧♯`; once it fires the values are partial.
 pub fn solve_bool(
     grammar: &Grammar,
     examples: &ExampleSet,
     int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
 ) -> (BTreeMap<NonTerminal, BoolVecSet>, usize) {
+    let (values, iterations, _) = solve_bool_exact(grammar, examples, int_values);
+    (values, iterations)
+}
+
+/// [`solve_bool`], plus whether every `⟦<⟧♯`/`⟦=⟧♯` was known exactly.
+fn solve_bool_exact(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
+) -> (BTreeMap<NonTerminal, BoolVecSet>, usize, bool) {
     let dim = examples.len();
     let bool_nts = grammar.bool_nonterminals();
+    // The comparisons read only the integer values, which are fixed here:
+    // each production's contribution is computed once and seeds every round.
+    let mut exact = true;
+    let mut seeds: BTreeMap<&NonTerminal, BoolVecSet> = BTreeMap::new();
+    for nt in &bool_nts {
+        let mut seed = BoolVecSet::empty();
+        for p in grammar.productions_of(nt) {
+            let rel = match &p.symbol {
+                Symbol::LessThan => Rel::Lt,
+                Symbol::Equal => Rel::Eq,
+                _ => continue,
+            };
+            let (left, right) = (&int_values[&p.args[0]], &int_values[&p.args[1]]);
+            match abstract_comparison(left, right, dim, rel) {
+                Some(contribution) => seed = seed.union(&contribution),
+                None => exact = false,
+            }
+        }
+        seeds.insert(nt, seed);
+    }
     let mut values: BTreeMap<NonTerminal, BoolVecSet> = bool_nts
         .iter()
         .map(|nt| (nt.clone(), BoolVecSet::empty()))
@@ -137,15 +209,10 @@ pub fn solve_bool(
         let mut changed = false;
         let mut next = values.clone();
         for nt in &bool_nts {
-            let mut acc = BoolVecSet::empty();
+            let mut acc = seeds[nt].clone();
             for p in grammar.productions_of(nt) {
-                let compare = |holds: Rel, fails: Rel| {
-                    let (left, right) = (&int_values[&p.args[0]], &int_values[&p.args[1]]);
-                    abstract_comparison(left, right, dim, holds, fails)
-                };
                 let contribution = match &p.symbol {
-                    Symbol::LessThan => compare(Formula::lt, Formula::ge),
-                    Symbol::Equal => compare(Formula::eq, Formula::ne),
+                    Symbol::LessThan | Symbol::Equal => continue,
                     Symbol::And => values[&p.args[0]].and(&values[&p.args[1]]),
                     Symbol::Or => values[&p.args[0]].or(&values[&p.args[1]]),
                     Symbol::Not => values[&p.args[0]].not(),
@@ -163,7 +230,7 @@ pub fn solve_bool(
             break;
         }
     }
-    (values, iterations)
+    (values, iterations, exact)
 }
 
 /// Step 2 of SolveMutual: solve the integer equations with the Boolean
@@ -307,6 +374,18 @@ pub fn analyze(
     stratified: bool,
     prune: bool,
 ) -> Result<CliaAnalysis, SygusError> {
+    solve_mutual(grammar, examples, stratified, prune).map(|(analysis, _)| analysis)
+}
+
+/// [`analyze`], plus whether its values are the exact abstraction: `false`
+/// when SolveMutual stopped at its round cap, which by Lemma 6.6 means it
+/// did not reach its fixpoint, or a `⟦<⟧♯`/`⟦=⟧♯` was not known exactly.
+pub(crate) fn solve_mutual(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    stratified: bool,
+    prune: bool,
+) -> Result<(CliaAnalysis, bool), SygusError> {
     let dim = examples.len();
     let mut int_values: BTreeMap<NonTerminal, SemiLinearSet> = grammar
         .int_nonterminals()
@@ -316,30 +395,34 @@ pub fn analyze(
     let mut prev_bools: Option<BTreeMap<NonTerminal, BoolVecSet>> = None;
     let mut outer_iterations = 0;
     let mut bool_iterations = 0;
+    let mut exact = true;
     let max_outer = grammar.num_nonterminals() * (1usize << dim) + 2;
 
     loop {
-        let (bools, iters) = solve_bool(grammar, examples, &int_values);
+        let (bools, iters, bools_exact) = solve_bool_exact(grammar, examples, &int_values);
         bool_iterations += iters;
+        exact &= bools_exact;
         if stop_requested() || prev_bools.as_ref() == Some(&bools) {
-            return Ok(CliaAnalysis {
+            let analysis = CliaAnalysis {
                 int_values,
                 bool_values: bools,
                 outer_iterations,
                 bool_iterations,
-            });
+            };
+            return Ok((analysis, exact));
         }
         int_values = solve_int(grammar, examples, &bools, stratified, prune)?;
         prev_bools = Some(bools);
         outer_iterations += 1;
         // Termination is guaranteed by Lemma 6.6; the cap is a safety net.
         if stop_requested() || outer_iterations >= max_outer {
-            return Ok(CliaAnalysis {
+            let analysis = CliaAnalysis {
                 int_values,
                 bool_values: prev_bools.unwrap_or_default(),
                 outer_iterations,
                 bool_iterations,
-            });
+            };
+            return Ok((analysis, false));
         }
     }
 }
@@ -347,7 +430,9 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semilinear::LinearSet;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use semilinear::{concretize_semilinear_prefixed, LinearSet};
     use sygus::GrammarBuilder;
 
     fn v(components: &[i64]) -> IntVec {
@@ -390,7 +475,7 @@ mod tests {
         // sl1 = {⟨(1,2),{(3,4)}⟩}, sl2 = {⟨(5,6),{(7,8)}⟩}
         let sl1 = SemiLinearSet::from_linear_sets([LinearSet::new(v(&[1, 2]), vec![v(&[3, 4])])]);
         let sl2 = SemiLinearSet::from_linear_sets([LinearSet::new(v(&[5, 6]), vec![v(&[7, 8])])]);
-        let result = abstract_less_than(&sl1, &sl2, 2);
+        let result = abstract_less_than(&sl1, &sl2, 2).unwrap();
         let expected = BoolVecSet::from_vecs([
             BoolVec::from(vec![true, true]),
             BoolVec::from(vec![true, false]),
@@ -400,11 +485,132 @@ mod tests {
         // equality on overlapping singletons
         let a = SemiLinearSet::singleton(v(&[1, 2]));
         let b = SemiLinearSet::from_linear_sets([LinearSet::new(v(&[1, 0]), vec![v(&[0, 1])])]);
-        let eq = abstract_equal(&a, &b, 2);
+        let eq = abstract_equal(&a, &b, 2).unwrap();
         assert!(eq.contains(&BoolVec::from(vec![true, true])));
         assert!(eq.contains(&BoolVec::from(vec![true, false])));
         assert!(!eq.contains(&BoolVec::from(vec![false, true])));
         assert!(!eq.contains(&BoolVec::from(vec![false, false])));
+    }
+
+    /// Relations `⟦<⟧♯`/`⟦=⟧♯` are built from.
+    const RELS: [Rel; 2] = [Rel::Lt, Rel::Eq];
+
+    fn random_vec(rng: &mut StdRng, dim: usize, bound: i64) -> IntVec {
+        (0..dim).map(|_| rng.gen_range(-bound..=bound)).collect()
+    }
+
+    /// `n` distinct points with components in `[-4, 4]`.
+    fn random_points(rng: &mut StdRng, n: usize, dim: usize) -> SemiLinearSet {
+        let mut points = BTreeSet::new();
+        while points.len() < n {
+            points.insert(random_vec(rng, dim, 4));
+        }
+        SemiLinearSet::from_linear_sets(points.into_iter().map(LinearSet::singleton))
+    }
+
+    /// One to three linear sets with up to two generators each.
+    fn random_linear_sets(rng: &mut StdRng, dim: usize) -> SemiLinearSet {
+        let parts: Vec<LinearSet> = (0..rng.gen_range(1..=3usize))
+            .map(|_| {
+                let generators = (0..rng.gen_range(0..=2usize))
+                    .map(|_| random_vec(rng, dim, 3))
+                    .collect();
+                LinearSet::new(random_vec(rng, dim, 4), generators)
+            })
+            .collect();
+        SemiLinearSet::from_linear_sets(parts)
+    }
+
+    /// Every `rel(v₁, v₂)` over the member pairs of two point-only sets.
+    fn brute_force(sl1: &SemiLinearSet, sl2: &SemiLinearSet, rel: Rel) -> BoolVecSet {
+        let mut out = BTreeSet::new();
+        for a in sl1.linear_sets() {
+            for b in sl2.linear_sets() {
+                let pairs = a.base().iter().zip(b.base().iter());
+                out.insert(BoolVec::from(
+                    pairs
+                        .map(|(x, y)| if rel == Rel::Lt { x < y } else { x == y })
+                        .collect::<Vec<_>>(),
+                ));
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    /// The formulation the per-pair kernel replaced: one query per `b` over
+    /// the whole `γ̂(sl₁) ∧ γ̂(sl₂)`, kept here as the reference.
+    fn single_query(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize, rel: Rel) -> BoolVecSet {
+        let left: Vec<Var> = (0..dim).map(|j| Var::new(format!("l_{j}"))).collect();
+        let right: Vec<Var> = (0..dim).map(|j| Var::new(format!("r_{j}"))).collect();
+        let gamma = Formula::and(vec![
+            concretize_semilinear_prefixed(sl1, &left, "lam_l"),
+            concretize_semilinear_prefixed(sl2, &right, "lam_r"),
+        ]);
+        let solver = Solver::default();
+        let holds = |b: &BoolVec| {
+            let compared = (0..dim).map(|j| {
+                let r = if b[j] { rel } else { rel.negate() };
+                Formula::Atom(Atom::new(
+                    LinearExpr::var(left[j].clone()),
+                    r,
+                    LinearExpr::var(right[j].clone()),
+                ))
+            });
+            match solver.check(&Formula::and(
+                std::iter::once(gamma.clone()).chain(compared),
+            )) {
+                SolverResult::Sat(_) => true,
+                SolverResult::Unsat => false,
+                SolverResult::Unknown => panic!("reference query on {sl1} and {sl2} is unknown"),
+            }
+        };
+        BoolVec::all(dim).into_iter().filter(holds).collect()
+    }
+
+    #[test]
+    fn comparisons_of_points_match_brute_force() {
+        let mut rng = StdRng::seed_from_u64(0x00C0_FFEE);
+        for case in 0..24 {
+            // The first cases hold 65 or more points a side: more than the
+            // solver's 4096-cube budget as one formula.
+            let (dim, n1, n2) = if case < 4 {
+                (
+                    rng.gen_range(3..=4),
+                    rng.gen_range(65..=80),
+                    rng.gen_range(65..=80),
+                )
+            } else {
+                let dim = rng.gen_range(1..=4usize);
+                let cap = 9usize.pow(dim as u32).min(20);
+                (dim, rng.gen_range(1..=cap), rng.gen_range(1..=cap))
+            };
+            let sl1 = random_points(&mut rng, n1, dim);
+            let sl2 = random_points(&mut rng, n2, dim);
+            for rel in RELS {
+                assert_eq!(
+                    abstract_comparison(&sl1, &sl2, dim, rel),
+                    Some(brute_force(&sl1, &sl2, rel)),
+                    "case {case}: {rel} on {n1} x {n2} points of dimension {dim}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn comparisons_with_generators_match_the_single_query_formulation() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
+        for case in 0..40 {
+            let dim = rng.gen_range(1..=3usize);
+            let sl1 = random_linear_sets(&mut rng, dim);
+            let sl2 = random_linear_sets(&mut rng, dim);
+            for rel in RELS {
+                assert_eq!(
+                    abstract_comparison(&sl1, &sl2, dim, rel),
+                    Some(single_query(&sl1, &sl2, dim, rel)),
+                    "case {case}: {rel} on {sl1} and {sl2}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -946,8 +946,8 @@ mod tests {
 
     #[test]
     fn v1_reports_still_parse() {
-        // The committed BENCH_quick.json baseline is schema v1; bumping to
-        // v2 must not orphan it. A v1 report is exactly a v2 report with no
+        // Reports written before the bump are schema v1; bumping to v2
+        // must not orphan them. A v1 report is exactly a v2 report with no
         // `throughput` key.
         let mut text = sample().to_json();
         text = text.replace("\"schema_version\": 2", "\"schema_version\": 1");

@@ -62,9 +62,8 @@ pub fn concretize_semilinear(sl: &SemiLinearSet, outputs: &[Var]) -> Formula {
 
 /// Like [`concretize_semilinear`], but with an explicit prefix for the fresh
 /// coefficient variables. Use distinct prefixes when conjoining the
-/// concretizations of several semi-linear sets in one formula (e.g. the
-/// `⟦LessThan⟧♯` queries of §6.2), otherwise the existential coefficients
-/// would be unintentionally shared.
+/// concretizations of several semi-linear sets in one formula, otherwise
+/// the existential coefficients would be unintentionally shared.
 pub fn concretize_semilinear_prefixed(
     sl: &SemiLinearSet,
     outputs: &[Var],
