@@ -17,6 +17,7 @@ use nope::{NopeSolver, NopeVerdict};
 use runner::Cancel;
 use semilinear::{IntVec, LinearSet, SemiLinearSet};
 use std::time::{Duration, Instant};
+use sygus::rng::splitmix64;
 
 /// Trip offsets per case.
 const TRIPS: u64 = 5;
@@ -36,15 +37,6 @@ fn scoped_check(bench: &Benchmark, mode: &Mode, cancel: &Cancel) -> CheckOutcome
         move || token.is_cancelled(),
         || check_unrealizable(&bench.problem, &bench.witness_examples, mode),
     )
-}
-
-/// splitmix64: the seeded offsets.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Runs `work` inside a stop-hook scope polling a token tripped `offset`
@@ -85,7 +77,7 @@ fn assert_prompt_exits(name: &str, seed: u64, work: &dyn Fn() -> bool) {
     let mut state = seed;
     for k in 0..TRIPS {
         // Offset k falls in the k-th fifth of [5%, 75%] of the run.
-        let unit = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
         let fraction = 0.05 + 0.7 * (k as f64 + unit) / TRIPS as f64;
         let mut offset = untripped.mul_f64(fraction);
         // The host's speed drifts: a run faster than the untripped ones

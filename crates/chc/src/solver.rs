@@ -93,8 +93,8 @@ impl HornSolver {
 
     /// Computes the abstract fixed point: one [`AbsValue`] per nonterminal,
     /// over-approximating the set of output vectors producible on `examples`
-    /// (unless the stop hook cut the iteration short, see the
-    /// [module docs](self)).
+    /// (unless the stop hook of a [`logic::interruptible`] scope cut the
+    /// iteration short).
     pub fn analyze(
         &self,
         grammar: &Grammar,

@@ -5,8 +5,9 @@
 //! validated against hand-ported paper benchmarks; this crate supplies the
 //! *workload-production* layer that scales validation to corpus size:
 //!
-//! * [`rng`] — a `std`-only SplitMix64 + xorshift128+ random source; no
-//!   `rand` dependency on the hot path, byte-stable across platforms,
+//! * [`rng`] — the `std`-only SplitMix64 + xorshift128+ random source,
+//!   byte-stable across platforms (re-exported from [`sygus::rng`], which
+//!   the engines' example draws share),
 //! * [`families`] — the catalogue of parameterized problem families
 //!   ([`Family`]) and their scaling knobs ([`Scale`]): grammar depth,
 //!   constant magnitude, example count, guard/ite nesting, and a
@@ -33,7 +34,6 @@
 pub mod builder;
 pub mod families;
 pub mod oracle;
-pub mod rng;
 pub mod stream;
 
 pub use builder::{build, Built};
@@ -41,3 +41,4 @@ pub use families::{Expectation, Family, FamilySpec, Scale, SignSkew, FAMILY_SPEC
 pub use oracle::{check_instance, roundtrip_violation, Claim, EngineClaim, Violation};
 pub use rng::{instance_seed, GenRng};
 pub use stream::{write_corpus, GenConfig, GeneratedInstance, ProblemStream, ShardStream};
+pub use sygus::rng;

@@ -43,8 +43,8 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `body` with `stop` as this thread's stop hook (see the
-/// [module docs](self)).
+/// Runs `body` with `stop` as this thread's stop hook, which
+/// [`stop_requested`] polls.
 ///
 /// # Example
 /// ```

@@ -23,11 +23,10 @@ use crate::modes::Mode;
 use crate::verifier::{verify, Verification};
 use enumerative::{Enumerator, IdEnumerationResult};
 use logic::stop_requested;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use runner::Cancel;
 use std::time::{Duration, Instant};
-use sygus::{Example, ExampleSet, Problem, Term, TermArena};
+use sygus::rng::{random_example, EXAMPLE_SEED};
+use sygus::{ExampleSet, Problem, Term, TermArena};
 
 /// The final outcome of the CEGIS loop.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,8 +82,6 @@ pub struct Nay {
     enumerator: Enumerator,
     max_cegis_iterations: usize,
     max_random_examples: usize,
-    random_range: (i64, i64),
-    seed: u64,
 }
 
 impl Default for Nay {
@@ -94,8 +91,6 @@ impl Default for Nay {
             enumerator: Enumerator::new().with_max_size(12),
             max_cegis_iterations: 12,
             max_random_examples: 4,
-            random_range: (-50, 50),
-            seed: 0xC0FFEE,
         }
     }
 }
@@ -122,28 +117,6 @@ impl Nay {
     pub fn with_max_iterations(mut self, n: usize) -> Self {
         self.max_cegis_iterations = n;
         self
-    }
-
-    /// Sets the random seed used to draw example inputs.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the range from which random example inputs are drawn
-    /// (the paper uses `[-50, 50]`).
-    pub fn with_random_range(mut self, lo: i64, hi: i64) -> Self {
-        self.random_range = (lo, hi);
-        self
-    }
-
-    fn random_example(&self, problem: &Problem, rng: &mut StdRng) -> Example {
-        Example::from_pairs(problem.spec().input_vars().iter().map(|x| {
-            (
-                x.clone(),
-                rng.gen_range(self.random_range.0..=self.random_range.1),
-            )
-        }))
     }
 
     /// Runs the CEGIS loop of Alg. 2 on the problem.
@@ -193,11 +166,11 @@ impl Nay {
         stats: &mut CegisStats,
         arena: &mut TermArena,
     ) -> CegisOutcome {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = EXAMPLE_SEED;
 
         // line 1: initialise E with a random input example
         let mut examples = ExampleSet::new();
-        examples.push(self.random_example(problem, &mut rng));
+        examples.push(random_example(problem, &mut rng));
 
         for _ in 0..self.max_cegis_iterations {
             if stop_requested() {
@@ -248,7 +221,7 @@ impl Nay {
                                         } else {
                                             // degenerate case: restart with a
                                             // fresh random example
-                                            examples.push(self.random_example(problem, &mut rng));
+                                            examples.push(random_example(problem, &mut rng));
                                         }
                                         break; // next CEGIS iteration
                                     }
@@ -270,7 +243,7 @@ impl Nay {
                                 }
                                 drew_random += 1;
                                 stats.random_examples += 1;
-                                extended.push(self.random_example(problem, &mut rng));
+                                extended.push(random_example(problem, &mut rng));
                                 continue;
                             }
                         }
@@ -396,7 +369,6 @@ mod tests {
         let problem = Problem::new("gconst", grammar, spec);
         let nay = Nay::new()
             .with_max_iterations(3)
-            .with_random_range(-5, 5)
             .with_enumerator(Enumerator::new().with_max_size(9));
         let (outcome, _) = nay.run(&problem);
         assert_eq!(outcome, CegisOutcome::Unknown);
@@ -415,8 +387,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_a_fixed_seed() {
-        let a = Nay::new().with_seed(42).run(&section2_lia());
-        let b = Nay::new().with_seed(42).run(&section2_lia());
+        let a = Nay::new().run(&section2_lia());
+        let b = Nay::new().run(&section2_lia());
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.num_examples, b.1.num_examples);
     }

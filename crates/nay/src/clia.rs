@@ -430,9 +430,8 @@ pub(crate) fn solve_mutual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use semilinear::{concretize_semilinear_prefixed, LinearSet};
+    use sygus::rng::GenRng;
     use sygus::GrammarBuilder;
 
     fn v(components: &[i64]) -> IntVec {
@@ -495,12 +494,12 @@ mod tests {
     /// Relations `⟦<⟧♯`/`⟦=⟧♯` are built from.
     const RELS: [Rel; 2] = [Rel::Lt, Rel::Eq];
 
-    fn random_vec(rng: &mut StdRng, dim: usize, bound: i64) -> IntVec {
-        (0..dim).map(|_| rng.gen_range(-bound..=bound)).collect()
+    fn random_vec(rng: &mut GenRng, dim: usize, bound: i64) -> IntVec {
+        (0..dim).map(|_| rng.range_i64(-bound, bound)).collect()
     }
 
     /// `n` distinct points with components in `[-4, 4]`.
-    fn random_points(rng: &mut StdRng, n: usize, dim: usize) -> SemiLinearSet {
+    fn random_points(rng: &mut GenRng, n: usize, dim: usize) -> SemiLinearSet {
         let mut points = BTreeSet::new();
         while points.len() < n {
             points.insert(random_vec(rng, dim, 4));
@@ -509,10 +508,10 @@ mod tests {
     }
 
     /// One to three linear sets with up to two generators each.
-    fn random_linear_sets(rng: &mut StdRng, dim: usize) -> SemiLinearSet {
-        let parts: Vec<LinearSet> = (0..rng.gen_range(1..=3usize))
+    fn random_linear_sets(rng: &mut GenRng, dim: usize) -> SemiLinearSet {
+        let parts: Vec<LinearSet> = (0..rng.range_i64(1, 3))
             .map(|_| {
-                let generators = (0..rng.gen_range(0..=2usize))
+                let generators = (0..rng.range_i64(0, 2))
                     .map(|_| random_vec(rng, dim, 3))
                     .collect();
                 LinearSet::new(random_vec(rng, dim, 4), generators)
@@ -569,20 +568,24 @@ mod tests {
 
     #[test]
     fn comparisons_of_points_match_brute_force() {
-        let mut rng = StdRng::seed_from_u64(0x00C0_FFEE);
+        let mut rng = GenRng::from_seed(0x00C0_FFEE);
         for case in 0..24 {
             // The first cases hold 65 or more points a side: more than the
             // solver's 4096-cube budget as one formula.
             let (dim, n1, n2) = if case < 4 {
                 (
-                    rng.gen_range(3..=4),
-                    rng.gen_range(65..=80),
-                    rng.gen_range(65..=80),
+                    rng.range_i64(3, 4) as usize,
+                    rng.range_i64(65, 80) as usize,
+                    rng.range_i64(65, 80) as usize,
                 )
             } else {
-                let dim = rng.gen_range(1..=4usize);
-                let cap = 9usize.pow(dim as u32).min(20);
-                (dim, rng.gen_range(1..=cap), rng.gen_range(1..=cap))
+                let dim = rng.range_i64(1, 4) as usize;
+                let cap = 9i64.pow(dim as u32).min(20);
+                (
+                    dim,
+                    rng.range_i64(1, cap) as usize,
+                    rng.range_i64(1, cap) as usize,
+                )
             };
             let sl1 = random_points(&mut rng, n1, dim);
             let sl2 = random_points(&mut rng, n2, dim);
@@ -598,9 +601,9 @@ mod tests {
 
     #[test]
     fn comparisons_with_generators_match_the_single_query_formulation() {
-        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
+        let mut rng = GenRng::from_seed(0x5EED_CAFE);
         for case in 0..40 {
-            let dim = rng.gen_range(1..=3usize);
+            let dim = rng.range_i64(1, 3) as usize;
             let sl1 = random_linear_sets(&mut rng, dim);
             let sl2 = random_linear_sets(&mut rng, dim);
             for rel in RELS {

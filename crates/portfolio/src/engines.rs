@@ -10,10 +10,9 @@
 
 use nay::{CegisOutcome, Nay};
 use nope::{NopeSolver, NopeVerdict};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use runner::Cancel;
-use sygus::{Example, ExampleSet, Problem, Term};
+use sygus::rng::{random_example, EXAMPLE_SEED};
+use sygus::{ExampleSet, Problem, Term};
 
 /// The unified verdict vocabulary of the portfolio.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,20 +96,14 @@ pub fn solve_nay(problem: &Problem, cancel: &Cancel, nay: &Nay) -> EngineOutcome
 /// only ever [`SolveVerdict::Unrealizable`].
 #[derive(Clone, Debug)]
 pub struct NopeEngine {
-    solver: NopeSolver,
     max_rounds: usize,
-    random_range: (i64, i64),
-    seed: u64,
 }
 
 impl Default for NopeEngine {
     fn default() -> Self {
         NopeEngine {
-            solver: NopeSolver::new(),
-            // matches nay's defaults: a handful of rounds over [-50, 50]
+            // matches nay's default iteration budget
             max_rounds: 12,
-            random_range: (-50, 50),
-            seed: 0xC0FFEE,
         }
     }
 }
@@ -121,38 +114,18 @@ impl NopeEngine {
         NopeEngine::default()
     }
 
-    /// Replaces the underlying checker configuration.
-    pub fn with_solver(mut self, solver: NopeSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Sets the maximal number of example-growing rounds.
     pub fn with_max_rounds(mut self, rounds: usize) -> Self {
         self.max_rounds = rounds;
         self
     }
 
-    /// Sets the random seed used to draw example inputs.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    fn random_example(&self, problem: &Problem, rng: &mut StdRng) -> Example {
-        Example::from_pairs(problem.spec().input_vars().iter().map(|x| {
-            (
-                x.clone(),
-                rng.gen_range(self.random_range.0..=self.random_range.1),
-            )
-        }))
-    }
-
     /// Runs the example-growing loop under a cancellation token.
     pub fn solve(&self, problem: &Problem, cancel: &Cancel) -> EngineOutcome {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let solver = NopeSolver::new();
+        let mut rng = EXAMPLE_SEED;
         let mut examples = ExampleSet::new();
-        examples.push(self.random_example(problem, &mut rng));
+        examples.push(random_example(problem, &mut rng));
         let mut iterations = 0u64;
         let mut arena_terms = 0usize;
         let mut verdict = SolveVerdict::Unknown;
@@ -161,7 +134,7 @@ impl NopeEngine {
                 verdict = SolveVerdict::Cancelled;
                 break;
             }
-            let (round_verdict, stats) = self.solver.check_cancellable(problem, &examples, cancel);
+            let (round_verdict, stats) = solver.check_cancellable(problem, &examples, cancel);
             iterations += stats.abstract_iterations as u64;
             arena_terms = arena_terms.max(stats.arena_terms);
             match round_verdict {
@@ -176,12 +149,12 @@ impl NopeEngine {
                 NopeVerdict::RealizableOnExamples(_) => {
                     // constrain harder: draw a fresh example (retrying a few
                     // times if the draw collides with an existing one)
-                    let mut fresh = self.random_example(problem, &mut rng);
+                    let mut fresh = random_example(problem, &mut rng);
                     for _ in 0..8 {
                         if !examples.contains(&fresh) {
                             break;
                         }
-                        fresh = self.random_example(problem, &mut rng);
+                        fresh = random_example(problem, &mut rng);
                     }
                     if examples.contains(&fresh) {
                         // the input space is effectively exhausted; more

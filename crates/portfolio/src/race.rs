@@ -713,7 +713,6 @@ mod tests {
             .with_nay(
                 Nay::new()
                     .with_max_iterations(2)
-                    .with_random_range(-5, 5)
                     .with_enumerator(enumerative::Enumerator::new().with_max_size(7)),
             )
             .with_nope(NopeEngine::new().with_max_rounds(2));

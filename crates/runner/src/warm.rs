@@ -7,7 +7,7 @@
 //!   that the submitter can [`wait`](Ticket::wait) on;
 //! * panics are contained per job ([`JobStatus::Crashed`]);
 //! * deadlines are cancellation-only: a job is never abandoned, so the
-//!   caller enforces a deadline by tripping a [`Cancel`](crate::Cancel)
+//!   caller enforces a deadline by tripping a [`Cancel`]
 //!   token the job polls, typically from a shared
 //!   [`DeadlineTimer`](crate::DeadlineTimer), and then waits for the (now
 //!   fast-exiting) job as usual — a ticket has no wait-with-timeout, since

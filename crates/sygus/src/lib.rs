@@ -17,7 +17,9 @@
 //!   (§5.2),
 //! * [`parser`] — a SyGuS-IF-style s-expression front end and printer,
 //! * [`encode`] — encoding of a candidate term's semantics as a QF-LIA
-//!   formula, used for verification/counterexample generation.
+//!   formula, used for verification/counterexample generation,
+//! * [`rng`] — the deterministic random source: the engines' example
+//!   draws ([`rng::random_example`]) and the problem generator's streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +31,7 @@ mod grammar;
 pub mod parser;
 mod problem;
 pub mod rewrite;
+pub mod rng;
 mod semantics;
 mod spec;
 mod term;

@@ -1,19 +1,34 @@
-//! The generator's deterministic random source: SplitMix64 seeding feeding
-//! an xorshift128+ core.
+//! The workspace's one deterministic random source: SplitMix64, and an
+//! xorshift128+ core seeded by it.
 //!
-//! `std`-only on purpose — the generator sits on the hot path of corpus
-//! production (thousands of instances per CI run) and must be byte-stable
-//! across platforms and releases, so it depends on nothing but arithmetic.
-//! The design follows the classic dbgen recipe: a cheap splittable seeder
-//! (SplitMix64) derives independent per-instance seeds from a single base
-//! seed, and each instance draws from its own xorshift128+ stream, so
-//! instance `i`'s content never depends on how many draws instance `i − 1`
-//! consumed (or on deduplication history).
+//! `std`-only on purpose — it must be byte-stable across platforms and
+//! releases, so it depends on nothing but arithmetic. Two consumers:
+//!
+//! * the engines' example draws of Algorithm 2 (§7): [`random_example`]
+//!   reads a SplitMix64 state seeded with [`EXAMPLE_SEED`] and draws every
+//!   input from [`EXAMPLE_RANGE`], so `nay`'s CEGIS loop and the `nope`
+//!   example-growing loop see the same example stream,
+//! * the problem generator (crate `gen`), following the classic dbgen
+//!   recipe: a cheap splittable seeder (SplitMix64) derives independent
+//!   per-instance seeds from a single base seed ([`instance_seed`]), and
+//!   each instance draws from its own xorshift128+ stream ([`GenRng`]), so
+//!   instance `i`'s content never depends on how many draws instance
+//!   `i − 1` consumed (or on deduplication history).
+
+use crate::{Example, Problem};
+
+/// The seed of the engines' example stream.
+pub const EXAMPLE_SEED: u64 = 0xC0FFEE;
+
+/// The inclusive range example inputs are drawn from: the paper's
+/// `[-50, 50]` (§7).
+pub const EXAMPLE_RANGE: (i64, i64) = (-50, 50);
 
 /// One SplitMix64 step: advances the state and returns the next output.
 ///
-/// Used both as the seed-expansion function ([`GenRng::from_seed`]) and to
-/// derive independent per-instance seeds from `(base_seed, index)`.
+/// Used as the engines' example stream ([`random_example`]), as the
+/// seed-expansion function ([`GenRng::from_seed`]) and to derive
+/// independent per-instance seeds from `(base_seed, index)`.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -32,6 +47,21 @@ pub fn instance_seed(base_seed: u64, index: u64) -> u64 {
     // base seed (so seed 0, index 0 is not the all-zero stream).
     splitmix64(&mut state);
     splitmix64(&mut state)
+}
+
+/// Draws an example over `problem`'s input variables from the SplitMix64
+/// stream `state`, each input uniform over [`EXAMPLE_RANGE`].
+///
+/// An input takes two words `a` and `b` and is `lo + ((a << 64 | b) % span)`:
+/// the 128-bit reduction keeps the modulo bias negligible.
+pub fn random_example(problem: &Problem, state: &mut u64) -> Example {
+    let (lo, hi) = EXAMPLE_RANGE;
+    let span = (hi - lo) as u128 + 1;
+    Example::from_pairs(problem.spec().input_vars().iter().map(|x| {
+        let a = u128::from(splitmix64(state));
+        let b = u128::from(splitmix64(state));
+        (x.clone(), lo + (((a << 64) | b) % span) as i64)
+    }))
 }
 
 /// A deterministic xorshift128+ stream, seeded via SplitMix64.
@@ -98,6 +128,58 @@ impl GenRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GrammarBuilder, Sort, Spec, Symbol};
+    use logic::{LinearExpr, Var};
+
+    #[test]
+    fn example_and_generator_streams_are_pinned() {
+        // The engines' first 8 examples over inputs [x, y]: the stream of
+        // `rand`'s `StdRng::seed_from_u64(0xC0FFEE)` + `gen_range(-50..=50)`
+        // in the SplitMix64 stand-in, which every CEGIS and nope example
+        // set and every committed iteration count was drawn from.
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .production("Start", Symbol::Var("x".to_string()), &[])
+            .build()
+            .unwrap();
+        let spec = Spec::output_equals(
+            LinearExpr::var(Var::new("x")),
+            vec!["x".to_string(), "y".to_string()],
+        );
+        let problem = Problem::new("xy", grammar, spec);
+        let mut state = EXAMPLE_SEED;
+        let drawn: Vec<(i64, i64)> = (0..8)
+            .map(|_| {
+                let e = random_example(&problem, &mut state);
+                (e.get("x").unwrap(), e.get("y").unwrap())
+            })
+            .collect();
+        assert_eq!(
+            drawn,
+            [
+                (4, 20),
+                (-31, 14),
+                (28, -38),
+                (14, 26),
+                (-28, 23),
+                (-27, 45),
+                (-33, -25),
+                (-29, -48),
+            ]
+        );
+        // The generator's stream, which every `gen` corpus was drawn from.
+        let mut rng = GenRng::from_seed(42);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0xaf1f_56fc_41a4_d2d2,
+                0xbd49_6f01_ee60_5ceb,
+                0x8c8b_2271_e69f_dbf6,
+                0x5438_402a_c692_1e50,
+            ]
+        );
+    }
 
     #[test]
     fn streams_are_deterministic() {

@@ -38,7 +38,7 @@ fn main() {
     );
     let problem = Problem::new("max2-synthesis", grammar, spec);
 
-    let (outcome, stats) = Nay::new().with_seed(7).run(&problem);
+    let (outcome, stats) = Nay::new().run(&problem);
     match outcome {
         CegisOutcome::Solution(term) => {
             println!("synthesized: f(x, y) = {term}");
