@@ -17,12 +17,14 @@
 //!    reachability, productivity, emptiness, useless productions, and
 //!    finite-language detection with exact enumeration when the language is
 //!    small.
-//! 3. [`presolve`] — an abstract pre-solve: interval/parity abstract
-//!    interpretation over the grammar's nonterminals that can statically
-//!    return `Unrealizable` (the abstract output cannot satisfy the spec on
-//!    some concrete input) or `Realizable` (a finite language contains a
+//! 3. [`presolve`] — an abstract pre-solve that can statically return
+//!    `Unrealizable` (the abstract output cannot satisfy the spec on some
+//!    concrete input) or `Realizable` (a finite language contains a
 //!    verified witness), always with a checkable reason
-//!    ([`presolve::Presolver::recheck`]).
+//!    ([`presolve::Presolver::recheck`]). It owns no abstract domain: the
+//!    abstract output is [`chc::HornSolver`]'s interval × congruence
+//!    fixpoint over the grammar's nonterminals, the same interpreter
+//!    nayHorn runs, refuted through [`chc::refutation_query`].
 //!
 //! The presolve verdicts are *sound by construction*: `Unrealizable` is only
 //! reported when an exact QF-LIA query proves that no value in the abstract
@@ -41,9 +43,7 @@ pub mod presolve;
 pub mod wellformed;
 
 pub use grammar::{analyze_grammar, FiniteLanguage, GrammarReport};
-pub use presolve::{
-    AbsBool, AbsInt, AbsVal, Parity, PresolveOutcome, PresolveReason, PresolveVerdict, Presolver,
-};
+pub use presolve::{PresolveOutcome, PresolveReason, PresolveVerdict, Presolver};
 pub use wellformed::{Diagnostic, Severity};
 
 use sygus::parser;

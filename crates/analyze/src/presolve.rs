@@ -10,16 +10,18 @@
 //!    ([`sygus::encode::counterexample_query`]): a term with an `Unsat`
 //!    query is a verified witness (`Realizable`); if *every* term has a
 //!    concrete counterexample the language is exhausted (`Unrealizable`).
-//! 3. **Abstract refutation** — an interval/parity abstract interpretation
-//!    of the grammar's nonterminals under a concrete probe input (a
-//!    lightweight cousin of the in-tree `gfa` flow analysis). Every
-//!    program in `L(G)` evaluates, on that input, to a value inside the
-//!    abstract output; if the exact QF-LIA solver proves that no such
-//!    value satisfies the instantiated specification, the problem is
-//!    `Unrealizable`.
+//! 3. **Abstract refutation** — [`chc::HornSolver`]'s interval ×
+//!    congruence fixpoint over the grammar's nonterminals, on a set of
+//!    concrete probe inputs (the abstract interpreter nayHorn uses, run
+//!    once over all probes). Every program in `L(G)` evaluates, on each
+//!    probe, to a value inside the start symbol's abstract output; if the
+//!    exact QF-LIA solver proves [`chc::refutation_query`] unsatisfiable
+//!    for one probe — no such value satisfies the instantiated
+//!    specification — the problem is `Unrealizable`.
 //!
 //! All three lanes abstain (verdict [`PresolveVerdict::Unknown`]) rather
-//! than guess whenever the solver returns `Unknown` or a cap is hit, so a
+//! than guess whenever the solver returns `Unknown` or a cap is hit (a
+//! fixpoint still moving at its round cap yields no values), so a
 //! presolve verdict is always backed by an exact proof — this is what
 //! makes it safe for the portfolio to skip engine dispatch. Every
 //! definitive outcome carries a [`PresolveReason`] that
@@ -27,9 +29,11 @@
 
 use std::fmt;
 
-use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
+use chc::domain::AbsValue;
+use chc::{refutation_query, HornSolver};
+use logic::{Solver, SolverResult};
 use sygus::encode::counterexample_query;
-use sygus::{Example, Grammar, Problem, Spec, Symbol, Term};
+use sygus::{Example, ExampleSet, Problem, Spec, Term};
 
 use crate::grammar::analyze_grammar;
 
@@ -61,259 +65,6 @@ impl fmt::Display for PresolveVerdict {
     }
 }
 
-/// Parity of an integer abstract value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Parity {
-    /// No value yet (bottom).
-    Bottom,
-    /// All values are even.
-    Even,
-    /// All values are odd.
-    Odd,
-    /// Both parities occur (top).
-    Top,
-}
-
-impl Parity {
-    fn of(v: i64) -> Parity {
-        if v.rem_euclid(2) == 0 {
-            Parity::Even
-        } else {
-            Parity::Odd
-        }
-    }
-
-    fn join(self, other: Parity) -> Parity {
-        match (self, other) {
-            (Parity::Bottom, p) | (p, Parity::Bottom) => p,
-            (a, b) if a == b => a,
-            _ => Parity::Top,
-        }
-    }
-
-    fn add(self, other: Parity) -> Parity {
-        match (self, other) {
-            (Parity::Bottom, _) | (_, Parity::Bottom) => Parity::Bottom,
-            (Parity::Top, _) | (_, Parity::Top) => Parity::Top,
-            (a, b) if a == b => Parity::Even,
-            _ => Parity::Odd,
-        }
-    }
-}
-
-impl fmt::Display for Parity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Parity::Bottom => write!(f, "⊥"),
-            Parity::Even => write!(f, "even"),
-            Parity::Odd => write!(f, "odd"),
-            Parity::Top => write!(f, "⊤"),
-        }
-    }
-}
-
-/// An integer abstract value: an interval (`None` = unbounded) refined
-/// with a parity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AbsInt {
-    /// Lower bound; `None` is −∞.
-    pub lo: Option<i64>,
-    /// Upper bound; `None` is +∞.
-    pub hi: Option<i64>,
-    /// Parity refinement.
-    pub parity: Parity,
-}
-
-impl AbsInt {
-    fn singleton(v: i64) -> AbsInt {
-        AbsInt {
-            lo: Some(v),
-            hi: Some(v),
-            parity: Parity::of(v),
-        }
-    }
-
-    fn top() -> AbsInt {
-        AbsInt {
-            lo: None,
-            hi: None,
-            parity: Parity::Top,
-        }
-    }
-
-    fn join(self, other: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: match (self.lo, other.lo) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                _ => None,
-            },
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            },
-            parity: self.parity.join(other.parity),
-        }
-    }
-
-    fn add(self, other: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: self.lo.zip(other.lo).and_then(|(a, b)| a.checked_add(b)),
-            hi: self.hi.zip(other.hi).and_then(|(a, b)| a.checked_add(b)),
-            parity: self.parity.add(other.parity),
-        }
-    }
-
-    fn sub(self, other: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: self.lo.zip(other.hi).and_then(|(a, b)| a.checked_sub(b)),
-            hi: self.hi.zip(other.lo).and_then(|(a, b)| a.checked_sub(b)),
-            // parity of a − b equals parity of a + b
-            parity: self.parity.add(other.parity),
-        }
-    }
-
-    /// Standard interval widening: a bound that moved since `self` jumps
-    /// to infinity.
-    fn widen(self, next: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: match (self.lo, next.lo) {
-                (Some(a), Some(b)) if b >= a => Some(a),
-                _ => None,
-            },
-            hi: match (self.hi, next.hi) {
-                (Some(a), Some(b)) if b <= a => Some(a),
-                _ => None,
-            },
-            parity: self.parity.join(next.parity),
-        }
-    }
-
-    fn intersects(self, other: AbsInt) -> bool {
-        let lo = match (self.lo, other.lo) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (Some(a), None) | (None, Some(a)) => Some(a),
-            (None, None) => None,
-        };
-        let hi = match (self.hi, other.hi) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) | (None, Some(a)) => Some(a),
-            (None, None) => None,
-        };
-        match (lo, hi) {
-            (Some(l), Some(h)) => l <= h,
-            _ => true,
-        }
-    }
-
-    fn is_singleton(self) -> Option<i64> {
-        match (self.lo, self.hi) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for AbsInt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.lo {
-            Some(lo) => write!(f, "[{lo}, ")?,
-            None => write!(f, "(-∞, ")?,
-        }
-        match self.hi {
-            Some(hi) => write!(f, "{hi}]")?,
-            None => write!(f, "+∞)")?,
-        }
-        match self.parity {
-            Parity::Even => write!(f, " even"),
-            Parity::Odd => write!(f, " odd"),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A Boolean abstract value: which truth values may occur.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AbsBool {
-    /// `true` may occur.
-    pub may_true: bool,
-    /// `false` may occur.
-    pub may_false: bool,
-}
-
-impl AbsBool {
-    fn top() -> AbsBool {
-        AbsBool {
-            may_true: true,
-            may_false: true,
-        }
-    }
-
-    fn join(self, other: AbsBool) -> AbsBool {
-        AbsBool {
-            may_true: self.may_true || other.may_true,
-            may_false: self.may_false || other.may_false,
-        }
-    }
-}
-
-impl fmt::Display for AbsBool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.may_true, self.may_false) {
-            (true, true) => write!(f, "{{true, false}}"),
-            (true, false) => write!(f, "{{true}}"),
-            (false, true) => write!(f, "{{false}}"),
-            (false, false) => write!(f, "∅"),
-        }
-    }
-}
-
-/// A value of the combined abstract domain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AbsVal {
-    /// No derivation reaches this point yet.
-    Bottom,
-    /// An integer-sorted abstract value.
-    Int(AbsInt),
-    /// A Boolean-sorted abstract value.
-    Bool(AbsBool),
-}
-
-impl AbsVal {
-    fn join(self, other: AbsVal) -> AbsVal {
-        match (self, other) {
-            (AbsVal::Bottom, v) | (v, AbsVal::Bottom) => v,
-            (AbsVal::Int(a), AbsVal::Int(b)) => AbsVal::Int(a.join(b)),
-            (AbsVal::Bool(a), AbsVal::Bool(b)) => AbsVal::Bool(a.join(b)),
-            // sort clash (impossible in a built grammar): go to a safe top
-            (AbsVal::Int(_), _) | (_, AbsVal::Int(_)) => AbsVal::Int(AbsInt::top()),
-        }
-    }
-
-    fn widen(self, next: AbsVal) -> AbsVal {
-        match (self, next) {
-            (AbsVal::Int(a), AbsVal::Int(b)) => AbsVal::Int(a.widen(b)),
-            (a, b) => a.join(b),
-        }
-    }
-
-    fn as_int(self) -> Option<AbsInt> {
-        match self {
-            AbsVal::Int(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for AbsVal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AbsVal::Bottom => write!(f, "⊥"),
-            AbsVal::Int(a) => write!(f, "{a}"),
-            AbsVal::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
 /// Why the presolve reached its verdict. Every definitive reason can be
 /// re-validated from scratch via [`Presolver::recheck`].
 #[derive(Clone, Debug)]
@@ -337,8 +88,9 @@ pub enum PresolveReason {
     AbstractRefutation {
         /// The probe input, one `(variable, value)` pair per input.
         inputs: Vec<(String, i64)>,
-        /// The abstract output of the start symbol on that input.
-        output: AbsVal,
+        /// The abstract output of the start symbol on that input (one
+        /// component).
+        output: AbsValue,
     },
     /// No lane concluded anything.
     Abstain {
@@ -409,6 +161,8 @@ impl PresolveOutcome {
 #[derive(Clone, Debug)]
 pub struct Presolver {
     solver: Solver,
+    /// The abstract interpreter of the refutation lane.
+    fixpoint: HornSolver,
     /// Finite-language verification is skipped above this many candidates.
     max_candidates: usize,
     /// At most this many probe inputs are tried in the abstract lane.
@@ -421,17 +175,15 @@ impl Default for Presolver {
     }
 }
 
-/// Kleene rounds before widening kicks in.
-const WIDEN_AFTER: usize = 8;
-/// Hard cap on fixpoint rounds (reached only by pathological grammars;
-/// the result then falls back to top, which is always sound).
-const MAX_ROUNDS: usize = 64;
-
 impl Presolver {
     /// A presolver with the default (small) budgets.
     pub fn new() -> Self {
         Presolver {
             solver: Solver::default(),
+            // nayHorn widens after 3 rounds; waiting 8 keeps the bounds of
+            // deeper grammars (`corpus/deep_plus.sl`, the quick
+            // `plus_plane` rows) that the earlier widening loses.
+            fixpoint: HornSolver::new().with_widening_delay(8),
             max_candidates: 64,
             max_probes: 16,
         }
@@ -486,25 +238,22 @@ impl Presolver {
 
         // Lane 3: abstract refutation over probe inputs.
         let probes = self.probes(spec);
-        for probe in &probes {
-            let abs = abstract_output(grammar, probe);
-            let Some(query) = refutation_query(spec, probe, &abs) else {
-                continue;
-            };
-            if self.solver.check(&query) == SolverResult::Unsat {
-                let inputs: Vec<(String, i64)> = spec
-                    .input_vars()
-                    .iter()
-                    .filter_map(|x| probe.get(x).map(|v| (x.clone(), v)))
-                    .collect();
-                return PresolveOutcome {
-                    verdict: PresolveVerdict::Unrealizable,
-                    reason: PresolveReason::AbstractRefutation {
-                        inputs,
-                        output: abs,
-                    },
-                    witness: None,
-                };
+        if let Some(values) = self.fixpoint.analyze(grammar, &probes) {
+            let start = &values[grammar.start()];
+            for (j, probe) in probes.iter().enumerate() {
+                let output = start.component(j);
+                if self.refutes(spec, probe, &output) {
+                    let inputs: Vec<(String, i64)> = spec
+                        .input_vars()
+                        .iter()
+                        .filter_map(|x| probe.get(x).map(|v| (x.clone(), v)))
+                        .collect();
+                    return PresolveOutcome {
+                        verdict: PresolveVerdict::Unrealizable,
+                        reason: PresolveReason::AbstractRefutation { inputs, output },
+                        witness: None,
+                    };
+                }
             }
         }
 
@@ -567,24 +316,31 @@ impl Presolver {
                     return false;
                 }
                 let probe = Example::from_pairs(inputs.iter().map(|(x, v)| (x.clone(), *v)));
-                let recomputed = abstract_output(grammar, &probe);
-                recomputed == *output
-                    && match refutation_query(spec, &probe, &recomputed) {
-                        Some(q) => self.solver.check(&q) == SolverResult::Unsat,
-                        None => false,
-                    }
+                let recomputed = self
+                    .fixpoint
+                    .analyze(grammar, &ExampleSet::from_examples([probe.clone()]));
+                recomputed.is_some_and(|values| values[grammar.start()] == *output)
+                    && self.refutes(spec, &probe, output)
             }
             PresolveReason::Abstain { .. } => outcome.verdict == PresolveVerdict::Unknown,
         }
     }
 
+    /// `true` when the exact solver proves that no value in `output`, the
+    /// start symbol's abstract output on `probe`, satisfies the
+    /// specification there.
+    fn refutes(&self, spec: &Spec, probe: &Example, output: &AbsValue) -> bool {
+        let probe = ExampleSet::from_examples([probe.clone()]);
+        self.solver.check(&refutation_query(output, &probe, spec)) == SolverResult::Unsat
+    }
+
     /// Deterministic probe inputs: a small grid around zero, extended with
     /// values mined from the specification's atoms (so point constraints
     /// like `x = 7 ⇒ …` get probed at exactly `x = 7`).
-    fn probes(&self, spec: &Spec) -> Vec<Example> {
+    fn probes(&self, spec: &Spec) -> ExampleSet {
         let vars = spec.input_vars();
         if vars.is_empty() {
-            return vec![Example::new()];
+            return ExampleSet::from_examples([Example::new()]);
         }
         let mut values: Vec<i64> = vec![0, 1, -1, 2, -2];
         for atom in spec.formula().atoms() {
@@ -633,219 +389,16 @@ impl Presolver {
                 }
             }
         }
-        probes
+        ExampleSet::from_examples(probes)
     }
-}
-
-/// The abstract output of the grammar's start symbol when every input
-/// variable is fixed to its value in `probe` (variables absent from the
-/// probe are treated as unconstrained). A Kleene fixpoint with interval
-/// widening after `WIDEN_AFTER` rounds; sound by construction — every
-/// concrete program output on `probe` lies in the result.
-pub fn abstract_output(grammar: &Grammar, probe: &Example) -> AbsVal {
-    let nts = grammar.nonterminals();
-    let index = |nt: &sygus::NonTerminal| nts.iter().position(|n| n == nt);
-    let mut vals: Vec<AbsVal> = vec![AbsVal::Bottom; nts.len()];
-    for round in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for p in grammar.productions() {
-            let Some(lhs) = index(&p.lhs) else { continue };
-            let args: Option<Vec<AbsVal>> =
-                p.args.iter().map(|a| index(a).map(|i| vals[i])).collect();
-            let Some(args) = args else { continue };
-            let v = eval_symbol(&p.symbol, &args, probe);
-            if v == AbsVal::Bottom {
-                continue;
-            }
-            let joined = vals[lhs].join(v);
-            let next = if round >= WIDEN_AFTER {
-                vals[lhs].widen(joined)
-            } else {
-                joined
-            };
-            if next != vals[lhs] {
-                vals[lhs] = next;
-                changed = true;
-            }
-        }
-        if !changed {
-            return index(grammar.start()).map_or(AbsVal::Bottom, |i| vals[i]);
-        }
-    }
-    // Pathological non-convergence: fall back to top (always sound).
-    match grammar.sort_of(grammar.start()) {
-        Some(sygus::Sort::Bool) => AbsVal::Bool(AbsBool::top()),
-        _ => AbsVal::Int(AbsInt::top()),
-    }
-}
-
-fn eval_symbol(symbol: &Symbol, args: &[AbsVal], probe: &Example) -> AbsVal {
-    if args.contains(&AbsVal::Bottom) {
-        return AbsVal::Bottom;
-    }
-    let int = |i: usize| args.get(i).copied().and_then(AbsVal::as_int);
-    match symbol {
-        Symbol::Num(c) => AbsVal::Int(AbsInt::singleton(*c)),
-        Symbol::Var(x) => AbsVal::Int(probe.get(x).map_or_else(AbsInt::top, AbsInt::singleton)),
-        Symbol::NegVar(x) => AbsVal::Int(
-            probe
-                .get(x)
-                .and_then(i64::checked_neg)
-                .map_or_else(AbsInt::top, AbsInt::singleton),
-        ),
-        Symbol::Plus => {
-            let mut acc = match int(0) {
-                Some(a) => a,
-                None => return AbsVal::Int(AbsInt::top()),
-            };
-            for i in 1..args.len() {
-                match int(i) {
-                    Some(b) => acc = acc.add(b),
-                    None => return AbsVal::Int(AbsInt::top()),
-                }
-            }
-            AbsVal::Int(acc)
-        }
-        Symbol::Minus => match (int(0), int(1)) {
-            (Some(a), Some(b)) => AbsVal::Int(a.sub(b)),
-            _ => AbsVal::Int(AbsInt::top()),
-        },
-        Symbol::IfThenElse => {
-            let (t, e) = (
-                args.get(1).copied().unwrap_or(AbsVal::Bottom),
-                args.get(2).copied().unwrap_or(AbsVal::Bottom),
-            );
-            match args.first() {
-                Some(AbsVal::Bool(c)) if !c.may_false => t,
-                Some(AbsVal::Bool(c)) if !c.may_true => e,
-                _ => t.join(e),
-            }
-        }
-        Symbol::And | Symbol::Or | Symbol::Not => {
-            let b = |i: usize| match args.get(i) {
-                Some(AbsVal::Bool(b)) => *b,
-                _ => AbsBool::top(),
-            };
-            let v = match symbol {
-                Symbol::And => AbsBool {
-                    may_true: b(0).may_true && b(1).may_true,
-                    may_false: b(0).may_false || b(1).may_false,
-                },
-                Symbol::Or => AbsBool {
-                    may_true: b(0).may_true || b(1).may_true,
-                    may_false: b(0).may_false && b(1).may_false,
-                },
-                _ => AbsBool {
-                    may_true: b(0).may_false,
-                    may_false: b(0).may_true,
-                },
-            };
-            AbsVal::Bool(v)
-        }
-        Symbol::LessThan => match (int(0), int(1)) {
-            (Some(a), Some(b)) => AbsVal::Bool(AbsBool {
-                // some v_a < v_b exists iff a's minimum lies below b's maximum
-                may_true: match (a.lo, b.hi) {
-                    (Some(lo), Some(hi)) => lo < hi,
-                    _ => true,
-                },
-                // some v_a ≥ v_b exists iff a's maximum reaches b's minimum
-                may_false: match (a.hi, b.lo) {
-                    (Some(hi), Some(lo)) => hi >= lo,
-                    _ => true,
-                },
-            }),
-            _ => AbsVal::Bool(AbsBool::top()),
-        },
-        Symbol::Equal => match (int(0), int(1)) {
-            (Some(a), Some(b)) => {
-                let parity_disjoint = matches!(
-                    (a.parity, b.parity),
-                    (Parity::Even, Parity::Odd) | (Parity::Odd, Parity::Even)
-                );
-                let both_same_singleton = match (a.is_singleton(), b.is_singleton()) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => false,
-                };
-                AbsVal::Bool(AbsBool {
-                    may_true: a.intersects(b) && !parity_disjoint,
-                    may_false: !both_same_singleton,
-                })
-            }
-            _ => AbsVal::Bool(AbsBool::top()),
-        },
-    }
-}
-
-/// `γ(abs)(out) ∧ ψ[x̄ := probe]`: satisfiable iff some value the grammar
-/// can produce on `probe` satisfies the instantiated specification. An
-/// `Unsat` answer is therefore an unrealizability proof. Returns `None`
-/// when the abstraction supports no sound encoding (bottom values).
-fn refutation_query(spec: &Spec, probe: &Example, abs: &AbsVal) -> Option<Formula> {
-    let out = Var::new("__presolve_out");
-    let psi = spec.instantiate(probe, &out);
-    let mut parts: Vec<Formula> = Vec::new();
-    match abs {
-        AbsVal::Bottom => return None,
-        AbsVal::Int(a) => {
-            if let Some(lo) = a.lo {
-                parts.push(Formula::ge(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(lo),
-                ));
-            }
-            if let Some(hi) = a.hi {
-                parts.push(Formula::le(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(hi),
-                ));
-            }
-            let k = Var::new("__presolve_k");
-            match a.parity {
-                Parity::Even => parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::var(k).scale(2),
-                )),
-                Parity::Odd => parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::var(k).scale(2) + LinearExpr::constant(1),
-                )),
-                Parity::Top => {}
-                Parity::Bottom => return None,
-            }
-        }
-        AbsVal::Bool(b) => {
-            // Boolean outputs use the 0/1 integer encoding of the spec
-            parts.push(Formula::ge(
-                LinearExpr::var(out.clone()),
-                LinearExpr::constant(0),
-            ));
-            parts.push(Formula::le(
-                LinearExpr::var(out.clone()),
-                LinearExpr::constant(1),
-            ));
-            if !b.may_true {
-                parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(0),
-                ));
-            }
-            if !b.may_false {
-                parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(1),
-                ));
-            }
-        }
-    }
-    parts.push(psi);
-    Some(Formula::and(parts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sygus::{GrammarBuilder, Sort};
+    use chc::domain::{AbsInt, Congruence, Interval};
+    use logic::{Formula, LinearExpr, Var};
+    use sygus::{Grammar, GrammarBuilder, Sort, Symbol};
 
     fn presolver() -> Presolver {
         Presolver::new()
@@ -908,7 +461,7 @@ mod tests {
 
     #[test]
     fn parity_refutes_the_unreal_parity_shape() {
-        // Start ::= 2 | (- Start Start): every output is even; spec f = 3
+        // Start ::= 2 | (- Start Start): every output is ≡ 0 (mod 2); spec f = 3
         let g = GrammarBuilder::new("Start")
             .nonterminal("Start", Sort::Int)
             .production("Start", Symbol::Num(2), &[])
@@ -920,9 +473,12 @@ mod tests {
         let out = presolver().presolve(&p);
         assert_eq!(out.verdict, PresolveVerdict::Unrealizable);
         match &out.reason {
-            PresolveReason::AbstractRefutation { output, .. } => {
-                assert_eq!(output.as_int().map(|a| a.parity), Some(Parity::Even));
-            }
+            PresolveReason::AbstractRefutation { output, .. } => match output {
+                AbsValue::Int(v) => {
+                    assert_eq!(v[0].congruence, Congruence { modulus: 2, rem: 0 });
+                }
+                other => panic!("unexpected output {other}"),
+            },
             other => panic!("unexpected reason {other}"),
         }
         assert!(presolver().recheck(&p, &out));
@@ -942,9 +498,10 @@ mod tests {
         let out = presolver().presolve(&p);
         assert_eq!(out.verdict, PresolveVerdict::Unrealizable);
         match &out.reason {
-            PresolveReason::AbstractRefutation { output, .. } => {
-                assert_eq!(output.as_int().and_then(|a| a.lo), Some(5));
-            }
+            PresolveReason::AbstractRefutation { output, .. } => match output {
+                AbsValue::Int(v) => assert_eq!(v[0].interval.lo, Some(5)),
+                other => panic!("unexpected output {other}"),
+            },
             other => panic!("unexpected reason {other}"),
         }
         assert!(presolver().recheck(&p, &out));
@@ -1045,18 +602,40 @@ mod tests {
 
     #[test]
     fn abstract_domain_arithmetic() {
-        assert_eq!(Parity::of(-3), Parity::Odd);
-        assert_eq!(Parity::of(-4), Parity::Even);
-        assert_eq!(Parity::Even.add(Parity::Odd), Parity::Odd);
-        assert_eq!(Parity::Odd.add(Parity::Odd), Parity::Even);
-        let a = AbsInt::singleton(2).join(AbsInt::singleton(6));
-        assert_eq!((a.lo, a.hi, a.parity), (Some(2), Some(6), Parity::Even));
-        let b = a.add(AbsInt::singleton(1));
-        assert_eq!((b.lo, b.hi, b.parity), (Some(3), Some(7), Parity::Odd));
+        let a = AbsInt::constant(2).join(&AbsInt::constant(6));
+        assert_eq!(
+            a.interval,
+            Interval {
+                lo: Some(2),
+                hi: Some(6)
+            }
+        );
+        assert_eq!(a.congruence, Congruence { modulus: 4, rem: 2 });
+        let b = a.join(&AbsInt::constant(4)).add(&AbsInt::constant(1));
+        assert_eq!(
+            b.interval,
+            Interval {
+                lo: Some(3),
+                hi: Some(7)
+            }
+        );
+        assert_eq!(b.congruence, Congruence { modulus: 2, rem: 1 });
+        assert_eq!(b.to_string(), "[3, 7] ≡ 1 (mod 2)");
         // widening lets moving bounds escape to infinity
-        let w = a.widen(a.join(AbsInt::singleton(100)));
-        assert_eq!((w.lo, w.hi), (Some(2), None));
-        assert!(AbsInt::singleton(3).intersects(AbsInt::singleton(3)));
-        assert!(!AbsInt::singleton(3).intersects(AbsInt::singleton(4)));
+        let w = a.widen(&a.join(&AbsInt::constant(100)));
+        assert_eq!(
+            w.interval,
+            Interval {
+                lo: Some(2),
+                hi: None
+            }
+        );
+        assert_eq!(w.to_string(), "[2, +∞) ≡ 0 (mod 2)");
+        assert!(Interval::constant(3).meets(&Interval::constant(3)));
+        assert!(!Interval::constant(3).meets(&Interval::constant(4)));
+        assert!(
+            !a.congruence.meets(&b.congruence),
+            "even and odd are disjoint"
+        );
     }
 }

@@ -78,8 +78,9 @@ fn presolve_agrees_with_ground_truth_on_early_seeds() {
 /// The presolve must settle at least one instance per family over a
 /// modest seed range — the static analyzer's reason to exist in the
 /// portfolio. (The per-family decidability argument: every family emits
-/// unrealizable instances refutable by a single-probe interval/parity
-/// abstraction, and some families additionally emit finite languages.)
+/// unrealizable instances refutable by a single-probe interval ×
+/// congruence abstraction, and some families additionally emit finite
+/// languages.)
 #[test]
 fn presolve_settles_instances_of_every_family() {
     for family in Family::ALL {

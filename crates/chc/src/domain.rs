@@ -1,6 +1,13 @@
 //! The abstract domain of the approximate Horn solver: per-example products
 //! of intervals and congruences for integer nonterminals, three-valued
 //! Booleans for Boolean nonterminals.
+//!
+//! Every operation is exact over ℤ or loses information: a bound or a
+//! constant that leaves the i64 range becomes unbounded or ⊤, never a
+//! saturated or wrapped value, so membership in an abstract value is a
+//! claim about unbounded integers.
+
+use std::fmt;
 
 use logic::{Formula, LinearExpr, Var};
 
@@ -32,25 +39,32 @@ impl Interval {
         self.lo.is_none_or(|lo| lo <= v) && self.hi.is_none_or(|hi| v <= hi)
     }
 
-    /// Interval addition.
+    /// The single member of a one-point interval.
+    pub fn singleton(&self) -> Option<i64> {
+        self.lo.filter(|_| self.lo == self.hi)
+    }
+
+    /// `true` if the two intervals share a member.
+    pub fn meets(&self, other: &Interval) -> bool {
+        let below =
+            |hi: Option<i64>, lo: Option<i64>| matches!((hi, lo), (Some(h), Some(l)) if h < l);
+        !below(self.hi, other.lo) && !below(other.hi, self.lo)
+    }
+
+    /// Interval addition; a bound that overflows i64 becomes unbounded.
     pub fn add(&self, other: &Interval) -> Interval {
         Interval {
-            lo: match (self.lo, other.lo) {
-                (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                _ => None,
-            },
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                _ => None,
-            },
+            lo: self.lo.zip(other.lo).and_then(|(a, b)| a.checked_add(b)),
+            hi: self.hi.zip(other.hi).and_then(|(a, b)| a.checked_add(b)),
         }
     }
 
-    /// Interval negation.
+    /// Interval negation; `−i64::MIN` is out of range, so that bound
+    /// becomes unbounded.
     pub fn neg(&self) -> Interval {
         Interval {
-            lo: self.hi.map(|h| -h),
-            hi: self.lo.map(|l| -l),
+            lo: self.hi.and_then(i64::checked_neg),
+            hi: self.lo.and_then(i64::checked_neg),
         }
     }
 
@@ -88,9 +102,11 @@ impl Interval {
 /// A congruence class `r (mod m)`.
 ///
 /// `modulus == 0` encodes the exact constant `rem`; `modulus == 1` is top.
+/// Moduli stay at most `i64::MAX`, so every remainder is an i64; a class
+/// that does not fit becomes top.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Congruence {
-    /// The modulus `m ≥ 0`.
+    /// The modulus `0 ≤ m ≤ i64::MAX`.
     pub modulus: u64,
     /// The remainder, normalised to `0 ≤ rem < m` when `m > 0`.
     pub rem: i64,
@@ -118,49 +134,65 @@ impl Congruence {
     }
 
     fn normalise(self) -> Self {
-        if self.modulus == 0 {
-            self
-        } else {
-            let m = self.modulus as i64;
-            Congruence {
+        match i64::try_from(self.modulus) {
+            Ok(0) => self,
+            Ok(m) => Congruence {
                 modulus: self.modulus,
                 rem: self.rem.rem_euclid(m),
-            }
+            },
+            Err(_) => Congruence::top(),
         }
     }
 
     /// `true` if `v` is a member of the congruence class.
     pub fn contains(&self, v: i64) -> bool {
-        if self.modulus == 0 {
-            v == self.rem
-        } else {
-            (v - self.rem).rem_euclid(self.modulus as i64) == 0
-        }
+        // a multiple of 0 is 0: a constant contains only itself
+        v.abs_diff(self.rem).is_multiple_of(self.modulus)
     }
 
-    /// Abstract addition.
+    /// `true` if the two classes share a member: `r₁ ≡ r₂ (mod gcd(m₁, m₂))`.
+    pub fn meets(&self, other: &Congruence) -> bool {
+        self.rem
+            .abs_diff(other.rem)
+            .is_multiple_of(gcd(self.modulus, other.modulus))
+    }
+
+    /// Abstract addition; a constant sum outside i64 is top.
     pub fn add(&self, other: &Congruence) -> Congruence {
-        Congruence {
-            modulus: gcd(self.modulus, other.modulus),
-            rem: self.rem + other.rem,
+        let modulus = gcd(self.modulus, other.modulus);
+        match self.rem.checked_add(other.rem) {
+            Some(rem) => Congruence { modulus, rem }.normalise(),
+            None if modulus == 0 => Congruence::top(),
+            None => {
+                let rem =
+                    (i128::from(self.rem) + i128::from(other.rem)).rem_euclid(i128::from(modulus));
+                Congruence {
+                    modulus,
+                    rem: rem as i64,
+                }
+            }
         }
-        .normalise()
     }
 
-    /// Abstract negation.
+    /// Abstract negation; `−i64::MIN` is out of range, so it is top.
     pub fn neg(&self) -> Congruence {
-        Congruence {
-            modulus: self.modulus,
-            rem: -self.rem,
+        match self.rem.checked_neg() {
+            Some(rem) => Congruence {
+                modulus: self.modulus,
+                rem,
+            }
+            .normalise(),
+            None => Congruence::top(),
         }
-        .normalise()
     }
 
     /// Join: the least congruence containing both classes.
     pub fn join(&self, other: &Congruence) -> Congruence {
-        let diff = (self.rem - other.rem).unsigned_abs();
         Congruence {
-            modulus: gcd(gcd(self.modulus, other.modulus), diff),
+            modulus: gcd(
+                gcd(self.modulus, other.modulus),
+                self.rem.abs_diff(other.rem),
+            ),
             rem: self.rem,
         }
         .normalise()
@@ -324,6 +356,33 @@ impl AbsBool {
         }
         AbsBool::Top
     }
+
+    /// Abstract equality of two [`AbsInt`]s: `True` when both are the same
+    /// single value, `False` when their intervals or their congruence
+    /// classes are disjoint.
+    pub fn equal(a: &AbsInt, b: &AbsInt) -> AbsBool {
+        match (a.interval.singleton(), b.interval.singleton()) {
+            (Some(x), Some(y)) if x == y => AbsBool::True,
+            _ if !a.interval.meets(&b.interval) || !a.congruence.meets(&b.congruence) => {
+                AbsBool::False
+            }
+            _ => AbsBool::Top,
+        }
+    }
+
+    /// Symbolic concretization over the output variable `out`, in the 0/1
+    /// encoding of Booleans the specification uses.
+    pub fn to_formula(&self, out: &Var) -> Formula {
+        let o = LinearExpr::var(out.clone());
+        match self {
+            AbsBool::True => Formula::eq(o, LinearExpr::constant(1)),
+            AbsBool::False => Formula::eq(o, LinearExpr::constant(0)),
+            AbsBool::Top => Formula::and(vec![
+                Formula::ge(o.clone(), LinearExpr::constant(0)),
+                Formula::le(o, LinearExpr::constant(1)),
+            ]),
+        }
+    }
 }
 
 /// The abstract value of a nonterminal: one component per input example,
@@ -374,6 +433,74 @@ impl AbsValue {
     pub fn is_bottom(&self) -> bool {
         matches!(self, AbsValue::Bottom)
     }
+
+    /// The one-example value of component `j`.
+    ///
+    /// # Panics
+    /// Panics when `j` is out of range for a non-bottom value.
+    pub fn component(&self, j: usize) -> AbsValue {
+        match self {
+            AbsValue::Bottom => AbsValue::Bottom,
+            AbsValue::Int(v) => AbsValue::Int(vec![v[j]]),
+            AbsValue::Bool(v) => AbsValue::Bool(vec![v[j]]),
+        }
+    }
+}
+
+impl fmt::Display for Interval {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.lo {
+            Some(lo) => write!(f, "[{lo}, ")?,
+            None => write!(f, "(-∞, ")?,
+        }
+        match self.hi {
+            Some(hi) => write!(f, "{hi}]"),
+            None => write!(f, "+∞)"),
+        }
+    }
+}
+
+/// The interval, then the congruence when its modulus exceeds 1
+/// (`[5, +∞) ≡ 1 (mod 2)`); an exact constant shows as its one-point
+/// interval.
+impl fmt::Display for AbsInt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.interval)?;
+        match self.congruence.modulus {
+            0 | 1 => Ok(()),
+            m => write!(f, " ≡ {} (mod {m})", self.congruence.rem),
+        }
+    }
+}
+
+impl fmt::Display for AbsBool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AbsBool::True => "{true}",
+            AbsBool::False => "{false}",
+            AbsBool::Top => "{true, false}",
+        })
+    }
+}
+
+/// `⊥`, a single component as is, several as a tuple.
+impl fmt::Display for AbsValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn components<T: fmt::Display>(f: &mut fmt::Formatter<'_>, v: &[T]) -> fmt::Result {
+            match v {
+                [one] => write!(f, "{one}"),
+                _ => {
+                    let rendered: Vec<String> = v.iter().map(T::to_string).collect();
+                    write!(f, "({})", rendered.join(", "))
+                }
+            }
+        }
+        match self {
+            AbsValue::Bottom => write!(f, "⊥"),
+            AbsValue::Int(v) => components(f, v),
+            AbsValue::Bool(v) => components(f, v),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -409,6 +536,44 @@ mod tests {
         let w = old.widen(&new);
         assert_eq!(w.lo, Some(0));
         assert_eq!(w.hi, None);
+    }
+
+    #[test]
+    fn interval_bounds_outside_i64_become_unbounded() {
+        let sum = Interval::constant(i64::MAX).add(&Interval::constant(1));
+        assert_eq!(sum, Interval::top(), "2⁶³ is no i64 bound");
+        assert_eq!(Interval::constant(i64::MIN).neg(), Interval::top());
+        assert_eq!(
+            Interval::constant(i64::MAX).add(&Interval::constant(-1)),
+            Interval::constant(i64::MAX - 1)
+        );
+    }
+
+    #[test]
+    fn congruences_outside_i64_contain_the_integer_result_or_are_top() {
+        let (max, min) = (
+            Congruence::constant(i64::MAX),
+            Congruence::constant(i64::MIN),
+        );
+        assert_eq!(max.add(&Congruence::constant(1)), Congruence::top());
+        assert_eq!(min.add(&Congruence::constant(-1)), Congruence::top());
+        assert_eq!(min.neg(), Congruence::top());
+        // |MAX − MIN| = 2⁶⁴ − 1 is no i64 modulus
+        assert_eq!(max.join(&min), Congruence::top());
+        // a modulus of i64::MAX: remainders overflow when added, yet the
+        // sum class is exact
+        let wide = Congruence::constant(i64::MAX - 1).join(&Congruence::constant(-1));
+        assert_eq!(
+            wide,
+            Congruence {
+                modulus: i64::MAX as u64,
+                rem: i64::MAX - 1
+            }
+        );
+        let sum = wide.add(&wide);
+        assert!(sum.contains(-2) && sum.contains(i64::MAX - 2));
+        assert!(!sum.contains(0));
+        assert!(!sum.meets(&Congruence::constant(0)));
     }
 
     #[test]
@@ -483,6 +648,47 @@ mod tests {
         assert_eq!(AbsBool::True.and(&AbsBool::Top), AbsBool::Top);
         assert_eq!(AbsBool::False.and(&AbsBool::Top), AbsBool::False);
         assert_eq!(AbsBool::True.or(&AbsBool::Top), AbsBool::True);
+    }
+
+    #[test]
+    fn abstract_equality_uses_both_components() {
+        let even = AbsInt::constant(0).join(&AbsInt::constant(2));
+        let odd = AbsInt::constant(1).join(&AbsInt::constant(3));
+        assert_eq!(
+            AbsBool::equal(&even, &odd),
+            AbsBool::False,
+            "parities differ"
+        );
+        assert_eq!(AbsBool::equal(&even, &even), AbsBool::Top);
+        let five = AbsInt::constant(5);
+        assert_eq!(AbsBool::equal(&five, &five), AbsBool::True);
+        assert_eq!(
+            AbsBool::equal(&five, &even),
+            AbsBool::False,
+            "intervals differ"
+        );
+    }
+
+    #[test]
+    fn values_display_interval_then_congruence() {
+        let odd_from_5 = AbsInt {
+            interval: Interval {
+                lo: Some(5),
+                hi: None,
+            },
+            congruence: Congruence { modulus: 2, rem: 1 },
+        };
+        assert_eq!(odd_from_5.to_string(), "[5, +∞) ≡ 1 (mod 2)");
+        assert_eq!(AbsInt::constant(-3).to_string(), "[-3, -3]");
+        assert_eq!(AbsInt::top().to_string(), "(-∞, +∞)");
+        let pair = AbsValue::Int(vec![odd_from_5, AbsInt::constant(0)]);
+        assert_eq!(pair.to_string(), "([5, +∞) ≡ 1 (mod 2), [0, 0])");
+        assert_eq!(pair.component(1).to_string(), "[0, 0]");
+        assert_eq!(
+            AbsValue::Bool(vec![AbsBool::Top]).to_string(),
+            "{true, false}"
+        );
+        assert_eq!(AbsValue::Bottom.to_string(), "⊥");
     }
 
     #[test]

@@ -10,7 +10,15 @@
 //! * [`domain`] — a numeric abstract domain (intervals × congruences per
 //!   example, three-valued Booleans for Boolean nonterminals),
 //! * [`HornSolver`] — a sound, incomplete solver that discharges the Horn
-//!   query by abstract interpretation with widening over that domain.
+//!   query by abstract interpretation with widening over that domain,
+//! * [`refutation_query`] — the query `γ̂(start) ∧ ψ^E` that refutes an
+//!   abstract start value against the specification.
+//!
+//! This is the workspace's one abstract interpreter of grammars: nayHorn
+//! runs [`HornSolver::check`], nope's program verifier refutes its own
+//! fixpoint through [`refutation_query`], and the static presolve of the
+//! `analyze` crate runs [`HornSolver::analyze`] on probe inputs and
+//! refutes each probe through [`refutation_query`].
 //!
 //! The abstract-interpretation solver replaces Z3/Spacer (unavailable in this
 //! reproduction); like Spacer it either *proves* the query unsatisfiable —
@@ -25,4 +33,4 @@ pub mod encode;
 mod solver;
 
 pub use encode::{HornClause, HornSystem, PredicateApp};
-pub use solver::{HornSolver, HornVerdict};
+pub use solver::{refutation_query, HornSolver, HornVerdict};

@@ -6,19 +6,30 @@
 //! with widening over the interval × congruence domain of
 //! [`crate::domain`] computes, for every nonterminal, a superset of the
 //! output vectors its terms can produce on the examples; if that superset is
-//! already inconsistent with the specification, the query is unreachable and
-//! the problem is unrealizable. Like Spacer, the solver is sound but
-//! incomplete — the other possible verdict is `Unknown`.
+//! already inconsistent with the specification ([`refutation_query`] is
+//! unsatisfiable), the query is unreachable and the problem is
+//! unrealizable. Like Spacer, the solver is sound but incomplete — the
+//! other possible verdict is `Unknown`.
 //!
-//! Inside a [`logic::interruptible`] scope the Kleene loop polls the stop
-//! hook once per iteration. A stopped check answers `Unknown` before it
-//! reads the start symbol's value: a fixpoint cut short at ⊥ would
-//! otherwise pass for an empty language, a false `Unrealizable`.
+//! The domain is per component: every operation acts on one example's
+//! values at a time, so the fixpoint runs example by example on `Copy`
+//! cells, and an example's values do not depend on which other examples
+//! are analyzed with it.
+//!
+//! Only a post-fixpoint is evidence. Inside a [`logic::interruptible`]
+//! scope the Kleene loop polls the stop hook once per iteration, and a
+//! stopped loop, like one that reaches its round cap without converging,
+//! yields no values: a fixpoint cut short (at ⊥, or anywhere below the
+//! least fixpoint) would otherwise pass for a smaller language, a false
+//! `Unrealizable`.
 
 use crate::domain::{AbsBool, AbsInt, AbsValue};
 use logic::{stop_requested, Formula, Solver, SolverResult, Var};
 use std::collections::BTreeMap;
-use sygus::{ExampleSet, Grammar, NonTerminal, Spec, Symbol};
+use sygus::{Example, ExampleSet, Grammar, NonTerminal, Spec, Symbol};
+
+/// Kleene rounds after which a fixpoint that is still moving is given up.
+const MAX_ITERATIONS: usize = 100;
 
 /// The verdict of the approximate Horn solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,29 +71,19 @@ pub enum HornVerdict {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HornSolver {
-    max_iterations: usize,
     widening_delay: usize,
 }
 
 impl Default for HornSolver {
     fn default() -> Self {
-        HornSolver {
-            max_iterations: 100,
-            widening_delay: 3,
-        }
+        HornSolver { widening_delay: 3 }
     }
 }
 
 impl HornSolver {
-    /// Creates a solver with default iteration and widening parameters.
+    /// Creates a solver with the default widening delay (3 rounds).
     pub fn new() -> Self {
         HornSolver::default()
-    }
-
-    /// Sets the maximal number of Kleene iterations.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
     }
 
     /// Sets how many iterations run before widening kicks in.
@@ -92,188 +93,215 @@ impl HornSolver {
     }
 
     /// Computes the abstract fixed point: one [`AbsValue`] per nonterminal,
-    /// over-approximating the set of output vectors producible on `examples`
-    /// (unless the stop hook of a [`logic::interruptible`] scope cut the
-    /// iteration short).
+    /// over-approximating the set of output vectors producible on
+    /// `examples`, where an input variable an example does not bind may
+    /// take any value.
+    ///
+    /// `None` when there is no post-fixpoint to report: `examples` is
+    /// empty, the stop hook of a [`logic::interruptible`] scope cut the
+    /// iteration short, or some example's iteration was still moving after
+    /// the round cap.
     pub fn analyze(
         &self,
         grammar: &Grammar,
         examples: &ExampleSet,
-    ) -> BTreeMap<NonTerminal, AbsValue> {
-        let mut values: BTreeMap<NonTerminal, AbsValue> = grammar
-            .nonterminals()
+    ) -> Option<BTreeMap<NonTerminal, AbsValue>> {
+        if examples.is_empty() {
+            return None;
+        }
+        let nts = grammar.nonterminals();
+        let index = |nt: &NonTerminal| {
+            nts.iter()
+                .position(|n| n == nt)
+                .expect("productions range over declared nonterminals")
+        };
+        let rules: Vec<Rule> = grammar
+            .productions()
             .iter()
-            .map(|nt| (nt.clone(), AbsValue::Bottom))
+            .map(|p| Rule {
+                lhs: index(&p.lhs),
+                symbol: &p.symbol,
+                args: p.args.iter().map(index).collect(),
+            })
             .collect();
+        // One column of cells per example, filled one example at a time.
+        let n = nts.len();
+        let mut columns = vec![Cell::Bottom; n * examples.len()];
+        let mut acc = vec![Cell::Bottom; n];
+        for (column, example) in columns.chunks_mut(n).zip(examples.iter()) {
+            self.fixpoint(&rules, example, column, &mut acc)?;
+        }
+        Some(
+            nts.iter()
+                .enumerate()
+                .map(|(i, nt)| {
+                    let cells = columns.iter().skip(i).step_by(n);
+                    let value = match columns[i] {
+                        Cell::Bottom => AbsValue::Bottom,
+                        Cell::Int(_) => AbsValue::Int(cells.map(Cell::int).collect()),
+                        Cell::Bool(_) => AbsValue::Bool(cells.map(Cell::boolean).collect()),
+                    };
+                    (nt.clone(), value)
+                })
+                .collect(),
+        )
+    }
 
-        for iteration in 0..self.max_iterations {
+    /// The Jacobi Kleene iteration on one example: every round recomputes
+    /// each nonterminal from the previous round's cells, joining (widening,
+    /// after the delay) into its old cell. `None` unless it converged.
+    fn fixpoint(
+        &self,
+        rules: &[Rule],
+        example: &Example,
+        values: &mut [Cell],
+        acc: &mut [Cell],
+    ) -> Option<()> {
+        for iteration in 0..MAX_ITERATIONS {
             if stop_requested() {
-                break;
+                return None;
+            }
+            acc.fill(Cell::Bottom);
+            for rule in rules {
+                acc[rule.lhs] = acc[rule.lhs].join(rule.transfer(values, example));
             }
             let mut changed = false;
-            let mut next = values.clone();
-            for nt in grammar.nonterminals() {
-                let mut acc = AbsValue::Bottom;
-                for p in grammar.productions_of(nt) {
-                    let contribution = self.transfer(&p.symbol, &p.args, &values, examples);
-                    if !contribution.is_bottom() {
-                        acc = acc.join(&contribution);
-                    }
-                }
-                let old = &values[nt];
-                let new = if iteration >= self.widening_delay {
-                    old.widen(&acc)
-                } else if old.is_bottom() {
-                    acc
+            for (old, &new) in values.iter_mut().zip(acc.iter()) {
+                let next = if iteration >= self.widening_delay {
+                    old.widen(new)
                 } else {
-                    old.join(&acc)
+                    old.join(new)
                 };
-                if &new != old {
+                if next != *old {
+                    *old = next;
                     changed = true;
                 }
-                next.insert(nt.clone(), new);
             }
-            values = next;
             if !changed {
-                break;
+                return Some(());
             }
         }
-        values
+        None
     }
 
     /// Checks unrealizability of the SyGuS-with-examples problem
     /// `(spec, grammar)` restricted to `examples` (the Horn query of §4.3).
     pub fn check(&self, grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> HornVerdict {
-        if examples.is_empty() {
+        let Some(values) = self.analyze(grammar, examples) else {
             return HornVerdict::Unknown;
-        }
-        let values = self.analyze(grammar, examples);
-        if stop_requested() {
-            return HornVerdict::Unknown;
-        }
-        let start = &values[grammar.start()];
-        let outputs: Vec<Var> = (0..examples.len())
-            .map(|j| Var::indexed("o", j + 1))
-            .collect();
-        let gamma = match start {
-            // bottom: the start symbol derives no terms at all, so there is
-            // no candidate and the problem is trivially unrealizable.
-            AbsValue::Bottom => return HornVerdict::Unrealizable,
-            AbsValue::Int(components) => Formula::and(
-                components
-                    .iter()
-                    .enumerate()
-                    .map(|(j, a)| a.to_formula(&outputs[j], &format!("k_{j}"))),
-            ),
-            AbsValue::Bool(components) => {
-                Formula::and(components.iter().enumerate().map(|(j, b)| {
-                    let o = logic::LinearExpr::var(outputs[j].clone());
-                    match b {
-                        AbsBool::True => Formula::eq(o, logic::LinearExpr::constant(1)),
-                        AbsBool::False => Formula::eq(o, logic::LinearExpr::constant(0)),
-                        AbsBool::Top => Formula::and(vec![
-                            Formula::ge(o.clone(), logic::LinearExpr::constant(0)),
-                            Formula::le(o, logic::LinearExpr::constant(1)),
-                        ]),
-                    }
-                }))
-            }
         };
-        let query = Formula::and(vec![gamma, spec.conjunction_over(examples, &outputs)]);
-        match Solver::default().check(&query) {
+        match Solver::default().check(&refutation_query(&values[grammar.start()], examples, spec)) {
             SolverResult::Unsat => HornVerdict::Unrealizable,
             SolverResult::Sat(_) | SolverResult::Unknown => HornVerdict::Unknown,
         }
     }
+}
 
-    fn transfer(
-        &self,
-        symbol: &Symbol,
-        args: &[NonTerminal],
-        values: &BTreeMap<NonTerminal, AbsValue>,
-        examples: &ExampleSet,
-    ) -> AbsValue {
-        let dim = examples.len();
-        let arg_vals: Vec<&AbsValue> = args.iter().map(|a| &values[a]).collect();
-        if arg_vals.iter().any(|v| v.is_bottom()) {
-            return AbsValue::Bottom;
+/// `γ̂(start) ∧ ψ^E`: some output vector the abstract value `start` admits
+/// satisfies the specification on every example (one output variable
+/// `__o_j` per example). Unsatisfiable exactly when no term the value
+/// over-approximates meets the specification on `examples`, which proves
+/// the problem unrealizable; a ⊥ start (no terms) gives `false`.
+pub fn refutation_query(start: &AbsValue, examples: &ExampleSet, spec: &Spec) -> Formula {
+    let outputs: Vec<Var> = (0..examples.len())
+        .map(|j| Var::indexed("__o", j + 1))
+        .collect();
+    let gamma = match start {
+        AbsValue::Bottom => return Formula::False,
+        AbsValue::Int(components) => Formula::and(
+            components
+                .iter()
+                .zip(&outputs)
+                .enumerate()
+                .map(|(j, (a, o))| a.to_formula(o, &format!("__k_{j}"))),
+        ),
+        AbsValue::Bool(components) => Formula::and(
+            components
+                .iter()
+                .zip(&outputs)
+                .map(|(b, o)| b.to_formula(o)),
+        ),
+    };
+    Formula::and(vec![gamma, spec.conjunction_over(examples, &outputs)])
+}
+
+/// A production over nonterminal indices.
+struct Rule<'g> {
+    lhs: usize,
+    symbol: &'g Symbol,
+    args: Vec<usize>,
+}
+
+/// One nonterminal's abstract value on one example.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Cell {
+    Bottom,
+    Int(AbsInt),
+    Bool(AbsBool),
+}
+
+impl Cell {
+    fn int(&self) -> AbsInt {
+        match self {
+            Cell::Int(a) => *a,
+            _ => unreachable!("sort checked by the grammar builder"),
         }
-        let ints = |k: usize| -> &Vec<AbsInt> {
-            match arg_vals[k] {
-                AbsValue::Int(v) => v,
-                _ => unreachable!("sort checked by the grammar builder"),
-            }
-        };
-        let bools = |k: usize| -> &Vec<AbsBool> {
-            match arg_vals[k] {
-                AbsValue::Bool(v) => v,
-                _ => unreachable!("sort checked by the grammar builder"),
-            }
-        };
-        match symbol {
-            Symbol::Num(c) => AbsValue::Int(vec![AbsInt::constant(*c); dim]),
-            Symbol::Var(x) => {
-                let mu = examples.projection(x).unwrap_or_else(|_| vec![0; dim]);
-                AbsValue::Int(mu.into_iter().map(AbsInt::constant).collect())
-            }
-            Symbol::NegVar(x) => {
-                let mu = examples.projection(x).unwrap_or_else(|_| vec![0; dim]);
-                AbsValue::Int(mu.into_iter().map(|v| AbsInt::constant(-v)).collect())
-            }
+    }
+
+    fn boolean(&self) -> AbsBool {
+        match self {
+            Cell::Bool(b) => *b,
+            _ => unreachable!("sort checked by the grammar builder"),
+        }
+    }
+
+    fn join(self, other: Cell) -> Cell {
+        match (self, other) {
+            (Cell::Bottom, c) | (c, Cell::Bottom) => c,
+            (Cell::Int(a), Cell::Int(b)) => Cell::Int(a.join(&b)),
+            (Cell::Bool(a), Cell::Bool(b)) => Cell::Bool(a.join(&b)),
+            _ => unreachable!("sort checked by the grammar builder"),
+        }
+    }
+
+    fn widen(self, newer: Cell) -> Cell {
+        match (self, newer) {
+            (Cell::Int(a), Cell::Int(b)) => Cell::Int(a.widen(&b)),
+            _ => self.join(newer),
+        }
+    }
+}
+
+impl Rule<'_> {
+    /// The production's abstract output on `example`, given the cells of
+    /// its argument nonterminals.
+    fn transfer(&self, values: &[Cell], example: &Example) -> Cell {
+        if self.args.iter().any(|&a| values[a] == Cell::Bottom) {
+            return Cell::Bottom;
+        }
+        let int = |k: usize| values[self.args[k]].int();
+        let boolean = |k: usize| values[self.args[k]].boolean();
+        // an input the example does not bind, or whose negation leaves
+        // i64, may be anything
+        let input = |v: Option<i64>| Cell::Int(v.map_or_else(AbsInt::top, AbsInt::constant));
+        match self.symbol {
+            Symbol::Num(c) => Cell::Int(AbsInt::constant(*c)),
+            Symbol::Var(x) => input(example.get(x)),
+            Symbol::NegVar(x) => input(example.get(x).and_then(i64::checked_neg)),
             Symbol::Plus => {
-                let mut acc = vec![AbsInt::constant(0); dim];
-                for k in 0..args.len() {
-                    for (j, cell) in acc.iter_mut().enumerate() {
-                        *cell = cell.add(&ints(k)[j]);
-                    }
-                }
-                AbsValue::Int(acc)
+                Cell::Int((0..self.args.len()).fold(AbsInt::constant(0), |acc, k| acc.add(&int(k))))
             }
-            Symbol::Minus => AbsValue::Int(
-                (0..dim)
-                    .map(|j| ints(0)[j].add(&ints(1)[j].neg()))
-                    .collect(),
-            ),
-            Symbol::IfThenElse => AbsValue::Int(
-                (0..dim)
-                    .map(|j| match bools(0)[j] {
-                        AbsBool::True => ints(1)[j],
-                        AbsBool::False => ints(2)[j],
-                        AbsBool::Top => ints(1)[j].join(&ints(2)[j]),
-                    })
-                    .collect(),
-            ),
-            Symbol::LessThan => AbsValue::Bool(
-                (0..dim)
-                    .map(|j| AbsBool::less_than(&ints(0)[j], &ints(1)[j]))
-                    .collect(),
-            ),
-            Symbol::Equal => AbsValue::Bool(
-                (0..dim)
-                    .map(|j| {
-                        let (a, b) = (&ints(0)[j], &ints(1)[j]);
-                        if a.interval.lo == a.interval.hi
-                            && a.interval.lo.is_some()
-                            && a.interval == b.interval
-                            && a.congruence.modulus == 0
-                            && b.congruence.modulus == 0
-                        {
-                            AbsBool::True
-                        } else if AbsBool::less_than(a, b) == AbsBool::True
-                            || AbsBool::less_than(b, a) == AbsBool::True
-                        {
-                            AbsBool::False
-                        } else {
-                            AbsBool::Top
-                        }
-                    })
-                    .collect(),
-            ),
-            Symbol::And => {
-                AbsValue::Bool((0..dim).map(|j| bools(0)[j].and(&bools(1)[j])).collect())
-            }
-            Symbol::Or => AbsValue::Bool((0..dim).map(|j| bools(0)[j].or(&bools(1)[j])).collect()),
-            Symbol::Not => AbsValue::Bool((0..dim).map(|j| bools(0)[j].not()).collect()),
+            Symbol::Minus => Cell::Int(int(0).add(&int(1).neg())),
+            Symbol::IfThenElse => Cell::Int(match boolean(0) {
+                AbsBool::True => int(1),
+                AbsBool::False => int(2),
+                AbsBool::Top => int(1).join(&int(2)),
+            }),
+            Symbol::LessThan => Cell::Bool(AbsBool::less_than(&int(0), &int(1))),
+            Symbol::Equal => Cell::Bool(AbsBool::equal(&int(0), &int(1))),
+            Symbol::And => Cell::Bool(boolean(0).and(&boolean(1))),
+            Symbol::Or => Cell::Bool(boolean(0).or(&boolean(1))),
+            Symbol::Not => Cell::Bool(boolean(0).not()),
         }
     }
 }
@@ -311,7 +339,9 @@ mod tests {
     #[test]
     fn analysis_discovers_the_congruence_invariant() {
         let examples = ExampleSet::for_single_var("x", [1]);
-        let values = HornSolver::new().analyze(&g1(), &examples);
+        let values = HornSolver::new()
+            .analyze(&g1(), &examples)
+            .expect("the fixpoint converges");
         match &values[&NonTerminal::new("Start")] {
             AbsValue::Int(v) => {
                 assert!(v[0].contains(0));
@@ -320,6 +350,71 @@ mod tests {
                 assert!(!v[0].contains(4), "Start only produces multiples of 3");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// `Start ::= (+ N1 Z) | 7 | (+ Start Z)`, `Nᵢ ::= (+ Nᵢ₊₁ Z)` for
+    /// `i < depth`, `N{depth} ::= 5`, `Z ::= 0`.
+    fn deep_chain(depth: usize) -> Grammar {
+        let mut builder = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("Z", Sort::Int)
+            .production("Start", Symbol::Plus, &["N1", "Z"])
+            .production("Start", Symbol::Num(7), &[])
+            .production("Start", Symbol::Plus, &["Start", "Z"])
+            .production("Z", Symbol::Num(0), &[]);
+        for i in 1..=depth {
+            let (name, next) = (format!("N{i}"), format!("N{}", i + 1));
+            builder = builder.nonterminal(&name, Sort::Int);
+            builder = if i < depth {
+                builder.production(&name, Symbol::Plus, &[&next, "Z"])
+            } else {
+                builder.production(&name, Symbol::Num(5), &[])
+            };
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn a_capped_fixpoint_is_unknown_not_unrealizable() {
+        // 5 + 0 + … + 0 reaches Start in round 121, past the cap of 100;
+        // the capped iteration still has Start = {7}, which refutes f = 5.
+        let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
+        let examples = ExampleSet::for_single_var("x", [0]);
+        let solver = HornSolver::new();
+        assert!(solver.analyze(&deep_chain(120), &examples).is_none());
+        assert_eq!(
+            solver.check(&deep_chain(120), &examples, &spec),
+            HornVerdict::Unknown
+        );
+        // a chain the cap covers converges, and 5 is in Start's value
+        let values = solver.analyze(&deep_chain(20), &examples).unwrap();
+        match &values[&NonTerminal::new("Start")] {
+            AbsValue::Int(v) => assert!(v[0].contains(5) && v[0].contains(7)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn inputs_outside_i64_and_unbound_inputs_are_top() {
+        // A ::= −x with x = i64::MIN (−x = 2⁶³), B ::= y with y unbound
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("A", Sort::Int)
+            .nonterminal("B", Sort::Int)
+            .production("Start", Symbol::Plus, &["A", "B"])
+            .production("A", Symbol::NegVar("x".to_string()), &[])
+            .production("B", Symbol::Var("y".to_string()), &[])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [i64::MIN]);
+        let values = HornSolver::new().analyze(&grammar, &examples).unwrap();
+        for nt in ["A", "B", "Start"] {
+            assert_eq!(
+                values[&NonTerminal::new(nt)],
+                AbsValue::Int(vec![AbsInt::top()]),
+                "{nt}"
+            );
         }
     }
 

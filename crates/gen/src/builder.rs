@@ -483,10 +483,11 @@ fn build_max_gap(rng: &mut GenRng, scale: &Scale) -> Built {
 ///   every extra point demands the same value, so the constant sum term is
 ///   a witness.
 ///
-/// `g` is kept even (and unrealizable targets are biased toward odd `t`)
-/// so the analyzer's parity domain can settle a healthy share of these
-/// statically — the `presolve-diff --require-presolved` CI gate needs at
-/// least one settled instance per family.
+/// `g` is kept even and unrealizable targets are biased toward odd `t`,
+/// so even a parity argument settles a healthy share of these statically;
+/// the presolve's congruence domain can see every `t ≢ 0 (mod g)`. The
+/// `presolve-diff --require-presolved` CI gate needs at least one settled
+/// instance per family.
 fn build_from_spec(spec: &FamilySpec, rng: &mut GenRng, scale: &Scale) -> Built {
     let magnitude = scale.max_magnitude.max(2);
     let g = 2 * rng.range_i64(1, (magnitude / 2).max(1));
@@ -554,8 +555,8 @@ fn build_from_spec(spec: &FamilySpec, rng: &mut GenRng, scale: &Scale) -> Built 
         (total, Some(arena.extract(term)))
     } else {
         // t = g·q + r with r ∈ 1..g: off the congruence class, so the
-        // anchor alone refutes. Bias r odd (g is even, so t is then odd)
-        // to keep the parity presolve lane productive.
+        // anchor alone refutes. Bias r odd (g is even, so t is then odd),
+        // which a parity argument alone already refutes.
         let q = rng.range_i64(-2, 2);
         let r = if g > 2 && !rng.chance(70) {
             rng.range_i64(1, g - 1)

@@ -47,22 +47,15 @@ pub struct NopeStats {
     pub elapsed: Duration,
 }
 
-/// The nope solver: build the program, then verify reachability.
+/// The nope solver: build the program, then verify reachability with the
+/// default [`ProgramVerifier`] budgets.
 #[derive(Clone, Debug, Default)]
-pub struct NopeSolver {
-    verifier: ProgramVerifier,
-}
+pub struct NopeSolver;
 
 impl NopeSolver {
-    /// Creates a solver with default verification budgets.
+    /// Creates a solver.
     pub fn new() -> Self {
-        NopeSolver::default()
-    }
-
-    /// Overrides the program verifier configuration.
-    pub fn with_verifier(mut self, verifier: ProgramVerifier) -> Self {
-        self.verifier = verifier;
-        self
+        NopeSolver
     }
 
     /// Checks unrealizability of `problem` restricted to `examples`.
@@ -74,9 +67,7 @@ impl NopeSolver {
     pub fn check(&self, problem: &Problem, examples: &ExampleSet) -> (NopeVerdict, NopeStats) {
         let started = Instant::now();
         let program = Program::from_grammar(problem.grammar(), examples);
-        let outcome = self
-            .verifier
-            .check_instrumented(&program, examples, problem.spec());
+        let outcome = ProgramVerifier::new().check_instrumented(&program, examples, problem.spec());
         let stats = NopeStats {
             num_procedures: program.procedures.len(),
             num_branches: program.num_branches(),

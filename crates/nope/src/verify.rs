@@ -18,7 +18,8 @@
 
 use crate::program::{ProgExpr, Program};
 use chc::domain::{AbsBool, AbsInt, AbsValue};
-use logic::{stop_requested, Formula, LinearExpr, Solver, SolverResult, Var};
+use chc::refutation_query;
+use logic::{stop_requested, Solver, SolverResult};
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Op, Spec, Term, TermArena, TermId};
 
@@ -550,10 +551,10 @@ impl ProgramVerifier {
     /// number of fixed-point iterations performed before convergence (or
     /// the configured cap, if the iteration never stabilised).
     ///
-    /// The [`logic`] stop hook is polled once per iteration (and by the
-    /// final query's solver). A stopped fixpoint is not a post-fixpoint, so
-    /// it answers `false`, which callers must read as "no verdict", never
-    /// as "reachable".
+    /// Only a post-fixpoint is evidence: a fixpoint that is still moving at
+    /// the cap, or that the [`logic`] stop hook (polled once per iteration,
+    /// and by the final query's solver) cut short, answers `false`, which
+    /// callers must read as "no verdict", never as "reachable".
     pub fn abstract_unreachable_counted(
         &self,
         program: &Program,
@@ -592,40 +593,14 @@ impl ProgramVerifier {
             }
             values = next;
             if !changed {
-                break;
+                let query = refutation_query(&values[program.entry], examples, spec);
+                return (
+                    Solver::default().check(&query) == SolverResult::Unsat,
+                    iterations_run,
+                );
             }
         }
-
-        let outputs: Vec<Var> = (0..examples.len())
-            .map(|j| Var::indexed("o", j + 1))
-            .collect();
-        let gamma = match &values[program.entry] {
-            AbsValue::Bottom => return (true, iterations_run),
-            AbsValue::Int(components) => Formula::and(
-                components
-                    .iter()
-                    .enumerate()
-                    .map(|(j, a)| a.to_formula(&outputs[j], &format!("k_{j}"))),
-            ),
-            AbsValue::Bool(components) => {
-                Formula::and(components.iter().enumerate().map(|(j, b)| {
-                    let o = LinearExpr::var(outputs[j].clone());
-                    match b {
-                        AbsBool::True => Formula::eq(o, LinearExpr::constant(1)),
-                        AbsBool::False => Formula::eq(o, LinearExpr::constant(0)),
-                        AbsBool::Top => Formula::and(vec![
-                            Formula::ge(o.clone(), LinearExpr::constant(0)),
-                            Formula::le(o, LinearExpr::constant(1)),
-                        ]),
-                    }
-                }))
-            }
-        };
-        let query = Formula::and(vec![gamma, spec.conjunction_over(examples, &outputs)]);
-        (
-            matches!(Solver::default().check(&query), SolverResult::Unsat),
-            iterations_run,
-        )
+        (false, iterations_run)
     }
 
     fn abstract_expr(&self, expr: &ProgExpr, values: &[AbsValue], dim: usize) -> AbsValue {
@@ -901,5 +876,42 @@ mod tests {
         let program = Program::from_grammar(&grammar, &examples);
         let verdict = ProgramVerifier::new().check(&program, &examples, &spec);
         assert_eq!(verdict, NopeVerdict::Unknown);
+    }
+
+    #[test]
+    fn a_capped_fixpoint_is_not_evidence() {
+        // Start ::= (+ N1 Z) | 7 | (+ Start Z), Nᵢ ::= (+ Nᵢ₊₁ Z) for
+        // i < 120, N120 ::= 5, Z ::= 0: realizable by 5 + 0 + … + 0, whose
+        // value reaches Start in round 121. At the cap of 100 the iteration
+        // still has Start = {7}, which would refute f = 5.
+        let mut builder = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("Z", Sort::Int)
+            .production("Start", Symbol::Plus, &["N1", "Z"])
+            .production("Start", Symbol::Num(7), &[])
+            .production("Start", Symbol::Plus, &["Start", "Z"])
+            .production("Z", Symbol::Num(0), &[]);
+        for i in 1..=120 {
+            let (name, next) = (format!("N{i}"), format!("N{}", i + 1));
+            builder = builder.nonterminal(&name, Sort::Int);
+            builder = if i < 120 {
+                builder.production(&name, Symbol::Plus, &[&next, "Z"])
+            } else {
+                builder.production(&name, Symbol::Num(5), &[])
+            };
+        }
+        let grammar = builder.build().unwrap();
+        let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
+        let examples = ExampleSet::for_single_var("x", [0]);
+        let program = Program::from_grammar(&grammar, &examples);
+        let verifier = ProgramVerifier::new();
+        assert_eq!(
+            verifier.abstract_unreachable_counted(&program, &examples, &spec),
+            (false, verifier.max_abstract_iterations)
+        );
+        assert_eq!(
+            verifier.check(&program, &examples, &spec),
+            NopeVerdict::Unknown
+        );
     }
 }

@@ -26,7 +26,8 @@
 //! In front of the race sits a *presolve* stage (crate `analyze`, on by
 //! default): a static analyzer that can settle a problem without running
 //! any engine — empty or exhaustively-refuted finite languages, verified
-//! finite-language witnesses, and interval/parity abstract refutations.
+//! finite-language witnesses, and refutations through `chc`'s interval ×
+//! congruence fixpoint.
 //! Its verdicts are sound by construction and additionally re-validated
 //! through [`analyze::Presolver::recheck`] before they are trusted, so the
 //! presolve can never flip a race verdict — it only skips engine work.
@@ -105,5 +106,35 @@ mod test_problems {
             Sort::Int,
         );
         Problem::new("gconst", grammar, spec)
+    }
+
+    /// `Start ::= (+ N1 Z)`, `Nᵢ ::= (+ Nᵢ₊₁ Z)` for `i < 120`,
+    /// `N120 ::= 5`, `Z ::= 0`, with spec `f(x) = 5`: realizable by
+    /// `5+0+…+0`, whose value reaches `Start` only after 121 Jacobi rounds
+    /// of a Kleene iteration. `looped` adds `Start ::= 7 | (+ Start Z)`,
+    /// which makes the language infinite.
+    pub fn deep_chain(looped: bool) -> Problem {
+        let names: Vec<String> = (1..=120).map(|i| format!("N{i}")).collect();
+        let mut builder = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("Z", Sort::Int)
+            .production("Start", Symbol::Plus, &["N1", "Z"])
+            .production("Z", Symbol::Num(0), &[]);
+        if looped {
+            builder = builder.production("Start", Symbol::Num(7), &[]).production(
+                "Start",
+                Symbol::Plus,
+                &["Start", "Z"],
+            );
+        }
+        for (i, name) in names.iter().enumerate() {
+            builder = builder.nonterminal(name, Sort::Int);
+            builder = match names.get(i + 1) {
+                Some(next) => builder.production(name, Symbol::Plus, &[next, "Z"]),
+                None => builder.production(name, Symbol::Num(5), &[]),
+            };
+        }
+        let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
+        Problem::new("deep-chain", builder.build().unwrap(), spec)
     }
 }

@@ -10,9 +10,9 @@
 //! # The presolve stage
 //!
 //! Every race starts (unless disabled via [`Portfolio::with_presolve`])
-//! with crate `analyze`'s static presolve: an interval×parity abstract
-//! interpretation plus a finite-language lane that can settle a problem
-//! without dispatching either engine. A definitive presolve verdict is
+//! with crate `analyze`'s static presolve: a finite-language lane plus
+//! `chc`'s interval × congruence abstract interpretation on probe inputs,
+//! which can settle a problem without dispatching either engine. A definitive presolve verdict is
 //! only trusted after it passes [`Presolver::recheck`], which re-derives
 //! the proof from scratch; a verdict that fails its own recheck is
 //! discarded and the engines race as if the presolve had abstained. The
@@ -508,6 +508,41 @@ mod tests {
         // cancelled; either way both sides report a status
         assert_eq!(report.nay.engine, "nay");
         assert_eq!(report.nope.engine, "nope");
+    }
+
+    #[test]
+    fn capped_fixpoints_never_prove_unrealizability() {
+        // Both chains are realizable, and a Kleene iteration capped at 100
+        // rounds stops before `Start` sees the chain's value: read as a
+        // fixpoint, the cut-short iteration refutes `f(x) = 5`.
+        let x0 = sygus::ExampleSet::for_single_var("x", [0]);
+        for looped in [true, false] {
+            let problem = crate::test_problems::deep_chain(looped);
+            let horn = nay::check_unrealizable(&problem, &x0, &nay::Mode::Horn);
+            assert_ne!(horn.verdict, nay::Verdict::Unrealizable, "looped={looped}");
+            let (nope, _) = nope::NopeSolver::new().check(&problem, &x0);
+            assert_ne!(nope, nope::NopeVerdict::Unrealizable, "looped={looped}");
+            let (horn_cegis, _) = Nay::new().with_mode(nay::Mode::Horn).run(&problem);
+            assert_ne!(
+                horn_cegis,
+                nay::CegisOutcome::Unrealizable,
+                "looped={looped}"
+            );
+            let presolved = Presolver::new().presolve(&problem);
+            assert_ne!(
+                presolved.verdict,
+                PresolveVerdict::Unrealizable,
+                "looped={looped}"
+            );
+            for presolve in [true, false] {
+                let report = race(&Portfolio::new().with_presolve(presolve), &problem);
+                assert_ne!(
+                    report.verdict,
+                    SolveVerdict::Unrealizable,
+                    "looped={looped} presolve={presolve}"
+                );
+            }
+        }
     }
 
     #[test]

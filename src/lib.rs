@@ -13,11 +13,14 @@
 //! * [`sygus`] — terms, grammars, examples, specifications, SyGuS-IF parsing,
 //! * [`logic`] — QF-LIA formulas and the built-in solver,
 //! * [`analyze`] — static semantic analysis: well-formedness diagnostics,
-//!   grammar structure reports, and the interval/parity abstract presolve,
+//!   grammar structure reports, and a presolve that refutes through
+//!   `chc`'s interval × congruence fixpoint,
 //! * [`semilinear`] — semi-linear sets and Boolean-vector sets,
 //! * [`gfa`] — grammar-flow analysis: Newton's method, Kleene iteration,
 //!   stratification,
-//! * [`chc`] — constrained Horn clauses and the approximate Horn solver,
+//! * [`chc`] — constrained Horn clauses and the approximate Horn solver:
+//!   the one abstract interpreter of grammars, run by nayHorn and the
+//!   presolve, and the refutation query nope shares,
 //! * [`enumerative`] — the bottom-up enumerative synthesizer,
 //! * [`nope`] — the program-reachability baseline,
 //! * [`nay`] — Alg. 1 / Alg. 2: the unrealizability checker and CEGIS loop,
