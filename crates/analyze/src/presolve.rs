@@ -12,8 +12,8 @@
 //!    concrete counterexample the language is exhausted (`Unrealizable`).
 //! 3. **Abstract refutation** — [`chc::HornSolver`]'s interval ×
 //!    congruence fixpoint over the grammar's nonterminals, on a set of
-//!    concrete probe inputs (the abstract interpreter nayHorn uses, run
-//!    once over all probes). Every program in `L(G)` evaluates, on each
+//!    concrete probe inputs (the abstract interpreter nayHorn and nope
+//!    use, run once over all probes). Every program in `L(G)` evaluates, on each
 //!    probe, to a value inside the start symbol's abstract output; if the
 //!    exact QF-LIA solver proves [`chc::refutation_query`] unsatisfiable
 //!    for one probe — no such value satisfies the instantiated
@@ -238,7 +238,7 @@ impl Presolver {
 
         // Lane 3: abstract refutation over probe inputs.
         let probes = self.probes(spec);
-        if let Some(values) = self.fixpoint.analyze(grammar, &probes) {
+        if let (Some(values), _) = self.fixpoint.analyze(grammar, &probes) {
             let start = &values[grammar.start()];
             for (j, probe) in probes.iter().enumerate() {
                 let output = start.component(j);
@@ -316,7 +316,7 @@ impl Presolver {
                     return false;
                 }
                 let probe = Example::from_pairs(inputs.iter().map(|(x, v)| (x.clone(), *v)));
-                let recomputed = self
+                let (recomputed, _) = self
                     .fixpoint
                     .analyze(grammar, &ExampleSet::from_examples([probe.clone()]));
                 recomputed.is_some_and(|values| values[grammar.start()] == *output)

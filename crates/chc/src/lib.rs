@@ -14,16 +14,18 @@
 //! * [`refutation_query`] — the query `γ̂(start) ∧ ψ^E` that refutes an
 //!   abstract start value against the specification.
 //!
-//! This is the workspace's one abstract interpreter of grammars: nayHorn
-//! runs [`HornSolver::check`], nope's program verifier refutes its own
-//! fixpoint through [`refutation_query`], and the static presolve of the
-//! `analyze` crate runs [`HornSolver::analyze`] on probe inputs and
+//! This is the workspace's one abstract interpreter of grammars and the
+//! one Horn back end of both approximate provers: nayHorn runs
+//! [`HornSolver::check`], nope's program verifier runs
+//! [`HornSolver::analyze`] on the grammar its program encodes and refutes
+//! the start value through [`refutation_query`], and the static presolve
+//! of the `analyze` crate runs [`HornSolver::analyze`] on probe inputs and
 //! refutes each probe through [`refutation_query`].
 //!
 //! The abstract-interpretation solver replaces Z3/Spacer (unavailable in this
 //! reproduction); like Spacer it either *proves* the query unsatisfiable —
-//! establishing unrealizability — or gives up with `Unknown`. See DESIGN.md
-//! for the substitution rationale.
+//! establishing unrealizability — or gives up with `Unknown`. See
+//! docs/ARCHITECTURE.md ("The approximate provers") for the substitution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -101,13 +101,19 @@ impl HornSolver {
     /// empty, the stop hook of a [`logic::interruptible`] scope cut the
     /// iteration short, or some example's iteration was still moving after
     /// the round cap.
+    ///
+    /// The second component counts Kleene rounds: the most any example
+    /// needed to converge (the round that changed nothing included), or,
+    /// with no values, the round at which the cap or the stop hook ended
+    /// the iteration (0 for no examples). The domain is per example, so a
+    /// joint iteration over all examples would run the same number.
     pub fn analyze(
         &self,
         grammar: &Grammar,
         examples: &ExampleSet,
-    ) -> Option<BTreeMap<NonTerminal, AbsValue>> {
+    ) -> (Option<BTreeMap<NonTerminal, AbsValue>>, usize) {
         if examples.is_empty() {
-            return None;
+            return (None, 0);
         }
         let nts = grammar.nonterminals();
         let index = |nt: &NonTerminal| {
@@ -128,38 +134,44 @@ impl HornSolver {
         let n = nts.len();
         let mut columns = vec![Cell::Bottom; n * examples.len()];
         let mut acc = vec![Cell::Bottom; n];
+        let mut rounds = 0;
         for (column, example) in columns.chunks_mut(n).zip(examples.iter()) {
-            self.fixpoint(&rules, example, column, &mut acc)?;
+            match self.fixpoint(&rules, example, column, &mut acc) {
+                Ok(converged) => rounds = rounds.max(converged),
+                Err(ended) => return (None, ended),
+            }
         }
-        Some(
-            nts.iter()
-                .enumerate()
-                .map(|(i, nt)| {
-                    let cells = columns.iter().skip(i).step_by(n);
-                    let value = match columns[i] {
-                        Cell::Bottom => AbsValue::Bottom,
-                        Cell::Int(_) => AbsValue::Int(cells.map(Cell::int).collect()),
-                        Cell::Bool(_) => AbsValue::Bool(cells.map(Cell::boolean).collect()),
-                    };
-                    (nt.clone(), value)
-                })
-                .collect(),
-        )
+        let values = nts
+            .iter()
+            .enumerate()
+            .map(|(i, nt)| {
+                let cells = columns.iter().skip(i).step_by(n);
+                let value = match columns[i] {
+                    Cell::Bottom => AbsValue::Bottom,
+                    Cell::Int(_) => AbsValue::Int(cells.map(Cell::int).collect()),
+                    Cell::Bool(_) => AbsValue::Bool(cells.map(Cell::boolean).collect()),
+                };
+                (nt.clone(), value)
+            })
+            .collect();
+        (Some(values), rounds)
     }
 
     /// The Jacobi Kleene iteration on one example: every round recomputes
     /// each nonterminal from the previous round's cells, joining (widening,
-    /// after the delay) into its old cell. `None` unless it converged.
+    /// after the delay) into its old cell. `Ok` with the rounds run if it
+    /// converged, else `Err` with the rounds completed when the cap or the
+    /// stop hook ended it.
     fn fixpoint(
         &self,
         rules: &[Rule],
         example: &Example,
         values: &mut [Cell],
         acc: &mut [Cell],
-    ) -> Option<()> {
+    ) -> Result<usize, usize> {
         for iteration in 0..MAX_ITERATIONS {
             if stop_requested() {
-                return None;
+                return Err(iteration);
             }
             acc.fill(Cell::Bottom);
             for rule in rules {
@@ -178,16 +190,16 @@ impl HornSolver {
                 }
             }
             if !changed {
-                return Some(());
+                return Ok(iteration + 1);
             }
         }
-        None
+        Err(MAX_ITERATIONS)
     }
 
     /// Checks unrealizability of the SyGuS-with-examples problem
     /// `(spec, grammar)` restricted to `examples` (the Horn query of §4.3).
     pub fn check(&self, grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> HornVerdict {
-        let Some(values) = self.analyze(grammar, examples) else {
+        let (Some(values), _) = self.analyze(grammar, examples) else {
             return HornVerdict::Unknown;
         };
         match Solver::default().check(&refutation_query(&values[grammar.start()], examples, spec)) {
@@ -339,9 +351,9 @@ mod tests {
     #[test]
     fn analysis_discovers_the_congruence_invariant() {
         let examples = ExampleSet::for_single_var("x", [1]);
-        let values = HornSolver::new()
-            .analyze(&g1(), &examples)
-            .expect("the fixpoint converges");
+        let (values, rounds) = HornSolver::new().analyze(&g1(), &examples);
+        let values = values.expect("the fixpoint converges");
+        assert!(0 < rounds && rounds < MAX_ITERATIONS);
         match &values[&NonTerminal::new("Start")] {
             AbsValue::Int(v) => {
                 assert!(v[0].contains(0));
@@ -382,13 +394,16 @@ mod tests {
         let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [0]);
         let solver = HornSolver::new();
-        assert!(solver.analyze(&deep_chain(120), &examples).is_none());
+        assert_eq!(
+            solver.analyze(&deep_chain(120), &examples),
+            (None, MAX_ITERATIONS)
+        );
         assert_eq!(
             solver.check(&deep_chain(120), &examples, &spec),
             HornVerdict::Unknown
         );
         // a chain the cap covers converges, and 5 is in Start's value
-        let values = solver.analyze(&deep_chain(20), &examples).unwrap();
+        let values = solver.analyze(&deep_chain(20), &examples).0.unwrap();
         match &values[&NonTerminal::new("Start")] {
             AbsValue::Int(v) => assert!(v[0].contains(5) && v[0].contains(7)),
             other => panic!("unexpected {other:?}"),
@@ -408,7 +423,7 @@ mod tests {
             .build()
             .unwrap();
         let examples = ExampleSet::for_single_var("x", [i64::MIN]);
-        let values = HornSolver::new().analyze(&grammar, &examples).unwrap();
+        let values = HornSolver::new().analyze(&grammar, &examples).0.unwrap();
         for nt in ["A", "B", "Start"] {
             assert_eq!(
                 values[&NonTerminal::new(nt)],
@@ -429,6 +444,10 @@ mod tests {
             || solver.check(&g1(), &examples, &spec_2x_plus_2()),
         );
         assert_eq!(verdict, HornVerdict::Unknown);
+        assert_eq!(
+            logic::interruptible(|| true, || solver.analyze(&g1(), &examples)),
+            (None, 0)
+        );
         assert_eq!(
             solver.check(&g1(), &examples, &spec_2x_plus_2()),
             HornVerdict::Unrealizable

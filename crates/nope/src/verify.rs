@@ -3,25 +3,27 @@
 //! specification on every example) reachable?
 //!
 //! The original nope hands the program to an off-the-shelf software verifier
-//! (SeaHorn, itself built on Spacer). In this reproduction the same
-//! obligations are discharged with
+//! (SeaHorn), which turns it into constrained Horn clauses for Spacer. In
+//! this reproduction the same obligations are discharged with
 //!
-//! * an **abstract interpretation** of the program over the
-//!   interval × congruence domain of the `chc` crate (sound proofs of
-//!   unreachability, i.e. of unrealizability), and
 //! * a **bounded concrete exploration** of the program's runs, which can
-//!   find a reachable good run and hence prove realizability of `sy_E`.
+//!   find a reachable good run and hence prove realizability of `sy_E`, and
+//! * the **Horn back end** of the `chc` crate, the one nayHorn and the
+//!   presolve use: the program has one procedure per nonterminal and one
+//!   branch per production, so the interval × congruence fixpoint of
+//!   [`HornSolver::analyze`] over the grammar is the fixpoint of the
+//!   program, and an unsatisfiable [`refutation_query`] proves the bad
+//!   location unreachable, i.e. the problem unrealizable.
 //!
-//! Both analyses operate on the program IR — the indirection through the
-//! encoding is exactly the overhead the paper observes when comparing nope
-//! against nayHorn.
+//! The exploration runs on the program IR: the indirection through the
+//! encoding is the overhead the paper observes when comparing nope against
+//! nayHorn.
 
 use crate::program::{ProgExpr, Program};
-use chc::domain::{AbsBool, AbsInt, AbsValue};
-use chc::refutation_query;
+use chc::{refutation_query, HornSolver};
 use logic::{stop_requested, Solver, SolverResult};
 use std::collections::BTreeMap;
-use sygus::{ExampleSet, Op, Spec, Term, TermArena, TermId};
+use sygus::{ExampleSet, Grammar, Op, Spec, Term, TermArena, TermId};
 
 /// The verdict of the nope-style reachability analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,14 +56,13 @@ impl NopeVerdict {
     }
 }
 
-/// Everything [`ProgramVerifier::check_instrumented`] reports alongside
-/// the verdict.
+/// Everything [`ProgramVerifier::check`] reports alongside the verdict.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
     /// The combined verdict of both analyses.
     pub verdict: NopeVerdict,
-    /// Fixed-point iterations performed by the abstract interpreter
-    /// (0 when the bounded search already decided the verdict).
+    /// Kleene rounds of the Horn back end's fixpoint (0 when the bounded
+    /// search already decided the verdict).
     pub abstract_iterations: usize,
     /// Number of witness-log nodes the bounded search recorded while
     /// exploring reachable vectors (its peak size — the log only grows;
@@ -180,65 +181,32 @@ fn log_witness(log: &mut WitnessLog, trail: &[(u32, u32)], witness: LazyWitness)
     }
 }
 
-/// Configuration of the bounded/abstract program verifier.
-#[derive(Clone, Debug)]
-pub struct ProgramVerifier {
-    /// Number of fixed-point iterations of the abstract interpreter.
-    pub max_abstract_iterations: usize,
-    /// Widening delay of the abstract interpreter.
-    pub widening_delay: usize,
-    /// Unrolling depth of the bounded concrete exploration.
-    pub unroll_depth: usize,
-    /// Cap on the number of distinct concrete vectors tracked per procedure.
-    pub max_vectors: usize,
-}
+/// Unrolling depth of the bounded concrete exploration.
+const UNROLL_DEPTH: usize = 8;
 
-impl Default for ProgramVerifier {
-    fn default() -> Self {
-        ProgramVerifier {
-            max_abstract_iterations: 100,
-            widening_delay: 3,
-            unroll_depth: 8,
-            max_vectors: 2000,
-        }
-    }
-}
+/// Cap on the number of distinct concrete vectors tracked per procedure.
+const MAX_VECTORS: usize = 2000;
+
+/// The program verifier: a bounded search for a good run, then `chc`'s
+/// refutation of every run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ProgramVerifier;
 
 impl ProgramVerifier {
-    /// Creates a verifier with the default budgets.
-    pub fn new() -> Self {
-        ProgramVerifier::default()
-    }
-
-    /// Runs both analyses and combines their verdicts.
-    pub fn check(&self, program: &Program, examples: &ExampleSet, spec: &Spec) -> NopeVerdict {
-        self.check_counted(program, examples, spec).0
-    }
-
-    /// Like [`ProgramVerifier::check`], but also reports how many
-    /// fixed-point iterations the abstract interpreter performed (0 when
-    /// the bounded search already decided the verdict).
-    pub fn check_counted(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> (NopeVerdict, usize) {
-        let outcome = self.check_instrumented(program, examples, spec);
-        (outcome.verdict, outcome.abstract_iterations)
-    }
-
-    /// [`ProgramVerifier::check_counted`] returning the full
-    /// [`CheckOutcome`]: the verdict, the fixpoint iteration count, the
-    /// bounded search's term-arena size, and (for realizable-on-examples
-    /// verdicts) the witness term the arena reconstructed.
+    /// Decides whether `program`, which must be
+    /// [`Program::from_grammar`]`(grammar, examples)`, reaches its bad
+    /// location: the bounded search looks for a good run (the witness
+    /// vector and term), and when it finds none, [`HornSolver::analyze`]'s
+    /// fixpoint over `grammar` and [`refutation_query`] try to prove that
+    /// no run is good.
     ///
-    /// Inside a [`logic::interruptible`] scope both analyses poll the stop
-    /// hook once per round (bounded unrolling, abstract fixpoint) and in
-    /// the final query; a stopped check answers [`NopeVerdict::Unknown`]
+    /// Inside a [`logic::interruptible`] scope the bounded search and the
+    /// fixpoint poll the stop hook once per round, and the final query per
+    /// solver step; a stopped check answers [`NopeVerdict::Unknown`]
     /// unless it had already found a witness.
-    pub fn check_instrumented(
+    pub fn check(
         &self,
+        grammar: &Grammar,
         program: &Program,
         examples: &ExampleSet,
         spec: &Spec,
@@ -268,48 +236,24 @@ impl ProgramVerifier {
             );
         }
         let arena_terms = log.len();
-        // 2. abstract interpretation: is the bad location provably unreachable?
-        let (unreachable, iterations) = self.abstract_unreachable_counted(program, examples, spec);
-        if unreachable {
-            done(NopeVerdict::Unrealizable, iterations, arena_terms, None)
+        // 2. the Horn back end: is the bad location provably unreachable?
+        let (values, iterations) = HornSolver::new().analyze(grammar, examples);
+        let refuted = values.is_some_and(|values| {
+            let query = refutation_query(&values[grammar.start()], examples, spec);
+            Solver::default().check(&query) == SolverResult::Unsat
+        });
+        let verdict = if refuted {
+            NopeVerdict::Unrealizable
         } else {
-            done(NopeVerdict::Unknown, iterations, arena_terms, None)
-        }
+            NopeVerdict::Unknown
+        };
+        done(verdict, iterations, arena_terms, None)
     }
 
     /// Bounded unrolling of the recursive program: computes, per procedure,
     /// the set of return vectors realizable within the unrolling depth and
-    /// checks the assertion against those of the entry procedure.
-    pub fn bounded_search(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> Option<Vec<i64>> {
-        self.bounded_search_with_term(program, examples, spec)
-            .map(|(vector, _)| vector)
-    }
-
-    /// [`ProgramVerifier::bounded_search`], additionally reconstructing
-    /// the witness *term* (a member of `L(G)` realizing the good vector)
-    /// from the ids the search threads through its exploration.
-    pub fn bounded_search_with_term(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> Option<(Vec<i64>, Term)> {
-        let mut arena = TermArena::new();
-        let mut log = WitnessLog::default();
-        self.explore(program, examples, spec, &mut arena, &mut log)
-            .map(|(vector, r)| {
-                let id = log.intern_into(&mut arena, r);
-                (vector, arena.extract(id))
-            })
-    }
-
-    /// The body of [`ProgramVerifier::bounded_search`], polling the
-    /// [`logic`] stop hook once per unrolling round; a stopped search
+    /// checks the assertion against those of the entry procedure. It polls
+    /// the [`logic`] stop hook once per unrolling round; a stopped search
     /// returns `None` (no witness found). Every reachable vector carries
     /// the [`WitnessLog`] index of
     /// the first term found producing it — witnesses stay
@@ -329,7 +273,7 @@ impl ProgramVerifier {
         let n = program.procedures.len();
         let mut reachable: Vec<BTreeMap<Vec<i64>, u32>> = vec![BTreeMap::new(); n];
         let mut trail: Vec<(u32, u32)> = Vec::new();
-        for _ in 0..self.unroll_depth {
+        for _ in 0..UNROLL_DEPTH {
             if stop_requested() {
                 return None;
             }
@@ -346,12 +290,12 @@ impl ProgramVerifier {
                         &mut trail,
                         &mut new_vectors,
                     );
-                    if new_vectors.len() > self.max_vectors {
+                    if new_vectors.len() > MAX_VECTORS {
                         break;
                     }
                 }
                 for (v, w) in new_vectors {
-                    if reachable[i].len() >= self.max_vectors {
+                    if reachable[i].len() >= MAX_VECTORS {
                         break;
                     }
                     if let std::collections::btree_map::Entry::Vacant(slot) = reachable[i].entry(v)
@@ -392,7 +336,7 @@ impl ProgramVerifier {
         trail.clear();
         let entries = self.eval_expr(expr, reachable, dim, arena, log, trail);
         for (v, w) in entries {
-            if out.len() >= self.max_vectors {
+            if out.len() >= MAX_VECTORS {
                 return;
             }
             if let std::collections::btree_map::Entry::Vacant(slot) = out.entry(v) {
@@ -428,17 +372,21 @@ impl ProgramVerifier {
         trail: &mut Vec<(u32, u32)>,
     ) -> Vec<(Vec<i64>, LazyWitness)> {
         type Valued = Vec<(Vec<i64>, LazyWitness)>;
-        let cap = self.max_vectors;
+        // `f` answers `None` on i64 overflow, which drops the combination:
+        // the search only collects witnesses, so a skipped run is sound,
+        // while a wrapped one could be a false witness.
         let combine2 = |a: Vec<(Vec<i64>, u32)>,
                         b: Vec<(Vec<i64>, u32)>,
-                        f: &dyn Fn(i64, i64) -> i64,
+                        f: &dyn Fn(i64, i64) -> Option<i64>,
                         op: Op| {
             let mut out: Valued = Vec::new();
             'outer: for (xv, xw) in &a {
                 for (yv, yw) in &b {
-                    let vector = (0..dim).map(|j| f(xv[j], yv[j])).collect();
+                    let Some(vector) = (0..dim).map(|j| f(xv[j], yv[j])).collect() else {
+                        continue;
+                    };
                     out.push((vector, LazyWitness::Bin(op, *xw, *yw)));
-                    if out.len() >= cap {
+                    if out.len() >= MAX_VECTORS {
                         break 'outer;
                     }
                 }
@@ -475,13 +423,13 @@ impl ProgramVerifier {
                     let mut next = Vec::new();
                     'outer: for (av, ahead) in &acc {
                         for (bv, bw) in &vals {
+                            let Some(sum) = (0..dim).map(|j| av[j].checked_add(bv[j])).collect()
+                            else {
+                                continue;
+                            };
                             trail.push((*ahead, *bw));
-                            let head = (trail.len() - 1) as u32;
-                            next.push((
-                                (0..dim).map(|j| av[j] + bv[j]).collect::<Vec<i64>>(),
-                                head,
-                            ));
-                            if next.len() >= cap {
+                            next.push((sum, (trail.len() - 1) as u32));
+                            if next.len() >= MAX_VECTORS {
                                 break 'outer;
                             }
                         }
@@ -495,15 +443,21 @@ impl ProgramVerifier {
                     .map(|(v, head)| (v, LazyWitness::Plus(head)))
                     .collect()
             }
-            ProgExpr::Sub(a, b) => combine2(child!(a), child!(b), &|x, y| x - y, Op::Minus),
-            ProgExpr::Less(a, b) => {
-                combine2(child!(a), child!(b), &|x, y| i64::from(x < y), Op::LessThan)
-            }
-            ProgExpr::Equal(a, b) => {
-                combine2(child!(a), child!(b), &|x, y| i64::from(x == y), Op::Equal)
-            }
-            ProgExpr::And(a, b) => combine2(child!(a), child!(b), &|x, y| x & y, Op::And),
-            ProgExpr::Or(a, b) => combine2(child!(a), child!(b), &|x, y| x | y, Op::Or),
+            ProgExpr::Sub(a, b) => combine2(child!(a), child!(b), &i64::checked_sub, Op::Minus),
+            ProgExpr::Less(a, b) => combine2(
+                child!(a),
+                child!(b),
+                &|x, y| Some(i64::from(x < y)),
+                Op::LessThan,
+            ),
+            ProgExpr::Equal(a, b) => combine2(
+                child!(a),
+                child!(b),
+                &|x, y| Some(i64::from(x == y)),
+                Op::Equal,
+            ),
+            ProgExpr::And(a, b) => combine2(child!(a), child!(b), &|x, y| Some(x & y), Op::And),
+            ProgExpr::Or(a, b) => combine2(child!(a), child!(b), &|x, y| Some(x | y), Op::Or),
             ProgExpr::Not(a) => child!(a)
                 .into_iter()
                 .map(|(v, w)| {
@@ -525,217 +479,13 @@ impl ProgramVerifier {
                                 .map(|j| if gv[j] == 1 { tv[j] } else { ev[j] })
                                 .collect();
                             out.push((vector, LazyWitness::Tri(Op::IfThenElse, *gw, *tw, *ew)));
-                            if out.len() >= cap {
+                            if out.len() >= MAX_VECTORS {
                                 break 'outer;
                             }
                         }
                     }
                 }
                 out
-            }
-        }
-    }
-
-    /// Abstract interpretation over intervals × congruences: returns `true`
-    /// when the bad location is provably unreachable.
-    pub fn abstract_unreachable(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> bool {
-        self.abstract_unreachable_counted(program, examples, spec).0
-    }
-
-    /// Like [`ProgramVerifier::abstract_unreachable`], but also reports the
-    /// number of fixed-point iterations performed before convergence (or
-    /// the configured cap, if the iteration never stabilised).
-    ///
-    /// Only a post-fixpoint is evidence: a fixpoint that is still moving at
-    /// the cap, or that the [`logic`] stop hook (polled once per iteration,
-    /// and by the final query's solver) cut short, answers `false`, which
-    /// callers must read as "no verdict", never as "reachable".
-    pub fn abstract_unreachable_counted(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> (bool, usize) {
-        let n = program.procedures.len();
-        let mut values: Vec<AbsValue> = vec![AbsValue::Bottom; n];
-        let mut iterations_run = 0;
-        for iteration in 0..self.max_abstract_iterations {
-            if stop_requested() {
-                return (false, iterations_run);
-            }
-            iterations_run = iteration + 1;
-            let mut changed = false;
-            let mut next = values.clone();
-            for (i, proc_) in program.procedures.iter().enumerate() {
-                let mut acc = AbsValue::Bottom;
-                for branch in &proc_.branches {
-                    let v = self.abstract_expr(branch, &values, program.dim);
-                    if !v.is_bottom() {
-                        acc = acc.join(&v);
-                    }
-                }
-                let new = if iteration >= self.widening_delay {
-                    values[i].widen(&acc)
-                } else if values[i].is_bottom() {
-                    acc
-                } else {
-                    values[i].join(&acc)
-                };
-                if new != values[i] {
-                    changed = true;
-                }
-                next[i] = new;
-            }
-            values = next;
-            if !changed {
-                let query = refutation_query(&values[program.entry], examples, spec);
-                return (
-                    Solver::default().check(&query) == SolverResult::Unsat,
-                    iterations_run,
-                );
-            }
-        }
-        (false, iterations_run)
-    }
-
-    fn abstract_expr(&self, expr: &ProgExpr, values: &[AbsValue], dim: usize) -> AbsValue {
-        let int = |v: &AbsValue| -> Option<Vec<AbsInt>> {
-            match v {
-                AbsValue::Int(x) => Some(x.clone()),
-                AbsValue::Bool(x) => Some(
-                    x.iter()
-                        .map(|b| match b {
-                            AbsBool::True => AbsInt::constant(1),
-                            AbsBool::False => AbsInt::constant(0),
-                            AbsBool::Top => AbsInt::constant(0).join(&AbsInt::constant(1)),
-                        })
-                        .collect(),
-                ),
-                AbsValue::Bottom => None,
-            }
-        };
-        let boolean = |v: &AbsValue| -> Option<Vec<AbsBool>> {
-            match v {
-                AbsValue::Bool(x) => Some(x.clone()),
-                AbsValue::Int(x) => Some(
-                    x.iter()
-                        .map(|a| {
-                            if a.contains(0) && !a.contains(1) {
-                                AbsBool::False
-                            } else if a.contains(1) && !a.contains(0) {
-                                AbsBool::True
-                            } else {
-                                AbsBool::Top
-                            }
-                        })
-                        .collect(),
-                ),
-                AbsValue::Bottom => None,
-            }
-        };
-        match expr {
-            ProgExpr::Const(v, _) => {
-                AbsValue::Int(v.iter().map(|&c| AbsInt::constant(c)).collect())
-            }
-            ProgExpr::Call(p) => values[*p].clone(),
-            ProgExpr::Add(xs) => {
-                let mut acc = vec![AbsInt::constant(0); dim];
-                for x in xs {
-                    let Some(v) = int(&self.abstract_expr(x, values, dim)) else {
-                        return AbsValue::Bottom;
-                    };
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a = a.add(&b);
-                    }
-                }
-                AbsValue::Int(acc)
-            }
-            ProgExpr::Sub(a, b) => {
-                let (Some(x), Some(y)) = (
-                    int(&self.abstract_expr(a, values, dim)),
-                    int(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Int(x.iter().zip(&y).map(|(p, q)| p.add(&q.neg())).collect())
-            }
-            ProgExpr::Ite(c, t, e) => {
-                let (Some(g), Some(tv), Some(ev)) = (
-                    boolean(&self.abstract_expr(c, values, dim)),
-                    int(&self.abstract_expr(t, values, dim)),
-                    int(&self.abstract_expr(e, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Int(
-                    (0..dim)
-                        .map(|j| match g[j] {
-                            AbsBool::True => tv[j],
-                            AbsBool::False => ev[j],
-                            AbsBool::Top => tv[j].join(&ev[j]),
-                        })
-                        .collect(),
-                )
-            }
-            ProgExpr::Less(a, b) => {
-                let (Some(x), Some(y)) = (
-                    int(&self.abstract_expr(a, values, dim)),
-                    int(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool((0..dim).map(|j| AbsBool::less_than(&x[j], &y[j])).collect())
-            }
-            ProgExpr::Equal(a, b) => {
-                let (Some(x), Some(y)) = (
-                    int(&self.abstract_expr(a, values, dim)),
-                    int(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool(
-                    (0..dim)
-                        .map(|j| {
-                            if AbsBool::less_than(&x[j], &y[j]) == AbsBool::True
-                                || AbsBool::less_than(&y[j], &x[j]) == AbsBool::True
-                            {
-                                AbsBool::False
-                            } else {
-                                AbsBool::Top
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            ProgExpr::And(a, b) | ProgExpr::Or(a, b) => {
-                let (Some(x), Some(y)) = (
-                    boolean(&self.abstract_expr(a, values, dim)),
-                    boolean(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool(
-                    (0..dim)
-                        .map(|j| {
-                            if matches!(expr, ProgExpr::And(_, _)) {
-                                x[j].and(&y[j])
-                            } else {
-                                x[j].or(&y[j])
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            ProgExpr::Not(a) => {
-                let Some(x) = boolean(&self.abstract_expr(a, values, dim)) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool(x.iter().map(|b| b.not()).collect())
             }
         }
     }
@@ -770,11 +520,16 @@ mod tests {
         )
     }
 
+    /// [`ProgramVerifier::check`] on the grammar's program.
+    fn check(grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> CheckOutcome {
+        let program = Program::from_grammar(grammar, examples);
+        ProgramVerifier.check(grammar, &program, examples, spec)
+    }
+
     #[test]
     fn unreachability_proves_unrealizability() {
         let examples = ExampleSet::for_single_var("x", [1]);
-        let program = Program::from_grammar(&g1(), &examples);
-        let verdict = ProgramVerifier::new().check(&program, &examples, &spec_2x_plus_2());
+        let verdict = check(&g1(), &examples, &spec_2x_plus_2()).verdict;
         assert_eq!(verdict, NopeVerdict::Unrealizable);
     }
 
@@ -783,8 +538,7 @@ mod tests {
         // With x = 2 the output 6 is producible (3·2), so the bad location is
         // reachable and the verifier reports the witness.
         let examples = ExampleSet::for_single_var("x", [2]);
-        let program = Program::from_grammar(&g1(), &examples);
-        match ProgramVerifier::new().check(&program, &examples, &spec_2x_plus_2()) {
+        match check(&g1(), &examples, &spec_2x_plus_2()).verdict {
             NopeVerdict::RealizableOnExamples(witness) => assert_eq!(witness, vec![6]),
             other => panic!("unexpected {other:?}"),
         }
@@ -796,10 +550,13 @@ mod tests {
         // real grammar term whose outputs are the good vector.
         let grammar = g1();
         let examples = ExampleSet::for_single_var("x", [2]);
-        let program = Program::from_grammar(&grammar, &examples);
-        let (vector, term) = ProgramVerifier::new()
-            .bounded_search_with_term(&program, &examples, &spec_2x_plus_2())
-            .expect("x = 2 has the good run 3·2 = 6");
+        let outcome = check(&grammar, &examples, &spec_2x_plus_2());
+        let NopeVerdict::RealizableOnExamples(vector) = outcome.verdict else {
+            panic!("x = 2 has the good run 3·2 = 6, got {:?}", outcome.verdict);
+        };
+        let term = outcome
+            .witness
+            .expect("a good run carries its witness term");
         assert_eq!(vector, vec![6]);
         assert!(
             grammar.contains_term(&term),
@@ -807,14 +564,6 @@ mod tests {
         );
         let out = term.eval_on(&examples).unwrap();
         assert_eq!(out, sygus::Output::Int(vector));
-        // the instrumented check agrees and reports the same witness
-        let outcome =
-            ProgramVerifier::new().check_instrumented(&program, &examples, &spec_2x_plus_2());
-        assert!(matches!(
-            outcome.verdict,
-            NopeVerdict::RealizableOnExamples(_)
-        ));
-        assert_eq!(outcome.witness.as_ref(), Some(&term));
         assert!(outcome.arena_terms > 0);
     }
 
@@ -832,10 +581,12 @@ mod tests {
             .unwrap();
         let spec = Spec::output_equals(LinearExpr::constant(7), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [3]);
-        let program = Program::from_grammar(&grammar, &examples);
-        let (vector, term) = ProgramVerifier::new()
-            .bounded_search_with_term(&program, &examples, &spec)
-            .expect("the constant 7 is derivable");
+        let outcome = check(&grammar, &examples, &spec);
+        let (NopeVerdict::RealizableOnExamples(vector), Some(term)) =
+            (outcome.verdict, outcome.witness)
+        else {
+            panic!("the constant 7 is derivable");
+        };
         assert_eq!(vector, vec![7]);
         assert!(grammar.contains_term(&term), "witness {term} not in L(G)");
         assert_eq!(term.eval_on(&examples).unwrap(), sygus::Output::Int(vector));
@@ -873,8 +624,7 @@ mod tests {
         // prove it, and the bounded search cannot reach it either → Unknown.
         let spec = Spec::output_equals(LinearExpr::constant(6), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [0]);
-        let program = Program::from_grammar(&grammar, &examples);
-        let verdict = ProgramVerifier::new().check(&program, &examples, &spec);
+        let verdict = check(&grammar, &examples, &spec).verdict;
         assert_eq!(verdict, NopeVerdict::Unknown);
     }
 
@@ -903,15 +653,9 @@ mod tests {
         let grammar = builder.build().unwrap();
         let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [0]);
-        let program = Program::from_grammar(&grammar, &examples);
-        let verifier = ProgramVerifier::new();
-        assert_eq!(
-            verifier.abstract_unreachable_counted(&program, &examples, &spec),
-            (false, verifier.max_abstract_iterations)
-        );
-        assert_eq!(
-            verifier.check(&program, &examples, &spec),
-            NopeVerdict::Unknown
-        );
+        let outcome = check(&grammar, &examples, &spec);
+        // the fixpoint ran to chc's cap of 100 rounds without converging
+        assert_eq!(outcome.abstract_iterations, 100);
+        assert_eq!(outcome.verdict, NopeVerdict::Unknown);
     }
 }

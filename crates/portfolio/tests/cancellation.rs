@@ -12,42 +12,49 @@ fn var(name: &str) -> LinearExpr {
     LinearExpr::var(Var::new(name))
 }
 
-/// `mpg_ite1` from the LimitedConst family: nay needs a long CEGIS run
-/// (hundreds of milliseconds in release, much more here) to prove it.
+/// `if_max3` from the LimitedIf family: the maximum of three inputs needs
+/// two conditionals, and the grammar allows one (`S1 ::= ite(B1, S0, S0)`
+/// over a conditional-free `S0`). nay's CEGIS loop runs for seconds on it
+/// even in release builds, far past the 2 ms trip.
 fn slow_for_nay() -> Problem {
-    let grammar = GrammarBuilder::new("Start")
-        .nonterminal("Start", Sort::Int)
-        .nonterminal("Cond", Sort::Bool)
-        .production("Start", Symbol::Var("x".to_string()), &[])
-        .production("Start", Symbol::Var("y".to_string()), &[])
-        .production("Start", Symbol::Num(0), &[])
-        .production("Start", Symbol::Num(1), &[])
-        .production("Start", Symbol::IfThenElse, &["Cond", "Start", "Start"])
-        .production("Cond", Symbol::LessThan, &["Start", "Start"])
-        .production("Cond", Symbol::And, &["Cond", "Cond"])
+    let names = ["x1", "x2", "x3"];
+    let mut builder = GrammarBuilder::new("S1")
+        .nonterminal("S1", Sort::Int)
+        .nonterminal("S0", Sort::Int)
+        .nonterminal("B1", Sort::Bool);
+    for level in ["S0", "S1"] {
+        for x in names {
+            builder = builder.production(level, Symbol::Var(x.to_string()), &[]);
+        }
+        builder = builder
+            .production(level, Symbol::Num(0), &[])
+            .production(level, Symbol::Num(1), &[])
+            .production(level, Symbol::Plus, &[level, level]);
+    }
+    let grammar = builder
+        .production("S1", Symbol::IfThenElse, &["B1", "S0", "S0"])
+        .production("B1", Symbol::LessThan, &["S0", "S0"])
         .build()
         .unwrap();
-    let below = Formula::lt(var("x"), LinearExpr::constant(0));
-    let formula = Formula::and(vec![
-        Formula::implies(
-            below.clone(),
-            Formula::eq(LinearExpr::var(Spec::output_var()), var("x")),
-        ),
-        Formula::implies(
-            Formula::not(below),
-            Formula::eq(
-                LinearExpr::var(Spec::output_var()),
-                var("x") + LinearExpr::constant(-3),
-            ),
-        ),
-    ]);
-    let spec = Spec::new(formula, vec!["x".to_string(), "y".to_string()], Sort::Int);
-    Problem::new("mpg_ite1", grammar, spec)
+    let out = || LinearExpr::var(Spec::output_var());
+    let mut conjuncts: Vec<Formula> = names.iter().map(|x| Formula::ge(out(), var(x))).collect();
+    conjuncts.push(Formula::or(
+        names.iter().map(|x| Formula::eq(out(), var(x))),
+    ));
+    let spec = Spec::new(
+        Formula::and(conjuncts),
+        names.iter().map(|x| x.to_string()).collect(),
+        Sort::Int,
+    );
+    Problem::new("if_max3", grammar, spec)
 }
 
-/// `Start ::= x | 1 | Start + Start` with `f(x) = x + 2`: realizable on
-/// every example set, so the nope example-growing loop keeps iterating
-/// until its round budget — a controllable long-runner.
+/// `Start ::= x | 1 | Start + Start` with `f(x, y, z) = x + 2`: realizable
+/// on every example set, so the nope example-growing loop keeps iterating
+/// until its round budget — a controllable long-runner. The unused inputs
+/// `y` and `z` widen the input space to 101³ points, so a fresh example
+/// draw practically never collides with the ones already drawn (a
+/// collision would end the loop early).
 fn slow_for_nope() -> Problem {
     let grammar = GrammarBuilder::new("Start")
         .nonterminal("Start", Sort::Int)
@@ -56,7 +63,8 @@ fn slow_for_nope() -> Problem {
         .production("Start", Symbol::Plus, &["Start", "Start"])
         .build()
         .unwrap();
-    let spec = Spec::output_equals(var("x") + LinearExpr::constant(2), vec!["x".to_string()]);
+    let inputs = ["x", "y", "z"].map(String::from).to_vec();
+    let spec = Spec::output_equals(var("x") + LinearExpr::constant(2), inputs);
     Problem::new("xplus2", grammar, spec)
 }
 

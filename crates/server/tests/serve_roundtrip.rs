@@ -42,6 +42,27 @@ const REALIZABLE: &str = "\
 (check-synth)
 ";
 
+/// `if_max3` from the LimitedIf family: the maximum of three inputs needs
+/// two conditionals and the grammar allows one. With the presolve off, nay
+/// runs for seconds on it even in release builds and nope gives up
+/// (`unknown`) only after about 100 ms, so a 1 ms deadline always lands
+/// mid-race.
+const SLOW: &str = "\
+(set-logic LIA)
+(synth-fun f ((x1 Int) (x2 Int) (x3 Int)) Int
+  ((S1 Int (x1 x2 x3 0 1 (+ S1 S1) (ite B1 S0 S0)))
+  (S0 Int (x1 x2 x3 0 1 (+ S0 S0)))
+  (B1 Bool ((< S0 S0)))))
+(declare-var x1 Int)
+(declare-var x2 Int)
+(declare-var x3 Int)
+(constraint (>= (f x1 x2 x3) x1))
+(constraint (>= (f x1 x2 x3) x2))
+(constraint (>= (f x1 x2 x3) x3))
+(constraint (or (= (f x1 x2 x3) x1) (or (= (f x1 x2 x3) x2) (= (f x1 x2 x3) x3))))
+(check-synth)
+";
+
 /// The current value of an unlabelled metric in a Prometheus exposition.
 fn metric_value(body: &str, name: &str) -> Option<f64> {
     body.lines()
@@ -194,16 +215,10 @@ fn oversized_frames_are_answered_then_the_connection_closes() {
 
 #[test]
 fn a_tiny_deadline_on_a_slow_instance_returns_timeout_not_a_hang() {
-    // mpg_ite1 takes nay hundreds of CEGIS milliseconds in release and far
-    // more here; a 1 ms deadline must cancel both engines instead.
-    let slow = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../corpus/mpg_ite1.sl"
-    ))
-    .expect("the corpus ships mpg_ite1.sl");
+    // A 1 ms deadline on SLOW must cancel both engines mid-run.
     let (endpoint, handle) = start(ServerConfig::default());
     let mut client = Client::connect(&endpoint).unwrap();
-    let mut request = Request::solve("r-slow", &slow)
+    let mut request = Request::solve("r-slow", SLOW)
         .with_deadline_ms(1)
         .with_no_cache();
     // Force the full race: a hypothetical presolve win would settle the
@@ -397,12 +412,7 @@ fn the_scrape_listener_serves_every_documented_family() {
 
     // A solve whose deadline cancels the race lands in the cancel-latency
     // histogram.
-    let slow = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../corpus/mpg_ite1.sl"
-    ))
-    .expect("the corpus ships mpg_ite1.sl");
-    let mut request = Request::solve("m-slow", &slow)
+    let mut request = Request::solve("m-slow", SLOW)
         .with_deadline_ms(1)
         .with_no_cache();
     request.no_presolve = true;

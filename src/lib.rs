@@ -19,8 +19,8 @@
 //! * [`gfa`] — grammar-flow analysis: Newton's method, Kleene iteration,
 //!   stratification,
 //! * [`chc`] — constrained Horn clauses and the approximate Horn solver:
-//!   the one abstract interpreter of grammars, run by nayHorn and the
-//!   presolve, and the refutation query nope shares,
+//!   the one abstract interpreter of grammars and the Horn back end of
+//!   both approximate provers (nayHorn and nope), also run by the presolve,
 //! * [`enumerative`] — the bottom-up enumerative synthesizer,
 //! * [`nope`] — the program-reachability baseline,
 //! * [`nay`] — Alg. 1 / Alg. 2: the unrealizability checker and CEGIS loop,
