@@ -1,8 +1,8 @@
 //! An approximate Horn solver based on abstract interpretation.
 //!
 //! Spacer (the Horn engine of Z3 used by the paper's `nayHorn` mode) is not
-//! available offline, so the Horn query produced by [`crate::encode`] is
-//! discharged with a sound over-approximation instead: a Kleene iteration
+//! available offline, so the Horn query of §4.3 (one predicate per
+//! nonterminal, one clause per production, Example 4.7) is discharged with a sound over-approximation instead: a Kleene iteration
 //! with widening over the interval × congruence domain of
 //! [`crate::domain`] computes, for every nonterminal, a superset of the
 //! output vectors its terms can produce on the examples; if that superset is

@@ -5,52 +5,78 @@
 //! *unreachability* in a non-deterministic recursive program: every
 //! nonterminal becomes a procedure, every production a non-deterministic
 //! branch, and an assertion at the end of `main` fails exactly when the
-//! chosen term satisfies the specification on all examples. The original
-//! tool hands this program to SeaHorn, whose Horn back end is Spacer; this
-//! reproduction verifies it with a bounded concrete exploration plus the
-//! `chc` crate's Horn solver, the interval × congruence fixpoint nayHorn
-//! runs (see [`verify`], and docs/ARCHITECTURE.md, "The approximate
-//! provers", for the substitution).
+//! chosen term satisfies the specification on all examples. That program
+//! is the grammar read as a program, so this reproduction builds no copy
+//! of it: a bounded concrete search for a good run and the `chc` crate's
+//! Horn solver (the interval × congruence fixpoint nayHorn runs) both work
+//! on the grammar, see [`NopeSolver::check`]. The original tool hands the
+//! program to SeaHorn, whose Horn back end is Spacer; docs/ARCHITECTURE.md,
+//! "The approximate provers", has the substitution.
 //!
 //! Compared with the grammar-flow-analysis approach of the `nay` crate, the
-//! reduction is indirect: it produces a program whose analysis rediscovers
-//! the information that nay's equations express directly, which is the
-//! source of the slowdown reported in §8.
+//! reduction is indirect: its analysis rediscovers the information that
+//! nay's equations express directly, which is the source of the slowdown
+//! reported in §8.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod program;
-pub mod verify;
+mod verify;
 
-pub use program::{Procedure, ProgExpr, Program};
-pub use verify::{CheckOutcome, NopeVerdict, ProgramVerifier};
-
+use chc::{refutation_query, HornSolver};
+use logic::{Solver, SolverResult};
 use runner::Cancel;
 use std::time::{Duration, Instant};
-use sygus::{ExampleSet, Problem};
+use sygus::{ExampleSet, Problem, Term};
+
+/// The verdict of the nope-style reachability analysis.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum NopeVerdict {
+    /// The bad location is unreachable: `sy_E` (and hence `sy`) is
+    /// unrealizable.
+    Unrealizable,
+    /// A concrete run reaching the bad location was found: `sy_E` is
+    /// realizable, and the term of `L(G)` that run derives satisfies the
+    /// specification on every example.
+    RealizableOnExamples(Term),
+    /// Neither analysis was conclusive.
+    Unknown,
+    /// [`NopeSolver::check_cancellable`]'s token tripped before the check
+    /// reached a definitive verdict (portfolio racing: the other engine
+    /// answered first, or the deadline passed).
+    Cancelled,
+}
+
+impl NopeVerdict {
+    /// Stable lower-case name used by the benchmark report
+    /// (`unrealizable`, `realizable`, `unknown`, `cancelled`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            NopeVerdict::Unrealizable => "unrealizable",
+            NopeVerdict::RealizableOnExamples(_) => "realizable",
+            NopeVerdict::Unknown => "unknown",
+            NopeVerdict::Cancelled => "cancelled",
+        }
+    }
+}
 
 /// Statistics of a nope run, mirroring what the benchmark harness reports.
 #[derive(Clone, Debug, Default)]
 pub struct NopeStats {
-    /// Number of procedures in the generated program.
-    pub num_procedures: usize,
-    /// Number of non-deterministic branches.
-    pub num_branches: usize,
-    /// Number of call sites (encoding size).
-    pub num_call_sites: usize,
     /// Kleene rounds of the Horn back end's fixpoint (0 when the bounded
     /// search already decided the verdict).
     pub abstract_iterations: usize,
-    /// Peak size of the bounded search's term arena (distinct terms
-    /// interned while exploring reachable vectors).
+    /// Number of witness-log nodes the bounded search recorded while
+    /// exploring reachable vectors (its peak size: the log only grows, and
+    /// terms are hash-consed into a term arena only when a witness is
+    /// demanded).
     pub arena_terms: usize,
     /// Wall-clock time of the check.
     pub elapsed: Duration,
 }
 
-/// The nope solver: build the program, then verify reachability with the
-/// [`ProgramVerifier`].
+/// The nope solver: a bounded search for a good run, then `chc`'s
+/// refutation of every run.
 #[derive(Clone, Debug, Default)]
 pub struct NopeSolver;
 
@@ -60,7 +86,10 @@ impl NopeSolver {
         NopeSolver
     }
 
-    /// Checks unrealizability of `problem` restricted to `examples`.
+    /// Checks unrealizability of `problem` restricted to `examples`: the
+    /// bounded search looks for a good run (a witness term), and when it
+    /// finds none, [`HornSolver::analyze`]'s fixpoint over the grammar and
+    /// [`refutation_query`] try to prove that no run is good.
     ///
     /// Inside a [`logic::interruptible`] scope the bounded search and the
     /// fixpoint poll the stop hook once per round, and the final query per
@@ -68,18 +97,35 @@ impl NopeSolver {
     /// unless it had already found a witness.
     pub fn check(&self, problem: &Problem, examples: &ExampleSet) -> (NopeVerdict, NopeStats) {
         let started = Instant::now();
-        let grammar = problem.grammar();
-        let program = Program::from_grammar(grammar, examples);
-        let outcome = ProgramVerifier.check(grammar, &program, examples, problem.spec());
-        let stats = NopeStats {
-            num_procedures: program.procedures.len(),
-            num_branches: program.num_branches(),
-            num_call_sites: program.num_call_sites(),
-            abstract_iterations: outcome.abstract_iterations,
-            arena_terms: outcome.arena_terms,
-            elapsed: started.elapsed(),
+        let done = |verdict, abstract_iterations, arena_terms| {
+            let stats = NopeStats {
+                abstract_iterations,
+                arena_terms,
+                elapsed: started.elapsed(),
+            };
+            (verdict, stats)
         };
-        (outcome.verdict, stats)
+        if examples.is_empty() {
+            return done(NopeVerdict::Unknown, 0, 0);
+        }
+        // 1. bounded concrete exploration: can we reach the bad location?
+        let grammar = problem.grammar();
+        let (witness, arena_terms) = verify::bounded_search(grammar, examples, problem.spec());
+        if let Some(term) = witness {
+            return done(NopeVerdict::RealizableOnExamples(term), 0, arena_terms);
+        }
+        // 2. the Horn back end: is the bad location provably unreachable?
+        let (values, iterations) = HornSolver::new().analyze(grammar, examples);
+        let refuted = values.is_some_and(|values| {
+            let query = refutation_query(&values[grammar.start()], examples, problem.spec());
+            Solver::default().check(&query) == SolverResult::Unsat
+        });
+        let verdict = if refuted {
+            NopeVerdict::Unrealizable
+        } else {
+            NopeVerdict::Unknown
+        };
+        done(verdict, iterations, arena_terms)
     }
 
     /// [`NopeSolver::check`] under a cancellation token: the check is one
@@ -108,7 +154,7 @@ impl NopeSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::{LinearExpr, Var};
+    use logic::{Formula, LinearExpr, Var};
     use sygus::{GrammarBuilder, Sort, Spec, Symbol};
 
     #[test]
@@ -133,9 +179,7 @@ mod tests {
         let examples = ExampleSet::for_single_var("x", [1]);
         let (verdict, stats) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unrealizable);
-        assert_eq!(stats.num_procedures, 4);
-        assert_eq!(stats.num_branches, 5);
-        assert!(stats.num_call_sites > 0);
+        assert!(stats.abstract_iterations > 0);
     }
 
     #[test]
@@ -158,6 +202,23 @@ mod tests {
         let examples = ExampleSet::for_single_var("x", [0]);
         let (verdict, _) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unrealizable);
+    }
+
+    #[test]
+    fn the_bounded_search_drops_overflowing_negations() {
+        // Start ::= (- x), f(x) < 0 on x = i64::MIN: over ℤ the one term
+        // gives 2⁶³ > 0, and only −(−2⁶³) wrapped to −2⁶³ would satisfy it.
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .production("Start", Symbol::NegVar("x".to_string()), &[])
+            .build()
+            .unwrap();
+        let negative = Formula::lt(LinearExpr::var(Spec::output_var()), 0);
+        let spec = Spec::new(negative, vec!["x".to_string()], Sort::Int);
+        let problem = Problem::new("neg_min", grammar, spec);
+        let examples = ExampleSet::for_single_var("x", [i64::MIN]);
+        let (verdict, _) = NopeSolver::new().check(&problem, &examples);
+        assert_eq!(verdict, NopeVerdict::Unknown);
     }
 
     #[test]

@@ -1,79 +1,23 @@
-//! Verification of the non-deterministic recursive program: is the "bad"
-//! location (a run of the entry procedure whose return value satisfies the
-//! specification on every example) reachable?
+//! The bounded half of nope's reachability check: is the "bad" location (a
+//! run of the start procedure whose return value satisfies the
+//! specification on every example) reachable within a few unrollings?
 //!
-//! The original nope hands the program to an off-the-shelf software verifier
-//! (SeaHorn), which turns it into constrained Horn clauses for Spacer. In
-//! this reproduction the same obligations are discharged with
-//!
-//! * a **bounded concrete exploration** of the program's runs, which can
-//!   find a reachable good run and hence prove realizability of `sy_E`, and
-//! * the **Horn back end** of the `chc` crate, the one nayHorn and the
-//!   presolve use: the program has one procedure per nonterminal and one
-//!   branch per production, so the interval × congruence fixpoint of
-//!   [`HornSolver::analyze`] over the grammar is the fixpoint of the
-//!   program, and an unsatisfiable [`refutation_query`] proves the bad
-//!   location unreachable, i.e. the problem unrealizable.
-//!
-//! The exploration runs on the program IR: the indirection through the
-//! encoding is the overhead the paper observes when comparing nope against
-//! nayHorn.
+//! nope's program has one procedure per nonterminal and one
+//! non-deterministic branch per production, so a run of a procedure is a
+//! derivation from its nonterminal and the search runs on the grammar
+//! itself: per nonterminal it collects the output vectors its terms produce
+//! on the examples, each with the first term found producing it. A good
+//! vector of the start nonterminal proves `sy_E` realizable. The unbounded
+//! half, the proof that no run is good, is the `chc` fixpoint that
+//! [`NopeSolver::check`](crate::NopeSolver::check) runs when this search
+//! finds nothing.
 
-use crate::program::{ProgExpr, Program};
-use chc::{refutation_query, HornSolver};
-use logic::{stop_requested, Solver, SolverResult};
+use logic::stop_requested;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use sygus::{ExampleSet, Grammar, Op, Spec, Term, TermArena, TermId};
-
-/// The verdict of the nope-style reachability analysis.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NopeVerdict {
-    /// The bad location is unreachable: `sy_E` (and hence `sy`) is
-    /// unrealizable.
-    Unrealizable,
-    /// A concrete run reaching the bad location was found: `sy_E` is
-    /// realizable (the returned vector is the witness output).
-    RealizableOnExamples(Vec<i64>),
-    /// Neither analysis was conclusive.
-    Unknown,
-    /// [`NopeSolver::check_cancellable`](crate::NopeSolver::check_cancellable)'s
-    /// token tripped before the check reached a definitive verdict
-    /// (portfolio racing: the other engine answered first, or the deadline
-    /// passed).
-    Cancelled,
-}
-
-impl NopeVerdict {
-    /// Stable lower-case name used by the benchmark report
-    /// (`unrealizable`, `realizable`, `unknown`, `cancelled`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            NopeVerdict::Unrealizable => "unrealizable",
-            NopeVerdict::RealizableOnExamples(_) => "realizable",
-            NopeVerdict::Unknown => "unknown",
-            NopeVerdict::Cancelled => "cancelled",
-        }
-    }
-}
-
-/// Everything [`ProgramVerifier::check`] reports alongside the verdict.
-#[derive(Clone, Debug)]
-pub struct CheckOutcome {
-    /// The combined verdict of both analyses.
-    pub verdict: NopeVerdict,
-    /// Kleene rounds of the Horn back end's fixpoint (0 when the bounded
-    /// search already decided the verdict).
-    pub abstract_iterations: usize,
-    /// Number of witness-log nodes the bounded search recorded while
-    /// exploring reachable vectors (its peak size — the log only grows;
-    /// terms are hash-consed into a [`TermArena`] only when a witness is
-    /// demanded).
-    pub arena_terms: usize,
-    /// The witness *term* behind a
-    /// [`NopeVerdict::RealizableOnExamples`] verdict: a term of `L(G)`
-    /// whose output vector satisfies the specification on every example.
-    pub witness: Option<Term>,
-}
+use sygus::{
+    ExampleSet, Grammar, NonTerminal, Op, Production, Spec, Symbol, Term, TermArena, TermId,
+};
 
 /// The sentinel "empty list" head of the [`LazyWitness::Plus`] trail.
 const NIL: u32 = u32::MAX;
@@ -141,14 +85,14 @@ impl WitnessLog {
     }
 }
 
-/// A witness the expression evaluator has not logged yet. Candidate
+/// A witness the production evaluator has not logged yet. Candidate
 /// vectors are produced far faster than they survive dedup, so the
 /// per-combination fast path only records *how* a vector was built (a few
 /// words, no allocation); a [`WitnessLog`] node is appended once per
 /// vector that actually enters a reachable set.
 #[derive(Clone, Copy)]
 enum LazyWitness {
-    /// Already logged: leaves and procedure-call results.
+    /// Already logged: leaves and the terms of a reachable set.
     Ready(u32),
     /// An n-ary `Plus` whose child list is the trail chain at this head.
     Plus(u32),
@@ -184,319 +128,214 @@ fn log_witness(log: &mut WitnessLog, trail: &[(u32, u32)], witness: LazyWitness)
 /// Unrolling depth of the bounded concrete exploration.
 const UNROLL_DEPTH: usize = 8;
 
-/// Cap on the number of distinct concrete vectors tracked per procedure.
+/// Cap on the number of distinct concrete vectors tracked per nonterminal.
 const MAX_VECTORS: usize = 2000;
 
-/// The program verifier: a bounded search for a good run, then `chc`'s
-/// refutation of every run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProgramVerifier;
+/// The output vectors of one nonterminal's terms, each with the
+/// [`WitnessLog`] index of the first term found producing it.
+type Reachable = BTreeMap<Vec<i64>, u32>;
 
-impl ProgramVerifier {
-    /// Decides whether `program`, which must be
-    /// [`Program::from_grammar`]`(grammar, examples)`, reaches its bad
-    /// location: the bounded search looks for a good run (the witness
-    /// vector and term), and when it finds none, [`HornSolver::analyze`]'s
-    /// fixpoint over `grammar` and [`refutation_query`] try to prove that
-    /// no run is good.
-    ///
-    /// Inside a [`logic::interruptible`] scope the bounded search and the
-    /// fixpoint poll the stop hook once per round, and the final query per
-    /// solver step; a stopped check answers [`NopeVerdict::Unknown`]
-    /// unless it had already found a witness.
-    pub fn check(
-        &self,
-        grammar: &Grammar,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> CheckOutcome {
-        let done = |verdict, abstract_iterations, arena_terms, witness| CheckOutcome {
-            verdict,
-            abstract_iterations,
-            arena_terms,
-            witness,
-        };
-        if examples.is_empty() {
-            return done(NopeVerdict::Unknown, 0, 0, None);
-        }
-        // 1. bounded concrete exploration: can we reach the bad location?
-        let mut arena = TermArena::new();
-        let mut log = WitnessLog::default();
-        if let Some((witness_vector, witness_ref)) =
-            self.explore(program, examples, spec, &mut arena, &mut log)
-        {
-            let witness_id = log.intern_into(&mut arena, witness_ref);
-            let witness = arena.extract(witness_id);
-            return done(
-                NopeVerdict::RealizableOnExamples(witness_vector),
-                0,
-                log.len(),
-                Some(witness),
-            );
-        }
-        let arena_terms = log.len();
-        // 2. the Horn back end: is the bad location provably unreachable?
-        let (values, iterations) = HornSolver::new().analyze(grammar, examples);
-        let refuted = values.is_some_and(|values| {
-            let query = refutation_query(&values[grammar.start()], examples, spec);
-            Solver::default().check(&query) == SolverResult::Unsat
-        });
-        let verdict = if refuted {
-            NopeVerdict::Unrealizable
-        } else {
-            NopeVerdict::Unknown
-        };
-        done(verdict, iterations, arena_terms, None)
-    }
+/// Candidate vectors of one production, each with its lazy witness.
+type Valued = Vec<(Vec<i64>, LazyWitness)>;
 
-    /// Bounded unrolling of the recursive program: computes, per procedure,
-    /// the set of return vectors realizable within the unrolling depth and
-    /// checks the assertion against those of the entry procedure. It polls
-    /// the [`logic`] stop hook once per unrolling round; a stopped search
-    /// returns `None` (no witness found). Every reachable vector carries
-    /// the [`WitnessLog`] index of
-    /// the first term found producing it — witnesses stay
-    /// [`LazyWitness`]es on the per-combination fast path, vectors
-    /// surviving dedup append one log node (no hash-consing), and the
-    /// arena only sees the single chain a demanded witness needs, so the
-    /// vector sets (and with them every verdict) are exactly the
-    /// pre-arena ones.
-    fn explore(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-        arena: &mut TermArena,
-        log: &mut WitnessLog,
-    ) -> Option<(Vec<i64>, u32)> {
-        let n = program.procedures.len();
-        let mut reachable: Vec<BTreeMap<Vec<i64>, u32>> = vec![BTreeMap::new(); n];
-        let mut trail: Vec<(u32, u32)> = Vec::new();
-        for _ in 0..UNROLL_DEPTH {
-            if stop_requested() {
-                return None;
-            }
-            let mut changed = false;
-            for (i, proc_) in program.procedures.iter().enumerate() {
-                let mut new_vectors: BTreeMap<Vec<i64>, u32> = BTreeMap::new();
-                for branch in &proc_.branches {
-                    self.eval_bounded(
-                        branch,
-                        &reachable,
-                        program.dim,
-                        arena,
-                        log,
-                        &mut trail,
-                        &mut new_vectors,
-                    );
-                    if new_vectors.len() > MAX_VECTORS {
+/// Searches for a term of `L(grammar)` that satisfies `spec` on every
+/// example. Returns that witness, if any, and the number of witness-log
+/// nodes the search recorded (its breadth, reported as `arena_terms`).
+pub(crate) fn bounded_search(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    spec: &Spec,
+) -> (Option<Term>, usize) {
+    let mut arena = TermArena::new();
+    let mut log = WitnessLog::default();
+    let witness = explore(grammar, examples, spec, &mut arena, &mut log).map(|root| {
+        let id = log.intern_into(&mut arena, root);
+        arena.extract(id)
+    });
+    (witness, log.len())
+}
+
+/// Bounded unrolling of the grammar: computes, per nonterminal, the set of
+/// output vectors derivable within the unrolling depth and checks the
+/// specification against those of the start nonterminal. It polls the
+/// [`logic`] stop hook once per unrolling round; a stopped search returns
+/// `None` (no witness found). Witnesses stay [`LazyWitness`]es on the
+/// per-combination fast path, vectors surviving dedup append one log node
+/// (no hash-consing), and the arena only sees the single chain a demanded
+/// witness needs.
+fn explore(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    spec: &Spec,
+    arena: &mut TermArena,
+    log: &mut WitnessLog,
+) -> Option<u32> {
+    let nonterminals = grammar.nonterminals();
+    let index: BTreeMap<&NonTerminal, usize> = nonterminals
+        .iter()
+        .enumerate()
+        .map(|(i, nt)| (nt, i))
+        .collect();
+    let mut reachable: Vec<Reachable> = vec![BTreeMap::new(); nonterminals.len()];
+    let mut trail: Vec<(u32, u32)> = Vec::new();
+    for _ in 0..UNROLL_DEPTH {
+        if stop_requested() {
+            return None;
+        }
+        let mut changed = false;
+        for (i, nt) in nonterminals.iter().enumerate() {
+            let mut new_vectors = Reachable::new();
+            for p in grammar.productions_of(nt) {
+                trail.clear();
+                let args: Vec<&Reachable> = p.args.iter().map(|a| &reachable[index[a]]).collect();
+                for (v, w) in production_vectors(p, &args, examples, arena, log, &mut trail) {
+                    if new_vectors.len() >= MAX_VECTORS {
                         break;
                     }
-                }
-                for (v, w) in new_vectors {
-                    if reachable[i].len() >= MAX_VECTORS {
-                        break;
-                    }
-                    if let std::collections::btree_map::Entry::Vacant(slot) = reachable[i].entry(v)
-                    {
-                        slot.insert(w);
-                        changed = true;
+                    if let Entry::Vacant(slot) = new_vectors.entry(v) {
+                        slot.insert(log_witness(log, &trail, w));
                     }
                 }
             }
-            // check the assertion on the entry procedure's vectors
-            for (v, w) in &reachable[program.entry] {
-                let good = examples
-                    .iter()
-                    .enumerate()
-                    .all(|(j, e)| spec.holds(e, v[j]));
-                if good {
-                    return Some((v.clone(), *w));
+            for (v, w) in new_vectors {
+                if reachable[i].len() >= MAX_VECTORS {
+                    break;
+                }
+                if let Entry::Vacant(slot) = reachable[i].entry(v) {
+                    slot.insert(w);
+                    changed = true;
                 }
             }
-            if !changed {
-                break;
+        }
+        // check the specification on the start nonterminal's vectors
+        for (v, w) in &reachable[index[grammar.start()]] {
+            let good = examples
+                .iter()
+                .enumerate()
+                .all(|(j, e)| spec.holds(e, v[j]));
+            if good {
+                return Some(*w);
             }
         }
-        None
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn eval_bounded(
-        &self,
-        expr: &ProgExpr,
-        reachable: &[BTreeMap<Vec<i64>, u32>],
-        dim: usize,
-        arena: &mut TermArena,
-        log: &mut WitnessLog,
-        trail: &mut Vec<(u32, u32)>,
-        out: &mut BTreeMap<Vec<i64>, u32>,
-    ) {
-        trail.clear();
-        let entries = self.eval_expr(expr, reachable, dim, arena, log, trail);
-        for (v, w) in entries {
-            if out.len() >= MAX_VECTORS {
-                return;
-            }
-            if let std::collections::btree_map::Entry::Vacant(slot) = out.entry(v) {
-                slot.insert(log_witness(log, trail, w));
-            }
+        if !changed {
+            break;
         }
     }
+    None
+}
 
-    /// Resolves every entry's witness to a log index (used where lazy
-    /// witnesses become children of another node).
-    fn forced(
-        log: &mut WitnessLog,
-        trail: &[(u32, u32)],
-        entries: Vec<(Vec<i64>, LazyWitness)>,
-    ) -> Vec<(Vec<i64>, u32)> {
-        entries
-            .into_iter()
-            .map(|(v, w)| (v, log_witness(log, trail, w)))
-            .collect()
-    }
-
-    /// Evaluates one branch expression to the vectors it can produce, each
-    /// paired with a lazy witness. The enumeration (and capping) order is
-    /// exactly the pre-arena one.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_expr(
-        &self,
-        expr: &ProgExpr,
-        reachable: &[BTreeMap<Vec<i64>, u32>],
-        dim: usize,
-        arena: &mut TermArena,
-        log: &mut WitnessLog,
-        trail: &mut Vec<(u32, u32)>,
-    ) -> Vec<(Vec<i64>, LazyWitness)> {
-        type Valued = Vec<(Vec<i64>, LazyWitness)>;
-        // `f` answers `None` on i64 overflow, which drops the combination:
-        // the search only collects witnesses, so a skipped run is sound,
-        // while a wrapped one could be a false witness.
-        let combine2 = |a: Vec<(Vec<i64>, u32)>,
-                        b: Vec<(Vec<i64>, u32)>,
-                        f: &dyn Fn(i64, i64) -> Option<i64>,
-                        op: Op| {
+/// The vectors production `p` produces from its arguments' reachable sets
+/// `args`, each paired with a lazy witness, in enumeration order, with at
+/// most [`MAX_VECTORS`] per combination step. Booleans are 0/1. A
+/// combination that overflows i64 is dropped: the search only collects
+/// witnesses, so a skipped run is sound, while a wrapped one could be a
+/// false witness.
+fn production_vectors(
+    p: &Production,
+    args: &[&Reachable],
+    examples: &ExampleSet,
+    arena: &mut TermArena,
+    log: &mut WitnessLog,
+    trail: &mut Vec<(u32, u32)>,
+) -> Valued {
+    let dim = examples.len();
+    let op = arena.op_from_symbol(&p.symbol);
+    let value = |x: &str| examples.projection(x).expect("example binds the variable");
+    let leaf = |vector: Option<Vec<i64>>, log: &mut WitnessLog| match vector {
+        Some(v) => vec![(v, LazyWitness::Ready(log.push(op, &[])))],
+        None => Vec::new(),
+    };
+    match &p.symbol {
+        Symbol::Num(c) => leaf(Some(vec![*c; dim]), log),
+        Symbol::Var(x) => leaf(Some(value(x)), log),
+        Symbol::NegVar(x) => leaf(value(x).into_iter().map(i64::checked_neg).collect(), log),
+        Symbol::Plus => {
+            // n-ary: witnesses accumulate as cons-list heads into the trail
+            // (one O(1) push per combination), and the one Plus node with
+            // the production's arity is only built for vectors that survive
+            // dedup.
+            let mut acc: Vec<(Vec<i64>, u32)> = vec![(vec![0i64; dim], NIL)];
+            for arg in args {
+                let mut next = Vec::new();
+                'outer: for (av, ahead) in &acc {
+                    for (bv, &bw) in arg.iter() {
+                        let Some(sum) = (0..dim).map(|j| av[j].checked_add(bv[j])).collect() else {
+                            continue;
+                        };
+                        trail.push((*ahead, bw));
+                        next.push((sum, (trail.len() - 1) as u32));
+                        if next.len() >= MAX_VECTORS {
+                            break 'outer;
+                        }
+                    }
+                }
+                acc = next;
+                if acc.is_empty() {
+                    return Vec::new();
+                }
+            }
+            acc.into_iter()
+                .map(|(v, head)| (v, LazyWitness::Plus(head)))
+                .collect()
+        }
+        Symbol::Minus => combine2(args, dim, op, i64::checked_sub),
+        Symbol::LessThan => combine2(args, dim, op, |x, y| Some(i64::from(x < y))),
+        Symbol::Equal => combine2(args, dim, op, |x, y| Some(i64::from(x == y))),
+        Symbol::And => combine2(args, dim, op, |x, y| Some(x & y)),
+        Symbol::Or => combine2(args, dim, op, |x, y| Some(x | y)),
+        Symbol::Not => args[0]
+            .iter()
+            .map(|(v, &w)| (v.iter().map(|x| 1 - x).collect(), LazyWitness::Un(op, w)))
+            .collect(),
+        Symbol::IfThenElse => {
             let mut out: Valued = Vec::new();
-            'outer: for (xv, xw) in &a {
-                for (yv, yw) in &b {
-                    let Some(vector) = (0..dim).map(|j| f(xv[j], yv[j])).collect() else {
-                        continue;
-                    };
-                    out.push((vector, LazyWitness::Bin(op, *xw, *yw)));
-                    if out.len() >= MAX_VECTORS {
-                        break 'outer;
+            'outer: for (gv, &gw) in args[0] {
+                for (tv, &tw) in args[1] {
+                    for (ev, &ew) in args[2] {
+                        let vector = (0..dim)
+                            .map(|j| if gv[j] == 1 { tv[j] } else { ev[j] })
+                            .collect();
+                        out.push((vector, LazyWitness::Tri(op, gw, tw, ew)));
+                        if out.len() >= MAX_VECTORS {
+                            break 'outer;
+                        }
                     }
                 }
             }
             out
-        };
-        // Evaluates a child expression with every witness forced (children
-        // of compound nodes must be log indices; in the programs
-        // `from_grammar` builds, children are `Call`/`Const` and forcing
-        // is a no-op).
-        macro_rules! child {
-            ($e:expr) => {{
-                let entries = self.eval_expr($e, reachable, dim, arena, log, trail);
-                Self::forced(log, trail, entries)
-            }};
-        }
-        match expr {
-            ProgExpr::Const(v, symbol) => {
-                let op = arena.op_from_symbol(symbol);
-                vec![(v.clone(), LazyWitness::Ready(log.push(op, &[])))]
-            }
-            ProgExpr::Call(p) => reachable[*p]
-                .iter()
-                .map(|(v, w)| (v.clone(), LazyWitness::Ready(*w)))
-                .collect(),
-            ProgExpr::Add(xs) => {
-                // n-ary: witnesses accumulate as cons-list heads into the
-                // trail (one O(1) push per combination), and the one Plus
-                // node with the production's arity is only built for
-                // vectors that survive dedup.
-                let mut acc: Vec<(Vec<i64>, u32)> = vec![(vec![0i64; dim], NIL)];
-                for x in xs {
-                    let vals = child!(x);
-                    let mut next = Vec::new();
-                    'outer: for (av, ahead) in &acc {
-                        for (bv, bw) in &vals {
-                            let Some(sum) = (0..dim).map(|j| av[j].checked_add(bv[j])).collect()
-                            else {
-                                continue;
-                            };
-                            trail.push((*ahead, *bw));
-                            next.push((sum, (trail.len() - 1) as u32));
-                            if next.len() >= MAX_VECTORS {
-                                break 'outer;
-                            }
-                        }
-                    }
-                    acc = next;
-                    if acc.is_empty() {
-                        return Vec::new();
-                    }
-                }
-                acc.into_iter()
-                    .map(|(v, head)| (v, LazyWitness::Plus(head)))
-                    .collect()
-            }
-            ProgExpr::Sub(a, b) => combine2(child!(a), child!(b), &i64::checked_sub, Op::Minus),
-            ProgExpr::Less(a, b) => combine2(
-                child!(a),
-                child!(b),
-                &|x, y| Some(i64::from(x < y)),
-                Op::LessThan,
-            ),
-            ProgExpr::Equal(a, b) => combine2(
-                child!(a),
-                child!(b),
-                &|x, y| Some(i64::from(x == y)),
-                Op::Equal,
-            ),
-            ProgExpr::And(a, b) => combine2(child!(a), child!(b), &|x, y| Some(x & y), Op::And),
-            ProgExpr::Or(a, b) => combine2(child!(a), child!(b), &|x, y| Some(x | y), Op::Or),
-            ProgExpr::Not(a) => child!(a)
-                .into_iter()
-                .map(|(v, w)| {
-                    (
-                        v.into_iter().map(|x| 1 - x).collect(),
-                        LazyWitness::Un(Op::Not, w),
-                    )
-                })
-                .collect(),
-            ProgExpr::Ite(c, t, e) => {
-                let guards = child!(c);
-                let thens = child!(t);
-                let elses = child!(e);
-                let mut out: Valued = Vec::new();
-                'outer: for (gv, gw) in &guards {
-                    for (tv, tw) in &thens {
-                        for (ev, ew) in &elses {
-                            let vector = (0..dim)
-                                .map(|j| if gv[j] == 1 { tv[j] } else { ev[j] })
-                                .collect();
-                            out.push((vector, LazyWitness::Tri(Op::IfThenElse, *gw, *tw, *ew)));
-                            if out.len() >= MAX_VECTORS {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-                out
-            }
         }
     }
 }
 
+/// Applies the binary `f` component-wise to every pair from the two
+/// arguments' reachable sets; `f` answers `None` on overflow, which drops
+/// the pair.
+fn combine2(
+    args: &[&Reachable],
+    dim: usize,
+    op: Op,
+    f: impl Fn(i64, i64) -> Option<i64>,
+) -> Valued {
+    let mut out: Valued = Vec::new();
+    'outer: for (xv, &xw) in args[0] {
+        for (yv, &yw) in args[1] {
+            let Some(vector) = (0..dim).map(|j| f(xv[j], yv[j])).collect() else {
+                continue;
+            };
+            out.push((vector, LazyWitness::Bin(op, xw, yw)));
+            if out.len() >= MAX_VECTORS {
+                break 'outer;
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::program::Program;
+    use crate::{NopeSolver, NopeStats, NopeVerdict};
     use logic::{LinearExpr, Var};
-    use sygus::{Grammar, GrammarBuilder, Sort, Symbol};
+    use sygus::{ExampleSet, Grammar, GrammarBuilder, Output, Problem, Sort, Spec, Symbol};
 
     fn g1() -> Grammar {
         GrammarBuilder::new("Start")
@@ -520,16 +359,16 @@ mod tests {
         )
     }
 
-    /// [`ProgramVerifier::check`] on the grammar's program.
-    fn check(grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> CheckOutcome {
-        let program = Program::from_grammar(grammar, examples);
-        ProgramVerifier.check(grammar, &program, examples, spec)
+    /// [`NopeSolver::check`] on `(grammar, spec)`.
+    fn check(grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> (NopeVerdict, NopeStats) {
+        let problem = Problem::new("test", grammar.clone(), spec.clone());
+        NopeSolver::new().check(&problem, examples)
     }
 
     #[test]
     fn unreachability_proves_unrealizability() {
         let examples = ExampleSet::for_single_var("x", [1]);
-        let verdict = check(&g1(), &examples, &spec_2x_plus_2()).verdict;
+        let (verdict, _) = check(&g1(), &examples, &spec_2x_plus_2());
         assert_eq!(verdict, NopeVerdict::Unrealizable);
     }
 
@@ -538,8 +377,10 @@ mod tests {
         // With x = 2 the output 6 is producible (3·2), so the bad location is
         // reachable and the verifier reports the witness.
         let examples = ExampleSet::for_single_var("x", [2]);
-        match check(&g1(), &examples, &spec_2x_plus_2()).verdict {
-            NopeVerdict::RealizableOnExamples(witness) => assert_eq!(witness, vec![6]),
+        match check(&g1(), &examples, &spec_2x_plus_2()).0 {
+            NopeVerdict::RealizableOnExamples(witness) => {
+                assert_eq!(witness.eval_on(&examples).unwrap(), Output::Int(vec![6]))
+            }
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -550,21 +391,16 @@ mod tests {
         // real grammar term whose outputs are the good vector.
         let grammar = g1();
         let examples = ExampleSet::for_single_var("x", [2]);
-        let outcome = check(&grammar, &examples, &spec_2x_plus_2());
-        let NopeVerdict::RealizableOnExamples(vector) = outcome.verdict else {
-            panic!("x = 2 has the good run 3·2 = 6, got {:?}", outcome.verdict);
+        let (verdict, stats) = check(&grammar, &examples, &spec_2x_plus_2());
+        let NopeVerdict::RealizableOnExamples(term) = verdict else {
+            panic!("x = 2 has the good run 3·2 = 6, got {verdict:?}");
         };
-        let term = outcome
-            .witness
-            .expect("a good run carries its witness term");
-        assert_eq!(vector, vec![6]);
         assert!(
             grammar.contains_term(&term),
             "witness {term} must be in L(G)"
         );
-        let out = term.eval_on(&examples).unwrap();
-        assert_eq!(out, sygus::Output::Int(vector));
-        assert!(outcome.arena_terms > 0);
+        assert_eq!(term.eval_on(&examples).unwrap(), Output::Int(vec![6]));
+        assert!(stats.arena_terms > 0);
     }
 
     #[test]
@@ -581,35 +417,18 @@ mod tests {
             .unwrap();
         let spec = Spec::output_equals(LinearExpr::constant(7), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [3]);
-        let outcome = check(&grammar, &examples, &spec);
-        let (NopeVerdict::RealizableOnExamples(vector), Some(term)) =
-            (outcome.verdict, outcome.witness)
-        else {
+        let NopeVerdict::RealizableOnExamples(term) = check(&grammar, &examples, &spec).0 else {
             panic!("the constant 7 is derivable");
         };
-        assert_eq!(vector, vec![7]);
         assert!(grammar.contains_term(&term), "witness {term} not in L(G)");
-        assert_eq!(term.eval_on(&examples).unwrap(), sygus::Output::Int(vector));
+        assert_eq!(term.eval_on(&examples).unwrap(), Output::Int(vec![7]));
     }
 
     #[test]
     fn coarse_abstraction_yields_unknown() {
-        // Gconst with spec f(x) > x on x = 1: realizable... the bounded search
-        // will find 2 > 1 quickly, so this is actually Realizable; to force
-        // Unknown we use a spec that is unrealizable but not refutable by the
-        // interval/congruence domain: f(x) = 7 over sums of 1 and 2 with at
-        // least... sums of {1,2} eventually hit 7, so pick f(x) = 0 instead:
-        // all sums are ≥ 1, interval refutes it — still Unrealizable. A truly
-        // Unknown case needs values that the domain cannot separate, e.g.
-        // f(x) = x over a grammar producing 1 and 3 only (x = 2):
-        // join(1, 3) = [1,3] with modulus 2 … 2 is even, 1 and 3 are odd, so
-        // the congruence does refute it. Use modulus-breaking constants 1, 2
-        // and target 3 ∉ {1,2} but 3 ∈ [1,2]∪… join(1,2) = [1,2] top modulus;
-        // target 3 is outside the interval → still refuted. Final choice:
-        // constants 1 and 4, target 3: join = [1,4], gcd(3) → 1 mod 3;
-        // 3 ≢ 1 (mod 3) → refuted again. The point stands that the domain is
-        // strong on constant sets, so instead take a recursive grammar whose
-        // language is {1, 4, 7, …} ∪ {2}: join breaks both components.
+        // The interval × congruence domain is strong on finite constant
+        // sets, so take a recursive grammar whose language is
+        // {1, 4, 7, …} ∪ {2, 5, 8, …}: the join breaks both components.
         let grammar = GrammarBuilder::new("Start")
             .nonterminal("Start", Sort::Int)
             .nonterminal("Three", Sort::Int)
@@ -624,7 +443,7 @@ mod tests {
         // prove it, and the bounded search cannot reach it either → Unknown.
         let spec = Spec::output_equals(LinearExpr::constant(6), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [0]);
-        let verdict = check(&grammar, &examples, &spec).verdict;
+        let (verdict, _) = check(&grammar, &examples, &spec);
         assert_eq!(verdict, NopeVerdict::Unknown);
     }
 
@@ -653,9 +472,9 @@ mod tests {
         let grammar = builder.build().unwrap();
         let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [0]);
-        let outcome = check(&grammar, &examples, &spec);
+        let (verdict, stats) = check(&grammar, &examples, &spec);
         // the fixpoint ran to chc's cap of 100 rounds without converging
-        assert_eq!(outcome.abstract_iterations, 100);
-        assert_eq!(outcome.verdict, NopeVerdict::Unknown);
+        assert_eq!(stats.abstract_iterations, 100);
+        assert_eq!(verdict, NopeVerdict::Unknown);
     }
 }

@@ -18,11 +18,11 @@
 //! * [`semilinear`] — semi-linear sets and Boolean-vector sets,
 //! * [`gfa`] — grammar-flow analysis: Newton's method, Kleene iteration,
 //!   stratification,
-//! * [`chc`] — constrained Horn clauses and the approximate Horn solver:
-//!   the one abstract interpreter of grammars and the Horn back end of
+//! * [`chc`] — the approximate constrained-Horn-clause solver: the one abstract interpreter of grammars and the Horn back end of
 //!   both approximate provers (nayHorn and nope), also run by the presolve,
 //! * [`enumerative`] — the bottom-up enumerative synthesizer,
-//! * [`nope`] — the program-reachability baseline,
+//! * [`nope`] — the program-reachability baseline, whose bounded search
+//!   and fixpoint both run on the grammar,
 //! * [`nay`] — Alg. 1 / Alg. 2: the unrealizability checker and CEGIS loop,
 //! * [`runner`] — the execution substrate: one warm worker pool,
 //!   cancellation-only deadlines, panic isolation, and JSON perf reports,
