@@ -1,12 +1,15 @@
 //! The corpus-wide "analyzer-clean" gate: every promoted `.sl` file under
-//! `corpus/` must pass the well-formedness checker with zero diagnostics
-//! (not even warnings), parse into a grammar report, and leave the
-//! presolve with a rechecked outcome. A corpus file that starts tripping
-//! the analyzer means either the file regressed or the analyzer grew a
-//! false positive — both are bugs.
+//! `corpus/` must pass the front end with zero diagnostics (not even
+//! warnings), parse into a grammar report, and leave the presolve with a
+//! rechecked outcome. A corpus file that starts tripping the analyzer means
+//! either the file regressed or the analyzer grew a false positive — both
+//! are bugs. The same holds for every workload the benchmarks send: the
+//! front end rejects every error, so a diagnostic there would turn a
+//! benchmark row into a parse failure.
 
 use analyze::{analyze_source, Presolver};
 use std::path::PathBuf;
+use sygus::parser::{parse_with_diagnostics, problem_to_sygus};
 
 fn corpus_files() -> Vec<PathBuf> {
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -81,4 +84,38 @@ fn corpus_presolve_outcomes_survive_recheck() {
             );
         }
     }
+}
+
+#[test]
+fn every_benchmark_workload_elaborates_without_diagnostics() {
+    let mut sources: Vec<(String, String)> = benchmarks::all()
+        .into_iter()
+        .map(|b| (b.name.clone(), problem_to_sygus(&b.problem, "f")))
+        .collect();
+    assert_eq!(sources.len(), 132, "benchmarks::all() rows");
+    for seed in [42, 7] {
+        sources.extend(
+            gen::ProblemStream::new(gen::GenConfig::new(seed))
+                .take(500)
+                .map(|instance| (format!("seed {seed} {}", instance.name()), instance.to_sl())),
+        );
+    }
+    for path in corpus_files() {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        sources.push((path.display().to_string(), text));
+    }
+    let mut dirty = Vec::new();
+    for (name, text) in &sources {
+        let (problem, diagnostics) = parse_with_diagnostics(text, name);
+        dirty.extend(diagnostics.iter().map(|d| format!("{name}:{d}")));
+        if problem.is_none() {
+            dirty.push(format!("{name}: no problem"));
+        }
+    }
+    assert!(
+        dirty.is_empty(),
+        "workload instances with diagnostics:\n{}",
+        dirty.join("\n")
+    );
 }

@@ -4,7 +4,7 @@
 //!
 //! Per file the report contains one `analyze` entry whose verdict is the
 //! presolve verdict (`unrealizable` / `realizable` / `unknown`), or
-//! `ill-formed` when the well-formedness checker found errors; the
+//! `ill-formed` when the front end found errors; the
 //! `iterations` field carries the diagnostic count so a corpus-wide
 //! "analyzer-clean" gate is a single glance at the JSON.
 

@@ -34,4 +34,4 @@ mod semiring;
 pub mod strata;
 
 pub use equations::{EquationSystem, Monomial, Solution};
-pub use semiring::{BoundedLattice, SemiLinearSemiring, Semiring};
+pub use semiring::{SemiLinearSemiring, Semiring};

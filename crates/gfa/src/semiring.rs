@@ -51,13 +51,6 @@ pub trait Semiring {
     }
 }
 
-/// A marker trait for semirings whose combine semilattice has bounded height,
-/// for which plain Kleene iteration is guaranteed to converge.
-pub trait BoundedLattice: Semiring {
-    /// An upper bound on the length of strictly ascending chains.
-    fn height_bound(&self) -> usize;
-}
-
 /// The semiring of semi-linear sets of a fixed dimension (Prop. 5.8), the
 /// abstract domain used by the naySL decision procedure.
 ///

@@ -166,6 +166,35 @@ impl LinearExpr {
         }
     }
 
+    /// [`scale`](Self::scale), or `None` when a coefficient or the constant
+    /// overflows i64.
+    pub fn checked_scale(&self, k: i64) -> Option<LinearExpr> {
+        if k == 0 {
+            return Some(LinearExpr::zero());
+        }
+        Some(LinearExpr {
+            constant: self.constant.checked_mul(k)?,
+            coeffs: self
+                .coeffs
+                .iter()
+                .map(|(v, c)| Some((v.clone(), c.checked_mul(k)?)))
+                .collect::<Option<_>>()?,
+        })
+    }
+
+    /// `self + rhs`, or `None` when a coefficient or the constant overflows
+    /// i64.
+    pub fn checked_add(self, rhs: LinearExpr) -> Option<LinearExpr> {
+        let mut out = self;
+        out.constant = out.constant.checked_add(rhs.constant)?;
+        for (v, c) in rhs.coeffs {
+            let entry = out.coeffs.entry(v).or_insert(0);
+            *entry = entry.checked_add(c)?;
+        }
+        out.coeffs.retain(|_, c| *c != 0);
+        Some(out)
+    }
+
     /// Substitutes `var` by the expression `by`.
     pub fn substitute(&self, var: &Var, by: &LinearExpr) -> LinearExpr {
         let c = self.coeff(var);
@@ -316,6 +345,31 @@ mod tests {
         let h = e - f;
         assert_eq!(h.coeff(&x()), 2);
         assert_eq!(h.coeff(&y()), -1);
+    }
+
+    #[test]
+    fn checked_arithmetic_agrees_or_reports_overflow() {
+        let e = LinearExpr::var(x()).scale(3) + LinearExpr::constant(2);
+        let f = LinearExpr::var(x()).scale(-3) + LinearExpr::var(y());
+        assert_eq!(e.clone().checked_add(f.clone()), Some(e.clone() + f));
+        assert_eq!(e.checked_scale(-7), Some(e.scale(-7)));
+        assert_eq!(e.checked_scale(0), Some(LinearExpr::zero()));
+        assert_eq!(LinearExpr::constant(i64::MIN).checked_scale(-1), None);
+        assert_eq!(
+            LinearExpr::var(x()).checked_scale(i64::MIN),
+            Some(LinearExpr::from_terms([(x(), i64::MIN)], 0))
+        );
+        assert_eq!(LinearExpr::var(x()).scale(2).checked_scale(i64::MIN), None);
+        assert_eq!(
+            LinearExpr::constant(i64::MAX).checked_add(LinearExpr::constant(1)),
+            None
+        );
+        let big = LinearExpr::from_terms([(x(), i64::MAX)], 0);
+        assert_eq!(big.clone().checked_add(LinearExpr::var(x())), None);
+        assert_eq!(
+            big.checked_add(LinearExpr::var(x()).scale(-1)),
+            Some(LinearExpr::from_terms([(x(), i64::MAX - 1)], 0))
+        );
     }
 
     #[test]

@@ -36,6 +36,9 @@ use semilinear::concretize_semilinear;
 use std::time::{Duration, Instant};
 use sygus::{ExampleSet, Problem, Sort, SygusError};
 
+/// naySL always removes trivially-subsumed linear sets as it goes (§7).
+const PRUNE: bool = true;
+
 /// The verdict of Alg. 1 on the example-restricted problem `sy_E`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -115,7 +118,7 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
     if stop_requested() {
         return outcome(Verdict::Unknown, 0, 0);
     }
-    let (stratified, prune) = match mode {
+    let stratified = match mode {
         Mode::Horn => {
             let verdict = match HornSolver::new().check(problem.grammar(), examples, problem.spec())
             {
@@ -124,7 +127,7 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
             };
             return outcome(verdict, 0, 0);
         }
-        Mode::SemiLinear { stratified, prune } => (*stratified, *prune),
+        Mode::SemiLinear { stratified } => *stratified,
     };
 
     let rewritten = match sygus::rewrite::to_plus_form(problem.grammar()) {
@@ -141,7 +144,7 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
 
     // γ̂(n(Start), o⃗)
     let (gamma, abstraction_size, solver_iterations) = if rewritten.is_lia() {
-        match lia::analyze(&rewritten, examples, stratified, prune) {
+        match lia::analyze(&rewritten, examples, stratified, PRUNE) {
             Ok(analysis) => {
                 let start = analysis.start_value(&rewritten).clone();
                 (
@@ -153,7 +156,7 @@ pub fn check_unrealizable(problem: &Problem, examples: &ExampleSet, mode: &Mode)
             Err(_) => return outcome(Verdict::Unknown, 0, 0),
         }
     } else {
-        match clia::solve_mutual(&rewritten, examples, stratified, prune) {
+        match clia::solve_mutual(&rewritten, examples, stratified, PRUNE) {
             // An unfinished SolveMutual, or a comparison query that came back
             // unknown, leaves an abstraction that is not exact.
             Ok((analysis, false)) => {

@@ -10,8 +10,6 @@ pub enum Mode {
         /// Solve the GFA equations stratum by stratum (the SCC optimisation
         /// of §7). Turning this off reproduces the "no opt." series of Fig. 4.
         stratified: bool,
-        /// Eagerly remove trivially-subsumed linear sets.
-        prune: bool,
     },
     /// nayHorn: the sound-but-incomplete Horn-clause mode (§4.3), backed by
     /// the abstract-interpretation solver of the `chc` crate.
@@ -20,10 +18,7 @@ pub enum Mode {
 
 impl Default for Mode {
     fn default() -> Self {
-        Mode::SemiLinear {
-            stratified: true,
-            prune: true,
-        }
+        Mode::SemiLinear { stratified: true }
     }
 }
 
@@ -35,10 +30,7 @@ impl Mode {
 
     /// naySL without the stratification optimisation.
     pub fn semi_linear_unstratified() -> Self {
-        Mode::SemiLinear {
-            stratified: false,
-            prune: true,
-        }
+        Mode::SemiLinear { stratified: false }
     }
 
     /// The nayHorn mode.
@@ -49,12 +41,8 @@ impl Mode {
     /// A short human-readable name, used by the benchmark harness.
     pub fn name(&self) -> &'static str {
         match self {
-            Mode::SemiLinear {
-                stratified: true, ..
-            } => "naySL",
-            Mode::SemiLinear {
-                stratified: false, ..
-            } => "naySL(no-strat)",
+            Mode::SemiLinear { stratified: true } => "naySL",
+            Mode::SemiLinear { stratified: false } => "naySL(no-strat)",
             Mode::Horn => "nayHorn",
         }
     }

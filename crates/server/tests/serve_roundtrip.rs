@@ -142,6 +142,35 @@ fn no_cache_requests_bypass_lookup_and_insertion() {
 }
 
 #[test]
+fn constraint_overflow_is_a_parse_error_and_is_never_cached() {
+    // f(x) = 2⁶⁴ is unrealizable over ℤ; wrapped, it would read f(x) = 0
+    // and the grammar's `0` would answer it.
+    let overflowing = "\
+(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x 0 (+ Start Start)))))
+(declare-var x Int)
+(constraint (= (f x) (* 4611686018427387904 4)))
+(check-synth)
+";
+    let (endpoint, handle) = start(ServerConfig::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    for id in ["r-1", "r-2"] {
+        let response = client.solve(id, overflowing).unwrap();
+        assert_eq!(response.status, ResponseStatus::Error, "{response:?}");
+        assert_eq!(response.error_code, Some(ErrorCode::ParseError));
+        assert!(
+            response.error.as_deref().unwrap().starts_with("4:22:"),
+            "{response:?}"
+        );
+        assert_eq!(response.verdict, None);
+    }
+    let stats = shut_down(&endpoint, handle);
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(stats.cache_entries, 0);
+    assert_eq!(stats.errors, 2);
+}
+
+#[test]
 fn ping_and_stats_round_trip() {
     let (endpoint, handle) = start(ServerConfig::default());
     let mut client = Client::connect(&endpoint).unwrap();

@@ -15,7 +15,9 @@
 //!   arena the solver hot paths enumerate and evaluate on,
 //! * [`rewrite::to_plus_form`] — the `h(G)` rewriting that removes `Minus`
 //!   (§5.2),
-//! * [`parser`] — a SyGuS-IF-style s-expression front end and printer,
+//! * [`parser`] — the SyGuS-IF front end, which reports every
+//!   [`parser::Diagnostic`] and elaborates the problem in one pass, and
+//!   the printer back to SyGuS-IF,
 //! * [`encode`] — encoding of a candidate term's semantics as a QF-LIA
 //!   formula, used for verification/counterexample generation,
 //! * [`rng`] — the deterministic random source: the engines' example
@@ -39,7 +41,6 @@ mod term;
 pub use arena::{Op, TermArena, TermId, VarId};
 pub use example::{Example, ExampleSet, Output};
 pub use grammar::{Grammar, GrammarBuilder, NonTerminal, Production};
-pub use parser::{LineIndex, Sexp, SexpKind, Span};
 pub use problem::Problem;
 pub use semantics::Value;
 pub use spec::Spec;
@@ -47,8 +48,7 @@ pub use term::{Sort, Symbol, Term};
 
 /// A parse error carrying the source position of the offending token.
 ///
-/// Lines and columns are 1-based; columns count bytes within the line (see
-/// [`parser::LineIndex`]).
+/// Lines and columns are 1-based; columns count bytes within the line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line of the offending token.

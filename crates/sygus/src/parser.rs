@@ -1,5 +1,5 @@
-//! A SyGuS-IF-style front end: s-expression parsing of `synth-fun` problems
-//! and a printer back to the same format.
+//! The SyGuS-IF front end, the one reader of `synth-fun` problems, and a
+//! printer back to the same format.
 //!
 //! The supported fragment covers the LIA/CLIA benchmarks of the paper's
 //! evaluation:
@@ -8,15 +8,19 @@
 //! * `(synth-fun f ((x Int) …) Int (<nonterminal decls>) (<grouped rules>))`,
 //! * `(declare-var x Int)`,
 //! * `(constraint <formula>)` where the formula uses `= < <= > >= + - *`
-//!   (multiplication by constants only), `and`, `or`, `not`, `ite`, integer
-//!   literals, declared variables, and single-invocation applications
-//!   `(f x …)` of the synthesis function,
+//!   (multiplication by constants only), `and`, `or`, `not`, `=>`, `ite`,
+//!   integer literals, declared variables, and single-invocation
+//!   applications `(f x …)` of the synthesis function,
 //! * `(check-synth)`.
 //!
-//! Every s-expression carries a byte-offset [`Span`] into the source text
-//! and a [`LineIndex`] converts offsets to 1-based line/column positions,
-//! so parse errors (and the static analyzer's diagnostics, see crate
-//! `analyze`) can point at the offending token.
+//! [`parse_with_diagnostics`] makes one pass over the s-expressions of a
+//! source text. It records every finding as a [`Diagnostic`] anchored at the
+//! offending token's 1-based `line:col`, and it elaborates the [`Problem`].
+//! An [`Severity::Error`] always rejects the file and a
+//! [`Severity::Warning`] never does; [`parse_problem`] returns the problem
+//! or the first error. Constraint arithmetic is checked: a sum, difference
+//! or product that leaves the i64 range is an `overflow` error, never a
+//! wrapped value.
 
 use crate::grammar::{Grammar, GrammarBuilder};
 use crate::problem::Problem;
@@ -25,29 +29,64 @@ use crate::term::{Sort, Symbol};
 use crate::{ParseError, SygusError};
 use logic::{Formula, LinearExpr, Var};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fmt::Write as _;
+
+/// How serious a [`Diagnostic`] is.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Severity {
+    /// Suspicious but meaningful; the file is accepted.
+    Warning,
+    /// The file is rejected.
+    Error,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Severity::Warning => write!(f, "warning"),
+            Severity::Error => write!(f, "error"),
+        }
+    }
+}
+
+/// One finding of the front end.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Diagnostic {
+    /// 1-based source line of the offending token.
+    pub line: u32,
+    /// 1-based source column (bytes) of the offending token.
+    pub col: u32,
+    /// Error or warning.
+    pub severity: Severity,
+    /// Stable machine-readable code, e.g. `arity-mismatch`.
+    pub code: &'static str,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: {}[{}]: {}",
+            self.line, self.col, self.severity, self.code, self.message
+        )
+    }
+}
 
 /// A half-open byte range `[start, end)` into the source text.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Span {
+struct Span {
     /// Byte offset of the first byte of the spanned region.
-    pub start: u32,
+    start: u32,
     /// Byte offset one past the last byte of the spanned region.
-    pub end: u32,
+    end: u32,
 }
 
 impl Span {
-    /// Creates a span from byte offsets.
-    pub fn new(start: u32, end: u32) -> Self {
+    fn new(start: u32, end: u32) -> Self {
         Span { start, end }
-    }
-
-    /// The smallest span covering both operands.
-    pub fn join(self, other: Span) -> Span {
-        Span {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
     }
 }
 
@@ -55,15 +94,13 @@ impl Span {
 ///
 /// Lines and columns are 1-based; columns count bytes within the line
 /// (identical to character counts for the ASCII benchmark corpus).
-#[derive(Clone, Debug)]
-pub struct LineIndex {
+struct LineIndex {
     /// Byte offset at which each line starts; `line_starts[0] == 0`.
     line_starts: Vec<u32>,
 }
 
 impl LineIndex {
-    /// Builds the index for a source text.
-    pub fn new(text: &str) -> Self {
+    fn new(text: &str) -> Self {
         let mut line_starts = vec![0u32];
         for (i, b) in text.bytes().enumerate() {
             if b == b'\n' {
@@ -74,7 +111,7 @@ impl LineIndex {
     }
 
     /// The 1-based `(line, column)` of a byte offset.
-    pub fn position(&self, offset: u32) -> (u32, u32) {
+    fn position(&self, offset: u32) -> (u32, u32) {
         let line = match self.line_starts.binary_search(&offset) {
             Ok(i) => i,
             Err(i) => i - 1,
@@ -84,8 +121,8 @@ impl LineIndex {
 }
 
 /// The payload of a spanned [`Sexp`]: an atom or a parenthesised list.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SexpKind {
+#[derive(Debug)]
+enum SexpKind {
     /// An atom (symbol or numeral).
     Atom(String),
     /// A parenthesised list.
@@ -93,42 +130,28 @@ pub enum SexpKind {
 }
 
 /// An s-expression with the source span it was parsed from.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Sexp {
-    /// Atom or list.
-    pub kind: SexpKind,
+#[derive(Debug)]
+struct Sexp {
+    kind: SexpKind,
     /// The byte range of the expression (for lists: including both
     /// parentheses).
-    pub span: Span,
+    span: Span,
 }
 
 impl Sexp {
-    /// The atom's text, if this is an atom.
-    pub fn atom(&self) -> Option<&str> {
+    fn atom(&self) -> Option<&str> {
         match &self.kind {
             SexpKind::Atom(s) => Some(s),
             SexpKind::List(_) => None,
         }
     }
 
-    /// The list items, if this is a list.
-    pub fn list(&self) -> Option<&[Sexp]> {
+    fn list(&self) -> Option<&[Sexp]> {
         match &self.kind {
             SexpKind::List(l) => Some(l),
             SexpKind::Atom(_) => None,
         }
     }
-
-    /// The source span of this expression.
-    pub fn span(&self) -> Span {
-        self.span
-    }
-}
-
-/// Builds a [`SygusError::ParseError`] anchored at the start of `span`.
-fn perr(idx: &LineIndex, span: Span, msg: impl Into<String>) -> SygusError {
-    let (line, col) = idx.position(span.start);
-    SygusError::ParseError(ParseError::new(line, col, msg))
 }
 
 enum Tok {
@@ -181,13 +204,14 @@ fn tokenize(input: &str) -> Vec<(Tok, Span)> {
 
 /// Tokenises and parses a string into a sequence of spanned s-expressions.
 ///
-/// Comments start with `;` and run to the end of the line.
-///
-/// # Errors
-/// Returns a [`SygusError::ParseError`] (carrying the offending
-/// parenthesis's position) on unbalanced parentheses.
-pub fn parse_sexps(input: &str) -> Result<Vec<Sexp>, SygusError> {
-    let idx = LineIndex::new(input);
+/// Comments start with `;` and run to the end of the line. Unbalanced
+/// parentheses are a [`SygusError::ParseError`] at the offending
+/// parenthesis.
+fn parse_sexps(input: &str) -> Result<Vec<Sexp>, SygusError> {
+    let perr = |span: Span, msg: &str| {
+        let (line, col) = LineIndex::new(input).position(span.start);
+        SygusError::ParseError(ParseError::new(line, col, msg))
+    };
     struct Frame {
         open: Span,
         items: Vec<Sexp>,
@@ -204,7 +228,7 @@ pub fn parse_sexps(input: &str) -> Result<Vec<Sexp>, SygusError> {
             }),
             Tok::Close => {
                 if stack.len() == 1 {
-                    return Err(perr(&idx, span, "unbalanced ')'"));
+                    return Err(perr(span, "unbalanced ')'"));
                 }
                 let frame = stack.pop().expect("len checked above");
                 let sexp = Sexp {
@@ -229,395 +253,849 @@ pub fn parse_sexps(input: &str) -> Result<Vec<Sexp>, SygusError> {
     }
     if stack.len() != 1 {
         let open = stack.last().expect("nonempty stack").open;
-        return Err(perr(&idx, open, "unbalanced '('"));
+        return Err(perr(open, "unbalanced '('"));
     }
     Ok(stack.pop().expect("single frame").items)
 }
 
-fn parse_sort(s: &Sexp, idx: &LineIndex) -> Result<Sort, SygusError> {
-    match s.atom() {
-        Some("Int") => Ok(Sort::Int),
-        Some("Bool") => Ok(Sort::Bool),
-        other => Err(perr(idx, s.span, format!("unsupported sort {other:?}"))),
+/// The findings of one elaboration, kept as byte spans until the end so
+/// that a clean file never builds a [`LineIndex`].
+#[derive(Default)]
+struct Findings {
+    found: Vec<(Span, Severity, &'static str, String)>,
+    errors: usize,
+}
+
+impl Findings {
+    fn error(&mut self, span: Span, code: &'static str, message: impl Into<String>) {
+        self.errors += 1;
+        self.found
+            .push((span, Severity::Error, code, message.into()));
+    }
+
+    fn warning(&mut self, span: Span, code: &'static str, message: impl Into<String>) {
+        self.found
+            .push((span, Severity::Warning, code, message.into()));
+    }
+
+    fn into_diagnostics(self, source: &str) -> Vec<Diagnostic> {
+        if self.found.is_empty() {
+            return Vec::new();
+        }
+        let idx = LineIndex::new(source);
+        self.found
+            .into_iter()
+            .map(|(span, severity, code, message)| {
+                let (line, col) = idx.position(span.start);
+                Diagnostic {
+                    line,
+                    col,
+                    severity,
+                    code,
+                    message,
+                }
+            })
+            .collect()
     }
 }
 
+/// The elaborated `synth-fun` command.
 struct SynthFun {
     name: String,
     params: Vec<(String, Sort)>,
     ret: Sort,
-    grammar: Grammar,
+    nts: BTreeMap<String, Sort>,
+    /// Built only while the file has no error: a rejected file needs none.
+    grammar: Option<Grammar>,
 }
 
-fn parse_synth_fun(span: Span, items: &[Sexp], idx: &LineIndex) -> Result<SynthFun, SygusError> {
-    // (synth-fun name ((x Int) ...) Ret (decls) (rules))
-    if items.len() < 4 {
-        return Err(perr(
-            idx,
-            span,
-            "synth-fun needs a name, parameters and a return sort",
-        ));
+impl SynthFun {
+    fn param_sort(&self, name: &str) -> Option<Sort> {
+        self.params.iter().find(|(p, _)| p == name).map(|(_, s)| *s)
     }
-    let name = items[1]
-        .atom()
-        .ok_or_else(|| perr(idx, items[1].span, "synth-fun name must be an atom"))?
-        .to_string();
-    let mut params = Vec::new();
-    for p in items[2]
-        .list()
-        .ok_or_else(|| perr(idx, items[2].span, "synth-fun parameter list expected"))?
-    {
-        let pl = p
-            .list()
-            .ok_or_else(|| perr(idx, p.span, "parameter must be (name Sort)"))?;
-        if pl.len() != 2 {
-            return Err(perr(idx, p.span, "parameter must be (name Sort)"));
-        }
-        params.push((
-            pl[0]
-                .atom()
-                .ok_or_else(|| perr(idx, pl[0].span, "parameter name must be an atom"))?
-                .to_string(),
-            parse_sort(&pl[1], idx)?,
-        ));
-    }
-    let ret = parse_sort(&items[3], idx)?;
-
-    // Grammar part: either SyGuS-IF v2 ((A Int) (B Bool)) ((A Int (rules)) ...)
-    // or directly ((A Int (rules)) ...).
-    let grouped_sexp = if items.len() >= 6 {
-        &items[5]
-    } else if items.len() == 5 {
-        &items[4]
-    } else {
-        return Err(perr(idx, span, "synth-fun must declare a grammar"));
-    };
-    let grouped = grouped_sexp.list().ok_or_else(|| {
-        perr(
-            idx,
-            grouped_sexp.span,
-            "grouped grammar rules must be a list",
-        )
-    })?;
-
-    // Collect nonterminal declarations first.
-    let mut decls: Vec<(String, Sort)> = Vec::new();
-    for g in grouped {
-        let gl = g
-            .list()
-            .ok_or_else(|| perr(idx, g.span, "grammar group must be (Name Sort (rules…))"))?;
-        if gl.len() < 3 {
-            return Err(perr(
-                idx,
-                g.span,
-                "grammar group must be (Name Sort (rules…))",
-            ));
-        }
-        decls.push((
-            gl[0]
-                .atom()
-                .ok_or_else(|| perr(idx, gl[0].span, "nonterminal name must be an atom"))?
-                .to_string(),
-            parse_sort(&gl[1], idx)?,
-        ));
-    }
-    let start = decls
-        .first()
-        .ok_or_else(|| perr(idx, grouped_sexp.span, "grammar has no nonterminals"))?
-        .0
-        .clone();
-    let nts: BTreeMap<String, Sort> = decls.iter().cloned().collect();
-    let vars: BTreeMap<String, Sort> = params.iter().cloned().collect();
-
-    let mut builder = GrammarBuilder::new(&start);
-    for (n, s) in &decls {
-        builder = builder.nonterminal(n, *s);
-    }
-    for g in grouped {
-        let gl = g.list().expect("validated above");
-        let lhs = gl[0].atom().expect("validated above");
-        let rules = gl[2].list().ok_or_else(|| {
-            perr(
-                idx,
-                gl[2].span,
-                "grammar rules must be a parenthesised list",
-            )
-        })?;
-        for rule in rules {
-            builder = parse_rule(builder, lhs, rule, &nts, &vars, idx)?;
-        }
-    }
-    Ok(SynthFun {
-        name,
-        params,
-        ret,
-        grammar: builder.build()?,
-    })
 }
 
-fn parse_rule(
-    builder: GrammarBuilder,
-    lhs: &str,
-    rule: &Sexp,
-    nts: &BTreeMap<String, Sort>,
-    vars: &BTreeMap<String, Sort>,
-    idx: &LineIndex,
-) -> Result<GrammarBuilder, SygusError> {
-    match &rule.kind {
-        SexpKind::Atom(a) => {
-            if let Ok(c) = a.parse::<i64>() {
-                Ok(builder.production(lhs, Symbol::Num(c), &[]))
-            } else if vars.contains_key(a) {
-                Ok(builder.production(lhs, Symbol::Var(a.clone()), &[]))
-            } else if nts.contains_key(a) {
-                Ok(builder.chain(lhs, a))
-            } else if a == "true" || a == "false" {
-                Err(perr(
-                    idx,
-                    rule.span,
-                    "Boolean literals in grammars are not supported; use comparisons",
-                ))
-            } else {
-                Err(perr(
-                    idx,
-                    rule.span,
-                    format!("unknown grammar atom {a} in rules of {lhs}"),
-                ))
+/// A grammar rule's right-hand side, in the form [`GrammarBuilder`] takes.
+enum Rhs<'a> {
+    Production(Symbol, Vec<&'a str>),
+    Chain(&'a str),
+}
+
+#[derive(Default)]
+struct Elaborator {
+    findings: Findings,
+    fun: Option<SynthFun>,
+    declared: BTreeMap<String, Sort>,
+    /// Declaration order, kept separately: the spec's input variables must
+    /// come out in the order the file declares them, not sorted, so that
+    /// printing a parsed problem reproduces the file.
+    declared_order: Vec<String>,
+}
+
+impl Elaborator {
+    fn problem(&mut self, sexps: &[Sexp], name: &str) -> Option<Problem> {
+        // Commands first: declarations are collected before constraints are
+        // elaborated, so declaration order in the file does not matter.
+        let mut constraints: Vec<&Sexp> = Vec::new();
+        let mut saw_check_synth = false;
+        for s in sexps {
+            let Some(items) = s.list() else {
+                self.findings.error(
+                    s.span,
+                    "invalid-command",
+                    "top-level atoms are not valid SyGuS commands",
+                );
+                continue;
+            };
+            let Some(head) = items.first().and_then(Sexp::atom) else {
+                self.findings.warning(
+                    s.span,
+                    "invalid-command",
+                    "command head is not an atom; the form is ignored",
+                );
+                continue;
+            };
+            match head {
+                "set-logic" => match items.get(1).and_then(Sexp::atom) {
+                    Some("LIA" | "CLIA") => {}
+                    Some(other) => self.findings.warning(
+                        items[1].span,
+                        "unknown-logic",
+                        format!("logic {other} is outside the supported LIA/CLIA fragment"),
+                    ),
+                    None => self.findings.warning(
+                        s.span,
+                        "unknown-logic",
+                        "set-logic without a logic name",
+                    ),
+                },
+                "check-synth" => saw_check_synth = true,
+                "set-option" => {}
+                "synth-fun" => {
+                    if self.fun.is_some() {
+                        self.findings.error(
+                            s.span,
+                            "duplicate-synth-fun",
+                            "more than one synth-fun",
+                        );
+                    }
+                    if let Some(fun) = self.synth_fun(s.span, items) {
+                        self.fun = Some(fun);
+                    }
+                }
+                "declare-var" => self.declare_var(s.span, items),
+                "constraint" => match items.get(1) {
+                    Some(formula) => {
+                        if items.len() > 2 {
+                            self.findings.error(
+                                items[2].span,
+                                "arity-mismatch",
+                                "constraint takes a single formula",
+                            );
+                        }
+                        constraints.push(formula);
+                    }
+                    None => self.findings.error(
+                        s.span,
+                        "malformed-constraint",
+                        "constraint needs a formula",
+                    ),
+                },
+                other => self.findings.error(
+                    items[0].span,
+                    "invalid-command",
+                    format!("unsupported SyGuS command {other}"),
+                ),
             }
         }
-        SexpKind::List(items) => {
-            let op = items
-                .first()
-                .and_then(|s| s.atom())
-                .ok_or_else(|| perr(idx, rule.span, "rule operator must be an atom"))?;
-            let args: Result<Vec<&Sexp>, SygusError> = items[1..]
-                .iter()
-                .map(|s| {
-                    if s.atom().is_some() {
-                        Ok(s)
-                    } else {
-                        Err(perr(
-                            idx,
-                            s.span,
+
+        let file_start = Span::default();
+        if self.fun.is_none() {
+            self.findings.error(
+                file_start,
+                "missing-synth-fun",
+                "no synth-fun command found",
+            );
+        }
+        if constraints.is_empty() {
+            self.findings.warning(
+                file_start,
+                "no-constraint",
+                "no constraint command: every grammar term trivially satisfies the empty specification",
+            );
+        }
+        if !saw_check_synth {
+            self.findings.warning(
+                file_start,
+                "missing-check-synth",
+                "no check-synth command found",
+            );
+        }
+
+        // Then the constraints, against the collected declarations; each
+        // one is elaborated, even after an error, so that all are diagnosed.
+        let formulas: Vec<Option<Formula>> = constraints.iter().map(|c| self.formula(c)).collect();
+        if self.findings.errors > 0 {
+            return None;
+        }
+        let fun = self.fun.take()?;
+        let formula = Formula::and(formulas.into_iter().collect::<Option<Vec<_>>>()?);
+        // Without declarations, the spec's inputs are the synth-fun's
+        // parameters (constraints are single-invocation).
+        let input_vars: Vec<String> = if self.declared_order.is_empty() {
+            fun.params.into_iter().map(|(p, _)| p).collect()
+        } else {
+            std::mem::take(&mut self.declared_order)
+        };
+        let spec = Spec::new(formula, input_vars, fun.ret);
+        Some(Problem::new(name, fun.grammar?, spec))
+    }
+
+    fn sort(&mut self, s: &Sexp) -> Option<Sort> {
+        match s.atom() {
+            Some("Int") => Some(Sort::Int),
+            Some("Bool") => Some(Sort::Bool),
+            other => {
+                self.findings.error(
+                    s.span,
+                    "unknown-sort",
+                    format!("unsupported sort {other:?}; only Int and Bool are available"),
+                );
+                None
+            }
+        }
+    }
+
+    fn declare_var(&mut self, span: Span, items: &[Sexp]) {
+        let Some(name) = items.get(1).and_then(Sexp::atom) else {
+            self.findings
+                .error(span, "malformed-declare-var", "declare-var needs a name");
+            return;
+        };
+        let Some(sort_sexp) = items.get(2) else {
+            self.findings
+                .error(span, "malformed-declare-var", "declare-var needs a sort");
+            return;
+        };
+        let Some(sort) = self.sort(sort_sexp) else {
+            return;
+        };
+        match self.declared.get(name) {
+            Some(prev) if *prev != sort => self.findings.error(
+                items[1].span,
+                "conflicting-variable",
+                format!("variable {name} is re-declared with sort {sort}, previously {prev}"),
+            ),
+            Some(_) => self.findings.warning(
+                items[1].span,
+                "duplicate-variable",
+                format!("variable {name} is declared more than once"),
+            ),
+            None => {
+                self.declared.insert(name.to_string(), sort);
+                self.declared_order.push(name.to_string());
+            }
+        }
+    }
+
+    fn synth_fun(&mut self, span: Span, items: &[Sexp]) -> Option<SynthFun> {
+        // (synth-fun name ((x Int) ...) Ret [(decls)] ((A Int (rules)) ...))
+        if items.len() < 4 {
+            self.findings.error(
+                span,
+                "malformed-synth-fun",
+                "synth-fun needs a name, parameters and a return sort",
+            );
+            return None;
+        }
+        let Some(name) = items[1].atom() else {
+            self.findings.error(
+                items[1].span,
+                "malformed-synth-fun",
+                "synth-fun name must be an atom",
+            );
+            return None;
+        };
+        let mut params: Vec<(String, Sort)> = Vec::new();
+        match items[2].list() {
+            Some(plist) => {
+                for p in plist {
+                    let Some([name_sexp, sort_sexp]) = p.list() else {
+                        self.findings.error(
+                            p.span,
+                            "malformed-synth-fun",
+                            "parameter must be (name Sort)",
+                        );
+                        continue;
+                    };
+                    let Some(pname) = name_sexp.atom() else {
+                        self.findings.error(
+                            name_sexp.span,
+                            "malformed-synth-fun",
+                            "parameter name must be an atom",
+                        );
+                        continue;
+                    };
+                    let Some(psort) = self.sort(sort_sexp) else {
+                        continue;
+                    };
+                    if params.iter().any(|(n, _)| n == pname) {
+                        self.findings.error(
+                            name_sexp.span,
+                            "duplicate-parameter",
+                            format!("parameter {pname} is declared more than once"),
+                        );
+                        continue;
+                    }
+                    params.push((pname.to_string(), psort));
+                }
+            }
+            None => self.findings.error(
+                items[2].span,
+                "malformed-synth-fun",
+                "synth-fun parameter list expected",
+            ),
+        }
+        let ret = self.sort(&items[3])?;
+
+        // SyGuS-IF v2 places the grouped rules at index 5, after a list of
+        // nonterminal declarations; the direct format places them at 4.
+        let grouped_sexp = if items.len() >= 6 {
+            &items[5]
+        } else if items.len() == 5 {
+            &items[4]
+        } else {
+            self.findings.error(
+                span,
+                "malformed-synth-fun",
+                "synth-fun must declare a grammar",
+            );
+            return None;
+        };
+        let Some(grouped) = grouped_sexp.list() else {
+            self.findings.error(
+                grouped_sexp.span,
+                "malformed-synth-fun",
+                "grouped grammar rules must be a list",
+            );
+            return None;
+        };
+
+        // Nonterminal declarations first, so rules can reference forward.
+        let mut nts: BTreeMap<String, Sort> = BTreeMap::new();
+        let mut order: Vec<(&str, Sort)> = Vec::new();
+        for g in grouped {
+            let Some(gl) = g.list().filter(|gl| gl.len() >= 3) else {
+                self.findings.error(
+                    g.span,
+                    "malformed-synth-fun",
+                    "grammar group must be (Name Sort (rules…))",
+                );
+                continue;
+            };
+            let Some(nt) = gl[0].atom() else {
+                self.findings.error(
+                    gl[0].span,
+                    "malformed-synth-fun",
+                    "nonterminal name must be an atom",
+                );
+                continue;
+            };
+            let Some(sort) = self.sort(&gl[1]) else {
+                continue;
+            };
+            if nts.insert(nt.to_string(), sort).is_some() {
+                self.findings.error(
+                    gl[0].span,
+                    "duplicate-nonterminal",
+                    format!("nonterminal {nt} is declared more than once"),
+                );
+            } else {
+                order.push((nt, sort));
+            }
+        }
+        let Some(&(start, start_sort)) = order.first() else {
+            self.findings.error(
+                grouped_sexp.span,
+                "malformed-synth-fun",
+                "grammar has no nonterminals",
+            );
+            return None;
+        };
+        if start_sort != ret {
+            self.findings.error(
+                items[3].span,
+                "return-sort-mismatch",
+                format!(
+                    "synth-fun returns {ret} but the start nonterminal {start} has sort {start_sort}"
+                ),
+            );
+        }
+
+        let mut fun = SynthFun {
+            name: name.to_string(),
+            params,
+            ret,
+            nts,
+            grammar: None,
+        };
+        let mut builder = GrammarBuilder::new(start);
+        for &(nt, sort) in &order {
+            builder = builder.nonterminal(nt, sort);
+        }
+        // Rules, now that every nonterminal is known.
+        for g in grouped {
+            let Some(gl) = g.list().filter(|gl| gl.len() >= 3) else {
+                continue;
+            };
+            let Some((lhs, lhs_sort)) = gl[0].atom().and_then(|n| Some((n, *fun.nts.get(n)?)))
+            else {
+                continue;
+            };
+            let Some(rules) = gl[2].list() else {
+                self.findings.error(
+                    gl[2].span,
+                    "malformed-synth-fun",
+                    "grammar rules must be a parenthesised list",
+                );
+                continue;
+            };
+            for rule in rules {
+                builder = match self.rule(&fun, lhs, lhs_sort, rule) {
+                    Some(Rhs::Production(symbol, args)) => builder.production(lhs, symbol, &args),
+                    Some(Rhs::Chain(rhs)) => builder.chain(lhs, rhs),
+                    None => builder,
+                };
+            }
+        }
+        if self.findings.errors == 0 {
+            match builder.build() {
+                Ok(grammar) => fun.grammar = Some(grammar),
+                Err(e) => self.findings.error(span, "ill-sorted", e.to_string()),
+            }
+        }
+        Some(fun)
+    }
+
+    /// Checks one rule of `lhs`; its right-hand side when the rule is
+    /// well-formed.
+    fn rule<'a>(
+        &mut self,
+        fun: &SynthFun,
+        lhs: &str,
+        lhs_sort: Sort,
+        rule: &'a Sexp,
+    ) -> Option<Rhs<'a>> {
+        let errors = self.findings.errors;
+        let rhs = match &rule.kind {
+            SexpKind::Atom(a) => {
+                if let Ok(c) = a.parse::<i64>() {
+                    if lhs_sort != Sort::Int {
+                        self.findings.error(
+                            rule.span,
+                            "ill-sorted",
+                            format!("integer literal {a} in rules of Boolean nonterminal {lhs}"),
+                        );
+                    }
+                    Rhs::Production(Symbol::Num(c), Vec::new())
+                } else if let Some(psort) = fun.param_sort(a) {
+                    if psort != lhs_sort {
+                        self.findings.error(
+                            rule.span,
+                            "ill-sorted",
+                            format!("parameter {a} has sort {psort} but appears in rules of {lhs} ({lhs_sort})"),
+                        );
+                    } else if psort != Sort::Int {
+                        self.findings.error(
+                            rule.span,
+                            "ill-sorted",
+                            format!("parameter {a} has sort {psort}; grammar rules can only use Int parameters"),
+                        );
+                    }
+                    Rhs::Production(Symbol::Var(a.clone()), Vec::new())
+                } else if let Some(&nt_sort) = fun.nts.get(a.as_str()) {
+                    if nt_sort != lhs_sort {
+                        self.findings.error(
+                            rule.span,
+                            "ill-sorted",
+                            format!(
+                                "chain rule {lhs} ::= {a} mixes sorts {lhs_sort} and {nt_sort}"
+                            ),
+                        );
+                    }
+                    Rhs::Chain(a)
+                } else if a == "true" || a == "false" {
+                    self.findings.error(
+                        rule.span,
+                        "bool-literal-rule",
+                        "Boolean literals in grammars are not supported; use comparisons",
+                    );
+                    return None;
+                } else {
+                    self.findings.error(
+                        rule.span,
+                        "unknown-atom",
+                        format!("unknown grammar atom {a} in rules of {lhs}: not a literal, parameter, or nonterminal"),
+                    );
+                    return None;
+                }
+            }
+            SexpKind::List(items) => {
+                let Some(op) = items.first().and_then(Sexp::atom) else {
+                    self.findings.error(
+                        rule.span,
+                        "malformed-rule",
+                        "rule operator must be an atom",
+                    );
+                    return None;
+                };
+                let symbol = match op {
+                    "+" => Symbol::Plus,
+                    "-" => Symbol::Minus,
+                    "ite" => Symbol::IfThenElse,
+                    "and" => Symbol::And,
+                    "or" => Symbol::Or,
+                    "not" => Symbol::Not,
+                    "<" => Symbol::LessThan,
+                    "=" => Symbol::Equal,
+                    other => {
+                        self.findings.error(
+                            items[0].span,
+                            "unknown-operator",
+                            format!("unsupported grammar operator {other}"),
+                        );
+                        return None;
+                    }
+                };
+                if symbol.sort() != lhs_sort {
+                    self.findings.error(
+                        rule.span,
+                        "ill-sorted",
+                        format!(
+                            "operator {op} produces {} but appears in rules of {lhs} ({lhs_sort})",
+                            symbol.sort()
+                        ),
+                    );
+                }
+                let args = &items[1..];
+                match symbol.arity() {
+                    Some(n) if n != args.len() => self.findings.error(
+                        rule.span,
+                        "arity-mismatch",
+                        format!("operator {op} expects {n} arguments, got {}", args.len()),
+                    ),
+                    None if args.is_empty() => self.findings.error(
+                        rule.span,
+                        "arity-mismatch",
+                        "variadic + requires at least one argument",
+                    ),
+                    _ => {}
+                }
+                let mut names = Vec::with_capacity(args.len());
+                for (i, arg) in args.iter().enumerate() {
+                    let Some(name) = arg.atom() else {
+                        self.findings.error(
+                            arg.span,
+                            "nested-rule",
                             format!(
                                 "nested terms in grammar rules are not supported (rule of {lhs}); \
                                  introduce an auxiliary nonterminal"
                             ),
-                        ))
+                        );
+                        continue;
+                    };
+                    let Some(&arg_sort) = fun.nts.get(name) else {
+                        self.findings.error(
+                            arg.span,
+                            "unknown-atom",
+                            format!("rule argument {name} of {lhs} is not a declared nonterminal"),
+                        );
+                        continue;
+                    };
+                    let expected = symbol.arg_sort(i);
+                    if arg_sort != expected {
+                        self.findings.error(
+                            arg.span,
+                            "ill-sorted",
+                            format!(
+                                "argument {i} of {op} must be {expected}, but {name} has sort {arg_sort}"
+                            ),
+                        );
                     }
-                })
-                .collect();
-            let args = args?;
-            // Arguments must be nonterminals.
-            for a in &args {
-                let name = a.atom().expect("validated above");
-                if !nts.contains_key(name) {
-                    return Err(perr(
-                        idx,
-                        a.span,
-                        format!("rule argument {name} of {lhs} is not a declared nonterminal"),
-                    ));
+                    names.push(name);
                 }
+                Rhs::Production(symbol, names)
             }
-            let arg_names: Vec<&str> = args.iter().map(|a| a.atom().expect("atom")).collect();
-            let symbol = match op {
-                "+" => Symbol::Plus,
-                "-" => Symbol::Minus,
-                "ite" => Symbol::IfThenElse,
-                "and" => Symbol::And,
-                "or" => Symbol::Or,
-                "not" => Symbol::Not,
-                "<" => Symbol::LessThan,
-                "=" => Symbol::Equal,
-                other => {
-                    return Err(perr(
-                        idx,
-                        items[0].span,
-                        format!("unsupported grammar operator {other}"),
-                    ))
-                }
-            };
-            Ok(builder.production(lhs, symbol, &arg_names))
-        }
+        };
+        (self.findings.errors == errors).then_some(rhs)
     }
-}
 
-/// Parses constraint terms into linear expressions (integer context).
-fn parse_int_expr(
-    sexp: &Sexp,
-    fun: &SynthFun,
-    declared: &BTreeMap<String, Sort>,
-    idx: &LineIndex,
-) -> Result<LinearExpr, SygusError> {
-    match &sexp.kind {
-        SexpKind::Atom(a) => {
-            if let Ok(c) = a.parse::<i64>() {
-                Ok(LinearExpr::constant(c))
-            } else if declared.contains_key(a) || fun.params.iter().any(|(p, _)| p == a) {
-                Ok(LinearExpr::var(Var::new(a.clone())))
-            } else {
-                Err(perr(
-                    idx,
+    /// Elaborates every form, so that each one is diagnosed; `Some` only
+    /// when all of them elaborate.
+    fn each<T>(
+        &mut self,
+        forms: &[Sexp],
+        mut elaborate: impl FnMut(&mut Self, &Sexp) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let parts: Vec<Option<T>> = forms.iter().map(|f| elaborate(self, f)).collect();
+        parts.into_iter().collect()
+    }
+
+    /// The operands of a fixed-arity operator: a wrong count is an error,
+    /// and the first `N` operands are elaborated regardless.
+    fn operands<const N: usize, T>(
+        &mut self,
+        form: &Sexp,
+        op: &str,
+        args: &[Sexp],
+        elaborate: impl FnMut(&mut Self, &Sexp) -> Option<T>,
+    ) -> Option<[T; N]> {
+        if args.len() != N {
+            self.findings.error(
+                form.span,
+                "arity-mismatch",
+                format!("operator {op} expects {N} operands, got {}", args.len()),
+            );
+        }
+        let parts = self.each(&args[..args.len().min(N)], elaborate)?;
+        parts.try_into().ok()
+    }
+
+    /// Elaborates a constraint formula (Boolean context).
+    fn formula(&mut self, sexp: &Sexp) -> Option<Formula> {
+        let items = match &sexp.kind {
+            SexpKind::Atom(a) if a == "true" => return Some(Formula::True),
+            SexpKind::Atom(a) if a == "false" => return Some(Formula::False),
+            SexpKind::Atom(a) => {
+                self.findings.error(
                     sexp.span,
-                    format!("unknown variable {a} in constraint"),
-                ))
+                    "unbound-variable",
+                    format!("Boolean variables in constraints are not supported: {a}"),
+                );
+                return None;
             }
-        }
-        SexpKind::List(items) => {
-            let op = items
-                .first()
-                .and_then(|s| s.atom())
-                .ok_or_else(|| perr(idx, sexp.span, "operator must be an atom"))?;
-            let operand = |i: usize| {
-                items.get(i).ok_or_else(|| {
-                    perr(
-                        idx,
-                        sexp.span,
-                        format!("operator {op} is missing operand {i}"),
-                    )
+            SexpKind::List(items) => items,
+        };
+        let Some(op) = items.first().and_then(Sexp::atom) else {
+            self.findings.error(
+                sexp.span,
+                "malformed-constraint",
+                "operator must be an atom",
+            );
+            return None;
+        };
+        let args = &items[1..];
+        match op {
+            "=" | "<" | "<=" | ">" | ">=" => {
+                let [lhs, rhs] = self.operands(sexp, op, args, Self::int_expr)?;
+                Some(match op {
+                    "=" => Formula::eq(lhs, rhs),
+                    "<" => Formula::lt(lhs, rhs),
+                    "<=" => Formula::le(lhs, rhs),
+                    ">" => Formula::gt(lhs, rhs),
+                    _ => Formula::ge(lhs, rhs),
                 })
-            };
-            match op {
-                "+" => {
-                    let mut sum = LinearExpr::zero();
-                    for a in &items[1..] {
-                        sum = sum + parse_int_expr(a, fun, declared, idx)?;
-                    }
-                    Ok(sum)
-                }
-                "-" => {
-                    if items.len() == 2 {
-                        Ok(parse_int_expr(&items[1], fun, declared, idx)?.scale(-1))
-                    } else {
-                        let mut acc = parse_int_expr(operand(1)?, fun, declared, idx)?;
-                        for a in &items[2..] {
-                            acc = acc - parse_int_expr(a, fun, declared, idx)?;
-                        }
-                        Ok(acc)
-                    }
-                }
-                "*" => {
-                    if items.len() != 3 {
-                        return Err(perr(idx, sexp.span, "* must have exactly two operands"));
-                    }
-                    let a = parse_int_expr(&items[1], fun, declared, idx)?;
-                    let b = parse_int_expr(&items[2], fun, declared, idx)?;
-                    if a.is_constant() {
-                        Ok(b.scale(a.constant_part()))
-                    } else if b.is_constant() {
-                        Ok(a.scale(b.constant_part()))
-                    } else {
-                        Err(perr(
-                            idx,
-                            sexp.span,
-                            "non-linear multiplication is not supported",
-                        ))
-                    }
-                }
-                name if name == fun.name => {
-                    // single-invocation application f(x̄)
-                    for (arg, (param, _)) in items[1..].iter().zip(&fun.params) {
-                        match arg.atom() {
-                            Some(a) if a == param => {}
-                            _ => {
-                                return Err(perr(
-                                    idx,
-                                    arg.span,
-                                    "only single-invocation applications f(x̄) on the declared \
-                                     variables are supported",
-                                ))
-                            }
-                        }
-                    }
-                    Ok(LinearExpr::var(Spec::output_var()))
-                }
-                other => Err(perr(
-                    idx,
+            }
+            "and" => Some(Formula::and(self.each(args, Self::formula)?)),
+            "or" => Some(Formula::or(self.each(args, Self::formula)?)),
+            "not" => {
+                let [f] = self.operands(sexp, op, args, Self::formula)?;
+                Some(Formula::not(f))
+            }
+            "=>" => {
+                let [a, b] = self.operands(sexp, op, args, Self::formula)?;
+                Some(Formula::implies(a, b))
+            }
+            "ite" => {
+                let [c, t, e] = self.operands(sexp, op, args, Self::formula)?;
+                Some(Formula::ite(c, t, e))
+            }
+            other => {
+                self.findings.error(
                     items[0].span,
-                    format!("unsupported integer operator {other}"),
-                )),
+                    "unknown-operator",
+                    format!("unsupported Boolean operator {other}"),
+                );
+                None
             }
         }
+    }
+
+    /// Elaborates an integer-context constraint term into a linear
+    /// expression, with checked arithmetic.
+    fn int_expr(&mut self, sexp: &Sexp) -> Option<LinearExpr> {
+        let items = match &sexp.kind {
+            SexpKind::Atom(a) => return self.int_atom(sexp.span, a),
+            SexpKind::List(items) => items,
+        };
+        let Some(op) = items.first().and_then(Sexp::atom) else {
+            self.findings.error(
+                sexp.span,
+                "malformed-constraint",
+                "operator must be an atom",
+            );
+            return None;
+        };
+        let args = &items[1..];
+        let value = match op {
+            "+" => self
+                .each(args, Self::int_expr)?
+                .into_iter()
+                .try_fold(LinearExpr::zero(), LinearExpr::checked_add),
+            "-" => {
+                if args.is_empty() {
+                    self.findings.error(
+                        sexp.span,
+                        "arity-mismatch",
+                        "operator - needs at least one operand",
+                    );
+                    return None;
+                }
+                let mut parts = self.each(args, Self::int_expr)?.into_iter();
+                let first = parts.next()?;
+                if args.len() == 1 {
+                    first.checked_scale(-1)
+                } else {
+                    parts.try_fold(first, |acc, p| acc.checked_add(p.checked_scale(-1)?))
+                }
+            }
+            "*" => {
+                if args.len() != 2 {
+                    self.findings.error(
+                        sexp.span,
+                        "arity-mismatch",
+                        "* must have exactly two operands",
+                    );
+                    return None;
+                }
+                let a = self.int_expr(&args[0])?;
+                let b = self.int_expr(&args[1])?;
+                if a.is_constant() {
+                    b.checked_scale(a.constant_part())
+                } else if b.is_constant() {
+                    a.checked_scale(b.constant_part())
+                } else {
+                    self.findings.error(
+                        sexp.span,
+                        "nonlinear",
+                        "non-linear multiplication is not supported",
+                    );
+                    return None;
+                }
+            }
+            name if self.fun.as_ref().is_some_and(|f| f.name == name) => {
+                return self.application(sexp.span, name, args)
+            }
+            other => {
+                self.findings.error(
+                    items[0].span,
+                    "unknown-operator",
+                    format!("unsupported integer operator {other}"),
+                );
+                return None;
+            }
+        };
+        if value.is_none() {
+            self.findings.error(
+                sexp.span,
+                "overflow",
+                format!("the value of ({op} …) leaves the 64-bit integer range"),
+            );
+        }
+        value
+    }
+
+    fn int_atom(&mut self, span: Span, a: &str) -> Option<LinearExpr> {
+        if let Ok(c) = a.parse::<i64>() {
+            return Some(LinearExpr::constant(c));
+        }
+        let sort = self
+            .declared
+            .get(a)
+            .copied()
+            .or_else(|| self.fun.as_ref()?.param_sort(a));
+        match sort {
+            Some(Sort::Int) => Some(LinearExpr::var(Var::new(a))),
+            Some(Sort::Bool) => {
+                self.findings.error(
+                    span,
+                    "ill-sorted",
+                    format!("Boolean variable {a} used in an integer context"),
+                );
+                None
+            }
+            None => {
+                self.findings.error(
+                    span,
+                    "unbound-variable",
+                    format!("unknown variable {a} in constraint"),
+                );
+                None
+            }
+        }
+    }
+
+    /// A single-invocation application `f(x̄)`, which stands for the
+    /// reserved output variable.
+    fn application(&mut self, span: Span, name: &str, args: &[Sexp]) -> Option<LinearExpr> {
+        let fun = self.fun.as_ref()?;
+        if args.len() != fun.params.len() {
+            self.findings.error(
+                span,
+                "arity-mismatch",
+                format!(
+                    "application of {name} has {} arguments, but {name} declares {} parameters",
+                    args.len(),
+                    fun.params.len()
+                ),
+            );
+        }
+        for (arg, (param, _)) in args.iter().zip(&fun.params) {
+            if arg.atom() != Some(param.as_str()) {
+                self.findings.error(
+                    arg.span,
+                    "not-single-invocation",
+                    "only single-invocation applications f(x̄) on the declared variables are supported",
+                );
+            }
+        }
+        Some(LinearExpr::var(Spec::output_var()))
     }
 }
 
-fn parse_formula(
-    sexp: &Sexp,
-    fun: &SynthFun,
-    declared: &BTreeMap<String, Sort>,
-    idx: &LineIndex,
-) -> Result<Formula, SygusError> {
-    match &sexp.kind {
-        SexpKind::Atom(a) if a == "true" => Ok(Formula::True),
-        SexpKind::Atom(a) if a == "false" => Ok(Formula::False),
-        SexpKind::Atom(_) => Err(perr(
-            idx,
-            sexp.span,
-            "Boolean variables in constraints are not supported",
-        )),
-        SexpKind::List(items) => {
-            let op = items
-                .first()
-                .and_then(|s| s.atom())
-                .ok_or_else(|| perr(idx, sexp.span, "operator must be an atom"))?;
-            let operand = |i: usize| {
-                items.get(i).ok_or_else(|| {
-                    perr(
-                        idx,
-                        sexp.span,
-                        format!("operator {op} is missing operand {i}"),
-                    )
-                })
+/// Reads a SyGuS-IF source text in one pass over its s-expressions.
+///
+/// Returns every finding as a [`Diagnostic`], in the order they are found,
+/// and the [`Problem`] when no finding is a [`Severity::Error`].
+pub fn parse_with_diagnostics(source: &str, name: &str) -> (Option<Problem>, Vec<Diagnostic>) {
+    let sexps = match parse_sexps(source) {
+        Ok(sexps) => sexps,
+        Err(e) => {
+            let (line, col, message) = match e {
+                SygusError::ParseError(e) => (e.line, e.col, e.msg),
+                other => (1, 1, other.to_string()),
             };
-            let int = |i: usize| parse_int_expr(operand(i)?, fun, declared, idx);
-            match op {
-                "=" => Ok(Formula::eq(int(1)?, int(2)?)),
-                "<" => Ok(Formula::lt(int(1)?, int(2)?)),
-                "<=" => Ok(Formula::le(int(1)?, int(2)?)),
-                ">" => Ok(Formula::gt(int(1)?, int(2)?)),
-                ">=" => Ok(Formula::ge(int(1)?, int(2)?)),
-                "and" => Ok(Formula::and(
-                    items[1..]
-                        .iter()
-                        .map(|s| parse_formula(s, fun, declared, idx))
-                        .collect::<Result<Vec<_>, _>>()?,
-                )),
-                "or" => Ok(Formula::or(
-                    items[1..]
-                        .iter()
-                        .map(|s| parse_formula(s, fun, declared, idx))
-                        .collect::<Result<Vec<_>, _>>()?,
-                )),
-                "not" => Ok(Formula::not(parse_formula(
-                    operand(1)?,
-                    fun,
-                    declared,
-                    idx,
-                )?)),
-                "=>" => Ok(Formula::implies(
-                    parse_formula(operand(1)?, fun, declared, idx)?,
-                    parse_formula(operand(2)?, fun, declared, idx)?,
-                )),
-                "ite" => Ok(Formula::ite(
-                    parse_formula(operand(1)?, fun, declared, idx)?,
-                    parse_formula(operand(2)?, fun, declared, idx)?,
-                    parse_formula(operand(3)?, fun, declared, idx)?,
-                )),
-                other => Err(perr(
-                    idx,
-                    items[0].span,
-                    format!("unsupported Boolean operator {other}"),
-                )),
-            }
+            let diagnostic = Diagnostic {
+                line,
+                col,
+                severity: Severity::Error,
+                code: "parse-error",
+                message,
+            };
+            return (None, vec![diagnostic]);
         }
-    }
+    };
+    let mut elaborator = Elaborator::default();
+    let problem = elaborator.problem(&sexps, name);
+    (problem, elaborator.findings.into_diagnostics(source))
 }
 
 /// Parses a complete SyGuS-IF problem.
 ///
 /// # Errors
-/// Returns a [`SygusError::ParseError`] — carrying the offending token's
-/// line and column — for unsupported or malformed input.
+/// Returns the first [`Severity::Error`] of [`parse_with_diagnostics`] as a
+/// [`SygusError::ParseError`], carrying the offending token's line and
+/// column.
 ///
 /// # Example
 /// ```
@@ -635,78 +1113,16 @@ fn parse_formula(
 /// assert_eq!(problem.grammar().num_nonterminals(), 2);
 /// ```
 pub fn parse_problem(input: &str, name: &str) -> Result<Problem, SygusError> {
-    let idx = LineIndex::new(input);
-    let sexps = parse_sexps(input)?;
-    let mut synth_fun: Option<SynthFun> = None;
-    let mut declared: BTreeMap<String, Sort> = BTreeMap::new();
-    // Declaration order, kept separately: the spec's input variables must
-    // come out in the order the file declares them, not sorted, so that
-    // printing a parsed problem reproduces the file.
-    let mut declared_order: Vec<String> = Vec::new();
-    let mut constraints: Vec<Sexp> = Vec::new();
-
-    for s in &sexps {
-        let Some(items) = s.list() else {
-            return Err(perr(
-                &idx,
-                s.span,
-                format!("top-level atoms are not valid SyGuS commands: {:?}", s.kind),
-            ));
-        };
-        let Some(head) = items.first().and_then(|s| s.atom()) else {
-            continue;
-        };
-        match head {
-            "set-logic" | "check-synth" | "set-option" => {}
-            "synth-fun" => synth_fun = Some(parse_synth_fun(s.span, items, &idx)?),
-            "declare-var" => {
-                let v = items
-                    .get(1)
-                    .and_then(|s| s.atom())
-                    .ok_or_else(|| perr(&idx, s.span, "declare-var needs a name"))?;
-                let sort = parse_sort(
-                    items
-                        .get(2)
-                        .ok_or_else(|| perr(&idx, s.span, "declare-var needs a sort"))?,
-                    &idx,
-                )?;
-                if declared.insert(v.to_string(), sort).is_none() {
-                    declared_order.push(v.to_string());
-                }
-            }
-            "constraint" => constraints.push(
-                items
-                    .get(1)
-                    .ok_or_else(|| perr(&idx, s.span, "constraint needs a formula"))?
-                    .clone(),
-            ),
-            other => {
-                return Err(perr(
-                    &idx,
-                    items[0].span,
-                    format!("unsupported SyGuS command {other}"),
-                ))
-            }
-        }
+    let (problem, diagnostics) = parse_with_diagnostics(input, name);
+    if let Some(e) = diagnostics
+        .into_iter()
+        .find(|d| d.severity == Severity::Error)
+    {
+        return Err(SygusError::ParseError(ParseError::new(
+            e.line, e.col, e.message,
+        )));
     }
-
-    let fun = synth_fun.ok_or_else(|| perr(&idx, Span::new(0, 0), "no synth-fun command found"))?;
-    let formula = Formula::and(
-        constraints
-            .iter()
-            .map(|c| parse_formula(c, &fun, &declared, &idx))
-            .collect::<Result<Vec<_>, _>>()?,
-    );
-    // Inputs of the spec: the synth-fun's parameters (constraints are assumed
-    // single-invocation, i.e. the universally quantified variables coincide
-    // with the function arguments).
-    let input_vars: Vec<String> = if declared_order.is_empty() {
-        fun.params.iter().map(|(p, _)| p.clone()).collect()
-    } else {
-        declared_order
-    };
-    let spec = Spec::new(formula, input_vars, fun.ret);
-    Ok(Problem::new(name, fun.grammar, spec))
+    Ok(problem.expect("a file without errors elaborates to a problem"))
 }
 
 /// Prints a grammar in the grouped SyGuS-IF rule format.
@@ -1188,5 +1604,25 @@ mod tests {
         assert_eq!(problem_to_sygus(&reparsed, "f"), printed);
         let e = crate::Example::from_pairs([("x", 4)]);
         assert!(reparsed.spec().holds(&e, 3));
+    }
+
+    #[test]
+    fn constraint_arithmetic_that_overflows_is_rejected_at_its_form() {
+        for constant in ["(* 4611686018427387904 4)", "(- -9223372036854775808)"] {
+            let src = format!(
+                "(set-logic LIA)\n\
+                 (synth-fun f ((x Int)) Int ((Start Int (x 0 (+ Start Start)))))\n\
+                 (declare-var x Int)\n\
+                 (constraint (= (f x) {constant}))\n\
+                 (check-synth)"
+            );
+            let e = parse_err(&src);
+            assert_eq!((e.line, e.col), (4, 22), "{constant}: {e}");
+            assert!(e.msg.contains("64-bit integer range"), "{e}");
+            let (problem, diagnostics) = parse_with_diagnostics(&src, "overflow");
+            assert!(problem.is_none());
+            let codes: Vec<_> = diagnostics.iter().map(|d| d.code).collect();
+            assert_eq!(codes, ["overflow"]);
+        }
     }
 }

@@ -10,10 +10,11 @@
 //! The individual crates are re-exported here so that examples and
 //! downstream users can depend on a single package:
 //!
-//! * [`sygus`] — terms, grammars, examples, specifications, SyGuS-IF parsing,
+//! * [`sygus`] — terms, grammars, examples, specifications, and the one
+//!   SyGuS-IF front end (diagnostics and elaboration in one pass),
 //! * [`logic`] — QF-LIA formulas and the built-in solver,
-//! * [`analyze`] — static semantic analysis: well-formedness diagnostics,
-//!   grammar structure reports, and a presolve that refutes through
+//! * [`analyze`] — static semantic analysis: the SyGuS-IF front end's
+//!   diagnostics, grammar structure reports, and a presolve that refutes through
 //!   `chc`'s interval × congruence fixpoint,
 //! * [`semilinear`] — semi-linear sets and Boolean-vector sets,
 //! * [`gfa`] — grammar-flow analysis: Newton's method, Kleene iteration,
