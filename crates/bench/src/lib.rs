@@ -98,36 +98,6 @@ pub fn eval_nope(bench: &Benchmark) -> Evaluation {
     }
 }
 
-/// The result of running one tool on one benchmark, with its wall-clock
-/// time (the serial-measurement convenience wrapper around [`eval_nay`] /
-/// [`eval_nope`]).
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Tool name (`naySL`, `nayHorn`, `nope`).
-    pub tool: &'static str,
-    /// Whether the tool proved unrealizability.
-    pub proved: bool,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-}
-
-/// Runs one of the nay modes on a benchmark, measured.
-pub fn run_nay(bench: &Benchmark, mode: &Mode) -> Measurement {
-    let (eval, elapsed) = measure(|| eval_nay(bench, mode));
-    Measurement {
-        benchmark: bench.name.clone(),
-        tool: if *mode == Mode::Horn {
-            "nayHorn"
-        } else {
-            "naySL"
-        },
-        proved: eval.proved,
-        seconds: elapsed.as_secs_f64(),
-    }
-}
-
 /// Selects the benchmarks of a family that are cheap enough for the `quick`
 /// harness mode (small grammars and few examples); the full mode runs all of
 /// them.
@@ -346,25 +316,17 @@ mod tests {
     }
 
     #[test]
-    fn measurements_have_sane_fields() {
-        let bench = select(Family::LimitedConst, true)
-            .into_iter()
-            .next()
-            .expect("at least one quick benchmark");
-        let m = run_nay(&bench, &Mode::default());
-        assert_eq!(m.tool, "naySL");
-        assert!(m.seconds >= 0.0);
-    }
-
-    #[test]
     fn evaluations_are_pure_and_consistent_with_measurements() {
+        // The suite times an evaluation with `runner::measure`; the timed
+        // run must report what an untimed one does.
         let bench = select(Family::LimitedConst, true)
             .into_iter()
             .next()
             .expect("at least one quick benchmark");
         let eval = eval_nay(&bench, &Mode::default());
-        let m = run_nay(&bench, &Mode::default());
-        assert_eq!(eval.proved, m.proved);
+        let (measured, _) = measure(|| eval_nay(&bench, &Mode::default()));
+        assert_eq!(eval.verdict, measured.verdict);
+        assert_eq!(eval.proved, measured.proved);
         assert_eq!(eval.proved, eval.verdict == "unrealizable");
     }
 

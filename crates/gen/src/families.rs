@@ -252,9 +252,9 @@ impl fmt::Display for Family {
 /// depth/magnitude/point-count/nesting uniformly up to these caps, and is
 /// realizable with probability `realizable_percent`.
 ///
-/// The defaults keep instances small enough that the exact engine's
-/// enumerator can *find* the realizable witnesses (term size ≤ its default
-/// search budget), so a fuzz sweep exercises both verdict paths.
+/// The defaults keep instances small enough that the exact engine's term
+/// search can *find* the realizable witnesses (within its round and vector
+/// bounds), so a fuzz sweep exercises both verdict paths.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Maximal chain depth `d` of [`Family::PlusMod`] grammars (≥ 1).

@@ -341,6 +341,43 @@ mod tests {
     }
 
     #[test]
+    fn a_witness_valid_only_modulo_2_64_is_flagged() {
+        // Start ::= x | M | (+ Start Start), M = i64::MAX, f(x) = x − 2:
+        // (+ (+ x M) M) equals x − 2 only in wrapping arithmetic.
+        use logic::{LinearExpr, Var};
+        use sygus::{GrammarBuilder, Problem, Sort, Spec, Symbol, Term};
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .production("Start", Symbol::Var("x".to_string()), &[])
+            .production("Start", Symbol::Num(i64::MAX), &[])
+            .production("Start", Symbol::Plus, &["Start", "Start"])
+            .build()
+            .expect("well-formed grammar");
+        let spec = Spec::output_equals(
+            LinearExpr::var(Var::new("x")) + LinearExpr::constant(-2),
+            vec!["x".to_string()],
+        );
+        let instance = GeneratedInstance {
+            family: crate::families::Family::ConstSum,
+            index: 0,
+            seed: 0,
+            expected: Expectation::Realizable,
+            witness: None,
+            problem: Problem::new("wide_plus", grammar, spec),
+        };
+        let m = Term::num(i64::MAX);
+        let wrapped = Term::plus(Term::plus(Term::var("x"), m.clone()), m);
+        assert!(instance.problem.grammar().contains_term(&wrapped));
+        let claims = vec![EngineClaim::new("nay", Claim::Realizable, Some(wrapped))];
+        let violations = check_instance(&instance, &claims);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].detail.contains("fails to evaluate"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
     fn probe_grid_binds_every_variable_beyond_two_inputs() {
         // check_instance is a public API over arbitrary instances, not only
         // the current 1–2-variable families: a valid witness for a

@@ -195,6 +195,19 @@ impl LinearExpr {
         Some(out)
     }
 
+    /// `self - rhs`, or `None` when a coefficient or the constant overflows
+    /// i64.
+    pub fn checked_sub(self, rhs: LinearExpr) -> Option<LinearExpr> {
+        let mut out = self;
+        out.constant = out.constant.checked_sub(rhs.constant)?;
+        for (v, c) in rhs.coeffs {
+            let entry = out.coeffs.entry(v).or_insert(0);
+            *entry = entry.checked_sub(c)?;
+        }
+        out.coeffs.retain(|_, c| *c != 0);
+        Some(out)
+    }
+
     /// Substitutes `var` by the expression `by`.
     pub fn substitute(&self, var: &Var, by: &LinearExpr) -> LinearExpr {
         let c = self.coeff(var);

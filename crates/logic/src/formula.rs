@@ -312,18 +312,6 @@ impl Formula {
         }
     }
 
-    /// Substitutes several variables by integer constants.
-    pub fn substitute_consts<'a>(
-        &self,
-        bindings: impl IntoIterator<Item = (&'a Var, i64)>,
-    ) -> Formula {
-        let mut f = self.clone();
-        for (v, c) in bindings {
-            f = f.substitute(v, &LinearExpr::constant(c));
-        }
-        f
-    }
-
     /// Negation normal form: negations pushed to atoms and eliminated by
     /// flipping relations.
     pub fn to_nnf(&self) -> Formula {

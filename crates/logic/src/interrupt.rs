@@ -8,8 +8,8 @@
 //! of its jobs). Everything below them polls [`stop_requested`] and takes no
 //! token: the GFA fixpoints (SolveMutual and SolveBool rounds, each
 //! `⟦<⟧♯`/`⟦=⟧♯` query, Newton iterations, matrix-star cells, strata), the
-//! enumerator's size loop, nope's unrolling and fixpoint rounds, nayHorn's
-//! Kleene loop, and the decision procedures here: the simplex before every
+//! term search's rounds (CEGIS's and nope's), `chc`'s Kleene loop
+//! (nayHorn's and nope's), and the decision procedures here: the simplex before every
 //! pivot, the ILP before every solve and branch-and-bound node, and the
 //! [`Solver`](crate::Solver) throughout its DNF expansion and before every
 //! cube. Once the hook returns `true`, LP solves end as

@@ -67,11 +67,6 @@ impl Rational {
         self.num
     }
 
-    /// The denominator (always positive).
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
     /// Returns `true` when the value is an integer.
     pub fn is_integer(&self) -> bool {
         self.den == 1
@@ -112,11 +107,6 @@ impl Rational {
     /// Panics when the value is zero.
     pub fn recip(&self) -> Rational {
         Rational::new(self.den, self.num)
-    }
-
-    /// Converts to `f64` (used only for display/diagnostics).
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
     }
 }
 

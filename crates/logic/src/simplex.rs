@@ -178,11 +178,6 @@ impl Simplex {
         self.num_vars
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Adds the constraint `Σ coeffs[i]·xᵢ REL rhs`.
     ///
     /// # Panics

@@ -78,12 +78,6 @@ impl Solver {
         Solver::default()
     }
 
-    /// Overrides the maximum number of DNF cubes explored.
-    pub fn with_max_cubes(mut self, max_cubes: usize) -> Self {
-        self.max_cubes = max_cubes;
-        self
-    }
-
     /// Overrides the branch-and-bound node budget used per cube.
     pub fn with_node_budget(mut self, budget: usize) -> Self {
         self.node_budget = budget;

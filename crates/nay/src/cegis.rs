@@ -9,24 +9,26 @@
 //!
 //! 1. run the unrealizability check on `E ∪ E_r`; if it returns
 //!    *unrealizable*, stop — the SyGuS problem is unrealizable (Lemma 3.5);
-//! 2. otherwise ask the enumerator for a candidate consistent with `E`;
-//!    * if the enumerator proves `sy_E` has no solution at all (search-space
-//!      exhaustion), stop with *unrealizable*;
+//! 2. otherwise ask the bottom-up term search ([`enumerative::search`], the
+//!    search nope's bounded half runs too) for a candidate consistent with
+//!    `E`;
+//!    * if the search proves `sy_E` has no solution at all (it is
+//!      exhausted), stop with *unrealizable*;
 //!    * if a candidate is found, verify it against the full specification:
 //!      a counterexample extends `E` and a new CEGIS iteration starts; a
 //!      verified candidate is returned as a solution;
-//!    * if the enumerator runs out of budget, add a temporary random example
-//!      to `E_r` and go back to step 1.
+//!    * otherwise (the search hit its round or vector bound, or dropped an
+//!      overflowing run), add a temporary random example to `E_r` and go
+//!      back to step 1.
 
 use crate::check::{check_unrealizable, Verdict};
 use crate::modes::Mode;
 use crate::verifier::{verify, Verification};
-use enumerative::{Enumerator, IdEnumerationResult};
 use logic::stop_requested;
 use runner::Cancel;
 use std::time::{Duration, Instant};
 use sygus::rng::{random_example, EXAMPLE_SEED};
-use sygus::{ExampleSet, Problem, Term, TermArena};
+use sygus::{ExampleSet, Problem, Term};
 
 /// The final outcome of the CEGIS loop.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,13 +43,6 @@ pub enum CegisOutcome {
     /// reached a definitive outcome (portfolio racing: the other engine
     /// answered first, or the deadline passed).
     Cancelled,
-}
-
-impl CegisOutcome {
-    /// `true` if the outcome is `Unrealizable`.
-    pub fn is_unrealizable(&self) -> bool {
-        matches!(self, CegisOutcome::Unrealizable)
-    }
 }
 
 /// Statistics collected across a CEGIS run (the quantities reported in
@@ -69,9 +64,8 @@ pub struct CegisStats {
     pub total_time: Duration,
     /// Size of the final abstraction of the start symbol.
     pub final_abstraction_size: usize,
-    /// Number of distinct terms interned in the run's [`TermArena`] when
-    /// the loop stopped — the enumerator's candidate pool, shared across
-    /// all CEGIS iterations (the arena only grows, so this is the peak).
+    /// The largest node count of one term search in the run
+    /// ([`enumerative::SearchResult::nodes`]).
     pub arena_terms: usize,
 }
 
@@ -79,7 +73,6 @@ pub struct CegisStats {
 #[derive(Clone, Debug)]
 pub struct Nay {
     mode: Mode,
-    enumerator: Enumerator,
     max_cegis_iterations: usize,
     max_random_examples: usize,
 }
@@ -88,7 +81,6 @@ impl Default for Nay {
     fn default() -> Self {
         Nay {
             mode: Mode::default(),
-            enumerator: Enumerator::new().with_max_size(12),
             max_cegis_iterations: 12,
             max_random_examples: 4,
         }
@@ -107,12 +99,6 @@ impl Nay {
         self
     }
 
-    /// Replaces the enumerative synthesizer configuration.
-    pub fn with_enumerator(mut self, enumerator: Enumerator) -> Self {
-        self.enumerator = enumerator;
-        self
-    }
-
     /// Sets the maximal number of CEGIS iterations.
     pub fn with_max_iterations(mut self, n: usize) -> Self {
         self.max_cegis_iterations = n;
@@ -124,25 +110,19 @@ impl Nay {
     /// Inside a [`logic::interruptible`] scope the loop polls the stop hook
     /// at the top of every outer CEGIS iteration and every check, inside
     /// every unrealizability check (per GFA step, see
-    /// [`check_unrealizable`]), in the enumerator (per term size) and in
-    /// the verifier's solver; a stopped run ends [`CegisOutcome::Unknown`].
+    /// [`check_unrealizable`]), in the term search (per round) and in the
+    /// verifier's solver; a stopped run ends [`CegisOutcome::Unknown`].
     pub fn run(&self, problem: &Problem) -> (CegisOutcome, CegisStats) {
         let started = Instant::now();
         let mut stats = CegisStats::default();
-        // One hash-consing arena for the whole run: candidates live as
-        // `TermId`s across CEGIS iterations, so re-enumeration after a
-        // counterexample reuses every subterm interned before instead of
-        // rebuilding (and re-cloning) the trees.
-        let mut arena = TermArena::new();
-        let outcome = self.cegis(problem, &mut stats, &mut arena);
+        let outcome = self.cegis(problem, &mut stats);
         stats.total_time = started.elapsed();
-        stats.arena_terms = arena.len();
         (outcome, stats)
     }
 
     /// [`Nay::run`] under a cancellation token: the run is one
     /// [`logic::interruptible`] scope polling `cancel`, so a trip is
-    /// observed within one GFA step, term size or solver step, and a run
+    /// observed within one GFA step, search round or solver step, and a run
     /// that ends without a definitive outcome while the token is tripped
     /// returns [`CegisOutcome::Cancelled`].
     pub fn run_cancellable(
@@ -160,12 +140,7 @@ impl Nay {
     }
 
     /// The loop body of [`Nay::run`].
-    fn cegis(
-        &self,
-        problem: &Problem,
-        stats: &mut CegisStats,
-        arena: &mut TermArena,
-    ) -> CegisOutcome {
+    fn cegis(&self, problem: &Problem, stats: &mut CegisStats) -> CegisOutcome {
         let mut rng = EXAMPLE_SEED;
 
         // line 1: initialise E with a random input example
@@ -200,17 +175,15 @@ impl Nay {
                         return CegisOutcome::Unknown;
                     }
                     Verdict::Realizable | Verdict::Unknown => {
-                        // ① the synthesizer side works on the permanent E
-                        // only; the candidate stays an interned id — the
-                        // owned tree is materialized at the witness boundary
-                        // (verification) below.
-                        let found = self.enumerator.solve_with_arena(arena, problem, &examples);
+                        // ① the synthesizer side works on the permanent E only
+                        let found =
+                            enumerative::search(problem.grammar(), &examples, problem.spec());
+                        stats.arena_terms = stats.arena_terms.max(found.nodes);
                         if stop_requested() {
                             return CegisOutcome::Unknown;
                         }
-                        match found {
-                            IdEnumerationResult::Found(candidate_id) => {
-                                let candidate = arena.extract(candidate_id);
+                        match found.witness {
+                            Some(candidate) => {
                                 match verify(&candidate, problem.spec()) {
                                     Verification::Valid => {
                                         return CegisOutcome::Solution(candidate);
@@ -228,16 +201,12 @@ impl Nay {
                                     Verification::Unknown => return CegisOutcome::Unknown,
                                 }
                             }
-                            IdEnumerationResult::NotFound {
-                                exhausted: true, ..
-                            } => {
-                                // the quotiented search space was exhausted:
+                            None if found.exhausted => {
+                                // every output vector on E was covered:
                                 // sy_E itself is unrealizable
                                 return CegisOutcome::Unrealizable;
                             }
-                            IdEnumerationResult::NotFound {
-                                exhausted: false, ..
-                            } => {
+                            None => {
                                 if drew_random >= self.max_random_examples {
                                     return CegisOutcome::Unknown;
                                 }
@@ -320,8 +289,8 @@ mod tests {
 
     #[test]
     fn candidate_pool_size_is_reported() {
-        // a realizable problem forces at least one enumeration pass, so the
-        // run's shared arena must have interned candidates
+        // a realizable problem forces at least one search, which records
+        // candidate nodes
         let grammar = GrammarBuilder::new("Start")
             .nonterminal("Start", Sort::Int)
             .production("Start", Symbol::Var("x".to_string()), &[])
@@ -367,10 +336,7 @@ mod tests {
             Sort::Int,
         );
         let problem = Problem::new("gconst", grammar, spec);
-        let nay = Nay::new()
-            .with_max_iterations(3)
-            .with_enumerator(Enumerator::new().with_max_size(9));
-        let (outcome, _) = nay.run(&problem);
+        let (outcome, _) = Nay::new().with_max_iterations(3).run(&problem);
         assert_eq!(outcome, CegisOutcome::Unknown);
     }
 

@@ -14,8 +14,9 @@
 //! * the **Alg. 1** driver [`check::check_unrealizable`] that turns a GFA
 //!   solution into an SMT query via symbolic concretization (Thm. 4.5),
 //! * the **Alg. 2** CEGIS loop [`cegis::Nay`] combining the unrealizability
-//!   verifier with an enumerative synthesizer and a counterexample-producing
-//!   verifier (§7),
+//!   verifier with a synthesizer (the bottom-up term search of the
+//!   `enumerative` crate, which nope's bounded half shares) and a
+//!   counterexample-producing verifier (§7),
 //! * the approximate `nayHorn` mode backed by the `chc` crate.
 //!
 //! # Quick start

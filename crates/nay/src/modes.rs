@@ -23,11 +23,6 @@ impl Default for Mode {
 }
 
 impl Mode {
-    /// The default naySL configuration (stratified, with pruning).
-    pub fn semi_linear() -> Self {
-        Mode::default()
-    }
-
     /// naySL without the stratification optimisation.
     pub fn semi_linear_unstratified() -> Self {
         Mode::SemiLinear { stratified: false }

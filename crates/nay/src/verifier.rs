@@ -1,7 +1,7 @@
 //! The candidate verifier of the CEGIS loop (Alg. 2, line 6).
 //!
 //! The paper uses CVC4 to check whether a candidate returned by the
-//! enumerative synthesizer satisfies the specification on *all* inputs, and
+//! synthesizer (here `enumerative::search`, paper: ESolver) satisfies the specification on *all* inputs, and
 //! to produce a counterexample input when it does not. Here the same query —
 //! `∃ x̄. ¬ψ(⟦e⟧(x̄), x̄)` — is encoded by `sygus::encode` and discharged by
 //! the `logic` solver. Inside a [`logic::interruptible`] scope that solver

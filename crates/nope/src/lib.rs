@@ -7,9 +7,10 @@
 //! branch, and an assertion at the end of `main` fails exactly when the
 //! chosen term satisfies the specification on all examples. That program
 //! is the grammar read as a program, so this reproduction builds no copy
-//! of it: a bounded concrete search for a good run and the `chc` crate's
-//! Horn solver (the interval × congruence fixpoint nayHorn runs) both work
-//! on the grammar, see [`NopeSolver::check`]. The original tool hands the
+//! of it: a bounded concrete search for a good run ([`enumerative::search`],
+//! the search nay's CEGIS loop synthesizes with) and the `chc` crate's Horn
+//! solver (the interval × congruence fixpoint nayHorn runs) both work on the
+//! grammar, see [`NopeSolver::check`]. The original tool hands the
 //! program to SeaHorn, whose Horn back end is Spacer; docs/ARCHITECTURE.md,
 //! "The approximate provers", has the substitution.
 //!
@@ -20,8 +21,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod verify;
 
 use chc::{refutation_query, HornSolver};
 use logic::{Solver, SolverResult};
@@ -67,9 +66,7 @@ pub struct NopeStats {
     /// search already decided the verdict).
     pub abstract_iterations: usize,
     /// Number of witness-log nodes the bounded search recorded while
-    /// exploring reachable vectors (its peak size: the log only grows, and
-    /// terms are hash-consed into a term arena only when a witness is
-    /// demanded).
+    /// exploring reachable vectors ([`enumerative::SearchResult::nodes`]).
     pub arena_terms: usize,
     /// Wall-clock time of the check.
     pub elapsed: Duration,
@@ -87,9 +84,11 @@ impl NopeSolver {
     }
 
     /// Checks unrealizability of `problem` restricted to `examples`: the
-    /// bounded search looks for a good run (a witness term), and when it
-    /// finds none, [`HornSolver::analyze`]'s fixpoint over the grammar and
-    /// [`refutation_query`] try to prove that no run is good.
+    /// bounded search ([`enumerative::search`]) looks for a good run (a
+    /// witness term), and when it finds none, [`HornSolver::analyze`]'s
+    /// fixpoint over the grammar and [`refutation_query`] try to prove that
+    /// no run is good. The search's own exhaustion flag is not used: the
+    /// fixpoint decides every run without a witness.
     ///
     /// Inside a [`logic::interruptible`] scope the bounded search and the
     /// fixpoint poll the stop hook once per round, and the final query per
@@ -110,9 +109,9 @@ impl NopeSolver {
         }
         // 1. bounded concrete exploration: can we reach the bad location?
         let grammar = problem.grammar();
-        let (witness, arena_terms) = verify::bounded_search(grammar, examples, problem.spec());
-        if let Some(term) = witness {
-            return done(NopeVerdict::RealizableOnExamples(term), 0, arena_terms);
+        let found = enumerative::search(grammar, examples, problem.spec());
+        if let Some(term) = found.witness {
+            return done(NopeVerdict::RealizableOnExamples(term), 0, found.nodes);
         }
         // 2. the Horn back end: is the bad location provably unreachable?
         let (values, iterations) = HornSolver::new().analyze(grammar, examples);
@@ -125,7 +124,7 @@ impl NopeSolver {
         } else {
             NopeVerdict::Unknown
         };
-        done(verdict, iterations, arena_terms)
+        done(verdict, iterations, found.nodes)
     }
 
     /// [`NopeSolver::check`] under a cancellation token: the check is one
@@ -155,11 +154,10 @@ impl NopeSolver {
 mod tests {
     use super::*;
     use logic::{Formula, LinearExpr, Var};
-    use sygus::{GrammarBuilder, Sort, Spec, Symbol};
+    use sygus::{Grammar, GrammarBuilder, Sort, Spec, Symbol};
 
-    #[test]
-    fn end_to_end_unrealizability() {
-        let grammar = GrammarBuilder::new("Start")
+    pub(crate) fn g1() -> Grammar {
+        GrammarBuilder::new("Start")
             .nonterminal("Start", Sort::Int)
             .nonterminal("S1", Sort::Int)
             .nonterminal("S2", Sort::Int)
@@ -170,12 +168,19 @@ mod tests {
             .production("S2", Symbol::Plus, &["S3", "S3"])
             .production("S3", Symbol::Var("x".to_string()), &[])
             .build()
-            .unwrap();
-        let spec = Spec::output_equals(
+            .unwrap()
+    }
+
+    pub(crate) fn spec_2x_plus_2() -> Spec {
+        Spec::output_equals(
             LinearExpr::var(Var::new("x")).scale(2) + LinearExpr::constant(2),
             vec!["x".to_string()],
-        );
-        let problem = Problem::new("g1", grammar, spec);
+        )
+    }
+
+    #[test]
+    fn end_to_end_unrealizability() {
+        let problem = Problem::new("g1", g1(), spec_2x_plus_2());
         let examples = ExampleSet::for_single_var("x", [1]);
         let (verdict, stats) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unrealizable);
@@ -249,5 +254,142 @@ mod tests {
         let (verdict, stats) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unrealizable);
         assert!(stats.abstract_iterations > 0);
+    }
+}
+
+/// Tests of the verdicts [`NopeSolver::check`] reaches when it verifies
+/// nope's reachability program: a good run found by the bounded search,
+/// or else the fixpoint's refutation or `unknown`.
+#[cfg(test)]
+mod verify {
+    mod tests {
+        use crate::tests::{g1, spec_2x_plus_2};
+        use crate::{NopeSolver, NopeStats, NopeVerdict};
+        use logic::LinearExpr;
+        use sygus::{ExampleSet, Grammar, GrammarBuilder, Output, Problem, Sort, Spec, Symbol};
+
+        /// [`NopeSolver::check`] on `(grammar, spec)`.
+        fn check(
+            grammar: &Grammar,
+            examples: &ExampleSet,
+            spec: &Spec,
+        ) -> (NopeVerdict, NopeStats) {
+            let problem = Problem::new("test", grammar.clone(), spec.clone());
+            NopeSolver::new().check(&problem, examples)
+        }
+
+        #[test]
+        fn unreachability_proves_unrealizability() {
+            let examples = ExampleSet::for_single_var("x", [1]);
+            let (verdict, _) = check(&g1(), &examples, &spec_2x_plus_2());
+            assert_eq!(verdict, NopeVerdict::Unrealizable);
+        }
+
+        #[test]
+        fn bounded_search_finds_good_runs() {
+            // With x = 2 the output 6 is producible (3·2), so the bad location is
+            // reachable and the verifier reports the witness.
+            let examples = ExampleSet::for_single_var("x", [2]);
+            match check(&g1(), &examples, &spec_2x_plus_2()).0 {
+                NopeVerdict::RealizableOnExamples(witness) => {
+                    assert_eq!(witness.eval_on(&examples).unwrap(), Output::Int(vec![6]))
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+
+        #[test]
+        fn bounded_search_reconstructs_a_derivable_witness_term() {
+            // The lazy witnesses threaded through the exploration must denote a
+            // real grammar term whose outputs are the good vector.
+            let grammar = g1();
+            let examples = ExampleSet::for_single_var("x", [2]);
+            let (verdict, stats) = check(&grammar, &examples, &spec_2x_plus_2());
+            let NopeVerdict::RealizableOnExamples(term) = verdict else {
+                panic!("x = 2 has the good run 3·2 = 6, got {verdict:?}");
+            };
+            assert!(
+                grammar.contains_term(&term),
+                "witness {term} must be in L(G)"
+            );
+            assert_eq!(term.eval_on(&examples).unwrap(), Output::Int(vec![6]));
+            assert!(stats.arena_terms > 0);
+        }
+
+        #[test]
+        fn ite_and_boolean_witnesses_are_derivable() {
+            // A CLIA grammar exercising Ite/Less lazy witnesses end to end.
+            let grammar = GrammarBuilder::new("Start")
+                .nonterminal("Start", Sort::Int)
+                .nonterminal("B", Sort::Bool)
+                .production("Start", Symbol::Var("x".to_string()), &[])
+                .production("Start", Symbol::Num(7), &[])
+                .production("Start", Symbol::IfThenElse, &["B", "Start", "Start"])
+                .production("B", Symbol::LessThan, &["Start", "Start"])
+                .build()
+                .unwrap();
+            let spec = Spec::output_equals(LinearExpr::constant(7), vec!["x".to_string()]);
+            let examples = ExampleSet::for_single_var("x", [3]);
+            let NopeVerdict::RealizableOnExamples(term) = check(&grammar, &examples, &spec).0
+            else {
+                panic!("the constant 7 is derivable");
+            };
+            assert!(grammar.contains_term(&term), "witness {term} not in L(G)");
+            assert_eq!(term.eval_on(&examples).unwrap(), Output::Int(vec![7]));
+        }
+
+        #[test]
+        fn coarse_abstraction_yields_unknown() {
+            // The interval × congruence domain is strong on finite constant
+            // sets, so take a recursive grammar whose language is
+            // {1, 4, 7, …} ∪ {2, 5, 8, …}: the join breaks both components.
+            let grammar = GrammarBuilder::new("Start")
+                .nonterminal("Start", Sort::Int)
+                .nonterminal("Three", Sort::Int)
+                .production("Start", Symbol::Num(1), &[])
+                .production("Start", Symbol::Num(2), &[])
+                .production("Start", Symbol::Plus, &["Start", "Three"])
+                .production("Three", Symbol::Num(3), &[])
+                .build()
+                .unwrap();
+            // language: 1, 2, 4, 5, 7, 8, … (all n with n mod 3 ∈ {1, 2});
+            // target 6 is unreachable but interval [1,∞) + congruence top cannot
+            // prove it, and the bounded search cannot reach it either → Unknown.
+            let spec = Spec::output_equals(LinearExpr::constant(6), vec!["x".to_string()]);
+            let examples = ExampleSet::for_single_var("x", [0]);
+            let (verdict, _) = check(&grammar, &examples, &spec);
+            assert_eq!(verdict, NopeVerdict::Unknown);
+        }
+
+        #[test]
+        fn a_capped_fixpoint_is_not_evidence() {
+            // Start ::= (+ N1 Z) | 7 | (+ Start Z), Nᵢ ::= (+ Nᵢ₊₁ Z) for
+            // i < 120, N120 ::= 5, Z ::= 0: realizable by 5 + 0 + … + 0, whose
+            // value reaches Start in round 121. At the cap of 100 the iteration
+            // still has Start = {7}, which would refute f = 5.
+            let mut builder = GrammarBuilder::new("Start")
+                .nonterminal("Start", Sort::Int)
+                .nonterminal("Z", Sort::Int)
+                .production("Start", Symbol::Plus, &["N1", "Z"])
+                .production("Start", Symbol::Num(7), &[])
+                .production("Start", Symbol::Plus, &["Start", "Z"])
+                .production("Z", Symbol::Num(0), &[]);
+            for i in 1..=120 {
+                let (name, next) = (format!("N{i}"), format!("N{}", i + 1));
+                builder = builder.nonterminal(&name, Sort::Int);
+                builder = if i < 120 {
+                    builder.production(&name, Symbol::Plus, &[&next, "Z"])
+                } else {
+                    builder.production(&name, Symbol::Num(5), &[])
+                };
+            }
+            let grammar = builder.build().unwrap();
+            let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
+            let examples = ExampleSet::for_single_var("x", [0]);
+            let (verdict, stats) = check(&grammar, &examples, &spec);
+            // the fixpoint ran to chc's cap of 100 rounds without converging
+            assert_eq!(stats.abstract_iterations, 100);
+            assert_eq!(verdict, NopeVerdict::Unknown);
+        }
     }
 }

@@ -745,11 +745,7 @@ mod tests {
         // race must settle on Unknown instead of hanging or panicking.
         let problem = crate::test_problems::gconst();
         let portfolio = Portfolio::new()
-            .with_nay(
-                Nay::new()
-                    .with_max_iterations(2)
-                    .with_enumerator(enumerative::Enumerator::new().with_max_size(7)),
-            )
+            .with_nay(Nay::new().with_max_iterations(2))
             .with_nope(NopeEngine::new().with_max_rounds(2));
         let report = race(&portfolio, &problem);
         assert_eq!(report.verdict, SolveVerdict::Unknown);

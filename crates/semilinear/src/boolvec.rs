@@ -26,11 +26,6 @@ impl BoolVec {
         BoolVec(vec![true; dim])
     }
 
-    /// The all-false vector of dimension `dim`.
-    pub fn falses(dim: usize) -> Self {
-        BoolVec(vec![false; dim])
-    }
-
     /// The dimension.
     pub fn dim(&self) -> usize {
         self.0.len()

@@ -1,27 +1,19 @@
-//! A hash-consing term arena: structurally shared, `Copy`-indexed terms
-//! with memoized example-vector evaluation.
+//! A hash-consing term arena: structurally shared, `Copy`-indexed terms.
 //!
 //! [`Term`] is a pointer-chasing tree (`Vec<Term>` children, `String`
-//! variables) that the solver hot paths used to deep-clone on every grow
-//! and prune step. [`TermArena`] replaces it on those paths: every distinct
-//! subterm is *interned* exactly once and addressed by a `Copy`-able
-//! [`TermId`]; building a compound term over already-interned children is a
-//! single hash-table probe, and structurally identical terms receive
-//! identical ids no matter where or when they are built. Variables are
-//! interned too ([`VarId`]), so the arena's node representation ([`Op`])
-//! carries no owned strings.
+//! variables). [`TermArena`] is the representation for building terms
+//! bottom-up: every distinct subterm is *interned* exactly once and
+//! addressed by a `Copy`-able [`TermId`]; building a compound term over
+//! already-interned children is a single hash-table probe, and structurally
+//! identical terms receive identical ids no matter where or when they are
+//! built. Variables are interned too ([`VarId`]), so the arena's node
+//! representation ([`Op`]) carries no owned strings. The term search of the
+//! `enumerative` crate hash-conses the witness it returns here, and the
+//! `gen` builders construct their witnesses here.
 //!
-//! On top of the identity structure the arena keeps a per-arena
-//! memoization table for the example-vector semantics `⟦·⟧_E`
-//! ([`TermArena::eval_id`]): the output vector of every distinct subterm is
-//! computed once per example set, which is exactly what the enumerative
-//! solver's observational-equivalence loop needs — a term of size `n` costs
-//! `O(arity · |E|)` to evaluate instead of `O(n · |E|)`, because its
-//! children were interned (and therefore evaluated) earlier.
-//!
-//! All traversals (interning, extraction, evaluation) use explicit stacks,
-//! never recursion, so arena operations cannot overflow the call stack on
-//! deeply nested terms.
+//! All traversals (interning, extraction) use explicit stacks, never
+//! recursion, so arena operations cannot overflow the call stack on deeply
+//! nested terms.
 //!
 //! [`Term`] remains the owned-tree boundary type for parsing, printing and
 //! serialization; [`TermArena::intern_term`] and [`TermArena::extract`]
@@ -29,7 +21,7 @@
 //!
 //! # Example
 //! ```
-//! use sygus::{ExampleSet, Output, TermArena};
+//! use sygus::TermArena;
 //!
 //! let mut arena = TermArena::new();
 //! let x = arena.var_leaf("x");
@@ -39,19 +31,12 @@
 //! assert_eq!(arena.plus2(x, one), sum);
 //! assert_eq!(arena.size(sum), 3);
 //!
-//! let examples = ExampleSet::for_single_var("x", [1, 2]);
-//! assert_eq!(
-//!     arena.eval_id(sum, &examples).unwrap(),
-//!     Output::Int(vec![2, 3])
-//! );
-//!
 //! // lossless round trip to the owned-tree boundary type
 //! let term = arena.extract(sum);
 //! assert_eq!(term.to_string(), "(+ x 1)");
 //! assert_eq!(arena.intern_term(&term), sum);
 //! ```
 
-use crate::example::{ExampleSet, Output};
 use crate::term::{Sort, Symbol, Term};
 use crate::SygusError;
 use std::collections::HashMap;
@@ -175,9 +160,8 @@ fn mix(hash: u64, v: u64) -> u64 {
 }
 
 /// Word-granular hash over the node's identity, used as the hash-cons
-/// bucket key. This sits on the interning fast path (one call per
-/// candidate term the enumerator or bounded search builds), so it mixes
-/// whole 64-bit words instead of bytes.
+/// bucket key. This sits on the interning fast path (one call per node
+/// interned), so it mixes whole 64-bit words instead of bytes.
 fn node_hash(op: &Op, children: &[TermId]) -> u64 {
     let op_word = match op {
         Op::Plus => 1u64,
@@ -200,7 +184,7 @@ fn node_hash(op: &Op, children: &[TermId]) -> u64 {
 }
 
 /// The hash-consing arena: interns terms into `Copy`-able [`TermId`]s with
-/// structural sharing, and memoizes their example-vector evaluation.
+/// structural sharing.
 #[derive(Clone, Default)]
 pub struct TermArena {
     nodes: Vec<Node>,
@@ -212,11 +196,6 @@ pub struct TermArena {
     dedup: HashMap<u64, Vec<TermId>>,
     var_names: Vec<String>,
     var_ids: HashMap<String, VarId>,
-    /// Memoized `⟦·⟧_E` output vectors, valid exactly for the example set
-    /// stored in `memo_examples` (compared structurally — no hash — so a
-    /// stale memo can never be mistaken for a fresh one).
-    memo: Vec<Option<Output>>,
-    memo_examples: Option<ExampleSet>,
 }
 
 impl TermArena {
@@ -362,9 +341,6 @@ impl TermArena {
         );
         self.sizes.push(size);
         self.dedup.entry(hash).or_default().push(id);
-        if self.memo_examples.is_some() {
-            self.memo.push(None);
-        }
         id
     }
 
@@ -393,12 +369,6 @@ impl TermArena {
     pub fn var_leaf(&mut self, name: &str) -> TermId {
         let v = self.var(name);
         self.intern(Op::Var(v), &[])
-    }
-
-    /// Interns the negated-variable leaf `NegVar(name)`.
-    pub fn neg_var_leaf(&mut self, name: &str) -> TermId {
-        let v = self.var(name);
-        self.intern(Op::NegVar(v), &[])
     }
 
     /// Interns binary `Plus(a, b)`.
@@ -558,127 +528,6 @@ impl TermArena {
         }
         result.expect("extraction always produces a root term")
     }
-
-    // -- memoized evaluation -----------------------------------------------
-
-    /// Evaluates the term on every example, memoizing the output vector of
-    /// every distinct subterm (Def. 3.4's `⟦·⟧_E`, semantically identical
-    /// to [`Term::eval_on`]).
-    ///
-    /// The memo table lives in the arena and is keyed to one example set
-    /// at a time: calling with a different set clears and rebuilds it.
-    /// Callers that interleave example sets should use one arena per set
-    /// (or accept the rebuild cost).
-    ///
-    /// # Errors
-    /// Returns an error when an input variable is not bound by some
-    /// example; partial memo entries computed before the error remain
-    /// valid.
-    pub fn eval_id(&mut self, id: TermId, examples: &ExampleSet) -> Result<Output, SygusError> {
-        if self.memo_examples.as_ref() != Some(examples) {
-            self.memo.clear();
-            self.memo.resize(self.nodes.len(), None);
-            self.memo_examples = Some(examples.clone());
-        } else if self.memo.len() < self.nodes.len() {
-            self.memo.resize(self.nodes.len(), None);
-        }
-        if let Some(out) = &self.memo[id.index()] {
-            return Ok(out.clone());
-        }
-        let mut stack = vec![id];
-        while let Some(&top) = stack.last() {
-            if self.memo[top.index()].is_some() {
-                stack.pop();
-                continue;
-            }
-            let mut ready = true;
-            for &c in self.children(top) {
-                if self.memo[c.index()].is_none() {
-                    ready = false;
-                    stack.push(c);
-                }
-            }
-            if !ready {
-                continue;
-            }
-            let out = self.eval_node(top, examples)?;
-            self.memo[top.index()] = Some(out);
-            stack.pop();
-        }
-        Ok(self.memo[id.index()].clone().expect("just computed"))
-    }
-
-    /// Evaluates one node from its (already memoized) children.
-    fn eval_node(&self, id: TermId, examples: &ExampleSet) -> Result<Output, SygusError> {
-        let dim = examples.len();
-        let child_out = |k: usize| -> &Output {
-            self.memo[self.children(id)[k].index()]
-                .as_ref()
-                .expect("children are memoized before their parent")
-        };
-        let int_at = |out: &Output, j: usize| out.as_i64(j);
-        let bool_at = |out: &Output, j: usize| out.as_i64(j) != 0;
-        let out = match self.op(id) {
-            Op::Num(c) => Output::Int(vec![c; dim]),
-            Op::Var(v) => Output::Int(examples.projection(self.var_name(v))?),
-            Op::NegVar(v) => Output::Int(
-                examples
-                    .projection(self.var_name(v))?
-                    .into_iter()
-                    .map(|x| -x)
-                    .collect(),
-            ),
-            Op::Plus => {
-                let mut acc = vec![0i64; dim];
-                for k in 0..self.children(id).len() {
-                    let child = child_out(k);
-                    for (a, j) in acc.iter_mut().zip(0..dim) {
-                        *a += int_at(child, j);
-                    }
-                }
-                Output::Int(acc)
-            }
-            Op::Minus => {
-                let (a, b) = (child_out(0), child_out(1));
-                Output::Int((0..dim).map(|j| int_at(a, j) - int_at(b, j)).collect())
-            }
-            Op::IfThenElse => {
-                let (c, t, e) = (child_out(0), child_out(1), child_out(2));
-                Output::Int(
-                    (0..dim)
-                        .map(|j| {
-                            if bool_at(c, j) {
-                                int_at(t, j)
-                            } else {
-                                int_at(e, j)
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            Op::And => {
-                let (a, b) = (child_out(0), child_out(1));
-                Output::Bool((0..dim).map(|j| bool_at(a, j) && bool_at(b, j)).collect())
-            }
-            Op::Or => {
-                let (a, b) = (child_out(0), child_out(1));
-                Output::Bool((0..dim).map(|j| bool_at(a, j) || bool_at(b, j)).collect())
-            }
-            Op::Not => {
-                let a = child_out(0);
-                Output::Bool((0..dim).map(|j| !bool_at(a, j)).collect())
-            }
-            Op::LessThan => {
-                let (a, b) = (child_out(0), child_out(1));
-                Output::Bool((0..dim).map(|j| int_at(a, j) < int_at(b, j)).collect())
-            }
-            Op::Equal => {
-                let (a, b) = (child_out(0), child_out(1));
-                Output::Bool((0..dim).map(|j| int_at(a, j) == int_at(b, j)).collect())
-            }
-        };
-        Ok(out)
-    }
 }
 
 impl std::fmt::Debug for TermArena {
@@ -693,7 +542,6 @@ impl std::fmt::Debug for TermArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::example::Example;
 
     #[test]
     fn interning_is_idempotent_and_shares_structure() {
@@ -765,58 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_matches_term_eval_on_and_memoizes() {
-        let mut arena = TermArena::new();
-        let owned = Term::ite(
-            Term::less_than(Term::var("x"), Term::num(2)),
-            Term::num(0),
-            Term::plus(Term::var("x"), Term::var("x")),
-        )
-        .unwrap();
-        let id = arena.intern_term(&owned);
-        let examples = ExampleSet::for_single_var("x", [1, 2]);
-        assert_eq!(
-            arena.eval_id(id, &examples).unwrap(),
-            owned.eval_on(&examples).unwrap()
-        );
-        // second call hits the memo and returns the same value
-        assert_eq!(
-            arena.eval_id(id, &examples).unwrap(),
-            Output::Int(vec![0, 4])
-        );
-        // a different example set invalidates the memo transparently
-        let other = ExampleSet::for_single_var("x", [5]);
-        assert_eq!(arena.eval_id(id, &other).unwrap(), Output::Int(vec![10]));
-        // ... and the boolean guard evaluates correctly on its own
-        let guard = arena.children(id)[0];
-        assert_eq!(
-            arena.eval_id(guard, &other).unwrap(),
-            Output::Bool(vec![false])
-        );
-    }
-
-    #[test]
-    fn eval_reports_unbound_variables() {
-        let mut arena = TermArena::new();
-        let y = arena.var_leaf("y");
-        let examples = ExampleSet::for_single_var("x", [1]);
-        assert!(arena.eval_id(y, &examples).is_err());
-    }
-
-    #[test]
-    fn memo_stays_valid_as_the_arena_grows() {
-        let mut arena = TermArena::new();
-        let examples = ExampleSet::from_examples([Example::from_pairs([("x", 3)])]);
-        let x = arena.var_leaf("x");
-        assert_eq!(arena.eval_id(x, &examples).unwrap(), Output::Int(vec![3]));
-        // interning after an eval must keep the memo aligned with the ids
-        let one = arena.num(1);
-        let sum = arena.plus2(x, one);
-        assert_eq!(arena.eval_id(sum, &examples).unwrap(), Output::Int(vec![4]));
-        assert_eq!(arena.eval_id(x, &examples).unwrap(), Output::Int(vec![3]));
-    }
-
-    #[test]
     fn variables_intern_once() {
         let mut arena = TermArena::new();
         let a = arena.var("x");
@@ -834,7 +630,7 @@ mod tests {
     #[test]
     fn deep_interning_does_not_recurse() {
         // a left-leaning chain of 100_000 Plus nodes: explicit-stack
-        // interning, extraction, size and eval must all survive it
+        // interning, extraction and size must all survive it
         let mut arena = TermArena::new();
         let one = arena.num(1);
         let mut t = one;
@@ -842,11 +638,6 @@ mod tests {
             t = arena.plus2(t, one);
         }
         assert_eq!(arena.size(t), 200_001);
-        let examples = ExampleSet::for_single_var("x", [0]);
-        assert_eq!(
-            arena.eval_id(t, &examples).unwrap(),
-            Output::Int(vec![100_001])
-        );
         assert_eq!(arena.height(t), 100_001);
     }
 }

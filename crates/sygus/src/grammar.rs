@@ -304,7 +304,7 @@ impl Grammar {
     /// Enumerates all terms derivable from `nt` with at most `max_size`
     /// nodes, up to `limit` terms (breadth-first by size). Intended for
     /// tests and cross-validation, not for synthesis (see crate
-    /// `enumerative` for the real enumerator).
+    /// `enumerative` for the term search).
     pub fn terms_up_to_size(&self, nt: &NonTerminal, max_size: usize, limit: usize) -> Vec<Term> {
         // terms_by_size[nt][s] = terms of size exactly s derivable from nt
         let mut table: BTreeMap<(NonTerminal, usize), Vec<Term>> = BTreeMap::new();

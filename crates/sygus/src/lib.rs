@@ -12,7 +12,7 @@
 //! * [`Spec`], [`Problem`] — SyGuS problems `(ψ, G)` (Def. 3.2) and their
 //!   example-restricted variants `sy_E` (Def. 3.4),
 //! * [`TermArena`], [`TermId`], [`VarId`], [`Op`] — the hash-consing term
-//!   arena the solver hot paths enumerate and evaluate on,
+//!   arena the term search hash-conses its witnesses into,
 //! * [`rewrite::to_plus_form`] — the `h(G)` rewriting that removes `Minus`
 //!   (§5.2),
 //! * [`parser`] — the SyGuS-IF front end, which reports every

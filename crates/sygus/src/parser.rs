@@ -689,7 +689,11 @@ impl Elaborator {
         let errors = self.findings.errors;
         let rhs = match &rule.kind {
             SexpKind::Atom(a) => {
-                if let Ok(c) = a.parse::<i64>() {
+                if is_int_literal(a) {
+                    let Ok(c) = a.parse::<i64>() else {
+                        self.findings.error(rule.span, "overflow", out_of_range(a));
+                        return None;
+                    };
                     if lhs_sort != Sort::Int {
                         self.findings.error(
                             rule.span,
@@ -956,7 +960,7 @@ impl Elaborator {
                 if args.len() == 1 {
                     first.checked_scale(-1)
                 } else {
-                    parts.try_fold(first, |acc, p| acc.checked_add(p.checked_scale(-1)?))
+                    parts.try_fold(first, LinearExpr::checked_sub)
                 }
             }
             "*" => {
@@ -1006,7 +1010,11 @@ impl Elaborator {
     }
 
     fn int_atom(&mut self, span: Span, a: &str) -> Option<LinearExpr> {
-        if let Ok(c) = a.parse::<i64>() {
+        if is_int_literal(a) {
+            let Ok(c) = a.parse::<i64>() else {
+                self.findings.error(span, "overflow", out_of_range(a));
+                return None;
+            };
             return Some(LinearExpr::constant(c));
         }
         let sort = self
@@ -1061,6 +1069,18 @@ impl Elaborator {
         }
         Some(LinearExpr::var(Spec::output_var()))
     }
+}
+
+/// `true` when the atom is a decimal integer literal, whether or not its
+/// value fits in i64.
+fn is_int_literal(a: &str) -> bool {
+    let digits = a.strip_prefix('-').unwrap_or(a);
+    !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// The `overflow` message of an integer literal outside i64.
+fn out_of_range(literal: &str) -> String {
+    format!("integer literal {literal} leaves the 64-bit integer range")
 }
 
 /// Reads a SyGuS-IF source text in one pass over its s-expressions.
@@ -1283,16 +1303,11 @@ pub fn problem_to_sygus(problem: &Problem, fun: &str) -> String {
     let logic = if grammar.is_lia() { "LIA" } else { "CLIA" };
     let _ = writeln!(out, "(set-logic {logic})");
 
-    // The parameters are the spec's input variables plus any grammar
-    // variable the spec does not mention (some generated benchmarks use
-    // disjoint names); every parameter is also declared, so a reparse
-    // reproduces the same variable set in the same order.
-    let mut params: Vec<String> = spec.input_vars().to_vec();
-    for v in grammar.variables() {
-        if !params.contains(&v) {
-            params.push(v);
-        }
-    }
+    // The parameters are the spec's input variables, which `Problem::new`
+    // extends with every grammar variable; every parameter is also
+    // declared, so a reparse reproduces the same variables in the same
+    // order.
+    let params = spec.input_vars();
     let param_decls: Vec<String> = params.iter().map(|x| format!("({x} Int)")).collect();
     let _ = writeln!(
         out,
@@ -1303,7 +1318,7 @@ pub fn problem_to_sygus(problem: &Problem, fun: &str) -> String {
     let grammar_text = grammar_to_sygus(grammar).replace('\n', "\n ");
     let _ = writeln!(out, "  {grammar_text})");
 
-    for x in &params {
+    for x in params {
         let _ = writeln!(out, "(declare-var {x} Int)");
     }
 
@@ -1604,6 +1619,40 @@ mod tests {
         assert_eq!(problem_to_sygus(&reparsed, "f"), printed);
         let e = crate::Example::from_pairs([("x", 4)]);
         assert!(reparsed.spec().holds(&e, 3));
+    }
+
+    #[test]
+    fn a_difference_whose_value_fits_is_accepted() {
+        // −1 − (−2⁶³) = 2⁶³ − 1: no intermediate value leaves i64.
+        let src = "(set-logic LIA)\n\
+                   (synth-fun f ((x Int)) Int ((Start Int (x 0 (+ Start Start)))))\n\
+                   (declare-var x Int)\n\
+                   (constraint (= (f x) (- -1 -9223372036854775808)))\n\
+                   (check-synth)";
+        let problem = parse_problem(src, "max").unwrap();
+        let e = crate::Example::from_pairs([("x", 0)]);
+        assert!(problem.spec().holds(&e, i64::MAX));
+    }
+
+    #[test]
+    fn integer_literals_outside_i64_are_overflow_errors() {
+        let constraint = "(set-logic LIA)\n\
+                          (synth-fun f ((x Int)) Int ((Start Int (x))))\n\
+                          (declare-var x Int)\n\
+                          (constraint (= (f x) 9223372036854775808))\n\
+                          (check-synth)";
+        let rule = "(set-logic LIA)\n\
+                    (synth-fun f ((x Int)) Int ((Start Int (x -9223372036854775809))))\n\
+                    (declare-var x Int)\n\
+                    (constraint (= (f x) x))\n\
+                    (check-synth)";
+        for src in [constraint, rule] {
+            let (problem, diagnostics) = parse_with_diagnostics(src, "literal");
+            assert!(problem.is_none());
+            let codes: Vec<_> = diagnostics.iter().map(|d| d.code).collect();
+            assert_eq!(codes, ["overflow"], "{src}");
+            assert!(parse_err(src).msg.contains("64-bit integer range"));
+        }
     }
 
     #[test]

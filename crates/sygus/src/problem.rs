@@ -42,7 +42,23 @@ pub struct Problem {
 
 impl Problem {
     /// Creates a named SyGuS problem.
+    ///
+    /// The parameters of the synthesized function are decided here: the
+    /// specification's input variables, then every variable of the grammar
+    /// they lack, in name order. So every example drawn for the problem
+    /// binds every variable a term of `L(G)` can read.
     pub fn new(name: impl Into<String>, grammar: Grammar, spec: Spec) -> Self {
+        let mut params = spec.input_vars().to_vec();
+        for v in grammar.variables() {
+            if !params.contains(&v) {
+                params.push(v);
+            }
+        }
+        let spec = if params.len() == spec.input_vars().len() {
+            spec
+        } else {
+            Spec::new(spec.formula().clone(), params, spec.output_sort())
+        };
         Problem {
             name: name.into(),
             grammar,
@@ -66,10 +82,10 @@ impl Problem {
     }
 
     /// Replaces the grammar (used by benchmark generators that derive
-    /// "limited" variants from a base problem).
-    pub fn with_grammar(mut self, grammar: Grammar) -> Self {
-        self.grammar = grammar;
-        self
+    /// "limited" variants from a base problem); its variables join the
+    /// parameters as in [`Problem::new`].
+    pub fn with_grammar(self, grammar: Grammar) -> Self {
+        Problem::new(self.name, grammar, self.spec)
     }
 
     /// Renames the problem.
@@ -238,6 +254,28 @@ mod tests {
         let printed = crate::parser::problem_to_sygus(&p, "f");
         let reparsed = crate::parser::parse_problem(&printed, "reparsed").unwrap();
         assert_eq!(first, reparsed.fingerprint());
+    }
+
+    #[test]
+    fn grammar_variables_the_spec_omits_become_parameters() {
+        // The spec names only x; the grammar also reads y and a.
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .production("Start", Symbol::Var("y".to_string()), &[])
+            .production("Start", Symbol::Var("x".to_string()), &[])
+            .production("Start", Symbol::NegVar("a".to_string()), &[])
+            .build()
+            .unwrap();
+        let spec = Spec::output_equals(LinearExpr::var(Var::new("x")), vec!["x".to_string()]);
+        let p = Problem::new("disjoint", grammar, spec.clone());
+        assert_eq!(p.spec().input_vars(), ["x", "a", "y"]);
+        assert_eq!(p.spec().formula(), spec.formula());
+        // every drawn example binds every variable a term can read
+        let example = crate::rng::random_example(&p, &mut crate::rng::EXAMPLE_SEED.clone());
+        assert!(Term::var("y").eval(&example).is_ok());
+        assert!(Term::neg_var("a").eval(&example).is_ok());
+        // a spec that already names every variable keeps its inputs
+        assert_eq!(problem().spec().input_vars(), ["x"]);
     }
 
     #[test]

@@ -51,10 +51,12 @@ impl Value {
 }
 
 impl Term {
-    /// Evaluates the term on a single input example (`⟦e⟧(i)`).
+    /// Evaluates the term on a single input example (`⟦e⟧(i)`), in i64
+    /// arithmetic that never wraps.
     ///
     /// # Errors
-    /// Returns an error if an input variable is not bound by the example.
+    /// Returns an error if an input variable is not bound by the example,
+    /// or if `+`, `-` or a negated variable overflows i64.
     pub fn eval(&self, input: &Example) -> Result<Value, SygusError> {
         let kids: Vec<Value> = self
             .children()
@@ -66,17 +68,28 @@ impl Term {
             Symbol::Var(x) => input.get(x).map(Value::Int).ok_or_else(|| {
                 SygusError::EvalError(format!("input variable {x} is not bound by {input}"))
             }),
-            Symbol::NegVar(x) => input.get(x).map(|v| Value::Int(-v)).ok_or_else(|| {
-                SygusError::EvalError(format!("input variable {x} is not bound by {input}"))
-            }),
+            Symbol::NegVar(x) => {
+                let v = input.get(x).ok_or_else(|| {
+                    SygusError::EvalError(format!("input variable {x} is not bound by {input}"))
+                })?;
+                v.checked_neg()
+                    .map(Value::Int)
+                    .ok_or_else(|| overflow(self))
+            }
             Symbol::Plus => {
                 let mut acc = 0i64;
                 for k in &kids {
-                    acc += k.expect_int()?;
+                    acc = acc
+                        .checked_add(k.expect_int()?)
+                        .ok_or_else(|| overflow(self))?;
                 }
                 Ok(Value::Int(acc))
             }
-            Symbol::Minus => Ok(Value::Int(kids[0].expect_int()? - kids[1].expect_int()?)),
+            Symbol::Minus => kids[0]
+                .expect_int()?
+                .checked_sub(kids[1].expect_int()?)
+                .map(Value::Int)
+                .ok_or_else(|| overflow(self)),
             Symbol::IfThenElse => {
                 if kids[0].expect_bool()? {
                     Ok(Value::Int(kids[1].expect_int()?))
@@ -119,6 +132,11 @@ impl Term {
             }
         }
     }
+}
+
+/// The error of a term whose value leaves i64.
+fn overflow(term: &Term) -> SygusError {
+    SygusError::EvalError(format!("integer overflow in {term}"))
 }
 
 #[cfg(test)]
@@ -191,6 +209,28 @@ mod tests {
         assert_eq!(
             t.eval_on(&examples()).unwrap(),
             Output::Bool(vec![true, false])
+        );
+    }
+
+    #[test]
+    fn overflow_is_an_error_not_a_wrapped_value() {
+        // (+ x M M) with M = i64::MAX on x = 0 wraps to −2 in two's
+        // complement; over ℤ it is 2⁶⁴ − 2.
+        let m = Term::num(i64::MAX);
+        let sum = Term::apply(Symbol::Plus, vec![Term::var("x"), m.clone(), m]).unwrap();
+        let zero = Example::from_pairs([("x", 0)]);
+        assert!(matches!(sum.eval(&zero), Err(SygusError::EvalError(_))));
+        let low = Example::from_pairs([("x", i64::MIN)]);
+        assert!(Term::neg_var("x").eval(&low).is_err());
+        assert!(Term::minus(Term::num(0), Term::var("x"))
+            .eval(&low)
+            .is_err());
+        // in-range values are unaffected
+        assert_eq!(
+            Term::minus(Term::num(-1), Term::var("x"))
+                .eval(&low)
+                .unwrap(),
+            Value::Int(i64::MAX)
         );
     }
 

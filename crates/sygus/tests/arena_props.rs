@@ -3,12 +3,10 @@
 //! * `Term → intern → extract` is the identity on arbitrary well-sorted
 //!   terms (the arena is a lossless representation change),
 //! * interning is idempotent — the same subtree always yields the same
-//!   [`sygus::TermId`], through either construction route,
-//! * the memoized [`TermArena::eval_id`] agrees with the tree-walking
-//!   [`Term::eval_on`] on arbitrary terms and example sets.
+//!   [`sygus::TermId`], through either construction route.
 
 use proptest::prelude::*;
-use sygus::{Example, ExampleSet, Symbol, Term, TermArena};
+use sygus::{Symbol, Term, TermArena};
 
 /// Arbitrary well-sorted integer terms over `x` and `y`, covering every
 /// operator of the CLIA alphabet (Boolean subterms appear under `ite`).
@@ -46,16 +44,6 @@ fn arb_term() -> impl Strategy<Value = Term> {
                     Term::ite(guard, t, e).expect("well-sorted ite")
                 }),
         ]
-    })
-}
-
-fn arb_examples() -> impl Strategy<Value = ExampleSet> {
-    proptest::collection::vec((-20i64..=20, -20i64..=20), 1..5).prop_map(|points| {
-        ExampleSet::from_examples(
-            points
-                .into_iter()
-                .map(|(x, y)| Example::from_pairs([("x", x), ("y", y)])),
-        )
     })
 }
 
@@ -97,27 +85,5 @@ proptest! {
         let doubled = arena.plus2(id, id);
         prop_assert_eq!(arena.len(), before + 1);
         prop_assert_eq!(arena.children(doubled), &[id, id]);
-    }
-
-    /// The memoized id-keyed evaluation agrees with the owned-tree
-    /// semantics, including across a memo invalidation.
-    #[test]
-    fn eval_id_matches_eval_on(term in arb_term(), examples in arb_examples()) {
-        let mut arena = TermArena::new();
-        let id = arena.intern_term(&term);
-        prop_assert_eq!(
-            arena.eval_id(id, &examples).unwrap(),
-            term.eval_on(&examples).unwrap()
-        );
-        // a second, different example set (memo rebuild) stays correct
-        let shifted = ExampleSet::from_examples(
-            examples
-                .iter()
-                .map(|e| Example::from_pairs([("x", e.get("x").unwrap() + 1), ("y", e.get("y").unwrap())])),
-        );
-        prop_assert_eq!(
-            arena.eval_id(id, &shifted).unwrap(),
-            term.eval_on(&shifted).unwrap()
-        );
     }
 }

@@ -3,7 +3,8 @@
 //! `line:col severity[code]`) and whether [`sygus::parser::parse_problem`]
 //! accepts the input, or where its first error is. The inputs are the
 //! parser's unit-test sources, one input per diagnostic code, a Boolean
-//! grammar parameter, and two constraints whose arithmetic overflows i64.
+//! grammar parameter, constraints whose arithmetic overflows i64, and
+//! integer literals outside i64.
 //!
 //! Regenerate after an intentional change with
 //! `cargo test --release -p sygus --test diagnostics -- --ignored`.
@@ -320,6 +321,15 @@ const INPUTS: &[(&str, &str)] = &[
     (
         "overflow_sum",
         "(set-logic LIA)\n(synth-fun f ((x Int)) Int ((Start Int (x 0 (+ Start Start)))))\n(declare-var x Int)\n(constraint (= (f x) (+ x 9223372036854775807 1)))\n(constraint (= (f x) (- -2 9223372036854775807)))\n(check-synth)",
+    ),
+    // Integer literals outside i64, in a constraint and in a rule.
+    (
+        "overflow_literal_constraint",
+        "(set-logic LIA)\n(synth-fun f ((x Int)) Int ((Start Int (x 0 (+ Start Start)))))\n(declare-var x Int)\n(constraint (= (f x) 9223372036854775808))\n(check-synth)",
+    ),
+    (
+        "overflow_literal_rule",
+        "(set-logic LIA)\n(synth-fun f ((x Int)) Int ((Start Int (x 9223372036854775808 (+ Start Start)))))\n(declare-var x Int)\n(constraint (= (f x) x))\n(check-synth)",
     ),
 ];
 

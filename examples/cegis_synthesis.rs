@@ -1,7 +1,9 @@
 //! The CEGIS loop on a *realizable* problem: the driver of Alg. 2 is also a
-//! synthesizer — when the specification can be met, the enumerative solver
-//! finds a candidate, the verifier confirms it on all inputs, and the loop
-//! returns the program instead of an unrealizability proof.
+//! synthesizer — when the specification can be met, the bottom-up term
+//! search (`enumerative::search`, the search nope runs too) finds a
+//! candidate consistent with the examples, the verifier confirms it on all
+//! inputs, and the loop returns the program instead of an unrealizability
+//! proof.
 //!
 //! Run with `cargo run --example cegis_synthesis`.
 
@@ -46,6 +48,7 @@ fn main() {
                 "  {} CEGIS iteration(s), {} example(s), {} unrealizability check(s), {:?}",
                 stats.cegis_iterations, stats.num_examples, stats.gfa_checks, stats.total_time
             );
+            println!("  largest term search: {} node(s)", stats.arena_terms);
             // sanity-check the synthesized program on a few inputs
             for (a, b) in [(3i64, 9i64), (9, 3), (-4, -7), (5, 5)] {
                 let input = sygus::Example::from_pairs([("x", a), ("y", b)]);

@@ -21,7 +21,8 @@
 //!   stratification,
 //! * [`chc`] — the approximate constrained-Horn-clause solver: the one abstract interpreter of grammars and the Horn back end of
 //!   both approximate provers (nayHorn and nope), also run by the presolve,
-//! * [`enumerative`] — the bottom-up enumerative synthesizer,
+//! * [`enumerative`] — the one bottom-up term search over output vectors
+//!   on examples: CEGIS's synthesizer and nope's bounded search,
 //! * [`nope`] — the program-reachability baseline, whose bounded search
 //!   and fixpoint both run on the grammar,
 //! * [`nay`] — Alg. 1 / Alg. 2: the unrealizability checker and CEGIS loop,

@@ -2,7 +2,6 @@
 //! agreement between the exact procedure, the enumerative ground truth and
 //! the two approximate tools.
 
-use enumerative::{EnumerationResult, Enumerator};
 use logic::{LinearExpr, Var};
 use nay::check::{check_unrealizable, Verdict};
 use nay::{CegisOutcome, Mode, Nay};
@@ -55,34 +54,98 @@ fn section2_lia_full_pipeline() {
 
 #[test]
 fn exact_procedure_agrees_with_enumerative_ground_truth() {
-    // On realizable example sets the exact procedure must say Realizable and
-    // the enumerator must find a witness; on unrealizable ones the enumerator
-    // must fail to find anything (within its bound).
+    // naySL is exact on sy_E, so the term search must agree with it: a
+    // witness on E means naySL says Realizable on E, and an exhausted search
+    // means it says Unrealizable.
     let problem = section2_problem();
-    let enumerator = Enumerator::new().with_max_size(13);
+    let grammar = problem.grammar();
 
     let realizable = ExampleSet::for_single_var("x", [2]); // 6 = 3·2 is producible
     assert_eq!(
         check_unrealizable(&problem, &realizable, &Mode::default()).verdict,
         Verdict::Realizable
     );
-    match enumerator.solve(&problem, &realizable) {
-        EnumerationResult::Found(term) => {
-            assert!(problem.satisfied_on_examples(&term, &realizable).unwrap());
-            assert!(problem.grammar().contains_term(&term));
-        }
-        other => panic!("a solution exists on x = 2 but the enumerator returned {other:?}"),
-    }
+    let found = enumerative::search(grammar, &realizable, problem.spec());
+    let term = found.witness.expect("a solution exists on x = 2");
+    assert!(problem.satisfied_on_examples(&term, &realizable).unwrap());
+    assert!(grammar.contains_term(&term));
 
     let unrealizable = ExampleSet::for_single_var("x", [1]);
     assert_eq!(
         check_unrealizable(&problem, &unrealizable, &Mode::default()).verdict,
         Verdict::Unrealizable
     );
-    assert!(matches!(
-        enumerator.solve(&problem, &unrealizable),
-        EnumerationResult::NotFound { .. }
-    ));
+    assert_eq!(
+        enumerative::search(grammar, &unrealizable, problem.spec()).witness,
+        None
+    );
+
+    // Start ::= 0 | 1 with f(x) = x: a finite language the search exhausts
+    // on every example set, realizable only where x ∈ {0, 1}.
+    let finite = parser::parse_problem(
+        r#"
+          (set-logic LIA)
+          (synth-fun f ((x Int)) Int ((Start Int)) ((Start Int (0 1))))
+          (declare-var x Int)
+          (constraint (= (f x) x))
+          (check-synth)
+        "#,
+        "finite",
+    )
+    .expect("parses");
+    let mut exhausted = 0;
+    for (problem, inputs) in [(&problem, [-2, 1, 2, 3]), (&finite, [0, 1, 5, -4])] {
+        for (a, b) in inputs
+            .iter()
+            .flat_map(|&a| inputs.iter().map(move |&b| (a, b)))
+        {
+            let examples = ExampleSet::for_single_var("x", [a, b]);
+            let found = enumerative::search(problem.grammar(), &examples, problem.spec());
+            let exact = check_unrealizable(problem, &examples, &Mode::default()).verdict;
+            if found.witness.is_some() {
+                assert_eq!(
+                    exact,
+                    Verdict::Realizable,
+                    "{} on {examples}",
+                    problem.name()
+                );
+            }
+            if found.exhausted {
+                exhausted += 1;
+                assert_eq!(
+                    exact,
+                    Verdict::Unrealizable,
+                    "{} on {examples}",
+                    problem.name()
+                );
+            }
+        }
+    }
+    assert!(exhausted > 0, "the finite language is exhausted on x = 5");
+}
+
+#[test]
+fn nope_engine_binds_variables_only_the_grammar_reads() {
+    // plus_guard1's grammar reads variables its spec does not mention;
+    // Problem::new makes them parameters, so every example nope's loop
+    // draws binds them and the bounded search can evaluate every term.
+    let bench = benchmarks::all()
+        .into_iter()
+        .find(|b| b.name == "plus_guard1")
+        .expect("plus_guard1 is a paper benchmark");
+    let params = bench.problem.spec().input_vars();
+    assert!(bench
+        .problem
+        .grammar()
+        .variables()
+        .iter()
+        .all(|v| params.contains(v)));
+    let outcome = portfolio::solve_nope(
+        &bench.problem,
+        &runner::Cancel::new(),
+        &portfolio::NopeEngine::new(),
+    );
+    assert_ne!(outcome.verdict, portfolio::SolveVerdict::Realizable);
 }
 
 #[test]
