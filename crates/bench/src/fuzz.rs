@@ -9,11 +9,11 @@
 //! ([`GenConfig::instance_at`] — no generator thread, no corpus on disk,
 //! no queue of pending problems), solves them one at a time, and folds
 //! every result into a per-shard single-pass accumulator (per-(family,
-//! tool) counts, verdict tallies, latency histograms, peak arena size)
-//! that is merged once, in shard order, at the end. At no point does more
-//! than one instance per worker exist in memory, so the campaign's
-//! footprint is flat from count 10³ to 10⁶⁺ — the 1BRC discipline,
-//! end to end.
+//! tool) counts, verdict tallies, latency histograms, peak term-search
+//! witness-log nodes) that is merged once, in shard order, at the end.
+//! At no point does more than one instance per worker exist in memory, so
+//! the campaign's footprint is flat from count 10³ to 10⁶⁺ — the 1BRC
+//! discipline, end to end.
 //!
 //! The merged aggregate lands in the same schema-versioned [`Report`] the
 //! rest of the harness speaks, now carrying a first-class
@@ -262,7 +262,8 @@ pub struct FuzzRow {
     pub verdicts: String,
     /// Total engine milliseconds.
     pub millis: f64,
-    /// Largest per-instance term-arena size seen for this (family, tool).
+    /// Largest per-instance term-search witness-log node count seen for
+    /// this (family, tool).
     pub peak_arena: usize,
     /// Median per-instance latency (bucketed; see the histogram docs).
     pub p50_millis: f64,
@@ -818,8 +819,8 @@ pub fn render_presolve_diff(outcome: &PresolveDiffOutcome, config: &FuzzConfig) 
 }
 
 /// Renders the human-readable fuzz table, ending with a summary line
-/// carrying the sweep's total wall clock and the peak term-arena size per
-/// family (maximum across that family's tools).
+/// carrying the sweep's total wall clock and the peak term-search
+/// witness-log nodes per family (maximum across that family's tools).
 pub fn render_fuzz(outcome: &FuzzOutcome, config: &FuzzConfig) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

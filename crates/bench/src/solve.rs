@@ -115,7 +115,8 @@ pub struct SolveRow {
     pub millis: f64,
     /// The losing engine's cancellation latency, when racing.
     pub loser_cancel_millis: Option<f64>,
-    /// Peak term-arena size of the run (the larger side for `race`).
+    /// Peak term-search witness-log nodes of the run (the larger side for
+    /// `race`).
     pub arena_terms: usize,
     /// The solve's span tree, when tracing was requested (race engine
     /// only: solo engines have no phase structure worth a waterfall).
@@ -127,7 +128,8 @@ pub struct SolveRow {
 pub struct SolveTotals {
     /// Wall-clock milliseconds of the whole sweep (parsing included).
     pub wall_millis: f64,
-    /// Largest per-run term-arena size across the sweep.
+    /// Largest per-run term-search witness-log node count across the
+    /// sweep.
     pub peak_arena_terms: usize,
 }
 
@@ -292,7 +294,8 @@ pub fn run_solve(
 }
 
 /// Renders the human-readable solve table, ending with a summary line
-/// carrying the sweep's total wall clock and peak term-arena size.
+/// carrying the sweep's total wall clock and peak term-search
+/// witness-log nodes.
 pub fn render_solve(rows: &[SolveRow], engine: Engine, totals: &SolveTotals) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

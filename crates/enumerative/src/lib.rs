@@ -10,7 +10,10 @@
 //! sets built so far; at most [`UNROLL_DEPTH`] rounds run, and each set
 //! keeps at most [`MAX_VECTORS`] vectors. A good vector of the start
 //! nonterminal is a witness. Arithmetic is checked: a run that overflows
-//! i64 is dropped, never wrapped into a false witness.
+//! i64 is dropped, never wrapped into a false witness. Each kept vector
+//! logs how its term was built (the production's symbol, borrowed from the
+//! grammar, over its children's log entries); only the witness returned is
+//! built as a [`Term`].
 //!
 //! When a round adds no vector and nothing was cut (no cap truncated a set,
 //! no overflowing run was dropped, the stop hook never fired), the sets are
@@ -31,35 +34,36 @@
 use logic::stop_requested;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use sygus::{
-    ExampleSet, Grammar, NonTerminal, Op, Production, Spec, Symbol, Term, TermArena, TermId,
-};
+use sygus::{ExampleSet, Grammar, NonTerminal, Production, Spec, Symbol, Term};
 
 /// The sentinel "empty list" head of the [`LazyWitness::Plus`] trail.
 const NIL: u32 = u32::MAX;
 
+/// The symbol of every logged [`LazyWitness::Plus`] node.
+static PLUS: Symbol = Symbol::Plus;
+
 /// An append-only log of witness nodes. The search records a plain
-/// `(op, children)` node per vector surviving dedup (a `Vec` push, no hash
-/// probe, since most searches never look at a witness) and hash-conses
-/// only the one chain a found witness needs, via
-/// [`WitnessLog::intern_into`].
+/// `(symbol, children)` node per vector surviving dedup (a `Vec` push, no
+/// hash probe, since most searches never look at a witness), borrowing the
+/// symbol from the grammar's production, and builds a [`Term`] only for
+/// the one witness it returns ([`WitnessLog::term`]).
 #[derive(Clone, Debug, Default)]
-struct WitnessLog {
-    /// `(op, child_start, child_end)` — the child range indexes `children`.
-    nodes: Vec<(Op, u32, u32)>,
+struct WitnessLog<'g> {
+    /// `(symbol, child_start, child_end)` — the child range indexes
+    /// `children`.
+    nodes: Vec<(&'g Symbol, u32, u32)>,
     /// Child pool: log indices of each node's children, in order.
     children: Vec<u32>,
 }
 
-impl WitnessLog {
+impl<'g> WitnessLog<'g> {
     /// Appends a node and returns its log index. Children always precede
-    /// their parent in the log (the search builds bottom-up), which
-    /// [`WitnessLog::intern_into`] relies on.
-    fn push(&mut self, op: Op, kids: &[u32]) -> u32 {
+    /// their parent in the log (the search builds bottom-up).
+    fn push(&mut self, symbol: &'g Symbol, kids: &[u32]) -> u32 {
         let start = self.children.len() as u32;
         self.children.extend_from_slice(kids);
         let end = self.children.len() as u32;
-        self.nodes.push((op, start, end));
+        self.nodes.push((symbol, start, end));
         (self.nodes.len() - 1) as u32
     }
 
@@ -69,33 +73,28 @@ impl WitnessLog {
         self.nodes.len()
     }
 
-    /// Hash-conses the term rooted at `root` into `arena`, visiting only
-    /// the nodes the witness actually uses.
-    fn intern_into(&self, arena: &mut TermArena, root: u32) -> TermId {
-        let mut memo: BTreeMap<u32, TermId> = BTreeMap::new();
-        let mut stack: Vec<u32> = vec![root];
-        while let Some(&r) = stack.last() {
-            if memo.contains_key(&r) {
-                stack.pop();
-                continue;
-            }
-            let (op, start, end) = self.nodes[r as usize];
+    /// The term rooted at `root`, built children before parents with an
+    /// explicit stack (no recursion), visiting only the nodes the witness
+    /// uses. A node shared by several parents is built once per use, since
+    /// a [`Term`] is a tree.
+    fn term(&self, root: u32) -> Term {
+        let mut built: Vec<Term> = Vec::new();
+        let mut stack: Vec<(u32, bool)> = vec![(root, false)];
+        while let Some((r, expanded)) = stack.pop() {
+            let (symbol, start, end) = self.nodes[r as usize];
             let kids = &self.children[start as usize..end as usize];
-            let mut ready = true;
-            for &k in kids {
-                if !memo.contains_key(&k) {
-                    stack.push(k);
-                    ready = false;
-                }
-            }
-            if ready {
-                let ids: Vec<TermId> = kids.iter().map(|k| memo[k]).collect();
-                let id = arena.intern(op, &ids);
-                memo.insert(r, id);
-                stack.pop();
+            if expanded {
+                let children = built.split_off(built.len() - kids.len());
+                built.push(
+                    Term::apply(symbol.clone(), children)
+                        .expect("the grammar's productions are well-sorted"),
+                );
+            } else {
+                stack.push((r, true));
+                stack.extend(kids.iter().rev().map(|&k| (k, false)));
             }
         }
-        memo[&root]
+        built.pop().expect("the root term is built last")
     }
 }
 
@@ -105,27 +104,31 @@ impl WitnessLog {
 /// words, no allocation); a [`WitnessLog`] node is appended once per
 /// vector that actually enters a reachable set.
 #[derive(Clone, Copy)]
-enum LazyWitness {
+enum LazyWitness<'g> {
     /// Already logged: leaves and the terms of a reachable set.
     Ready(u32),
     /// An n-ary `Plus` whose child list is the trail chain at this head.
     Plus(u32),
     /// A unary node over a logged child.
-    Un(Op, u32),
+    Un(&'g Symbol, u32),
     /// A binary node over logged children.
-    Bin(Op, u32, u32),
+    Bin(&'g Symbol, u32, u32),
     /// A ternary node over logged children.
-    Tri(Op, u32, u32, u32),
+    Tri(&'g Symbol, u32, u32, u32),
 }
 
 /// Resolves a lazy witness to a log index. `trail` is the cons-list pool
 /// `Plus` heads index into.
-fn log_witness(log: &mut WitnessLog, trail: &[(u32, u32)], witness: LazyWitness) -> u32 {
+fn log_witness<'g>(
+    log: &mut WitnessLog<'g>,
+    trail: &[(u32, u32)],
+    witness: LazyWitness<'g>,
+) -> u32 {
     match witness {
         LazyWitness::Ready(id) => id,
-        LazyWitness::Un(op, a) => log.push(op, &[a]),
-        LazyWitness::Bin(op, a, b) => log.push(op, &[a, b]),
-        LazyWitness::Tri(op, a, b, c) => log.push(op, &[a, b, c]),
+        LazyWitness::Un(symbol, a) => log.push(symbol, &[a]),
+        LazyWitness::Bin(symbol, a, b) => log.push(symbol, &[a, b]),
+        LazyWitness::Tri(symbol, a, b, c) => log.push(symbol, &[a, b, c]),
         LazyWitness::Plus(mut head) => {
             let mut children: Vec<u32> = Vec::new();
             while head != NIL {
@@ -134,7 +137,7 @@ fn log_witness(log: &mut WitnessLog, trail: &[(u32, u32)], witness: LazyWitness)
                 head = prev;
             }
             children.reverse();
-            log.push(Op::Plus, &children)
+            log.push(&PLUS, &children)
         }
     }
 }
@@ -152,7 +155,7 @@ pub const MAX_VECTORS: usize = 2000;
 type Reachable = BTreeMap<Vec<i64>, u32>;
 
 /// Candidate vectors of one production, each with its lazy witness.
-type Valued = Vec<(Vec<i64>, LazyWitness)>;
+type Valued<'g> = Vec<(Vec<i64>, LazyWitness<'g>)>;
 
 /// The outcome of a [`search`].
 #[derive(Clone, Debug)]
@@ -180,15 +183,10 @@ pub struct SearchResult {
 /// The [`logic`] stop hook is polled once per round; a stopped search has
 /// no witness and is not exhausted.
 pub fn search(grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> SearchResult {
-    let mut arena = TermArena::new();
     let mut log = WitnessLog::default();
-    let (root, exhausted) = explore(grammar, examples, spec, &mut arena, &mut log);
-    let witness = root.map(|root| {
-        let id = log.intern_into(&mut arena, root);
-        arena.extract(id)
-    });
+    let (root, exhausted) = explore(grammar, examples, spec, &mut log);
     SearchResult {
-        witness,
+        witness: root.map(|root| log.term(root)),
         nodes: log.len(),
         exhausted,
     }
@@ -198,15 +196,13 @@ pub fn search(grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> SearchRe
 /// vectors derivable within the rounds run so far and checks the
 /// specification against those of the start nonterminal. Returns the log
 /// index of a witness, if any, and whether the search was exhausted.
-/// Witnesses stay [`LazyWitness`]es on the per-combination fast path,
-/// vectors surviving dedup append one log node (no hash-consing), and the
-/// arena only sees the single chain a demanded witness needs.
-fn explore(
-    grammar: &Grammar,
+/// Witnesses stay [`LazyWitness`]es on the per-combination fast path, and
+/// vectors surviving dedup append one log node.
+fn explore<'g>(
+    grammar: &'g Grammar,
     examples: &ExampleSet,
     spec: &Spec,
-    arena: &mut TermArena,
-    log: &mut WitnessLog,
+    log: &mut WitnessLog<'g>,
 ) -> (Option<u32>, bool) {
     let nonterminals = grammar.nonterminals();
     let index: BTreeMap<&NonTerminal, usize> = nonterminals
@@ -228,8 +224,7 @@ fn explore(
             for p in grammar.productions_of(nt) {
                 trail.clear();
                 let args: Vec<&Reachable> = p.args.iter().map(|a| &reachable[index[a]]).collect();
-                let vectors =
-                    production_vectors(p, &args, examples, arena, log, &mut trail, &mut cut);
+                let vectors = production_vectors(p, &args, examples, log, &mut trail, &mut cut);
                 for (v, w) in vectors {
                     if new_vectors.len() >= MAX_VECTORS {
                         cut = true;
@@ -274,22 +269,21 @@ fn explore(
 /// combination that overflows i64 is dropped: a skipped run only loses
 /// witnesses, while a wrapped one could be a false witness. A dropped run
 /// or a truncated step sets `cut`.
-fn production_vectors(
-    p: &Production,
+fn production_vectors<'g>(
+    p: &'g Production,
     args: &[&Reachable],
     examples: &ExampleSet,
-    arena: &mut TermArena,
-    log: &mut WitnessLog,
+    log: &mut WitnessLog<'g>,
     trail: &mut Vec<(u32, u32)>,
     cut: &mut bool,
-) -> Valued {
+) -> Valued<'g> {
     let dim = examples.len();
-    let op = arena.op_from_symbol(&p.symbol);
+    let symbol = &p.symbol;
     let value = |x: &str| examples.projection(x).expect("example binds the variable");
-    let leaf = |vector: Vec<i64>, log: &mut WitnessLog| {
-        vec![(vector, LazyWitness::Ready(log.push(op, &[])))]
+    let leaf = |vector: Vec<i64>, log: &mut WitnessLog<'g>| {
+        vec![(vector, LazyWitness::Ready(log.push(symbol, &[])))]
     };
-    match &p.symbol {
+    match symbol {
         Symbol::Num(c) => leaf(vec![*c; dim], log),
         Symbol::Var(x) => leaf(value(x), log),
         Symbol::NegVar(x) => match value(x).into_iter().map(i64::checked_neg).collect() {
@@ -330,24 +324,29 @@ fn production_vectors(
                 .map(|(v, head)| (v, LazyWitness::Plus(head)))
                 .collect()
         }
-        Symbol::Minus => combine2(args, dim, op, cut, i64::checked_sub),
-        Symbol::LessThan => combine2(args, dim, op, cut, |x, y| Some(i64::from(x < y))),
-        Symbol::Equal => combine2(args, dim, op, cut, |x, y| Some(i64::from(x == y))),
-        Symbol::And => combine2(args, dim, op, cut, |x, y| Some(x & y)),
-        Symbol::Or => combine2(args, dim, op, cut, |x, y| Some(x | y)),
+        Symbol::Minus => combine2(args, dim, symbol, cut, i64::checked_sub),
+        Symbol::LessThan => combine2(args, dim, symbol, cut, |x, y| Some(i64::from(x < y))),
+        Symbol::Equal => combine2(args, dim, symbol, cut, |x, y| Some(i64::from(x == y))),
+        Symbol::And => combine2(args, dim, symbol, cut, |x, y| Some(x & y)),
+        Symbol::Or => combine2(args, dim, symbol, cut, |x, y| Some(x | y)),
         Symbol::Not => args[0]
             .iter()
-            .map(|(v, &w)| (v.iter().map(|x| 1 - x).collect(), LazyWitness::Un(op, w)))
+            .map(|(v, &w)| {
+                (
+                    v.iter().map(|x| 1 - x).collect(),
+                    LazyWitness::Un(symbol, w),
+                )
+            })
             .collect(),
         Symbol::IfThenElse => {
-            let mut out: Valued = Vec::new();
+            let mut out: Valued<'g> = Vec::new();
             'outer: for (gv, &gw) in args[0] {
                 for (tv, &tw) in args[1] {
                     for (ev, &ew) in args[2] {
                         let vector = (0..dim)
                             .map(|j| if gv[j] == 1 { tv[j] } else { ev[j] })
                             .collect();
-                        out.push((vector, LazyWitness::Tri(op, gw, tw, ew)));
+                        out.push((vector, LazyWitness::Tri(symbol, gw, tw, ew)));
                         if out.len() >= MAX_VECTORS {
                             *cut = true;
                             break 'outer;
@@ -363,21 +362,21 @@ fn production_vectors(
 /// Applies the binary `f` component-wise to every pair from the two
 /// arguments' reachable sets; `f` answers `None` on overflow, which drops
 /// the pair and sets `cut`, as does truncation at [`MAX_VECTORS`].
-fn combine2(
+fn combine2<'g>(
     args: &[&Reachable],
     dim: usize,
-    op: Op,
+    symbol: &'g Symbol,
     cut: &mut bool,
     f: impl Fn(i64, i64) -> Option<i64>,
-) -> Valued {
-    let mut out: Valued = Vec::new();
+) -> Valued<'g> {
+    let mut out: Valued<'g> = Vec::new();
     'outer: for (xv, &xw) in args[0] {
         for (yv, &yw) in args[1] {
             let Some(vector) = (0..dim).map(|j| f(xv[j], yv[j])).collect() else {
                 *cut = true;
                 continue;
             };
-            out.push((vector, LazyWitness::Bin(op, xw, yw)));
+            out.push((vector, LazyWitness::Bin(symbol, xw, yw)));
             if out.len() >= MAX_VECTORS {
                 *cut = true;
                 break 'outer;

@@ -10,7 +10,7 @@
 use crate::families::{Expectation, Family, FamilySpec, Scale, SignSkew};
 use crate::rng::GenRng;
 use logic::{Formula, LinearExpr, Var};
-use sygus::{GrammarBuilder, Problem, Sort, Spec, Symbol, Term, TermArena};
+use sygus::{GrammarBuilder, Problem, Sort, Spec, Symbol, Term};
 
 /// A freshly built instance: the problem, its by-construction verdict
 /// class, and (when realizable) a witness term derivable from the
@@ -159,22 +159,16 @@ fn build_plus_mod(rng: &mut GenRng, scale: &Scale) -> Built {
 
 /// The witness `m·2^(d−1)·x` as a `Start` derivation: `m` copies of the
 /// full `S₁` tree folded over `Start ::= S₁ + Start | 0`.
-///
-/// Built through a [`TermArena`]: the full binary `S₁` tree is a `d`-node
-/// DAG (each level shares its two identical children), interned in `O(d)`
-/// instead of the `O(2^d)` node allocations the owned tree needs — the
-/// tree is only materialized once, at the `Built::witness` boundary.
 fn plus_mod_witness(depth: usize, m: usize) -> Term {
-    let mut arena = TermArena::new();
-    let mut level = arena.var_leaf("x");
+    let mut level = Term::var("x");
     for _ in 1..depth {
-        level = arena.plus2(level, level);
+        level = Term::plus(level.clone(), level);
     }
-    let mut term = arena.num(0);
+    let mut term = Term::num(0);
     for _ in 0..m {
-        term = arena.plus2(level, term);
+        term = Term::plus(level.clone(), term);
     }
-    arena.extract(term)
+    term
 }
 
 // ---------------------------------------------------------------------------
@@ -199,13 +193,11 @@ fn build_const_sum(rng: &mut GenRng, scale: &Scale) -> Built {
     let realizable = rng.chance(scale.realizable_percent);
     let (target, witness) = if realizable {
         let m = rng.range_i64(1, 4);
-        let mut arena = TermArena::new();
-        let leaf = arena.num(constant);
-        let mut term = leaf;
+        let mut term = Term::num(constant);
         for _ in 1..m {
-            term = arena.plus2(leaf, term);
+            term = Term::plus(Term::num(constant), term);
         }
-        (m * constant, Some(arena.extract(term)))
+        (m * constant, Some(term))
     } else {
         // Draw until the target is *not* a positive multiple of c.
         loop {
@@ -303,16 +295,12 @@ fn build_guarded_const(rng: &mut GenRng, scale: &Scale) -> Built {
     let witness = realizable.then(|| {
         // ite(x < a₂, v₁, ite(x < a₃, v₂, … v_k)) — the thresholds are the
         // *next* point, so each vⱼ is selected exactly on its point.
-        let mut arena = TermArena::new();
-        let x = arena.var_leaf("x");
-        let mut term = arena.num(assignments.last().unwrap().1);
+        let mut term = Term::num(assignments.last().unwrap().1);
         for j in (0..assignments.len() - 1).rev() {
-            let next_point = arena.num(assignments[j + 1].0);
-            let guard = arena.less_than2(x, next_point);
-            let value = arena.num(assignments[j].1);
-            term = arena.ite3(guard, value, term);
+            let guard = Term::less_than(Term::var("x"), Term::num(assignments[j + 1].0));
+            term = Term::ite(guard, Term::num(assignments[j].1), term).expect("well-sorted ite");
         }
-        arena.extract(term)
+        term
     });
     Built {
         problem: Problem::new("guarded_const", grammar, pointwise_spec(&assignments)),
@@ -358,15 +346,14 @@ fn build_pbe_points(rng: &mut GenRng, scale: &Scale) -> Built {
         let points = distinct_points(rng, k, -10, 10);
         let assignments: Vec<(i64, i64)> =
             points.iter().map(|&a| (a, a_star * a + b_star)).collect();
-        let mut arena = TermArena::new();
-        let mut parts: Vec<sygus::TermId> = Vec::new();
-        parts.extend((0..a_star).map(|_| arena.var_leaf("x")));
-        parts.extend((0..b_star).map(|_| arena.num(1)));
+        let mut parts: Vec<Term> = Vec::new();
+        parts.extend((0..a_star).map(|_| Term::var("x")));
+        parts.extend((0..b_star).map(|_| Term::num(1)));
         let witness = match parts.pop() {
-            None => arena.num(0),
-            Some(first) => parts.into_iter().fold(first, |acc, t| arena.plus2(t, acc)),
+            None => Term::num(0),
+            Some(first) => parts.into_iter().fold(first, |acc, t| Term::plus(t, acc)),
         };
-        (assignments, Some(arena.extract(witness)))
+        (assignments, Some(witness))
     } else {
         // Points 1 and 2 with v₂ ≠ 2·v₁ rule out every a·x; the remaining
         // points add noise but cannot restore realizability.
@@ -443,11 +430,8 @@ fn build_max_gap(rng: &mut GenRng, scale: &Scale) -> Built {
     ]);
     let spec = Spec::new(formula, vec!["x".to_string(), "y".to_string()], Sort::Int);
     let witness = realizable.then(|| {
-        let mut arena = TermArena::new();
-        let (x, y) = (arena.var_leaf("x"), arena.var_leaf("y"));
-        let guard = arena.less_than2(x, y);
-        let max = arena.ite3(guard, y, x);
-        arena.extract(max)
+        let guard = Term::less_than(Term::var("x"), Term::var("y"));
+        Term::ite(guard, Term::var("y"), Term::var("x")).expect("well-sorted ite")
     });
     Built {
         problem: Problem::new("max_gap", grammar, spec),
@@ -542,17 +526,15 @@ fn build_from_spec(spec: &FamilySpec, rng: &mut GenRng, scale: &Scale) -> Built 
         // t = a reachable sum of pool constants; the sum term itself is the
         // witness (a constant function, so it meets every spec point).
         let m = rng.range_i64(1, spec.max_summands);
-        let mut arena = TermArena::new();
         let first = *rng.choose(&pool);
         let mut total = first;
-        let mut term = arena.num(first);
+        let mut term = Term::num(first);
         for _ in 1..m {
             let c = *rng.choose(&pool);
             total += c;
-            let leaf = arena.num(c);
-            term = arena.plus2(leaf, term);
+            term = Term::plus(Term::num(c), term);
         }
-        (total, Some(arena.extract(term)))
+        (total, Some(term))
     } else {
         // t = g·q + r with r ∈ 1..g: off the congruence class, so the
         // anchor alone refutes. Bias r odd (g is even, so t is then odd),

@@ -69,22 +69,16 @@ pub struct CegisStats {
     pub arena_terms: usize,
 }
 
+/// The maximal number of outer CEGIS iterations of one run.
+const MAX_CEGIS_ITERATIONS: usize = 12;
+
+/// The maximal number of temporary random examples one iteration draws.
+const MAX_RANDOM_EXAMPLES: usize = 4;
+
 /// The CEGIS driver (the `nay` tool of §7).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Nay {
     mode: Mode,
-    max_cegis_iterations: usize,
-    max_random_examples: usize,
-}
-
-impl Default for Nay {
-    fn default() -> Self {
-        Nay {
-            mode: Mode::default(),
-            max_cegis_iterations: 12,
-            max_random_examples: 4,
-        }
-    }
 }
 
 impl Nay {
@@ -96,12 +90,6 @@ impl Nay {
     /// Selects the equation-solving mode (naySL or nayHorn).
     pub fn with_mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Sets the maximal number of CEGIS iterations.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_cegis_iterations = n;
         self
     }
 
@@ -147,7 +135,7 @@ impl Nay {
         let mut examples = ExampleSet::new();
         examples.push(random_example(problem, &mut rng));
 
-        for _ in 0..self.max_cegis_iterations {
+        for _ in 0..MAX_CEGIS_ITERATIONS {
             if stop_requested() {
                 return CegisOutcome::Unknown;
             }
@@ -207,7 +195,7 @@ impl Nay {
                                 return CegisOutcome::Unrealizable;
                             }
                             None => {
-                                if drew_random >= self.max_random_examples {
+                                if drew_random >= MAX_RANDOM_EXAMPLES {
                                     return CegisOutcome::Unknown;
                                 }
                                 drew_random += 1;
@@ -336,7 +324,7 @@ mod tests {
             Sort::Int,
         );
         let problem = Problem::new("gconst", grammar, spec);
-        let (outcome, _) = Nay::new().with_max_iterations(3).run(&problem);
+        let (outcome, _) = Nay::new().run(&problem);
         assert_eq!(outcome, CegisOutcome::Unknown);
     }
 

@@ -60,9 +60,9 @@ pub struct EngineOutcome {
     pub iterations: u64,
     /// The number of examples the engine ended with.
     pub examples_used: usize,
-    /// Peak term-arena size of the run: distinct terms interned by the
-    /// engine's hot path (nay's CEGIS-wide candidate arena; the largest
-    /// bounded-search arena across nope's rounds).
+    /// Peak term-search witness-log nodes of the run: the largest
+    /// `enumerative::SearchResult::nodes` of one search, over nay's CEGIS
+    /// iterations or nope's rounds.
     pub arena_terms: usize,
     /// The verified solution term, when `verdict` is `Realizable`.
     pub solution: Option<Term>,

@@ -54,7 +54,7 @@ pub struct EngineReport {
     /// Engine iterations (CEGIS iterations for `nay`, abstract fixpoint
     /// iterations for `nope`); 0 when the job did not complete.
     pub iterations: u64,
-    /// The engine's peak term-arena size (see
+    /// The engine's peak term-search witness-log nodes (see
     /// [`EngineOutcome::arena_terms`]); 0 when the job did not
     /// complete.
     pub arena_terms: usize,
@@ -206,22 +206,16 @@ impl RaceReport {
     }
 }
 
-/// The portfolio configuration: one `nay` and one `nope` engine, with a
-/// static presolve stage in front (on by default).
+/// The portfolio configuration: one `nay` and one `nope` engine at their
+/// default budgets, with a static presolve stage in front (on by default).
 #[derive(Clone, Debug)]
 pub struct Portfolio {
-    nay: Nay,
-    nope: NopeEngine,
     presolve: bool,
 }
 
 impl Default for Portfolio {
     fn default() -> Self {
-        Portfolio {
-            nay: Nay::default(),
-            nope: NopeEngine::default(),
-            presolve: true,
-        }
+        Portfolio { presolve: true }
     }
 }
 
@@ -234,18 +228,6 @@ impl Portfolio {
     /// Enables or disables the static presolve stage (default: enabled).
     pub fn with_presolve(mut self, presolve: bool) -> Self {
         self.presolve = presolve;
-        self
-    }
-
-    /// Replaces the `nay` engine configuration.
-    pub fn with_nay(mut self, nay: Nay) -> Self {
-        self.nay = nay;
-        self
-    }
-
-    /// Replaces the `nope` engine configuration.
-    pub fn with_nope(mut self, nope: NopeEngine) -> Self {
-        self.nope = nope;
         self
     }
 
@@ -348,10 +330,11 @@ impl Portfolio {
 
     /// Builds the two engine jobs sharing one cancellation token.
     fn engine_jobs(&self, problem: &Problem, cancel: &Cancel) -> [Job<EngineOutcome>; 2] {
-        let (nay, nope) = (self.nay.clone(), self.nope.clone());
         [
-            engine_job("nay", problem, cancel, move |p, c| solve_nay(p, c, &nay)),
-            engine_job("nope", problem, cancel, move |p, c| solve_nope(p, c, &nope)),
+            engine_job("nay", problem, cancel, |p, c| solve_nay(p, c, &Nay::new())),
+            engine_job("nope", problem, cancel, |p, c| {
+                solve_nope(p, c, &NopeEngine::new())
+            }),
         ]
     }
 }
@@ -744,10 +727,7 @@ mod tests {
         // CEGIS cannot converge and nope's domain cannot refute it. The
         // race must settle on Unknown instead of hanging or panicking.
         let problem = crate::test_problems::gconst();
-        let portfolio = Portfolio::new()
-            .with_nay(Nay::new().with_max_iterations(2))
-            .with_nope(NopeEngine::new().with_max_rounds(2));
-        let report = race(&portfolio, &problem);
+        let report = race(&Portfolio::new(), &problem);
         assert_eq!(report.verdict, SolveVerdict::Unknown);
         assert_eq!(report.winner, None);
         assert_eq!(report.loser_cancel_millis, None);

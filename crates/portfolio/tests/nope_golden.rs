@@ -1,6 +1,7 @@
 //! Golden numbers for the nope engine over the on-disk corpus: one row per
 //! `corpus/*.sl` file with [`portfolio::solve_nope`]'s verdict, summed
-//! fixpoint iterations, final example count and peak search-arena size.
+//! fixpoint iterations, final example count and peak term-search
+//! witness-log nodes (the `arena_terms` column).
 //! nope is deterministic (its example draws are seeded), so any change to
 //! its search, its fixpoint or its example loop shows up here as a diff.
 //!

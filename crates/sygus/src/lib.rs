@@ -11,8 +11,6 @@
 //!   `⟦·⟧_E` with respect to a finite set of input examples (Ex. 3.6, §6.1),
 //! * [`Spec`], [`Problem`] — SyGuS problems `(ψ, G)` (Def. 3.2) and their
 //!   example-restricted variants `sy_E` (Def. 3.4),
-//! * [`TermArena`], [`TermId`], [`VarId`], [`Op`] — the hash-consing term
-//!   arena the term search hash-conses its witnesses into,
 //! * [`rewrite::to_plus_form`] — the `h(G)` rewriting that removes `Minus`
 //!   (§5.2),
 //! * [`parser`] — the SyGuS-IF front end, which reports every
@@ -26,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 pub mod encode;
 mod example;
 mod grammar;
@@ -38,7 +35,6 @@ mod semantics;
 mod spec;
 mod term;
 
-pub use arena::{Op, TermArena, TermId, VarId};
 pub use example::{Example, ExampleSet, Output};
 pub use grammar::{Grammar, GrammarBuilder, NonTerminal, Production};
 pub use problem::Problem;

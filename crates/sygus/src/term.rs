@@ -282,8 +282,8 @@ impl Term {
 impl Drop for Term {
     /// Iterative drop: the derived drop would recurse through the child
     /// vectors and overflow the stack on deeply nested terms (the `gen`
-    /// scaler and the arena's [`crate::TermArena::extract`] can both
-    /// produce trees far deeper than the call stack tolerates).
+    /// scaler can produce trees far deeper than the call stack
+    /// tolerates).
     fn drop(&mut self) {
         let mut stack: Vec<Term> = std::mem::take(&mut self.children);
         while let Some(mut t) = stack.pop() {
