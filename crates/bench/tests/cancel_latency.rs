@@ -9,12 +9,16 @@
 //! in ILP queries; a pair of points needs no query, so no quick row's
 //! comparisons take long enough to trip. `if_search_2` spends its time in
 //! Newton iterations over the RemIf system.
+//!
+//! A whole CEGIS run under a deadline is covered too: on `plus_search_5`
+//! the GFA check's pruning of one large semi-linear set runs for tens of
+//! seconds, so the deadline must be observed inside it.
 
 use bench::{select, FAMILIES};
 use benchmarks::Benchmark;
-use nay::{check_unrealizable, clia, CheckOutcome, Mode, Verdict};
+use nay::{check_unrealizable, clia, CegisOutcome, CheckOutcome, Mode, Nay, Verdict};
 use nope::{NopeSolver, NopeVerdict};
-use runner::Cancel;
+use runner::{Cancel, DeadlineTimer};
 use semilinear::{IntVec, LinearSet, SemiLinearSet};
 use std::time::{Duration, Instant};
 use sygus::rng::splitmix64;
@@ -141,4 +145,23 @@ fn a_pre_tripped_check_is_unknown_at_once() {
         NopeSolver::new().check_cancellable(&bench.problem, &bench.witness_examples, &cancel);
     assert_eq!(verdict, NopeVerdict::Cancelled);
     assert!(stats.elapsed < Duration::from_secs(5));
+}
+
+#[test]
+fn a_deadline_stops_cegis_on_plus_search_5() {
+    let bench = benchmarks::all()
+        .into_iter()
+        .find(|b| b.name == "plus_search_5")
+        .expect("plus_search_5 is a benchmark");
+    let timer = DeadlineTimer::new();
+    let cancel = Cancel::new();
+    let _deadline = timer.register(&cancel, Duration::from_secs(1));
+    let started = Instant::now();
+    let (outcome, _) = Nay::new().run_cancellable(&bench.problem, &cancel);
+    let elapsed = started.elapsed();
+    assert_eq!(outcome, CegisOutcome::Cancelled);
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a 1 s deadline returned after {elapsed:?}"
+    );
 }

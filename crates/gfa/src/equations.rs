@@ -1,6 +1,7 @@
 //! Polynomial equation systems over a semiring.
 
 use crate::semiring::Semiring;
+use logic::stop_requested;
 use std::fmt;
 
 /// A monomial `coefficient ⊗ X_{v₁} ⊗ … ⊗ X_{vₖ}` in the right-hand side of
@@ -110,16 +111,24 @@ impl<E: Clone + PartialEq + fmt::Debug> EquationSystem<E> {
     }
 
     /// Evaluates the right-hand side of variable `var` under a valuation.
+    ///
+    /// The [`logic`] stop hook is polled before every monomial; once it
+    /// fires the remaining monomials are left out, so the result is an
+    /// under-approximation a caller must not trust without polling.
     pub fn eval_rhs<S: Semiring<Elem = E>>(&self, semiring: &S, var: usize, valuation: &[E]) -> E {
         let mut acc = semiring.zero();
         for m in &self.rhs[var] {
+            if stop_requested() {
+                break;
+            }
             let v = m.eval(semiring, valuation);
             acc = semiring.combine(&acc, &v);
         }
         semiring.normalize(acc)
     }
 
-    /// Evaluates all right-hand sides (one application of `F`).
+    /// Evaluates all right-hand sides (one application of `F`; cut short
+    /// like [`EquationSystem::eval_rhs`] once the stop hook fires).
     pub fn eval_all<S: Semiring<Elem = E>>(&self, semiring: &S, valuation: &[E]) -> Vec<E> {
         (0..self.num_vars)
             .map(|v| self.eval_rhs(semiring, v, valuation))

@@ -11,12 +11,15 @@
 
 use crate::equations::{EquationSystem, Solution};
 use crate::semiring::Semiring;
+use logic::stop_requested;
 
 /// Solves the system by iterating `ν ← F(ν)` from `⊥ = 0` until a fixed
 /// point is reached or `max_iterations` is exhausted.
 ///
 /// The returned [`Solution::exact`] flag is `true` only when an actual fixed
-/// point was reached (which, for monotone `F`, is then the least one).
+/// point was reached (which, for monotone `F`, is then the least one). Once
+/// the [`logic`] stop hook fires during an application of `F`, the
+/// iteration stops with `exact: false`.
 pub fn solve<S: Semiring>(
     semiring: &S,
     system: &EquationSystem<S::Elem>,
@@ -25,6 +28,14 @@ pub fn solve<S: Semiring>(
     let mut valuation: Vec<S::Elem> = vec![semiring.zero(); system.num_vars()];
     for iteration in 0..max_iterations {
         let next = system.eval_all(semiring, &valuation);
+        // a cut-short F(ν) may equal ν without ν being a fixed point
+        if stop_requested() {
+            return Solution {
+                values: valuation,
+                iterations: iteration,
+                exact: false,
+            };
+        }
         if next == valuation {
             return Solution {
                 values: valuation,
@@ -79,6 +90,19 @@ mod tests {
         // it still produces a sound under-approximation of the limit
         assert!(sol.values[0].contains(&IntVec::from(vec![0])));
         assert!(sol.values[0].contains(&IntVec::from(vec![3])));
+    }
+
+    #[test]
+    fn a_stopped_iteration_claims_no_fixed_point() {
+        // X = X ⊕ {1}: a stopped F(0) evaluates no monomial, so it returns
+        // 0 = ν, which must not pass for a fixed point.
+        let sr = SemiLinearSemiring::new(1);
+        let mut sys = EquationSystem::new(1);
+        sys.add_monomial(0, Monomial::new(SemiLinearSet::one(1), vec![0]));
+        sys.add_monomial(0, Monomial::constant(single(&[1])));
+        let sol = logic::interruptible(|| true, || solve(&sr, &sys, 10));
+        assert!(!sol.exact);
+        assert_eq!(sol.iterations, 0);
     }
 
     #[test]

@@ -359,8 +359,10 @@ pub fn solve_int(
 /// point.
 ///
 /// The [`logic`] stop hook is polled in every SolveMutual round, every
-/// SolveBool Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯`, and every
-/// Newton iteration and stratum. Once it fires the analysis returns
+/// SolveBool Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯`, every
+/// Newton iteration and stratum, every monomial of an equation's
+/// right-hand side, and per linear set in every pruning of a semi-linear
+/// set. Once it fires the analysis returns
 /// partial values: a caller inside a scope reads
 /// [`logic::stop_requested`] after the call, and a cut-short
 /// under-approximation must never reach a final query.

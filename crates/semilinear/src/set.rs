@@ -3,6 +3,7 @@
 
 use crate::linear::LinearSet;
 use crate::vector::IntVec;
+use logic::stop_requested;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -145,9 +146,16 @@ impl SemiLinearSet {
     ///
     /// The greedy sweep keeps the first representative of mutually-subsuming
     /// (i.e. equivalent) linear sets, so pruning never loses denoted vectors.
+    /// The sweep polls the [`logic`] stop hook once per linear set; once it
+    /// fires, the remaining linear sets are kept unpruned, so a stopped prune
+    /// still denotes exactly the input set.
     pub fn prune(&self) -> SemiLinearSet {
         let mut keep: Vec<LinearSet> = Vec::new();
-        for l in &self.parts {
+        for (i, l) in self.parts.iter().enumerate() {
+            if stop_requested() {
+                keep.extend_from_slice(&self.parts[i..]);
+                break;
+            }
             if keep.iter().any(|other| l.subsumed_by(other)) {
                 continue;
             }
@@ -292,6 +300,14 @@ mod tests {
         let s = SemiLinearSet::from_linear_sets([big.clone(), small]);
         let pruned = s.prune();
         assert_eq!(pruned.linear_sets(), &[big]);
+    }
+
+    #[test]
+    fn a_stopped_prune_keeps_the_rest_unpruned() {
+        let big = LinearSet::new(v(&[0]), vec![v(&[3])]);
+        let small = LinearSet::new(v(&[3]), vec![v(&[3])]);
+        let s = SemiLinearSet::from_linear_sets([big, small]);
+        assert_eq!(logic::interruptible(|| true, || s.prune()), s);
     }
 
     #[test]
