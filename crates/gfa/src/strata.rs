@@ -10,7 +10,7 @@
 
 use crate::equations::{EquationSystem, Solution};
 use crate::newton;
-use crate::semiring::Semiring;
+use semilinear::SemiLinearSet;
 
 /// Computes the strongly connected components of a directed graph given by
 /// `edges` over nodes `0..num_nodes`, returned in **reverse topological
@@ -101,26 +101,24 @@ pub fn strongly_connected_components(
 }
 
 /// Solves the equation system stratum by stratum (SCC by SCC), using
-/// Newton's method within each stratum. Returns an exact least solution for
-/// commutative idempotent ω-continuous semirings, like [`newton::solve`],
-/// but typically much faster on grammars with many nonterminals.
+/// Newton's method within each stratum (`dim` and `prune` as for
+/// [`newton::solve`]). Returns the exact least solution, like
+/// [`newton::solve`], but typically much faster on grammars with many
+/// nonterminals.
 ///
 /// The [`logic`] stop hook is polled before every Newton iteration of
 /// every stratum; once it fires the result is an under-approximation
 /// marked `exact: false`.
-pub fn solve_stratified<S: Semiring>(
-    semiring: &S,
-    system: &EquationSystem<S::Elem>,
-) -> Solution<S::Elem> {
+pub fn solve_stratified(system: &EquationSystem, dim: usize, prune: bool) -> Solution {
     let n = system.num_vars();
     let components = strongly_connected_components(n, &system.dependencies());
-    let mut values: Vec<Option<S::Elem>> = vec![None; n];
+    let mut values: Vec<Option<SemiLinearSet>> = vec![None; n];
     let mut iterations = 0;
     let mut exact = true;
 
     for component in &components {
-        let (subsystem, mapping) = system.restrict(semiring, component, &values);
-        let sub_solution = newton::solve(semiring, &subsystem);
+        let (subsystem, mapping) = system.restrict(component, &values);
+        let sub_solution = newton::solve(&subsystem, dim, prune);
         iterations += sub_solution.iterations;
         if !sub_solution.exact {
             exact = false;
@@ -132,10 +130,7 @@ pub fn solve_stratified<S: Semiring>(
     }
 
     Solution {
-        values: values
-            .into_iter()
-            .map(|v| v.unwrap_or_else(|| semiring.zero()))
-            .collect(),
+        values: values.into_iter().map(Option::unwrap_or_default).collect(),
         iterations,
         exact,
     }
@@ -145,8 +140,7 @@ pub fn solve_stratified<S: Semiring>(
 mod tests {
     use super::*;
     use crate::equations::Monomial;
-    use crate::semiring::SemiLinearSemiring;
-    use semilinear::{IntVec, SemiLinearSet};
+    use semilinear::IntVec;
 
     fn single(v: &[i64]) -> SemiLinearSet {
         SemiLinearSet::singleton(IntVec::from(v.to_vec()))
@@ -189,7 +183,6 @@ mod tests {
     #[test]
     fn stratified_matches_monolithic_newton() {
         // The G1 system of Example 5.7 (4 variables, one proper SCC).
-        let sr = SemiLinearSemiring::new(2);
         let mut sys = EquationSystem::new(4);
         let (start, s1, s2, s3) = (0, 1, 2, 3);
         sys.add_monomial(start, Monomial::new(SemiLinearSet::one(2), vec![s1, start]));
@@ -198,8 +191,8 @@ mod tests {
         sys.add_monomial(s2, Monomial::new(single(&[1, 2]), vec![s3]));
         sys.add_monomial(s3, Monomial::constant(single(&[1, 2])));
 
-        let direct = newton::solve(&sr, &sys);
-        let stratified = solve_stratified(&sr, &sys);
+        let direct = newton::solve(&sys, 2, true);
+        let stratified = solve_stratified(&sys, 2, true);
         for (a, b) in direct.values.iter().zip(&stratified.values) {
             assert!(a.sample_equivalent(b, 4), "{a} vs {b}");
         }
@@ -209,13 +202,12 @@ mod tests {
     fn stratified_solves_mutually_recursive_strata() {
         // X0 = X1 ⊗ {1} ⊕ {0}, X1 = X0 ⊗ {1}   (one SCC of size 2)
         // X2 = X0 ⊗ {10}                        (separate downstream stratum)
-        let sr = SemiLinearSemiring::new(1);
         let mut sys = EquationSystem::new(3);
         sys.add_monomial(0, Monomial::new(single(&[1]), vec![1]));
         sys.add_monomial(0, Monomial::constant(single(&[0])));
         sys.add_monomial(1, Monomial::new(single(&[1]), vec![0]));
         sys.add_monomial(2, Monomial::new(single(&[10]), vec![0]));
-        let sol = solve_stratified(&sr, &sys);
+        let sol = solve_stratified(&sys, 1, true);
         // X0 = even numbers, X1 = odd numbers, X2 = 10 + even
         assert!(sol.values[0].contains(&IntVec::from(vec![0])));
         assert!(sol.values[0].contains(&IntVec::from(vec![4])));

@@ -25,7 +25,7 @@
 //! answered; [`check_unrealizable`](crate::check_unrealizable) answers
 //! *unknown* otherwise.
 
-use gfa::{EquationSystem, Monomial, SemiLinearSemiring, Semiring};
+use gfa::{EquationSystem, Monomial};
 use logic::{stop_requested, Atom, Formula, LinearExpr, Rel, Solver, SolverResult, Var};
 use semilinear::{concretize_linear, BoolVec, BoolVecSet, IntVec, SemiLinearSet};
 use std::collections::{BTreeMap, BTreeSet};
@@ -244,6 +244,29 @@ pub fn solve_int(
     stratified: bool,
     prune: bool,
 ) -> Result<BTreeMap<NonTerminal, SemiLinearSet>, SygusError> {
+    solve_remif(grammar, examples, bool_values, stratified, prune).map(|(values, _)| values)
+}
+
+/// [`solve_int`], plus the number of Newton iterations (summed over
+/// strata). This is naySL's one equation builder: without `IfThenElse`
+/// the RemIf system has the single all-true mask and is Eqn. (25), which
+/// is how [`lia::analyze`](crate::lia::analyze) solves LIA⁺ grammars.
+///
+/// Every integer production contributes one monomial per mask `b`,
+/// following the abstract semantics of Eqns. (21)–(24) projected onto `b`:
+///
+/// * `Plus(X₁,…,Xₖ)` → the monomial `X₁^b ⊗ … ⊗ Xₖ^b`,
+/// * `Num(c)`        → the constant `{⟨(c,…,c), ∅⟩}`,
+/// * `Var(x)`        → the constant `{⟨μ_E(x), ∅⟩}`,
+/// * `NegVar(x)`     → the constant `{⟨-μ_E(x), ∅⟩}`,
+/// * `IfThenElse(B, X₁, X₂)` → `X₁^{g∧b} ⊗ X₂^{¬g∧b}` for every `g ∈ n(B)`.
+pub(crate) fn solve_remif(
+    grammar: &Grammar,
+    examples: &ExampleSet,
+    bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
+    stratified: bool,
+    prune: bool,
+) -> Result<(BTreeMap<NonTerminal, SemiLinearSet>, usize), SygusError> {
     let dim = examples.len();
     let int_nts = grammar.int_nonterminals();
     let nt_index: BTreeMap<NonTerminal, usize> = int_nts
@@ -252,7 +275,6 @@ pub fn solve_int(
         .enumerate()
         .map(|(i, nt)| (nt, i))
         .collect();
-    let semiring = SemiLinearSemiring::new(dim).with_pruning(prune);
 
     // Masks: with IfThenElse we need one copy of every variable per Boolean
     // vector; without it a single (all-true) mask suffices.
@@ -271,8 +293,7 @@ pub fn solve_int(
         nt_index[nt] * masks.len() + mask_index[mask]
     };
 
-    let mut system: EquationSystem<SemiLinearSet> =
-        EquationSystem::new(int_nts.len() * masks.len());
+    let mut system = EquationSystem::new(int_nts.len() * masks.len());
 
     for p in grammar.productions() {
         if grammar.sort_of(&p.lhs) != Some(Sort::Int) {
@@ -288,7 +309,7 @@ pub fn solve_int(
                     system.add_monomial(
                         lhs,
                         Monomial::new(
-                            semiring.one(),
+                            SemiLinearSet::one(dim),
                             p.args.iter().map(|a| var_of(a, mask)).collect(),
                         ),
                     );
@@ -321,7 +342,7 @@ pub fn solve_int(
                         system.add_monomial(
                             lhs,
                             Monomial::new(
-                                semiring.one(),
+                                SemiLinearSet::one(dim),
                                 vec![var_of(then_nt, &then_mask), var_of(else_nt, &else_mask)],
                             ),
                         );
@@ -342,16 +363,17 @@ pub fn solve_int(
     }
 
     let solution = if stratified {
-        gfa::strata::solve_stratified(&semiring, &system)
+        gfa::strata::solve_stratified(&system, dim, prune)
     } else {
-        gfa::newton::solve(&semiring, &system)
+        gfa::newton::solve(&system, dim, prune)
     };
 
     let all_true = BoolVec::trues(dim);
-    Ok(int_nts
+    let values = int_nts
         .iter()
         .map(|nt| (nt.clone(), solution.values[var_of(nt, &all_true)].clone()))
-        .collect())
+        .collect();
+    Ok((values, solution.iterations))
 }
 
 /// The full SolveMutual procedure (§6.4): alternate [`solve_bool`] and

@@ -1,21 +1,19 @@
 //! The semi-linear-set GFA instantiation for LIA⁺ grammars (§5.3).
 //!
 //! Every nonterminal becomes a variable of a polynomial equation system over
-//! the semiring of semi-linear sets; every production contributes a monomial
-//! according to the abstract semantics of Eqns. (21)–(24):
-//!
-//! * `Plus(X₁,…,Xₖ)` → the monomial `X₁ ⊗ … ⊗ Xₖ`,
-//! * `Num(c)`        → the constant `{⟨(c,…,c), ∅⟩}`,
-//! * `Var(x)`        → the constant `{⟨μ_E(x), ∅⟩}`,
-//! * `NegVar(x)`     → the constant `{⟨-μ_E(x), ∅⟩}`.
+//! the semiring of semi-linear sets, and every production contributes a
+//! monomial according to the abstract semantics of Eqns. (21)–(24)
+//! (Eqn. (25)). That system is the RemIf system of the CLIA procedure with
+//! its one all-true mask, so [`analyze`] builds and solves it with the same
+//! code as [`clia::solve_int`].
 //!
 //! The least solution, computed exactly with Newton's method, assigns to each
 //! nonterminal `X` the set `{⟦e⟧_E | e ∈ L_G(X)}` (Lemma 5.6).
 
-use gfa::{EquationSystem, Monomial, SemiLinearSemiring};
-use semilinear::{IntVec, SemiLinearSet};
+use crate::clia;
+use semilinear::SemiLinearSet;
 use std::collections::BTreeMap;
-use sygus::{ExampleSet, Grammar, NonTerminal, SygusError, Symbol};
+use sygus::{ExampleSet, Grammar, NonTerminal, SygusError};
 
 /// The result of the LIA analysis: the exact abstraction of every
 /// nonterminal, plus solver statistics.
@@ -37,59 +35,9 @@ impl LiaAnalysis {
     }
 }
 
-/// Builds the GFA equation system of an LIA⁺ grammar over the example set
-/// (one equation per nonterminal, Eqn. (25)).
-///
-/// # Errors
-/// Returns an error if the grammar contains `Minus` (apply
-/// [`sygus::rewrite::to_plus_form`] first), a non-LIA symbol, or refers to an
-/// input variable that some example does not bind.
-pub fn build_equations(
-    grammar: &Grammar,
-    examples: &ExampleSet,
-) -> Result<(EquationSystem<SemiLinearSet>, Vec<NonTerminal>), SygusError> {
-    let dim = examples.len();
-    let order: Vec<NonTerminal> = grammar.nonterminals().to_vec();
-    let index: BTreeMap<NonTerminal, usize> = order
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, nt)| (nt, i))
-        .collect();
-
-    let mut system = EquationSystem::new(order.len());
-    for p in grammar.productions() {
-        let lhs = index[&p.lhs];
-        let monomial = match &p.symbol {
-            Symbol::Plus => Monomial::new(
-                SemiLinearSet::one(dim),
-                p.args.iter().map(|a| index[a]).collect(),
-            ),
-            Symbol::Num(c) => Monomial::constant(SemiLinearSet::singleton(IntVec::splat(*c, dim))),
-            Symbol::Var(x) => Monomial::constant(SemiLinearSet::singleton(IntVec::from(
-                examples.projection(x)?,
-            ))),
-            Symbol::NegVar(x) => Monomial::constant(SemiLinearSet::singleton(-IntVec::from(
-                examples.projection(x)?,
-            ))),
-            Symbol::Minus => {
-                return Err(SygusError::GrammarError(
-                    "the grammar contains Minus; apply the h(G) rewriting first".to_string(),
-                ))
-            }
-            other => {
-                return Err(SygusError::GrammarError(format!(
-                    "symbol {other} is not an LIA⁺ symbol; use the CLIA procedure"
-                )))
-            }
-        };
-        system.add_monomial(lhs, monomial);
-    }
-    Ok((system, order))
-}
-
-/// Runs the exact LIA analysis: builds the equations and solves them with
-/// Newton's method (stratified or monolithic).
+/// Runs the exact LIA analysis: builds the equations of Eqn. (25) and
+/// solves them with Newton's method (stratified or monolithic), pruning
+/// subsumed linear sets when `prune` is set.
 ///
 /// The Newton solve polls the [`logic`] stop hook before every iteration
 /// and stratum. Once it fires the values are a cut-short
@@ -98,29 +46,27 @@ pub fn build_equations(
 /// reach a final query.
 ///
 /// # Errors
-/// Propagates the errors of [`build_equations`].
+/// Returns an error if the grammar contains `Minus` (apply
+/// [`sygus::rewrite::to_plus_form`] first), a non-LIA symbol, or refers to an
+/// input variable that some example does not bind.
 pub fn analyze(
     grammar: &Grammar,
     examples: &ExampleSet,
     stratified: bool,
     prune: bool,
 ) -> Result<LiaAnalysis, SygusError> {
-    let (system, order) = build_equations(grammar, examples)?;
-    let semiring = SemiLinearSemiring::new(examples.len()).with_pruning(prune);
-    let solution = if stratified {
-        gfa::strata::solve_stratified(&semiring, &system)
-    } else {
-        gfa::newton::solve(&semiring, &system)
-    };
-    let values: BTreeMap<NonTerminal, SemiLinearSet> = order
-        .iter()
-        .cloned()
-        .zip(solution.values.iter().cloned())
-        .collect();
+    if let Some(p) = grammar.productions().iter().find(|p| !p.symbol.is_lia()) {
+        return Err(SygusError::GrammarError(format!(
+            "symbol {} is not an LIA⁺ symbol; use the CLIA procedure",
+            p.symbol
+        )));
+    }
+    let (values, newton_iterations) =
+        clia::solve_remif(grammar, examples, &BTreeMap::new(), stratified, prune)?;
     let start_size = values.get(grammar.start()).map(|v| v.size()).unwrap_or(0);
     Ok(LiaAnalysis {
         values,
-        newton_iterations: solution.iterations,
+        newton_iterations,
         start_size,
     })
 }
@@ -128,7 +74,8 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sygus::{GrammarBuilder, Sort};
+    use semilinear::IntVec;
+    use sygus::{GrammarBuilder, Sort, Symbol};
 
     fn g1() -> Grammar {
         GrammarBuilder::new("Start")
@@ -219,6 +166,20 @@ mod tests {
                 "stratified and monolithic solutions differ on {nt}"
             );
         }
+    }
+
+    #[test]
+    fn clia_grammars_are_left_to_the_clia_procedure() {
+        let g = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("B", Sort::Bool)
+            .production("Start", Symbol::IfThenElse, &["B", "Start", "Start"])
+            .production("Start", Symbol::Num(1), &[])
+            .production("B", Symbol::LessThan, &["Start", "Start"])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [1]);
+        assert!(analyze(&g, &examples, true, true).is_err());
     }
 
     #[test]
