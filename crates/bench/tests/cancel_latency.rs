@@ -4,11 +4,12 @@
 //! or ILP query, so the run returns a non-definitive answer within a
 //! quarter of its untripped run time.
 //!
-//! Two cases cover the two long-running step kinds. A `⟦<⟧♯` over
+//! Three cases cover the long-running step kinds. A `⟦<⟧♯` over
 //! semilinear sets whose every linear set has generators spends its time
-//! in ILP queries; a pair of points needs no query, so no quick row's
-//! comparisons take long enough to trip. `if_search_2` spends its time in
-//! Newton iterations over the RemIf system.
+//! in ILP queries. A `⟦<⟧♯` over thousands of points a side issues no
+//! query at all, but compares millions of point pairs (`mpg_ite2`'s
+//! comparisons do). `if_search_2` spends its time in Newton iterations
+//! over the RemIf system.
 //!
 //! A whole CEGIS run under a deadline is covered too: on `plus_search_5`
 //! the GFA check's pruning of one large semi-linear set runs for tens of
@@ -25,6 +26,9 @@ use sygus::rng::splitmix64;
 
 /// Trip offsets per case.
 const TRIPS: u64 = 5;
+
+/// Points a side in the point-only `⟦<⟧♯` case.
+const POINTS: i64 = 1000;
 
 fn row(name: &str) -> Benchmark {
     FAMILIES
@@ -117,11 +121,22 @@ fn rays(n: i64, shift: i64) -> SemiLinearSet {
     }))
 }
 
+/// `n` distinct points `(i, 2i, 3i, 4i)` shifted by `shift`, `i < n`.
+fn points(n: i64, shift: i64) -> SemiLinearSet {
+    SemiLinearSet::from_linear_sets(
+        (0..n).map(|i| LinearSet::singleton((1..=4).map(|k| k * i + shift).collect())),
+    )
+}
+
 /// One test, so the cases never time each other's runs.
 #[test]
 fn tripped_checks_exit_within_a_quarter_of_their_run_time() {
     let (left, right) = (rays(8, 0), rays(8, 3));
     assert_prompt_exits("rays < rays", 0x5EED_0001, &|| {
+        clia::abstract_less_than(&left, &right, 4).is_some()
+    });
+    let (left, right) = (points(POINTS, 0), points(POINTS, 3));
+    assert_prompt_exits("points < points", 0x5EED_0003, &|| {
         clia::abstract_less_than(&left, &right, 4).is_some()
     });
     let bench = row("if_search_2");

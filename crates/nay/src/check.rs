@@ -84,8 +84,9 @@ pub struct CheckOutcome {
 /// `examples`, using the given [`Mode`].
 ///
 /// Inside a [`logic::interruptible`] scope the check polls the stop hook in
-/// every SolveMutual round, SolveBool round, `⟦<⟧♯`/`⟦=⟧♯` ILP query,
-/// Newton iteration, matrix-star cell and stratum, in nayHorn's Kleene
+/// every SolveMutual round, SolveBool round, `⟦<⟧♯`/`⟦=⟧♯` ILP query and
+/// left-operand linear set, Newton iteration, matrix-star cell and
+/// stratum, in nayHorn's Kleene
 /// loop, and in every simplex pivot, ILP node and DNF cube. Once it fires
 /// the check returns [`Verdict::Unknown`]. So does a CLIA analysis that is
 /// not exact: SolveMutual stopped at its round cap, or a `⟦<⟧♯`/`⟦=⟧♯`

@@ -68,7 +68,8 @@ impl CliaAnalysis {
 /// some pair of members `v₁ ∈ sl₁, v₂ ∈ sl₂` satisfies `b = v₁ < v₂`
 /// component-wise. Only pairs of linear sets with generators need ILP
 /// queries; `None` if one came back unknown (a solver budget) or the
-/// [`logic`] stop hook, polled before each, fired.
+/// [`logic`] stop hook, polled per linear set of `sl₁` and before each
+/// query, fired.
 pub fn abstract_less_than(
     sl1: &SemiLinearSet,
     sl2: &SemiLinearSet,
@@ -93,7 +94,8 @@ pub fn abstract_equal(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> O
 ///   pair compares as `b`.
 ///
 /// Returns `None` if a query came back unknown (a solver budget) or the
-/// [`logic`] stop hook, polled before every query, fired.
+/// [`logic`] stop hook, polled once per linear set of `sl₁` and before
+/// every query, fired.
 fn abstract_comparison(
     sl1: &SemiLinearSet,
     sl2: &SemiLinearSet,
@@ -103,6 +105,10 @@ fn abstract_comparison(
     let mut found: BTreeSet<BoolVec> = BTreeSet::new();
     let mut symbolic = Vec::new();
     for ls1 in sl1.linear_sets() {
+        // Thousands of point pairs per side take long without any query.
+        if stop_requested() {
+            return None;
+        }
         for ls2 in sl2.linear_sets() {
             if ls1.is_singleton() && ls2.is_singleton() {
                 let (u1, u2) = (ls1.base(), ls2.base());
@@ -156,8 +162,9 @@ fn abstract_comparison(
 /// Returns the Boolean values and the number of iterations used. Each
 /// `LessThan`/`Equal` production is computed once, before the Kleene
 /// rounds, which then only apply `And`/`Or`/`Not`. The [`logic`] stop
-/// hook is polled before every Kleene round and every ILP query of
-/// `⟦<⟧♯`/`⟦=⟧♯`; once it fires the values are partial.
+/// hook is polled before every Kleene round, and in `⟦<⟧♯`/`⟦=⟧♯` per
+/// linear set of the left operand and before every ILP query; once it
+/// fires the values are partial.
 pub fn solve_bool(
     grammar: &Grammar,
     examples: &ExampleSet,
@@ -381,10 +388,10 @@ pub(crate) fn solve_remif(
 /// point.
 ///
 /// The [`logic`] stop hook is polled in every SolveMutual round, every
-/// SolveBool Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯`, every
-/// Newton iteration and stratum, every monomial of an equation's
-/// right-hand side, and per linear set in every pruning of a semi-linear
-/// set. Once it fires the analysis returns
+/// SolveBool Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯` and every
+/// linear set of its left operand, every Newton iteration and stratum,
+/// every monomial of an equation's right-hand side, and per linear set in
+/// every pruning of a semi-linear set. Once it fires the analysis returns
 /// partial values: a caller inside a scope reads
 /// [`logic::stop_requested`] after the call, and a cut-short
 /// under-approximation must never reach a final query.
