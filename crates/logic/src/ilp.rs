@@ -77,12 +77,15 @@ pub enum IlpResult {
 /// p.add(Constraint::new(vec![2], LpRel::Eq, 1));
 /// assert_eq!(p.solve(), IlpResult::Unsat);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct IlpProblem {
     num_vars: usize,
     constraints: Vec<Constraint>,
-    node_budget: usize,
 }
+
+/// The branch-and-bound nodes [`IlpProblem::solve`] explores before it
+/// answers [`IlpResult::Unknown`].
+const NODE_BUDGET: usize = 4000;
 
 /// A recorded substitution `x_var := Σ coeffs[i]·xᵢ + constant` used to
 /// reconstruct eliminated variables.
@@ -118,14 +121,7 @@ impl IlpProblem {
         IlpProblem {
             num_vars,
             constraints: Vec::new(),
-            node_budget: 4000,
         }
-    }
-
-    /// Overrides the branch-and-bound node budget (default 4000).
-    pub fn with_node_budget(mut self, budget: usize) -> Self {
-        self.node_budget = budget;
-        self
     }
 
     /// Adds a constraint.
@@ -299,7 +295,7 @@ impl IlpProblem {
 
         while let Some(node) = stack.pop() {
             nodes_used += 1;
-            if nodes_used > self.node_budget || stop_requested() {
+            if nodes_used > NODE_BUDGET || stop_requested() {
                 hit_budget = true;
                 break;
             }

@@ -39,8 +39,9 @@ impl SolverResult {
 
 /// A QF-LIA satisfiability solver.
 ///
-/// The solver is complete on formulas whose DNF stays within the cube budget
-/// and whose cubes stay within the branch-and-bound budget; otherwise it
+/// The solver is complete on formulas whose DNF stays within 4096 cubes
+/// and whose cubes stay within the branch-and-bound budget of 4000 nodes
+/// each; otherwise it
 /// reports [`SolverResult::Unknown`]. All the queries issued by the
 /// unrealizability checker fall well inside those budgets.
 ///
@@ -57,31 +58,17 @@ impl SolverResult {
 /// let v = m.get(&Var::new("x")).unwrap();
 /// assert!(v > 3 && v < 10);
 /// ```
-#[derive(Clone, Debug)]
-pub struct Solver {
-    max_cubes: usize,
-    node_budget: usize,
-}
+#[derive(Clone, Debug, Default)]
+#[non_exhaustive]
+pub struct Solver;
 
-impl Default for Solver {
-    fn default() -> Self {
-        Solver {
-            max_cubes: 4096,
-            node_budget: 4000,
-        }
-    }
-}
+/// The largest DNF, in cubes, the solver expands a formula into.
+const MAX_CUBES: usize = 4096;
 
 impl Solver {
-    /// Creates a solver with the default budgets.
+    /// Creates a solver.
     pub fn new() -> Self {
-        Solver::default()
-    }
-
-    /// Overrides the branch-and-bound node budget used per cube.
-    pub fn with_node_budget(mut self, budget: usize) -> Self {
-        self.node_budget = budget;
-        self
+        Solver
     }
 
     /// Checks satisfiability of `formula`.
@@ -94,7 +81,7 @@ impl Solver {
             .map(|(i, v)| (v, i))
             .collect();
 
-        let Some(cubes) = formula.to_dnf(self.max_cubes) else {
+        let Some(cubes) = formula.to_dnf(MAX_CUBES) else {
             return SolverResult::Unknown;
         };
         if cubes.is_empty() {
@@ -142,7 +129,7 @@ impl Solver {
     }
 
     fn check_cube(&self, cube: &[Atom], vars: &[Var], index: &BTreeMap<Var, usize>) -> IlpResult {
-        let mut problem = IlpProblem::new(vars.len()).with_node_budget(self.node_budget);
+        let mut problem = IlpProblem::new(vars.len());
         for atom in cube {
             let diff = atom.difference();
             let mut coeffs = vec![0i64; vars.len()];

@@ -7,9 +7,9 @@
 //!   registry.
 //! - [`Counter`] / [`Gauge`] / [`Histogram`] / [`Registry`] — atomic
 //!   instruments with deterministic, canonically-sorted Prometheus text
-//!   exposition ([`Registry::render`]). [`global()`] offers a
-//!   process-wide default; the server daemon builds a per-instance
-//!   registry instead so concurrent tests stay isolated.
+//!   exposition ([`Registry::render`]). There is no process-wide
+//!   registry: the server daemon builds one per instance, so concurrent
+//!   tests stay isolated.
 //! - [`Trace`] / [`Span`] — per-request span trees with monotonic
 //!   relative offsets and a stable [`trace::phase`] catalogue, so span
 //!   *structure* is snapshot-testable while wall-clock values float.
@@ -25,5 +25,5 @@ mod metrics;
 pub mod trace;
 
 pub use hist::{bucket_of_micros, LatencyHist, BUCKETS};
-pub use metrics::{global, names, Counter, Gauge, Histogram, Registry};
+pub use metrics::{names, Counter, Gauge, Histogram, Registry};
 pub use trace::{fresh_trace_id, Span, Trace};

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::hist::{LatencyHist, BUCKETS};
 
@@ -342,16 +342,6 @@ impl Registry {
         }
         out
     }
-}
-
-/// The process-wide default registry. Long-lived components that are not
-/// handed an explicit registry (e.g. library consumers) can share this
-/// one; the server daemon creates its own per-instance registry so tests
-/// never observe each other's counters.
-#[must_use]
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 /// Canonical metric names: every family the daemon exposes, in one place,

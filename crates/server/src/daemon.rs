@@ -118,9 +118,8 @@ impl Default for ServerConfig {
 }
 
 /// The daemon's instruments, all registered in one per-instance
-/// [`obs::Registry`] (per-instance rather than [`obs::global`] so
-/// concurrent daemons — e.g. parallel tests — never see each other's
-/// counters). Cache counters are mirrors: the [`VerdictCache`] owns its
+/// [`obs::Registry`] (per-instance, so concurrent daemons — e.g.
+/// parallel tests — never see each other's counters). Cache counters are mirrors: the [`VerdictCache`] owns its
 /// statistics, and [`Metrics::sync_cache`] copies them into the
 /// registered handles before any exposition.
 struct Metrics {
