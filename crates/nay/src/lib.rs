@@ -6,7 +6,9 @@
 //! analysis, §4), together with
 //!
 //! * an **exact decision procedure** for LIA problems with examples, based on
-//!   the semiring of semi-linear sets and Newton's method (§5, [`lia`]),
+//!   the semiring of semi-linear sets and Newton's method (§5, [`lia`]);
+//!   its equations are the CLIA procedure's RemIf system with one
+//!   all-true mask, built by the same code,
 //! * an **exact decision procedure** for CLIA problems with examples, which
 //!   alternates a finite fixed point over Boolean-vector sets with
 //!   semi-linear solving and eliminates `IfThenElse` via the `RemIf`

@@ -17,8 +17,8 @@
 //!   diagnostics, grammar structure reports, and a presolve that refutes through
 //!   `chc`'s interval × congruence fixpoint,
 //! * [`semilinear`] — semi-linear sets and Boolean-vector sets,
-//! * [`gfa`] — grammar-flow analysis: Newton's method, Kleene iteration,
-//!   stratification,
+//! * [`gfa`] — grammar-flow analysis over semi-linear sets: Newton's
+//!   method, stratification,
 //! * [`chc`] — the approximate constrained-Horn-clause solver: the one abstract interpreter of grammars and the Horn back end of
 //!   both approximate provers (nayHorn and nope), also run by the presolve,
 //! * [`enumerative`] — the one bottom-up term search over output vectors
