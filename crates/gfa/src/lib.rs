@@ -28,6 +28,8 @@
 #![warn(missing_docs)]
 
 mod equations;
+#[cfg(test)]
+mod kleene;
 pub mod newton;
 pub mod strata;
 

@@ -184,6 +184,7 @@ pub fn solve(system: &EquationSystem, dim: usize, prune: bool) -> Solution {
 mod tests {
     use super::*;
     use crate::equations::Monomial;
+    use crate::kleene::kleene;
     use semilinear::IntVec;
 
     fn single(v: &[i64]) -> SemiLinearSet {
@@ -191,30 +192,6 @@ mod tests {
     }
     fn vec1(v: i64) -> IntVec {
         IntVec::from(vec![v])
-    }
-
-    /// Kleene iteration `ν ← F(ν)` from `0`, for at most `max_iterations`
-    /// rounds: the reference Newton's method is measured against. Its
-    /// `exact` flag is set only at a fixed point, which over semi-linear
-    /// sets recursion never reaches.
-    fn kleene(system: &EquationSystem, max_iterations: usize) -> Solution {
-        let mut valuation = vec![SemiLinearSet::zero(); system.num_vars()];
-        for iteration in 0..max_iterations {
-            let next = system.eval_all(&valuation, true);
-            if next == valuation {
-                return Solution {
-                    values: valuation,
-                    iterations: iteration,
-                    exact: true,
-                };
-            }
-            valuation = next;
-        }
-        Solution {
-            values: valuation,
-            iterations: max_iterations,
-            exact: false,
-        }
     }
 
     #[test]
