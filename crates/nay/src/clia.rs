@@ -15,9 +15,10 @@
 //! 2. **SolveInt**: with the Boolean abstractions fixed, the integer
 //!    equations — which may contain `IfThenElse` — are rewritten by *RemIf*
 //!    (§6.4, Fig. 1) into pure `⊕`/`⊗` equations over variables `X^b`
-//!    (one copy of each integer nonterminal per Boolean mask `b`), and solved
+//!    (copies of an integer nonterminal for Boolean masks `b`), and solved
 //!    exactly with Newton's method. The value of `X` is the value of
-//!    `X^{(t,…,t)}`.
+//!    `X^{(t,…,t)}`, so only the copies that the all-true copies read are
+//!    built: those reached from them through `ite` splits `g ∧ b`, `¬g ∧ b`.
 //!
 //! The combined abstraction is exact (Lemma 6.2), which is what makes the
 //! final satisfiability check a decision procedure (Thm. 6.9). It is exact
@@ -93,6 +94,9 @@ pub fn abstract_equal(sl1: &SemiLinearSet, sl2: &SemiLinearSet, dim: usize) -> O
 ///   `γ̂(ls₂)` and asks, for each `b` not yet found, whether some member
 ///   pair compares as `b`.
 ///
+/// Once all `2^dim` vectors are found no pair can add one, so the rest
+/// are skipped.
+///
 /// Returns `None` if a query came back unknown (a solver budget) or the
 /// [`logic`] stop hook, polled once per linear set of `sl₁` and before
 /// every query, fired.
@@ -102,6 +106,7 @@ fn abstract_comparison(
     dim: usize,
     rel: Rel,
 ) -> Option<BoolVecSet> {
+    let every_vector = 1usize.checked_shl(dim as u32);
     let mut found: BTreeSet<BoolVec> = BTreeSet::new();
     let mut symbolic = Vec::new();
     for ls1 in sl1.linear_sets() {
@@ -115,6 +120,9 @@ fn abstract_comparison(
                 found.insert(BoolVec::from(
                     (0..dim).map(|j| rel.eval(u1[j], u2[j])).collect::<Vec<_>>(),
                 ));
+                if Some(found.len()) == every_vector {
+                    return Some(BoolVecSet::top(dim));
+                }
             } else {
                 symbolic.push((ls1, ls2));
             }
@@ -124,6 +132,9 @@ fn abstract_comparison(
     let right: Vec<Var> = (0..dim).map(|j| Var::new(format!("cmp_r_{j}"))).collect();
     let solver = Solver::default();
     for (ls1, ls2) in symbolic {
+        if Some(found.len()) == every_vector {
+            break;
+        }
         let gamma = Formula::and(vec![
             concretize_linear(ls1, &left, "cmp_lam_l"),
             concretize_linear(ls2, &right, "cmp_lam_r"),
@@ -256,10 +267,11 @@ pub fn solve_int(
 
 /// [`solve_int`], plus the number of Newton iterations (summed over
 /// strata). This is naySL's one equation builder: without `IfThenElse`
-/// the RemIf system has the single all-true mask and is Eqn. (25), which
+/// the RemIf system has only the all-true copies and is Eqn. (25), which
 /// is how [`lia::analyze`](crate::lia::analyze) solves LIA⁺ grammars.
 ///
-/// Every integer production contributes one monomial per mask `b`,
+/// The system holds the copies `X^b` that [`demanded_copies`] finds. Each
+/// integer production of `X` contributes one monomial per copy `X^b`,
 /// following the abstract semantics of Eqns. (21)–(24) projected onto `b`:
 ///
 /// * `Plus(X₁,…,Xₖ)` → the monomial `X₁^b ⊗ … ⊗ Xₖ^b`,
@@ -282,32 +294,16 @@ pub(crate) fn solve_remif(
         .enumerate()
         .map(|(i, nt)| (nt, i))
         .collect();
+    let copies = demanded_copies(grammar, &nt_index, bool_values, dim);
+    let var_of = |nt: &NonTerminal, mask: &BoolVec| -> usize { copies[nt_index[nt]][mask] };
 
-    // Masks: with IfThenElse we need one copy of every variable per Boolean
-    // vector; without it a single (all-true) mask suffices.
-    let masks: Vec<BoolVec> = if grammar.has_ite() {
-        BoolVec::all(dim)
-    } else {
-        vec![BoolVec::trues(dim)]
-    };
-    let mask_index: BTreeMap<BoolVec, usize> = masks
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, m)| (m, i))
-        .collect();
-    let var_of = |nt: &NonTerminal, mask: &BoolVec| -> usize {
-        nt_index[nt] * masks.len() + mask_index[mask]
-    };
-
-    let mut system = EquationSystem::new(int_nts.len() * masks.len());
+    let mut system = EquationSystem::new(copies.iter().map(BTreeMap::len).sum());
 
     for p in grammar.productions() {
         if grammar.sort_of(&p.lhs) != Some(Sort::Int) {
             continue;
         }
-        for mask in &masks {
-            let lhs = var_of(&p.lhs, mask);
+        for (mask, &lhs) in &copies[nt_index[&p.lhs]] {
             let project = |v: IntVec| -> SemiLinearSet {
                 SemiLinearSet::singleton(v.project(mask.as_slice()))
             };
@@ -337,20 +333,16 @@ pub(crate) fn solve_remif(
                     );
                 }
                 Symbol::IfThenElse => {
-                    let guard = &p.args[0];
                     let (then_nt, else_nt) = (&p.args[1], &p.args[2]);
-                    for b in bool_values
-                        .get(guard)
-                        .map(|s| s.iter().cloned().collect::<Vec<_>>())
-                        .unwrap_or_default()
-                    {
-                        let then_mask = b.and(mask);
-                        let else_mask = b.negate().and(mask);
+                    for g in guard_values(bool_values, &p.args[0]) {
                         system.add_monomial(
                             lhs,
                             Monomial::new(
                                 SemiLinearSet::one(dim),
-                                vec![var_of(then_nt, &then_mask), var_of(else_nt, &else_mask)],
+                                vec![
+                                    var_of(then_nt, &g.and(mask)),
+                                    var_of(else_nt, &g.negate().and(mask)),
+                                ],
                             ),
                         );
                     }
@@ -381,6 +373,70 @@ pub(crate) fn solve_remif(
         .map(|nt| (nt.clone(), solution.values[var_of(nt, &all_true)].clone()))
         .collect();
     Ok((values, solution.iterations))
+}
+
+/// `n(B)`, the guard values an `IfThenElse` splits on; none before SolveBool
+/// has given `B` a value.
+fn guard_values<'a>(
+    bool_values: &'a BTreeMap<NonTerminal, BoolVecSet>,
+    guard: &NonTerminal,
+) -> impl Iterator<Item = &'a BoolVec> {
+    bool_values
+        .get(guard)
+        .into_iter()
+        .flat_map(BoolVecSet::iter)
+}
+
+/// The RemIf copies `X^b` that the all-true copies read, as a map from mask
+/// to variable index for each integer nonterminal (indexed as in
+/// `nt_index`).
+///
+/// A worklist starts from `X^{(t,…,t)}` for every integer nonterminal `X`.
+/// `Plus` passes a copy's mask `b` on to its arguments, and
+/// `IfThenElse(B, X₁, X₂)` demands `X₁^{g∧b}` and `X₂^{¬g∧b}` for every
+/// `g ∈ n(B)`. The set is closed under the equations' dependences, so it is
+/// a union of whole strata of the all-masks system, and the all-true copies
+/// keep the same least solution. Variables are numbered as in that system,
+/// by nonterminal and then by mask read as a little-endian number (the
+/// order of [`BoolVec::all`]), which keeps Newton's pivot order.
+fn demanded_copies(
+    grammar: &Grammar,
+    nt_index: &BTreeMap<NonTerminal, usize>,
+    bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
+    dim: usize,
+) -> Vec<BTreeMap<BoolVec, usize>> {
+    let mut demanded: Vec<BTreeSet<BoolVec>> = vec![BTreeSet::new(); nt_index.len()];
+    let mut work: Vec<(&NonTerminal, BoolVec)> = nt_index
+        .keys()
+        .map(|nt| (nt, BoolVec::trues(dim)))
+        .collect();
+    while let Some((nt, mask)) = work.pop() {
+        if demanded[nt_index[nt]].contains(&mask) {
+            continue;
+        }
+        for p in grammar.productions_of(nt) {
+            match &p.symbol {
+                Symbol::Plus => work.extend(p.args.iter().map(|a| (a, mask.clone()))),
+                Symbol::IfThenElse => {
+                    for g in guard_values(bool_values, &p.args[0]) {
+                        work.push((&p.args[1], g.and(&mask)));
+                        work.push((&p.args[2], g.negate().and(&mask)));
+                    }
+                }
+                _ => {}
+            }
+        }
+        demanded[nt_index[nt]].insert(mask);
+    }
+    let mut next = 0..;
+    demanded
+        .into_iter()
+        .map(|masks| {
+            let mut masks: Vec<BoolVec> = masks.into_iter().collect();
+            masks.sort_by(|a, b| a.as_slice().iter().rev().cmp(b.as_slice().iter().rev()));
+            masks.into_iter().zip(&mut next).collect()
+        })
+        .collect()
 }
 
 /// The full SolveMutual procedure (§6.4): alternate [`solve_bool`] and
@@ -645,6 +701,234 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn comparisons_stop_once_points_give_every_vector() {
+        // The four point pairs give all four vectors for `<`, so the
+        // generator pair that follows cannot add one.
+        let sl1 = SemiLinearSet::singleton(v(&[0, 0]));
+        let points = [v(&[1, 1]), v(&[1, -1]), v(&[-1, 1]), v(&[-1, -1])];
+        let points = SemiLinearSet::from_linear_sets(points.map(LinearSet::singleton));
+        assert_eq!(brute_force(&sl1, &points, Rel::Lt), BoolVecSet::top(2));
+        let generators =
+            SemiLinearSet::from_linear_sets([LinearSet::new(v(&[5, 0]), vec![v(&[1, 2])])]);
+        let sl2 = points.combine(&generators);
+        for rel in RELS {
+            assert_eq!(
+                abstract_comparison(&sl1, &sl2, 2, rel),
+                Some(single_query(&sl1, &sl2, 2, rel)),
+                "{rel} on {sl1} and {sl2}"
+            );
+        }
+    }
+
+    /// The RemIf builder the demand-driven one replaced: every integer
+    /// nonterminal once per Boolean mask, all `2^|E|` of them, kept here as
+    /// the reference.
+    fn all_masks_solve_int(
+        grammar: &Grammar,
+        examples: &ExampleSet,
+        bool_values: &BTreeMap<NonTerminal, BoolVecSet>,
+        stratified: bool,
+    ) -> BTreeMap<NonTerminal, SemiLinearSet> {
+        let dim = examples.len();
+        let int_nts = grammar.int_nonterminals();
+        let masks = BoolVec::all(dim);
+        let var_of = |nt: &NonTerminal, mask: &BoolVec| -> usize {
+            let nt = int_nts.iter().position(|x| x == nt).unwrap();
+            nt * masks.len() + masks.iter().position(|m| m == mask).unwrap()
+        };
+        let mut system = EquationSystem::new(int_nts.len() * masks.len());
+        for p in grammar.productions() {
+            if grammar.sort_of(&p.lhs) != Some(Sort::Int) {
+                continue;
+            }
+            for mask in &masks {
+                let lhs = var_of(&p.lhs, mask);
+                let constant = |v: IntVec| {
+                    Monomial::constant(SemiLinearSet::singleton(v.project(mask.as_slice())))
+                };
+                let monomials = match &p.symbol {
+                    Symbol::Plus => vec![Monomial::new(
+                        SemiLinearSet::one(dim),
+                        p.args.iter().map(|a| var_of(a, mask)).collect(),
+                    )],
+                    Symbol::Num(c) => vec![constant(IntVec::splat(*c, dim))],
+                    Symbol::Var(x) => vec![constant(IntVec::from(examples.projection(x).unwrap()))],
+                    Symbol::NegVar(x) => {
+                        vec![constant(-IntVec::from(examples.projection(x).unwrap()))]
+                    }
+                    Symbol::IfThenElse => bool_values
+                        .get(&p.args[0])
+                        .into_iter()
+                        .flat_map(BoolVecSet::iter)
+                        .map(|g| {
+                            Monomial::new(
+                                SemiLinearSet::one(dim),
+                                vec![
+                                    var_of(&p.args[1], &g.and(mask)),
+                                    var_of(&p.args[2], &g.negate().and(mask)),
+                                ],
+                            )
+                        })
+                        .collect(),
+                    other => panic!("unexpected symbol {other} in an integer production"),
+                };
+                for m in monomials {
+                    system.add_monomial(lhs, m);
+                }
+            }
+        }
+        let solution = if stratified {
+            gfa::strata::solve_stratified(&system, dim, true)
+        } else {
+            gfa::newton::solve(&system, dim, true)
+        };
+        let all_true = BoolVec::trues(dim);
+        int_nts
+            .iter()
+            .map(|nt| (nt.clone(), solution.values[var_of(nt, &all_true)].clone()))
+            .collect()
+    }
+
+    /// Runs SolveMutual and requires [`solve_int`] to equal the all-masks
+    /// reference on every integer nonterminal, in every round and at both
+    /// `stratified` settings.
+    fn assert_demand_driven_matches_all_masks(grammar: &Grammar, examples: &ExampleSet) {
+        let mut int_values: BTreeMap<NonTerminal, SemiLinearSet> = grammar
+            .int_nonterminals()
+            .into_iter()
+            .map(|nt| (nt, SemiLinearSet::zero()))
+            .collect();
+        let mut prev_bools = None;
+        for round in 0.. {
+            let (bools, _) = solve_bool(grammar, examples, &int_values);
+            if prev_bools.as_ref() == Some(&bools) {
+                return;
+            }
+            for stratified in [true, false] {
+                let values = solve_int(grammar, examples, &bools, stratified, true).unwrap();
+                let reference = all_masks_solve_int(grammar, examples, &bools, stratified);
+                assert_eq!(
+                    values, reference,
+                    "round {round}, stratified {stratified}, n(B) = {bools:?}"
+                );
+                int_values = values;
+            }
+            prev_bools = Some(bools);
+        }
+    }
+
+    #[test]
+    fn demanded_copies_match_the_all_masks_system_on_g2() {
+        for xs in [vec![1, 2], vec![0], vec![1, 2, 3]] {
+            let examples = ExampleSet::for_single_var("x", xs);
+            assert_demand_driven_matches_all_masks(&g2(), &examples);
+        }
+    }
+
+    #[test]
+    fn demanded_copies_match_the_all_masks_system_on_nested_ite() {
+        // Start ::= ite(B, Inner, Start) | x + 1 | 0
+        // Inner ::= ite(C, x, Start)
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("Inner", Sort::Int)
+            .nonterminal("B", Sort::Bool)
+            .nonterminal("C", Sort::Bool)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("One", Sort::Int)
+            .nonterminal("Zero", Sort::Int)
+            .production("Start", Symbol::IfThenElse, &["B", "Inner", "Start"])
+            .production("Start", Symbol::Plus, &["X", "One"])
+            .production("Start", Symbol::Num(0), &[])
+            .production("Inner", Symbol::IfThenElse, &["C", "X", "Start"])
+            .production("B", Symbol::LessThan, &["X", "Start"])
+            .production("C", Symbol::LessThan, &["Zero", "X"])
+            .production("C", Symbol::Equal, &["X", "One"])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("One", Symbol::Num(1), &[])
+            .production("Zero", Symbol::Num(0), &[])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [0, 1, 3]);
+        assert_demand_driven_matches_all_masks(&grammar, &examples);
+    }
+
+    #[test]
+    fn demanded_copies_match_the_all_masks_system_on_and_not_guards() {
+        // Start ::= ite(B, X, Y) | Y + Y;  B ::= And(C, D) | Not(C)
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("B", Sort::Bool)
+            .nonterminal("C", Sort::Bool)
+            .nonterminal("D", Sort::Bool)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("Y", Sort::Int)
+            .nonterminal("One", Sort::Int)
+            .nonterminal("Two", Sort::Int)
+            .production("Start", Symbol::IfThenElse, &["B", "X", "Start"])
+            .production("Start", Symbol::Plus, &["Y", "Y"])
+            .production("B", Symbol::And, &["C", "D"])
+            .production("B", Symbol::Not, &["C"])
+            .production("C", Symbol::LessThan, &["X", "Two"])
+            .production("D", Symbol::Equal, &["X", "One"])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("Y", Symbol::NegVar("x".to_string()), &[])
+            .production("Y", Symbol::Num(1), &[])
+            .production("One", Symbol::Num(1), &[])
+            .production("Two", Symbol::Num(2), &[])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [1, 2, 5]);
+        assert_demand_driven_matches_all_masks(&grammar, &examples);
+    }
+
+    #[test]
+    fn demanded_copies_match_the_all_masks_system_through_a_comparison() {
+        // K is read only by the comparison K < X, never by an integer
+        // production of another nonterminal.
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("B", Sort::Bool)
+            .nonterminal("K", Sort::Int)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("Zero", Sort::Int)
+            .nonterminal("Two", Sort::Int)
+            .production("Start", Symbol::IfThenElse, &["B", "X", "Zero"])
+            .production("B", Symbol::LessThan, &["K", "X"])
+            .production("K", Symbol::Plus, &["K", "Two"])
+            .production("K", Symbol::Num(0), &[])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("Zero", Symbol::Num(0), &[])
+            .production("Two", Symbol::Num(2), &[])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [1, 2, 4]);
+        assert_demand_driven_matches_all_masks(&grammar, &examples);
+    }
+
+    #[test]
+    fn demanded_copies_match_the_all_masks_system_with_a_bool_start() {
+        // Start: Bool ::= S < X | Not(Start);  S ::= ite(Start, X, X + 1)
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Bool)
+            .nonterminal("S", Sort::Int)
+            .nonterminal("Succ", Sort::Int)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("One", Sort::Int)
+            .production("Start", Symbol::LessThan, &["S", "X"])
+            .production("Start", Symbol::Not, &["Start"])
+            .production("S", Symbol::IfThenElse, &["Start", "X", "Succ"])
+            .production("S", Symbol::Num(0), &[])
+            .production("Succ", Symbol::Plus, &["X", "One"])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("One", Symbol::Num(1), &[])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [-1, 0, 2]);
+        assert_demand_driven_matches_all_masks(&grammar, &examples);
     }
 
     #[test]
