@@ -95,17 +95,47 @@ impl LinearSet {
 
     /// Exact membership test via integer feasibility:
     /// `target ∈ ⟨u, V⟩` iff `∃ λ ≥ 0 . u + Σ λᵢvᵢ = target`.
+    ///
+    /// Two cases are answered before any ILP is built: `target − u = 0⃗`
+    /// (every `λᵢ = 0`), and `target − u = c·v` for one generator `v` and an
+    /// integer `c ≥ 1`. With at most one generator these are the only
+    /// members; with more, every other case goes to the ILP.
+    ///
+    /// If `target − u` or a factor `c` overflows `i64`, the answer is
+    /// `false`: "not shown to be a member". Outside tests, only
+    /// [`SemiLinearSet::prune`](crate::SemiLinearSet::prune) reaches it
+    /// (through [`subsumed_by`](LinearSet::subsumed_by)), and prune then keeps
+    /// the linear set, so the pruned set still denotes every vector of its
+    /// input.
     pub fn contains(&self, target: &IntVec) -> bool {
         assert_eq!(target.dim(), self.dim(), "dimension mismatch");
-        if self.generators.is_empty() {
-            return &self.base == target;
+        let Some(diff) = target
+            .iter()
+            .zip(self.base.iter())
+            .map(|(t, u)| t.checked_sub(u))
+            .collect::<Option<Vec<i64>>>()
+        else {
+            return false;
+        };
+        if diff.iter().all(|&d| d == 0) {
+            return true;
+        }
+        for g in &self.generators {
+            match positive_multiple(&diff, g) {
+                Some(true) => return true,
+                Some(false) => {}
+                None => return false,
+            }
+        }
+        if self.generators.len() < 2 {
+            return false;
         }
         let k = self.generators.len();
         let mut problem = IlpProblem::new(k);
         // one equality per dimension: Σ λ_i v_i[d] = target[d] - base[d]
-        for d in 0..self.dim() {
+        for (d, &rhs) in diff.iter().enumerate() {
             let coeffs: Vec<i64> = self.generators.iter().map(|g| g[d]).collect();
-            problem.add(Constraint::new(coeffs, LpRel::Eq, target[d] - self.base[d]));
+            problem.add(Constraint::new(coeffs, LpRel::Eq, rhs));
         }
         // λ ≥ 0
         for i in 0..k {
@@ -120,9 +150,14 @@ impl LinearSet {
     ///
     /// Returns `true` when every generator of `self` is also a generator of
     /// `other` and the base of `self` is a member of `other`. This is the
-    /// "trivially subsumed" pruning used by naySL (§7).
+    /// "trivially subsumed" pruning used by naySL (§7). So a point
+    /// `⟨u, ∅⟩` is subsumed by another point only when the two are equal,
+    /// and a linear set with generators is never subsumed by a point.
     pub fn subsumed_by(&self, other: &LinearSet) -> bool {
-        self.generators.iter().all(|g| other.generators.contains(g)) && other.contains(&self.base)
+        self.generators
+            .iter()
+            .all(|g| other.generators.binary_search(g).is_ok())
+            && other.contains(&self.base)
     }
 
     /// Enumerates members of the set with coefficient sum at most `budget`
@@ -154,6 +189,31 @@ impl LinearSet {
             }
         }
     }
+}
+
+/// Whether `diff = c·g` for an integer `c ≥ 1`; `None` when `c` does not
+/// fit in `i64` (e.g. `diff = i64::MIN`, `g = −1`).
+fn positive_multiple(diff: &[i64], g: &IntVec) -> Option<bool> {
+    let mut factor: Option<i64> = None;
+    for (&d, gd) in diff.iter().zip(g.iter()) {
+        if gd == 0 {
+            if d != 0 {
+                return Some(false);
+            }
+            continue;
+        }
+        // `checked_rem` is `None` only for `i64::MIN % −1`, whose factor
+        // 2⁶³ does not fit.
+        if d.checked_rem(gd)? != 0 {
+            return Some(false);
+        }
+        let c = d.checked_div(gd)?;
+        if c < 1 || factor.is_some_and(|f| f != c) {
+            return Some(false);
+        }
+        factor = Some(c);
+    }
+    Some(factor.is_some())
 }
 
 impl fmt::Debug for LinearSet {
@@ -234,6 +294,47 @@ mod tests {
         let big = LinearSet::new(v(&[0]), vec![v(&[3])]);
         assert!(small.subsumed_by(&big));
         assert!(!big.subsumed_by(&small));
+    }
+
+    #[test]
+    fn multiples_of_one_generator_are_members() {
+        // zero components: g = (2,0,3) must leave the middle component at 0
+        let l = LinearSet::new(v(&[1, 1, 1]), vec![v(&[2, 0, 3])]);
+        assert!(l.contains(&v(&[1, 1, 1])), "λ = 0");
+        assert!(l.contains(&v(&[5, 1, 7])));
+        assert!(!l.contains(&v(&[5, 2, 7])));
+        assert_eq!(positive_multiple(&[4, 0, 6], &v(&[2, 0, 3])), Some(true));
+        assert_eq!(positive_multiple(&[4, 1, 6], &v(&[2, 0, 3])), Some(false));
+        // negative generators: the factor must still be positive
+        let neg = LinearSet::new(v(&[0, 0]), vec![v(&[-2, 3])]);
+        assert!(neg.contains(&v(&[-6, 9])));
+        assert!(!neg.contains(&v(&[6, -9])), "c = −3");
+        assert_eq!(positive_multiple(&[-6, 9], &v(&[-2, 3])), Some(true));
+        assert_eq!(positive_multiple(&[6, -9], &v(&[-2, 3])), Some(false));
+        // unequal factors per component, and a component with c = 0
+        assert_eq!(positive_multiple(&[4, 9], &v(&[2, 3])), Some(false));
+        assert_eq!(positive_multiple(&[0, 6], &v(&[2, 3])), Some(false));
+        assert_eq!(positive_multiple(&[3, 6], &v(&[2, 3])), Some(false));
+        let l = LinearSet::new(v(&[0, 0]), vec![v(&[2, 3])]);
+        assert!(!l.contains(&v(&[4, 9])));
+        assert!(!l.contains(&v(&[0, 6])));
+        // with a second generator the ILP still finds mixed combinations
+        let two = LinearSet::new(v(&[0, 0]), vec![v(&[2, 3]), v(&[0, 3])]);
+        assert!(two.contains(&v(&[4, 9])));
+        assert!(two.contains(&v(&[0, 6])));
+    }
+
+    #[test]
+    fn membership_overflow_is_not_membership() {
+        // target − base = i64::MIN − i64::MAX overflows
+        let l = LinearSet::new(v(&[i64::MAX]), vec![v(&[1])]);
+        assert!(!l.contains(&v(&[i64::MIN])));
+        assert!(!LinearSet::singleton(v(&[i64::MAX])).contains(&v(&[i64::MIN])));
+        // i64::MIN = 2⁶³·(−1), a factor that does not fit in i64
+        let neg = LinearSet::new(v(&[0]), vec![v(&[-1])]);
+        assert_eq!(positive_multiple(&[i64::MIN], &v(&[-1])), None);
+        assert!(!neg.contains(&v(&[i64::MIN])));
+        assert!(neg.contains(&v(&[i64::MIN + 1])));
     }
 
     #[test]

@@ -146,11 +146,18 @@ impl SemiLinearSet {
     ///
     /// The greedy sweep keeps the first representative of mutually-subsuming
     /// (i.e. equivalent) linear sets, so pruning never loses denoted vectors.
-    /// The sweep polls the [`logic`] stop hook once per linear set; once it
-    /// fires, the remaining linear sets are kept unpruned, so a stopped prune
-    /// still denotes exactly the input set.
+    /// Since the linear sets are deduplicated, a point `⟨u, ∅⟩` subsumes
+    /// nothing and can be subsumed only by a linear set with generators (see
+    /// [`LinearSet::subsumed_by`]). So the sweep keeps points in a list of
+    /// their own: a point is tested against the kept linear sets with
+    /// generators only, and a linear set with generators removes the kept
+    /// points and the kept linear sets it subsumes. A set of points alone
+    /// costs one pass. The sweep polls the [`logic`] stop hook once per
+    /// linear set; once it fires, the remaining linear sets are kept
+    /// unpruned, so a stopped prune still denotes exactly the input set.
     pub fn prune(&self) -> SemiLinearSet {
         let mut keep: Vec<LinearSet> = Vec::new();
+        let mut points: Vec<LinearSet> = Vec::new();
         for (i, l) in self.parts.iter().enumerate() {
             if stop_requested() {
                 keep.extend_from_slice(&self.parts[i..]);
@@ -159,10 +166,15 @@ impl SemiLinearSet {
             if keep.iter().any(|other| l.subsumed_by(other)) {
                 continue;
             }
+            if l.is_singleton() {
+                points.push(l.clone());
+                continue;
+            }
+            points.retain(|p| !p.subsumed_by(l));
             keep.retain(|other| !other.subsumed_by(l));
             keep.push(l.clone());
         }
-        SemiLinearSet::from_linear_sets(keep)
+        SemiLinearSet::from_linear_sets(keep.into_iter().chain(points))
     }
 
     /// `projSL` (§6.2): projects every linear set onto the component mask.
@@ -307,6 +319,54 @@ mod tests {
         let big = LinearSet::new(v(&[0]), vec![v(&[3])]);
         let small = LinearSet::new(v(&[3]), vec![v(&[3])]);
         let s = SemiLinearSet::from_linear_sets([big, small]);
+        assert_eq!(logic::interruptible(|| true, || s.prune()), s);
+    }
+
+    #[test]
+    fn a_later_generator_set_removes_kept_points() {
+        let p = |c: i64| LinearSet::singleton(v(&[c]));
+        let down = LinearSet::new(v(&[3]), vec![v(&[-1])]);
+        let evens = LinearSet::new(v(&[4]), vec![v(&[2])]);
+        // sorted: ⟨1⟩ ⟨2⟩ ⟨3⟩ ⟨3,{-1}⟩ ⟨4,{2}⟩ ⟨5⟩ ⟨6⟩
+        let s = SemiLinearSet::from_linear_sets([
+            p(1),
+            p(2),
+            p(3),
+            down.clone(),
+            evens.clone(),
+            p(5),
+            p(6),
+        ]);
+        // `down` removes the kept points 1, 2 and 3; 6 ∈ `evens` is dropped
+        // as it comes; 5 is in neither
+        assert_eq!(s.prune().linear_sets(), &[down, evens, p(5)]);
+    }
+
+    #[test]
+    fn a_stopped_prune_of_a_mixed_set_equals_its_input() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let p = |c: i64| LinearSet::singleton(v(&[c]));
+        let s = SemiLinearSet::from_linear_sets([
+            p(1),
+            p(2),
+            LinearSet::new(v(&[3]), vec![v(&[-1])]),
+            p(4),
+        ]);
+        assert_eq!(s.prune().linear_sets().len(), 2);
+        // the hook fires at the third poll: the two points already swept
+        // and every later linear set are kept
+        let polls = Rc::new(Cell::new(0));
+        let counter = Rc::clone(&polls);
+        let stopped = logic::interruptible(
+            move || {
+                counter.set(counter.get() + 1);
+                counter.get() >= 3
+            },
+            || s.prune(),
+        );
+        assert_eq!(stopped, s);
+        assert_eq!(polls.get(), 3);
         assert_eq!(logic::interruptible(|| true, || s.prune()), s);
     }
 

@@ -29,6 +29,60 @@ fn semilinear(dim: usize) -> impl Strategy<Value = SemiLinearSet> {
     prop::collection::vec(linear_set(dim), 0..3).prop_map(SemiLinearSet::from_linear_sets)
 }
 
+/// A linear set whose generator list repeats generators and adds positive
+/// multiples of them, so that membership often needs one generator only.
+fn linear_set_with_multiples(dim: usize) -> impl Strategy<Value = LinearSet> {
+    (
+        small_vec(dim),
+        prop::collection::vec((small_vec(dim), 1i64..=4, any::<bool>()), 0..3),
+    )
+        .prop_map(|(base, picks)| {
+            let mut gens = Vec::new();
+            for (g, k, repeat) in picks {
+                gens.push(g.scale(k));
+                if repeat {
+                    gens.push(g.clone());
+                }
+                gens.push(g);
+            }
+            LinearSet::new(base, gens)
+        })
+}
+
+/// A linear set with at least one generator.
+fn generator_set(dim: usize) -> impl Strategy<Value = LinearSet> {
+    (small_vec(dim), prop::collection::vec(small_vec(dim), 1..3))
+        .prop_map(|(base, gens)| LinearSet::new(base, gens))
+}
+
+/// `count` points drawn from a wider box than `small_vec`, so that few
+/// collide.
+fn scattered_points(
+    dim: usize,
+    count: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<LinearSet>> {
+    prop::collection::vec(prop::collection::vec(-20i64..=20, dim), count).prop_map(|points| {
+        points
+            .into_iter()
+            .map(|p| LinearSet::singleton(IntVec::from(p)))
+            .collect()
+    })
+}
+
+/// The §7 sweep as it was written before points got a list of their own:
+/// every linear set is tested against every kept one.
+fn quadratic_prune(set: &SemiLinearSet) -> SemiLinearSet {
+    let mut keep: Vec<LinearSet> = Vec::new();
+    for l in set.linear_sets() {
+        if keep.iter().any(|other| l.subsumed_by(other)) {
+            continue;
+        }
+        keep.retain(|other| !other.subsumed_by(l));
+        keep.push(l.clone());
+    }
+    SemiLinearSet::from_linear_sets(keep)
+}
+
 fn lia_term() -> impl Strategy<Value = Term> {
     let leaf = prop_oneof![
         (-3i64..=3).prop_map(Term::num),
@@ -81,6 +135,35 @@ proptest! {
         for ls in a.linear_sets() {
             prop_assert!(pruned.contains(ls.base()));
         }
+    }
+
+    #[test]
+    fn enumerated_vectors_are_members(a in linear_set_with_multiples(2)) {
+        for member in a.enumerate(3) {
+            prop_assert!(a.contains(&member), "{} should be in {}", member, a);
+        }
+    }
+
+    #[test]
+    fn pruning_equals_the_quadratic_sweep_on_mixed_sets(
+        parts in prop::collection::vec(linear_set(2), 0..12),
+        extra in scattered_points(2, 0..8),
+    ) {
+        let set = SemiLinearSet::from_linear_sets(parts.into_iter().chain(extra));
+        prop_assert_eq!(set.prune(), quadratic_prune(&set));
+    }
+
+    #[test]
+    fn pruning_equals_the_quadratic_sweep_on_many_points(
+        points in scattered_points(2, 60..90),
+        gens in prop::collection::vec(generator_set(2), 0..4),
+    ) {
+        let only_points = SemiLinearSet::from_linear_sets(points.clone());
+        prop_assert!(only_points.linear_sets().len() >= 50);
+        prop_assert_eq!(only_points.prune(), only_points.clone());
+        prop_assert_eq!(only_points.prune(), quadratic_prune(&only_points));
+        let mixed = SemiLinearSet::from_linear_sets(points.into_iter().chain(gens));
+        prop_assert_eq!(mixed.prune(), quadratic_prune(&mixed));
     }
 
     #[test]
