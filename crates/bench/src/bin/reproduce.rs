@@ -115,7 +115,10 @@
 //! ```
 //!
 //! `compare` exits 0 when the new report has no regressions against the old
-//! one, 1 when it does, and 2 on usage or parse errors. `solve` exits 0
+//! one, 1 when it does, and 2 on usage or parse errors. Its summary counts
+//! the entries compared and, of those, the entries timed against the
+//! threshold (both completed with one verdict, new time at or above the
+//! floor): only those can be flagged as slowdowns. `solve` exits 0
 //! when every file parses, every engine completes, and (when the corpus
 //! has a `MANIFEST`) every verdict matches the expectation; 1 on any
 //! corpus failure; 2 on usage errors. `fuzz` exits 0 on a clean sweep, 1
@@ -201,15 +204,21 @@ fn run_compare(args: &[String]) -> ! {
             );
         } else {
             println!(
-                "no regressions: {} entries compared (threshold {}%, floor {}ms)",
+                "no regressions: {} entries compared, {} timed (threshold {}%, floor {}ms)",
                 old.entries.len(),
+                runner::timed_entries(&old, &new, &config),
                 config.threshold_pct,
                 config.min_millis
             );
         }
         std::process::exit(0);
     }
-    println!("{} regression(s) against `{old_path}`:", regressions.len());
+    println!(
+        "{} regression(s) against `{old_path}` ({} entries compared, {} timed):",
+        regressions.len(),
+        old.entries.len(),
+        runner::timed_entries(&old, &new, &config)
+    );
     for regression in &regressions {
         println!("  {regression}");
     }

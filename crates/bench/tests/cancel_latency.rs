@@ -8,8 +8,9 @@
 //! semilinear sets whose every linear set has generators spends its time
 //! in ILP queries. A `⟦<⟧♯` over thousands of points a side issues no
 //! query at all, but compares millions of point pairs (`mpg_ite2`'s
-//! comparisons do). `if_search_2` spends its time in Newton iterations
-//! over the RemIf system.
+//! comparisons do). `plus_search_7` spends its time in SolveInt: Newton
+//! iterations over the RemIf system, tens of milliseconds even in release
+//! builds.
 //!
 //! A whole CEGIS run under a deadline is covered too: on `plus_search_5`
 //! the GFA check's pruning of one large semi-linear set runs for tens of
@@ -139,7 +140,7 @@ fn tripped_checks_exit_within_a_quarter_of_their_run_time() {
     assert_prompt_exits("points < points", 0x5EED_0003, &|| {
         clia::abstract_less_than(&left, &right, 4).is_some()
     });
-    let bench = row("if_search_2");
+    let bench = row("plus_search_7");
     assert_prompt_exits(&bench.name, 0x5EED_0002, &|| {
         let check = check_unrealizable(&bench.problem, &bench.witness_examples, &Mode::default());
         check.verdict != Verdict::Unknown

@@ -11,7 +11,9 @@
 //!
 //! The branch-and-bound search is budgeted; exceeding the budget — or an
 //! [`interruptible`](crate::interruptible) scope's stop hook firing —
-//! yields [`IlpResult::Unknown`], which callers treat conservatively.
+//! yields [`IlpResult::Unknown`], which callers treat conservatively. So
+//! does any value that does not fit: every step is checked arithmetic, on
+//! `i64` in steps 1–2 and on `Rational`'s `i128` in step 3.
 
 use crate::interrupt::stop_requested;
 use crate::rational::Rational;
@@ -47,11 +49,17 @@ impl Constraint {
     }
 
     fn eval(&self, point: &[i64]) -> bool {
-        let lhs: i64 = self.coeffs.iter().zip(point).map(|(c, v)| c * v).sum();
+        let lhs: i128 = self
+            .coeffs
+            .iter()
+            .zip(point)
+            .map(|(&c, &v)| i128::from(c) * i128::from(v))
+            .sum();
+        let rhs = i128::from(self.rhs);
         match self.rel {
-            LpRel::Le => lhs <= self.rhs,
-            LpRel::Ge => lhs >= self.rhs,
-            LpRel::Eq => lhs == self.rhs,
+            LpRel::Le => lhs <= rhs,
+            LpRel::Ge => lhs >= rhs,
+            LpRel::Eq => lhs == rhs,
         }
     }
 }
@@ -63,7 +71,9 @@ pub enum IlpResult {
     Sat(Vec<i64>),
     /// No integer point satisfies the constraints.
     Unsat,
-    /// The search budget was exhausted before a decision was reached.
+    /// No decision: the search budget was exhausted, the stop hook fired,
+    /// or a value did not fit (`i64` in the problem's own terms, `i128` in
+    /// the simplex).
     Unknown,
 }
 
@@ -96,23 +106,23 @@ struct Substitution {
     constant: i64,
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+/// What preprocessing left to decide.
+enum Presolved {
+    /// A constraint is contradictory.
+    Unsat,
+    /// Every constraint is discharged.
+    Solved,
+    /// Constraints remain for branch and bound.
+    Open,
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
     a
-}
-
-fn div_floor(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    if a >= 0 {
-        a / b
-    } else {
-        -((-a + b - 1) / b)
-    }
 }
 
 impl IlpProblem {
@@ -140,56 +150,62 @@ impl IlpProblem {
     }
 
     /// Decides integer feasibility.
+    ///
+    /// Answers [`IlpResult::Unknown`] when the branch-and-bound budget runs
+    /// out, the stop hook fires, or a value overflows: a coefficient or
+    /// right-hand side during preprocessing (`i64`), a simplex entry
+    /// (`i128`), or a branching bound or vertex coordinate that does not
+    /// fit `i64`. It never answers from a wrapped value.
     pub fn solve(&self) -> IlpResult {
         if stop_requested() {
             return IlpResult::Unknown;
         }
+        self.solve_checked().unwrap_or(IlpResult::Unknown)
+    }
+
+    /// [`solve`](IlpProblem::solve), with `None` for an overflow.
+    fn solve_checked(&self) -> Option<IlpResult> {
         // Work on a normalised copy: only Le and Eq constraints.
         let mut cons: Vec<Constraint> = Vec::with_capacity(self.constraints.len());
         for c in &self.constraints {
             match c.rel {
                 LpRel::Le | LpRel::Eq => cons.push(c.clone()),
                 LpRel::Ge => cons.push(Constraint::new(
-                    c.coeffs.iter().map(|x| -x).collect(),
+                    c.coeffs
+                        .iter()
+                        .map(|x| x.checked_neg())
+                        .collect::<Option<_>>()?,
                     LpRel::Le,
-                    -c.rhs,
+                    c.rhs.checked_neg()?,
                 )),
             }
         }
 
         let mut substitutions: Vec<Substitution> = Vec::new();
-        match self.preprocess(&mut cons, &mut substitutions) {
-            Some(false) => return IlpResult::Unsat,
-            Some(true) => {
-                // all constraints trivially satisfied — any point works
-                let mut point = vec![0i64; self.num_vars];
-                Self::apply_substitutions(&mut point, &substitutions);
-                return IlpResult::Sat(point);
-            }
-            None => {}
-        }
-
-        match self.branch_and_bound(&cons) {
-            IlpResult::Sat(mut point) => {
-                Self::apply_substitutions(&mut point, &substitutions);
-                debug_assert!(
-                    self.constraints.iter().all(|c| c.eval(&point)),
-                    "internal error: reconstructed point violates constraints"
-                );
-                IlpResult::Sat(point)
-            }
-            other => other,
-        }
+        let mut point = match self.preprocess(&mut cons, &mut substitutions)? {
+            Presolved::Unsat => return Some(IlpResult::Unsat),
+            // all constraints trivially satisfied — any point works
+            Presolved::Solved => vec![0i64; self.num_vars],
+            Presolved::Open => match self.branch_and_bound(&cons) {
+                IlpResult::Sat(point) => point,
+                other => return Some(other),
+            },
+        };
+        Self::apply_substitutions(&mut point, &substitutions)?;
+        debug_assert!(
+            self.constraints.iter().all(|c| c.eval(&point)),
+            "internal error: reconstructed point violates constraints"
+        );
+        Some(IlpResult::Sat(point))
     }
 
-    /// Simplifies constraints in place. Returns `Some(false)` when a
-    /// contradiction is detected, `Some(true)` when all constraints have been
-    /// discharged, and `None` otherwise.
+    /// Simplifies constraints in place and reports what is left to decide;
+    /// `None` when a coefficient or right-hand side overflows `i64`.
     fn preprocess(
         &self,
         cons: &mut Vec<Constraint>,
         substitutions: &mut Vec<Substitution>,
-    ) -> Option<bool> {
+    ) -> Option<Presolved> {
         loop {
             // constant folding and GCD normalisation
             let mut i = 0;
@@ -199,20 +215,17 @@ impl IlpProblem {
                         cons.swap_remove(i);
                         continue;
                     } else {
-                        return Some(false);
+                        return Some(Presolved::Unsat);
                     }
                 }
-                let g = cons[i]
-                    .coeffs
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != 0)
-                    .fold(0, gcd);
+                // 2⁶³ (every coefficient i64::MIN) does not fit.
+                let g = i64::try_from(cons[i].coeffs.iter().map(|c| c.unsigned_abs()).fold(0, gcd))
+                    .ok()?;
                 if g > 1 {
                     match cons[i].rel {
                         LpRel::Eq => {
                             if cons[i].rhs % g != 0 {
-                                return Some(false);
+                                return Some(Presolved::Unsat);
                             }
                             for c in cons[i].coeffs.iter_mut() {
                                 *c /= g;
@@ -223,7 +236,7 @@ impl IlpProblem {
                             for c in cons[i].coeffs.iter_mut() {
                                 *c /= g;
                             }
-                            cons[i].rhs = div_floor(cons[i].rhs, g);
+                            cons[i].rhs = cons[i].rhs.div_euclid(g);
                         }
                         LpRel::Ge => unreachable!("normalised away"),
                     }
@@ -236,7 +249,11 @@ impl IlpProblem {
                 .iter()
                 .position(|c| c.rel == LpRel::Eq && c.coeffs.iter().any(|&a| a == 1 || a == -1));
             let Some(idx) = target else {
-                return if cons.is_empty() { Some(true) } else { None };
+                return Some(if cons.is_empty() {
+                    Presolved::Solved
+                } else {
+                    Presolved::Open
+                });
             };
             let eq = cons.swap_remove(idx);
             let var = eq
@@ -249,10 +266,10 @@ impl IlpProblem {
             let mut sub_coeffs = vec![0i64; self.num_vars];
             for (j, &a) in eq.coeffs.iter().enumerate() {
                 if j != var {
-                    sub_coeffs[j] = -sign * a;
+                    sub_coeffs[j] = a.checked_mul(-sign)?;
                 }
             }
-            let sub_const = sign * eq.rhs;
+            let sub_const = eq.rhs.checked_mul(sign)?;
             // substitute into every remaining constraint
             for c in cons.iter_mut() {
                 let factor = c.coeffs[var];
@@ -261,9 +278,9 @@ impl IlpProblem {
                 }
                 c.coeffs[var] = 0;
                 for (cj, &sj) in c.coeffs.iter_mut().zip(&sub_coeffs) {
-                    *cj += factor * sj;
+                    *cj = cj.checked_add(factor.checked_mul(sj)?)?;
                 }
-                c.rhs -= factor * sub_const;
+                c.rhs = c.rhs.checked_sub(factor.checked_mul(sub_const)?)?;
             }
             substitutions.push(Substitution {
                 var,
@@ -273,16 +290,23 @@ impl IlpProblem {
         }
     }
 
-    fn apply_substitutions(point: &mut [i64], substitutions: &[Substitution]) {
+    /// Reconstructs the eliminated variables; `None` when one does not
+    /// fit `i64`.
+    fn apply_substitutions(point: &mut [i64], substitutions: &[Substitution]) -> Option<()> {
         for sub in substitutions.iter().rev() {
             let mut v = sub.constant;
             for (j, &c) in sub.coeffs.iter().enumerate() {
-                v += c * point[j];
+                v = v.checked_add(c.checked_mul(point[j])?)?;
             }
             point[sub.var] = v;
         }
+        Some(())
     }
 
+    /// Branch and bound over the simplex relaxation. A simplex overflow,
+    /// or a vertex coordinate or branching bound beyond `i64`, answers
+    /// `Unknown`: a truncated coordinate is a wrong model, and a truncated
+    /// bound branches on a wrong value.
     fn branch_and_bound(&self, cons: &[Constraint]) -> IlpResult {
         // Stack of extra bound constraints (var, is_upper, bound).
         #[derive(Clone)]
@@ -314,7 +338,7 @@ impl IlpProblem {
             let point = match lp.maximize(&vec![Rational::ZERO; self.num_vars]) {
                 LpResult::Optimal { point, .. } => point,
                 LpResult::Infeasible => continue,
-                LpResult::Interrupted => {
+                LpResult::Interrupted | LpResult::Overflow => {
                     hit_budget = true;
                     break;
                 }
@@ -323,16 +347,23 @@ impl IlpProblem {
             // find a fractional coordinate
             match point.iter().position(|v| !v.is_integer()) {
                 None => {
-                    let int_point: Vec<i64> = point.iter().map(|v| v.numer() as i64).collect();
                     // The LP vertex satisfies all constraints by construction.
-                    return IlpResult::Sat(int_point);
+                    let int_point = point.iter().map(|v| i64::try_from(v.numer()).ok());
+                    return match int_point.collect() {
+                        Some(int_point) => IlpResult::Sat(int_point),
+                        None => IlpResult::Unknown,
+                    };
                 }
                 Some(var) => {
                     let v = point[var];
+                    let (Ok(floor), Ok(ceil)) = (i64::try_from(v.floor()), i64::try_from(v.ceil()))
+                    else {
+                        return IlpResult::Unknown;
+                    };
                     let mut low = node.clone();
-                    low.extra.push((var, true, v.floor() as i64));
+                    low.extra.push((var, true, floor));
                     let mut high = node;
-                    high.extra.push((var, false, v.ceil() as i64));
+                    high.extra.push((var, false, ceil));
                     stack.push(low);
                     stack.push(high);
                 }
@@ -466,6 +497,68 @@ mod tests {
             IlpResult::Sat(point) => assert!(point[0] >= 100),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn equality_elimination_overflow_is_unknown() {
+        // −λ = i64::MIN: λ = 2⁶³ does not fit, and negating the rhs overflows
+        let mut p = IlpProblem::new(1);
+        p.add(eq(vec![-1], i64::MIN));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+        // x ≥ i64::MIN negates to −x ≤ 2⁶³
+        let mut p = IlpProblem::new(1);
+        p.add(ge(vec![1], i64::MIN));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+        // substituting x = y + i64::MAX into x − y ≤ … overflows its rhs
+        let mut p = IlpProblem::new(2);
+        p.add(eq(vec![1, -1], i64::MAX));
+        p.add(le(vec![3, 2], -5));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+    }
+
+    #[test]
+    fn gcd_of_min_coefficients_is_unknown() {
+        // gcd(i64::MIN, i64::MIN) = 2⁶³ does not fit i64
+        let mut p = IlpProblem::new(2);
+        p.add(le(vec![i64::MIN, i64::MIN], 0));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+    }
+
+    #[test]
+    fn simplex_overflow_is_unknown() {
+        // Three dense equalities with coefficients near 2⁶²: the tableau's
+        // entries are ratios of 3×3 minors, which do not fit i128.
+        let big = 1i64 << 62;
+        let mut p = IlpProblem::new(3);
+        p.add(eq(vec![big + 3, big - 5, big + 7], 2));
+        p.add(eq(vec![big - 11, big + 13, big - 17], 4));
+        p.add(eq(vec![big + 19, big - 23, big + 29], 6));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+    }
+
+    #[test]
+    fn fractional_vertex_beyond_i64_is_unknown() {
+        // 2x = 3y ∧ y ≥ i64::MAX: the vertex x = 3·(2⁶³ − 1)/2 is fractional
+        // and its floor does not fit i64, and neither does any solution's x.
+        let mut p = IlpProblem::new(2);
+        p.add(eq(vec![2, -3], 0));
+        p.add(ge(vec![0, 1], i64::MAX));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+    }
+
+    #[test]
+    fn integer_vertex_beyond_i64_is_unknown() {
+        // 2x = 5y ∧ y ≥ 2⁶²: the vertex (5·2⁶¹, 2⁶²) is integral, but its x
+        // does not fit i64.
+        let mut p = IlpProblem::new(2);
+        p.add(eq(vec![2, -5], 0));
+        p.add(ge(vec![0, 1], 1 << 62));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+        // x = 2y ∧ y ≥ i64::MAX: y fits, the eliminated x = 2y does not
+        let mut p = IlpProblem::new(2);
+        p.add(eq(vec![1, -2], 0));
+        p.add(ge(vec![0, 1], i64::MAX));
+        assert_eq!(p.solve(), IlpResult::Unknown);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! This is the linear-programming engine behind the integer feasibility
 //! checks of the [`Solver`](crate::Solver). It works on dense tableaux with
 //! [`Rational`] entries and uses Bland's rule, so it always terminates and
-//! never suffers from floating-point error.
+//! never suffers from floating-point error. Every entry update is checked:
+//! a value that does not fit `Rational`'s `i128` ends the solve as
+//! [`LpResult::Overflow`], never a wrapped value or a panic.
 
 use crate::interrupt::stop_requested;
 use crate::rational::Rational;
@@ -29,6 +31,9 @@ pub enum LpResult {
     /// The solve was cut short by an [`interruptible`](crate::interruptible)
     /// scope's stop hook.
     Interrupted,
+    /// An entry of the tableau, or the answer, does not fit `Rational`'s
+    /// `i128`: the solve has no answer.
+    Overflow,
     /// An optimal solution; `point[i]` is the value of structural variable `i`.
     Optimal {
         /// Optimal objective value.
@@ -49,6 +54,11 @@ impl LpResult {
 }
 
 /// An LP over `num_vars` *free* (unrestricted in sign) structural variables.
+///
+/// A pivot updates only the columns where the pivot row is non-zero, and
+/// all arithmetic is checked [`Rational`] arithmetic, whose integer
+/// operands take a fast path: the values, and so the pivot sequence that
+/// Bland's rule picks, are those of the plain dense update.
 ///
 /// # Example
 /// ```
@@ -79,15 +89,21 @@ struct Tableau {
 }
 
 impl Tableau {
-    /// Pivot on (row, col).
-    fn pivot(&mut self, row: usize, col: usize) {
+    /// Pivot on (row, col), updating only the columns where the pivot
+    /// row is non-zero (every other entry stays as it is). `Err` on
+    /// overflow, leaving the tableau half-updated.
+    fn pivot(&mut self, row: usize, col: usize) -> Result<(), LpResult> {
         let piv = self.rows[row][col];
         debug_assert!(!piv.is_zero());
-        let inv = piv.recip();
-        for c in 0..self.ncols {
-            self.rows[row][c] = self.rows[row][c] * inv;
+        let inv = fits(piv.checked_recip())?;
+        let mut support = Vec::new();
+        for (c, entry) in self.rows[row].iter_mut().enumerate() {
+            if !entry.is_zero() {
+                *entry = fits(entry.checked_mul(inv))?;
+                support.push(c);
+            }
         }
-        self.rhs[row] = self.rhs[row] * inv;
+        self.rhs[row] = fits(self.rhs[row].checked_mul(inv))?;
         for r in 0..self.rows.len() {
             if r == row {
                 continue;
@@ -96,19 +112,22 @@ impl Tableau {
             if factor.is_zero() {
                 continue;
             }
-            for c in 0..self.ncols {
-                let delta = self.rows[row][c] * factor;
-                self.rows[r][c] = self.rows[r][c] - delta;
+            for &c in &support {
+                let delta = fits(self.rows[row][c].checked_mul(factor))?;
+                self.rows[r][c] = fits(self.rows[r][c].checked_sub(delta))?;
             }
-            self.rhs[r] = self.rhs[r] - self.rhs[row] * factor;
+            let delta = fits(self.rhs[row].checked_mul(factor))?;
+            self.rhs[r] = fits(self.rhs[r].checked_sub(delta))?;
         }
         self.basis[row] = col;
+        Ok(())
     }
 
     /// Runs the simplex loop maximizing `obj` (length ncols) with Bland's
     /// rule. `allowed` marks columns permitted to enter the basis. Polls
     /// the stop hook before every pivot. Returns the objective value, or
-    /// how the run ended without one (`Unbounded` or `Interrupted`).
+    /// how the run ended without one (`Unbounded`, `Interrupted` or
+    /// `Overflow`).
     fn optimize(&mut self, obj: &[Rational], allowed: &[bool]) -> Result<Rational, LpResult> {
         loop {
             if stop_requested() {
@@ -124,7 +143,9 @@ impl Tableau {
                 }
                 let mut red = obj[j];
                 for (i, &b) in self.basis.iter().enumerate() {
-                    red = red - obj[b] * self.rows[i][j];
+                    if !obj[b].is_zero() {
+                        red = fits(red.checked_sub(fits(obj[b].checked_mul(self.rows[i][j]))?))?;
+                    }
                 }
                 if red.is_positive() {
                     entering = Some(j);
@@ -135,7 +156,7 @@ impl Tableau {
                 // optimal; compute objective value
                 let mut val = Rational::ZERO;
                 for (i, &b) in self.basis.iter().enumerate() {
-                    val += obj[b] * self.rhs[i];
+                    val = fits(val.checked_add(fits(obj[b].checked_mul(self.rhs[i]))?))?;
                 }
                 return Ok(val);
             };
@@ -144,7 +165,7 @@ impl Tableau {
             for i in 0..self.rows.len() {
                 let a = self.rows[i][col];
                 if a.is_positive() {
-                    let ratio = self.rhs[i] / a;
+                    let ratio = fits(self.rhs[i].checked_div(a))?;
                     match &leaving {
                         None => leaving = Some((i, ratio)),
                         Some((li, lr)) => {
@@ -158,9 +179,15 @@ impl Tableau {
             let Some((row, _)) = leaving else {
                 return Err(LpResult::Unbounded);
             };
-            self.pivot(row, col);
+            self.pivot(row, col)?;
         }
     }
+}
+
+/// The value of a checked operation, or the [`LpResult::Overflow`] that
+/// ends the solve.
+fn fits<T>(value: Option<T>) -> Result<T, LpResult> {
+    value.ok_or(LpResult::Overflow)
 }
 
 impl Simplex {
@@ -192,19 +219,26 @@ impl Simplex {
     }
 
     /// Finds any rational solution of the constraints; `None` when there
-    /// is none, or when an [`interruptible`](crate::interruptible) scope
-    /// stopped the solve.
+    /// is none, when an [`interruptible`](crate::interruptible) scope
+    /// stopped the solve, or when it overflowed.
     pub fn feasible_point(&self) -> Option<Vec<Rational>> {
         match self.maximize(&vec![Rational::ZERO; self.num_vars]) {
             LpResult::Optimal { point, .. } => Some(point),
             LpResult::Unbounded => unreachable!("zero objective cannot be unbounded"),
-            LpResult::Infeasible | LpResult::Interrupted => None,
+            LpResult::Infeasible | LpResult::Interrupted | LpResult::Overflow => None,
         }
     }
 
-    /// Maximizes `Σ objective[i]·xᵢ` subject to the constraints.
+    /// Maximizes `Σ objective[i]·xᵢ` subject to the constraints;
+    /// [`LpResult::Overflow`] when a value does not fit [`Rational`].
     pub fn maximize(&self, objective: &[Rational]) -> LpResult {
         assert_eq!(objective.len(), self.num_vars, "objective length mismatch");
+        self.try_maximize(objective).unwrap_or_else(|end| end)
+    }
+
+    /// [`maximize`](Simplex::maximize), with every answer other than
+    /// `Optimal` as the error.
+    fn try_maximize(&self, objective: &[Rational]) -> Result<LpResult, LpResult> {
         // Column layout: for each structural variable x_j we use two
         // non-negative columns p_j (=2j) and q_j (=2j+1) with x_j = p_j - q_j;
         // then one slack/surplus column per inequality row; then one
@@ -228,7 +262,7 @@ impl Simplex {
             let mut row = vec![Rational::ZERO; ncols];
             for j in 0..n {
                 row[2 * j] = coeffs[j];
-                row[2 * j + 1] = -coeffs[j];
+                row[2 * j + 1] = fits(coeffs[j].checked_neg())?;
             }
             match rel {
                 LpRel::Le => {
@@ -244,9 +278,9 @@ impl Simplex {
             let mut b = *b;
             if b.is_negative() {
                 for c in row.iter_mut() {
-                    *c = -*c;
+                    *c = fits(c.checked_neg())?;
                 }
-                b = -b;
+                b = fits(b.checked_neg())?;
             }
             row[art_base + i] = Rational::ONE;
             rows.push(row);
@@ -268,18 +302,17 @@ impl Simplex {
         }
         let allowed_all = vec![true; ncols];
         let val = match tab.optimize(&phase1_obj, &allowed_all) {
-            Ok(val) => val,
             Err(LpResult::Unbounded) => unreachable!("phase-1 objective is bounded above by 0"),
-            Err(interrupted) => return interrupted,
+            other => other?,
         };
         if val.is_negative() {
-            return LpResult::Infeasible;
+            return Err(LpResult::Infeasible);
         }
         // Pivot any artificial still in the basis out if possible.
         for i in 0..tab.rows.len() {
             if tab.basis[i] >= art_base {
                 if let Some(col) = (0..art_base).find(|&c| !tab.rows[i][c].is_zero()) {
-                    tab.pivot(i, col);
+                    tab.pivot(i, col)?;
                 }
             }
         }
@@ -292,38 +325,41 @@ impl Simplex {
         let mut phase2_obj = vec![Rational::ZERO; ncols];
         for j in 0..n {
             phase2_obj[2 * j] = objective[j];
-            phase2_obj[2 * j + 1] = -objective[j];
+            phase2_obj[2 * j + 1] = fits(objective[j].checked_neg())?;
         }
-        let objective_value = match tab.optimize(&phase2_obj, &allowed) {
-            Ok(val) => val,
-            Err(end) => return end,
-        };
+        let objective_value = tab.optimize(&phase2_obj, &allowed)?;
 
         // Extract structural variable values.
         let mut point = vec![Rational::ZERO; n];
         for (i, &b) in tab.basis.iter().enumerate() {
             if b < 2 * n {
                 let var = b / 2;
-                if b % 2 == 0 {
-                    point[var] += tab.rhs[i];
+                point[var] = fits(if b % 2 == 0 {
+                    point[var].checked_add(tab.rhs[i])
                 } else {
-                    point[var] = point[var] - tab.rhs[i];
-                }
+                    point[var].checked_sub(tab.rhs[i])
+                })?;
             }
         }
-        LpResult::Optimal {
+        Ok(LpResult::Optimal {
             objective: objective_value,
             point,
-        }
+        })
     }
 
     /// Minimizes the objective (by maximizing its negation).
     pub fn minimize(&self, objective: &[Rational]) -> LpResult {
-        let neg: Vec<Rational> = objective.iter().map(|c| -*c).collect();
+        let Some(neg) = objective
+            .iter()
+            .map(|c| c.checked_neg())
+            .collect::<Option<Vec<_>>>()
+        else {
+            return LpResult::Overflow;
+        };
         match self.maximize(&neg) {
-            LpResult::Optimal { objective, point } => LpResult::Optimal {
-                objective: -objective,
-                point,
+            LpResult::Optimal { objective, point } => match objective.checked_neg() {
+                Some(objective) => LpResult::Optimal { objective, point },
+                None => LpResult::Overflow,
             },
             other => other,
         }
@@ -416,6 +452,24 @@ mod tests {
             LpResult::Optimal { objective, .. } => assert_eq!(objective, r(7)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn pivot_overflow_is_reported() {
+        // Dense equalities with coefficients near 2⁶²: the entries after
+        // the second pivot are ratios of minors that do not fit i128.
+        let big = 1i64 << 62;
+        let mut lp = Simplex::new(3);
+        lp.add_constraint(vec![r(big + 3), r(big - 5), r(big + 7)], EQ, r(2));
+        lp.add_constraint(vec![r(big - 11), r(big + 13), r(big - 17)], EQ, r(4));
+        lp.add_constraint(vec![r(big + 19), r(big - 23), r(big + 29)], EQ, r(6));
+        assert_eq!(lp.maximize(&[r(0), r(0), r(0)]), LpResult::Overflow);
+        assert_eq!(lp.minimize(&[r(1), r(0), r(0)]), LpResult::Overflow);
+        assert!(lp.feasible_point().is_none());
+        // negating a coefficient of i128::MIN overflows at once
+        let mut lp = Simplex::new(1);
+        lp.add_constraint(vec![Rational::new(i128::MIN, 1)], LE, r(1));
+        assert_eq!(lp.maximize(&[r(0)]), LpResult::Overflow);
     }
 
     #[test]

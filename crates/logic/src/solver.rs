@@ -129,27 +129,36 @@ impl Solver {
     }
 
     fn check_cube(&self, cube: &[Atom], vars: &[Var], index: &BTreeMap<Var, usize>) -> IlpResult {
-        let mut problem = IlpProblem::new(vars.len());
-        for atom in cube {
-            let diff = atom.difference();
-            let mut coeffs = vec![0i64; vars.len()];
-            for (v, c) in diff.terms() {
-                coeffs[index[v]] = c;
-            }
-            let constant = diff.constant_part();
-            // diff REL 0  ⟺  coeffs·x REL -constant
-            let (rel, rhs) = match atom.rel {
-                Rel::Eq => (LpRel::Eq, -constant),
-                Rel::Le => (LpRel::Le, -constant),
-                Rel::Lt => (LpRel::Le, -constant - 1),
-                Rel::Ge => (LpRel::Ge, -constant),
-                Rel::Gt => (LpRel::Ge, -constant + 1),
-                Rel::Ne => unreachable!("disequalities are split during DNF conversion"),
-            };
-            problem.add(Constraint::new(coeffs, rel, rhs));
+        match cube_problem(cube, vars, index) {
+            Some(problem) => problem.solve(),
+            None => IlpResult::Unknown,
         }
-        problem.solve()
     }
+}
+
+/// A cube as an integer feasibility problem; `None` when a right-hand side
+/// overflows `i64`.
+fn cube_problem(cube: &[Atom], vars: &[Var], index: &BTreeMap<Var, usize>) -> Option<IlpProblem> {
+    let mut problem = IlpProblem::new(vars.len());
+    for atom in cube {
+        let diff = atom.lhs.clone().checked_sub(atom.rhs.clone())?;
+        let mut coeffs = vec![0i64; vars.len()];
+        for (v, c) in diff.terms() {
+            coeffs[index[v]] = c;
+        }
+        // diff REL 0  ⟺  coeffs·x REL -constant
+        let bound = diff.constant_part().checked_neg()?;
+        let (rel, rhs) = match atom.rel {
+            Rel::Eq => (LpRel::Eq, bound),
+            Rel::Le => (LpRel::Le, bound),
+            Rel::Lt => (LpRel::Le, bound.checked_sub(1)?),
+            Rel::Ge => (LpRel::Ge, bound),
+            Rel::Gt => (LpRel::Ge, bound.checked_add(1)?),
+            Rel::Ne => unreachable!("disequalities are split during DNF conversion"),
+        };
+        problem.add(Constraint::new(coeffs, rel, rhs));
+    }
+    Some(problem)
 }
 
 #[cfg(test)]
@@ -179,6 +188,17 @@ mod tests {
             SolverResult::Sat(m) => assert_eq!(m.get(&Var::new("x")), Some(2)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_right_hand_sides_are_unknown() {
+        let s = Solver::default();
+        // x < i64::MIN: the difference x − i64::MIN overflows
+        let below = Formula::lt(var("x"), LinearExpr::constant(i64::MIN));
+        assert_eq!(s.check(&below), SolverResult::Unknown);
+        // x > i64::MAX: the tightened bound i64::MAX + 1 overflows
+        let above = Formula::gt(var("x"), LinearExpr::constant(i64::MAX));
+        assert_eq!(s.check(&above), SolverResult::Unknown);
     }
 
     #[test]

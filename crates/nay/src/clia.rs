@@ -11,7 +11,10 @@
 //!    values, so each is computed once per call, one pair of linear sets at
 //!    a time: a pair of points is compared directly, and only a pair with
 //!    generators issues satisfiability queries on its symbolic
-//!    concretization (§6.2), one per Boolean vector not yet found.
+//!    concretization (§6.2), one per Boolean vector not yet found. Within
+//!    one SolveMutual run a comparison whose two operands kept their values
+//!    since an earlier round reuses that round's result: `⟦<⟧♯`/`⟦=⟧♯` is
+//!    a function of its operands alone.
 //! 2. **SolveInt**: with the Boolean abstractions fixed, the integer
 //!    equations — which may contain `IfThenElse` — are rewritten by *RemIf*
 //!    (§6.4, Fig. 1) into pure `⊕`/`⊗` equations over variables `X^b`
@@ -29,7 +32,7 @@
 use gfa::{EquationSystem, Monomial};
 use logic::{stop_requested, Atom, Formula, LinearExpr, Rel, Solver, SolverResult, Var};
 use semilinear::{concretize_linear, BoolVec, BoolVecSet, IntVec, SemiLinearSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use sygus::{ExampleSet, Grammar, NonTerminal, Sort, SygusError, Symbol};
 
 /// The result of the CLIA analysis.
@@ -181,15 +184,25 @@ pub fn solve_bool(
     examples: &ExampleSet,
     int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
 ) -> (BTreeMap<NonTerminal, BoolVecSet>, usize) {
-    let (values, iterations, _) = solve_bool_exact(grammar, examples, int_values);
+    let (values, iterations, _) =
+        solve_bool_exact(grammar, examples, int_values, &mut Comparisons::new());
     (values, iterations)
 }
 
-/// [`solve_bool`], plus whether every `⟦<⟧♯`/`⟦=⟧♯` was known exactly.
+/// The `⟦<⟧♯`/`⟦=⟧♯` results of one SolveMutual run, keyed by relation and
+/// operand nonterminals. An entry is valid for the integer values it was
+/// computed from; [`solve_mutual`] drops it once either operand's value
+/// changes. Only exact (`Some`) results are stored.
+type Comparisons = HashMap<(Rel, NonTerminal, NonTerminal), BoolVecSet>;
+
+/// [`solve_bool`], plus whether every `⟦<⟧♯`/`⟦=⟧♯` was known exactly. A
+/// comparison found in `comparisons` is reused, and every other exact one
+/// is stored there.
 fn solve_bool_exact(
     grammar: &Grammar,
     examples: &ExampleSet,
     int_values: &BTreeMap<NonTerminal, SemiLinearSet>,
+    comparisons: &mut Comparisons,
 ) -> (BTreeMap<NonTerminal, BoolVecSet>, usize, bool) {
     let dim = examples.len();
     let bool_nts = grammar.bool_nonterminals();
@@ -205,9 +218,17 @@ fn solve_bool_exact(
                 Symbol::Equal => Rel::Eq,
                 _ => continue,
             };
+            let key = (rel, p.args[0].clone(), p.args[1].clone());
+            if let Some(contribution) = comparisons.get(&key) {
+                seed = seed.union(contribution);
+                continue;
+            }
             let (left, right) = (&int_values[&p.args[0]], &int_values[&p.args[1]]);
             match abstract_comparison(left, right, dim, rel) {
-                Some(contribution) => seed = seed.union(&contribution),
+                Some(contribution) => {
+                    seed = seed.union(&contribution);
+                    comparisons.insert(key, contribution);
+                }
                 None => exact = false,
             }
         }
@@ -441,7 +462,9 @@ fn demanded_copies(
 
 /// The full SolveMutual procedure (§6.4): alternate [`solve_bool`] and
 /// [`solve_int`] until the Boolean abstractions reach their (finite) fixed
-/// point.
+/// point. A `⟦<⟧♯`/`⟦=⟧♯` whose operands kept their values since an
+/// earlier round is not recomputed: the values are the same as those of
+/// calling the public steps in turn.
 ///
 /// The [`logic`] stop hook is polled in every SolveMutual round, every
 /// SolveBool Kleene round, every ILP query of `⟦<⟧♯`/`⟦=⟧♯` and every
@@ -484,9 +507,11 @@ pub(crate) fn solve_mutual(
     let mut bool_iterations = 0;
     let mut exact = true;
     let max_outer = grammar.num_nonterminals() * (1usize << dim) + 2;
+    let mut comparisons = Comparisons::new();
 
     loop {
-        let (bools, iters, bools_exact) = solve_bool_exact(grammar, examples, &int_values);
+        let (bools, iters, bools_exact) =
+            solve_bool_exact(grammar, examples, &int_values, &mut comparisons);
         bool_iterations += iters;
         exact &= bools_exact;
         if stop_requested() || prev_bools.as_ref() == Some(&bools) {
@@ -498,7 +523,9 @@ pub(crate) fn solve_mutual(
             };
             return Ok((analysis, exact));
         }
-        int_values = solve_int(grammar, examples, &bools, stratified, prune)?;
+        let next = solve_int(grammar, examples, &bools, stratified, prune)?;
+        forget_changed(&mut comparisons, &int_values, &next);
+        int_values = next;
         prev_bools = Some(bools);
         outer_iterations += 1;
         // Termination is guaranteed by Lemma 6.6; the cap is a safety net.
@@ -512,6 +539,17 @@ pub(crate) fn solve_mutual(
             return Ok((analysis, false));
         }
     }
+}
+
+/// Drops the comparisons one of whose operands has a different value in
+/// `next` than in `prev`; the others still hold for `next`.
+fn forget_changed(
+    comparisons: &mut Comparisons,
+    prev: &BTreeMap<NonTerminal, SemiLinearSet>,
+    next: &BTreeMap<NonTerminal, SemiLinearSet>,
+) {
+    comparisons
+        .retain(|(_, left, right), _| prev[left] == next[left] && prev[right] == next[right]);
 }
 
 #[cfg(test)]
@@ -929,6 +967,169 @@ mod tests {
             .unwrap();
         let examples = ExampleSet::for_single_var("x", [-1, 0, 2]);
         assert_demand_driven_matches_all_masks(&grammar, &examples);
+    }
+
+    /// SolveMutual as a loop over the public steps, each `solve_bool` call
+    /// computing every comparison afresh.
+    fn public_steps_solve_mutual(
+        grammar: &Grammar,
+        examples: &ExampleSet,
+        stratified: bool,
+    ) -> CliaAnalysis {
+        let mut int_values: BTreeMap<NonTerminal, SemiLinearSet> = grammar
+            .int_nonterminals()
+            .into_iter()
+            .map(|nt| (nt, SemiLinearSet::zero()))
+            .collect();
+        let mut prev_bools = None;
+        let (mut outer_iterations, mut bool_iterations) = (0, 0);
+        loop {
+            let (bools, iterations) = solve_bool(grammar, examples, &int_values);
+            bool_iterations += iterations;
+            if prev_bools.as_ref() == Some(&bools) {
+                return CliaAnalysis {
+                    int_values,
+                    bool_values: bools,
+                    outer_iterations,
+                    bool_iterations,
+                };
+            }
+            int_values = solve_int(grammar, examples, &bools, stratified, true).unwrap();
+            prev_bools = Some(bools);
+            outer_iterations += 1;
+        }
+    }
+
+    /// Requires [`solve_mutual`], which reuses comparisons across rounds,
+    /// to give the values, iteration counts and exactness of the loop over
+    /// the public steps, at both `stratified` settings. Returns the number
+    /// of SolveMutual rounds.
+    fn assert_solve_mutual_matches_public_steps(grammar: &Grammar, examples: &ExampleSet) -> usize {
+        let mut rounds = 0;
+        for stratified in [true, false] {
+            let (analysis, exact) = solve_mutual(grammar, examples, stratified, true).unwrap();
+            let reference = public_steps_solve_mutual(grammar, examples, stratified);
+            assert!(exact, "stratified {stratified}");
+            assert_eq!(
+                analysis.int_values, reference.int_values,
+                "stratified {stratified}"
+            );
+            assert_eq!(
+                analysis.bool_values, reference.bool_values,
+                "stratified {stratified}"
+            );
+            assert_eq!(analysis.outer_iterations, reference.outer_iterations);
+            assert_eq!(analysis.bool_iterations, reference.bool_iterations);
+            rounds = analysis.outer_iterations;
+        }
+        rounds
+    }
+
+    /// Start ::= ite(B, X, Succ) | 0;  Succ ::= Start + 1;
+    /// B ::= X < Start | Zero < X. `X` and `Zero` keep their values in
+    /// every round, `Start` does not.
+    fn unchanged_operand_grammar() -> Grammar {
+        GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("Succ", Sort::Int)
+            .nonterminal("B", Sort::Bool)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("Zero", Sort::Int)
+            .nonterminal("One", Sort::Int)
+            .production("Start", Symbol::IfThenElse, &["B", "X", "Succ"])
+            .production("Start", Symbol::Num(0), &[])
+            .production("Succ", Symbol::Plus, &["Start", "One"])
+            .production("B", Symbol::LessThan, &["X", "Start"])
+            .production("B", Symbol::LessThan, &["Zero", "X"])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("Zero", Symbol::Num(0), &[])
+            .production("One", Symbol::Num(1), &[])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn solve_mutual_matches_the_public_steps_on_g2() {
+        for xs in [vec![1, 2], vec![0], vec![1, 2, 3]] {
+            let examples = ExampleSet::for_single_var("x", xs);
+            assert_solve_mutual_matches_public_steps(&g2(), &examples);
+        }
+    }
+
+    #[test]
+    fn solve_mutual_matches_the_public_steps_on_nested_ite() {
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("Inner", Sort::Int)
+            .nonterminal("B", Sort::Bool)
+            .nonterminal("C", Sort::Bool)
+            .nonterminal("X", Sort::Int)
+            .nonterminal("One", Sort::Int)
+            .nonterminal("Zero", Sort::Int)
+            .production("Start", Symbol::IfThenElse, &["B", "Inner", "Start"])
+            .production("Start", Symbol::Plus, &["X", "One"])
+            .production("Start", Symbol::Num(0), &[])
+            .production("Inner", Symbol::IfThenElse, &["C", "X", "Start"])
+            .production("B", Symbol::LessThan, &["X", "Start"])
+            .production("C", Symbol::LessThan, &["Zero", "X"])
+            .production("C", Symbol::Equal, &["X", "One"])
+            .production("X", Symbol::Var("x".to_string()), &[])
+            .production("One", Symbol::Num(1), &[])
+            .production("Zero", Symbol::Num(0), &[])
+            .build()
+            .unwrap();
+        let examples = ExampleSet::for_single_var("x", [0, 1, 3]);
+        assert_solve_mutual_matches_public_steps(&grammar, &examples);
+    }
+
+    #[test]
+    fn solve_mutual_matches_the_public_steps_with_an_unchanged_operand() {
+        let examples = ExampleSet::for_single_var("x", [-1, 0, 2]);
+        let rounds =
+            assert_solve_mutual_matches_public_steps(&unchanged_operand_grammar(), &examples);
+        assert!(
+            rounds >= 2,
+            "the comparisons must be met again ({rounds} rounds)"
+        );
+    }
+
+    #[test]
+    fn comparisons_with_unchanged_operands_are_kept_and_read() {
+        let grammar = unchanged_operand_grammar();
+        let examples = ExampleSet::for_single_var("x", [-1, 0, 2]);
+        let nt = |name: &str| NonTerminal::new(name);
+        let zeros: BTreeMap<NonTerminal, SemiLinearSet> = grammar
+            .int_nonterminals()
+            .into_iter()
+            .map(|nt| (nt, SemiLinearSet::zero()))
+            .collect();
+        let mut comparisons = Comparisons::new();
+        let (bools, _, exact) = solve_bool_exact(&grammar, &examples, &zeros, &mut comparisons);
+        assert!(exact);
+        assert_eq!(comparisons.len(), 2, "both comparisons are stored");
+        let next = solve_int(&grammar, &examples, &bools, true, true).unwrap();
+        assert_ne!(next[&nt("X")], zeros[&nt("X")]);
+        forget_changed(&mut comparisons, &zeros, &next);
+        assert!(comparisons.is_empty(), "every operand changed in round 1");
+
+        let (bools, _, _) = solve_bool_exact(&grammar, &examples, &next, &mut comparisons);
+        let after = solve_int(&grammar, &examples, &bools, true, true).unwrap();
+        assert_ne!(after[&nt("Start")], next[&nt("Start")]);
+        forget_changed(&mut comparisons, &next, &after);
+        let zero_x = (Rel::Lt, nt("Zero"), nt("X"));
+        let kept: Vec<_> = comparisons.keys().collect();
+        assert_eq!(kept, vec![&zero_x], "only `Zero < X` kept both operands");
+        // The next round reads the kept result instead of recomputing it:
+        // a planted (t,t,t), which `B` does not hold otherwise, shows up.
+        let trues = BoolVec::trues(examples.len());
+        let has_trues = |values: &BTreeMap<NonTerminal, BoolVecSet>| {
+            values[&nt("B")].iter().any(|b| *b == trues)
+        };
+        let (bools, _, _) = solve_bool_exact(&grammar, &examples, &after, &mut comparisons.clone());
+        assert!(!has_trues(&bools));
+        comparisons.insert(zero_x, std::iter::once(trues.clone()).collect());
+        let (bools, _, _) = solve_bool_exact(&grammar, &examples, &after, &mut comparisons);
+        assert!(has_trues(&bools));
     }
 
     #[test]

@@ -546,9 +546,8 @@ pub fn compare(old: &Report, new: &Report, config: &CompareConfig) -> Vec<Regres
             ));
             continue;
         }
-        let above_floor = new_entry.millis >= config.min_millis;
         let budget = old_entry.millis * (1.0 + config.threshold_pct / 100.0);
-        if both_ok && above_floor && new_entry.millis > budget {
+        if is_timed(old_entry, new_entry, config) && new_entry.millis > budget {
             regressions.push(regression(
                 RegressionKind::Slowdown,
                 format!(
@@ -560,6 +559,30 @@ pub fn compare(old: &Report, new: &Report, config: &CompareConfig) -> Vec<Regres
     }
     regressions.extend(compare_throughput(old, new, config));
     regressions
+}
+
+/// Whether [`compare`] times `new` against `old`: both completed with the
+/// same verdict and the new time is at or above
+/// [`CompareConfig::min_millis`].
+fn is_timed(old: &Entry, new: &Entry, config: &CompareConfig) -> bool {
+    old.status == JobStatus::Ok
+        && new.status == JobStatus::Ok
+        && old.verdict == new.verdict
+        && new.millis >= config.min_millis
+}
+
+/// How many of `old`'s entries [`compare`] times against
+/// [`CompareConfig::threshold_pct`]; every other entry is checked for its
+/// verdict, status and presence only. A gate whose floor leaves few
+/// entries timed catches few slowdowns.
+pub fn timed_entries(old: &Report, new: &Report, config: &CompareConfig) -> usize {
+    old.entries
+        .iter()
+        .filter(|o| {
+            new.entry(&o.benchmark, &o.tool)
+                .is_some_and(|n| is_timed(o, n, config))
+        })
+        .count()
 }
 
 /// The throughput slice of the gate: diffs the two reports' [`Throughput`]
@@ -723,6 +746,30 @@ mod tests {
         assert!(regressions
             .iter()
             .any(|r| r.kind == RegressionKind::Slowdown));
+    }
+
+    #[test]
+    fn timed_entries_counts_completed_agreeing_entries_at_or_above_the_floor() {
+        let config = CompareConfig {
+            min_millis: 200.0,
+            ..CompareConfig::default()
+        };
+        let mut old = all_ok();
+        old.entries.push(entry("plane1", "nayHorn", 100.0));
+        old.entries.push(entry("plane2", "nayHorn", 300.0));
+        old.entries.push(entry("gone", "nope", 900.0));
+        let mut new = all_ok();
+        new.entries.push(entry("plane1", "nayHorn", 200.0)); // at the floor
+        let mut flipped = entry("plane2", "nayHorn", 300.0);
+        flipped.verdict = "unknown".into();
+        new.entries.push(flipped);
+        // mpg_ite2/naySL is below the floor, mpg_ite2/nope above it
+        assert_eq!(timed_entries(&old, &new, &config), 2);
+        new.entries[0].millis = 250.0;
+        assert_eq!(timed_entries(&old, &new, &config), 3);
+        new.entries[1].status = JobStatus::TimedOut;
+        assert_eq!(timed_entries(&old, &new, &config), 2);
+        assert_eq!(timed_entries(&old, &old, &CompareConfig::default()), 5);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! The existential quantifiers are rendered as fresh free variables, which is
 //! sound for satisfiability checking (the only use the framework makes of
-//! γ̂). For a semi-linear set, γ̂ is the disjunction over its linear sets,
+//! γ̂). Only the [spanning generators](LinearSet::spanning_generators) get
+//! a `λ`: a generator `c·v` (`c ≥ 2`) beside `v` adds no member. For a semi-linear set, γ̂ is the disjunction over its linear sets,
 //! sharing the output variables `o⃗` across disjuncts (Eqn. (26)).
 
 use crate::linear::LinearSet;
@@ -17,8 +18,12 @@ use logic::{Formula, LinearExpr, Var};
 
 /// Symbolically concretizes a linear set over the given output variables.
 ///
-/// `lambda_prefix` is used to generate fresh coefficient variables, so
-/// callers composing several concretizations must pass distinct prefixes.
+/// Each [spanning generator](LinearSet::spanning_generators) `vᵢ` gets a
+/// fresh `λᵢ`; the formula is equisatisfiable, under any constraint on the
+/// outputs, with the one over all generators, and has fewer variables for
+/// branch and bound. `lambda_prefix` is used to generate the fresh
+/// coefficient variables, so callers composing several concretizations
+/// must pass distinct prefixes.
 ///
 /// # Panics
 /// Panics if `outputs.len()` differs from the dimension of the linear set.
@@ -28,7 +33,8 @@ pub fn concretize_linear(ls: &LinearSet, outputs: &[Var], lambda_prefix: &str) -
         ls.dim(),
         "output variable count must match the linear-set dimension"
     );
-    let lambdas: Vec<Var> = (0..ls.generators().len())
+    let generators = ls.spanning_generators();
+    let lambdas: Vec<Var> = (0..generators.len())
         .map(|i| Var::new(format!("{lambda_prefix}_{i}")))
         .collect();
 
@@ -43,8 +49,8 @@ pub fn concretize_linear(ls: &LinearSet, outputs: &[Var], lambda_prefix: &str) -
     // oⱼ = uⱼ + Σᵢ λᵢ·vᵢ[j]
     for (j, out) in outputs.iter().enumerate() {
         let mut rhs = LinearExpr::constant(ls.base()[j]);
-        for (i, gen) in ls.generators().iter().enumerate() {
-            rhs.add_term(lambdas[i].clone(), gen[j]);
+        for (lambda, gen) in lambdas.iter().zip(&generators) {
+            rhs.add_term(lambda.clone(), gen[j]);
         }
         conjuncts.push(Formula::eq(LinearExpr::var(out.clone()), rhs));
     }

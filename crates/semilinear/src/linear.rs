@@ -98,8 +98,11 @@ impl LinearSet {
     ///
     /// Two cases are answered before any ILP is built: `target − u = 0⃗`
     /// (every `λᵢ = 0`), and `target − u = c·v` for one generator `v` and an
-    /// integer `c ≥ 1`. With at most one generator these are the only
-    /// members; with more, every other case goes to the ILP.
+    /// integer `c ≥ 1`. With at most one [spanning
+    /// generator](LinearSet::spanning_generators) these are the only
+    /// members; with more, every other case goes to an ILP with one `λ` per
+    /// spanning generator. The monoid they span is that of `V`, so the
+    /// answer is the one an ILP over all of `V` gives.
     ///
     /// If `target − u` or a factor `c` overflows `i64`, the answer is
     /// `false`: "not shown to be a member". Outside tests, only
@@ -127,14 +130,15 @@ impl LinearSet {
                 None => return false,
             }
         }
-        if self.generators.len() < 2 {
+        let generators = self.spanning_generators();
+        if generators.len() < 2 {
             return false;
         }
-        let k = self.generators.len();
+        let k = generators.len();
         let mut problem = IlpProblem::new(k);
         // one equality per dimension: Σ λ_i v_i[d] = target[d] - base[d]
         for (d, &rhs) in diff.iter().enumerate() {
-            let coeffs: Vec<i64> = self.generators.iter().map(|g| g[d]).collect();
+            let coeffs: Vec<i64> = generators.iter().map(|g| g[d]).collect();
             problem.add(Constraint::new(coeffs, LpRel::Eq, rhs));
         }
         // λ ≥ 0
@@ -144,6 +148,25 @@ impl LinearSet {
             problem.add(Constraint::new(coeffs, LpRel::Ge, 0));
         }
         matches!(problem.solve(), IlpResult::Sat(_))
+    }
+
+    /// The generators that are not a positive multiple `c·h` (`c ≥ 2`) of
+    /// another generator `h`, in stored order. They span the same monoid
+    /// `{Σ λᵢvᵢ | λᵢ ∈ ℕ}` as all the generators: a dropped `c·h` is `c`
+    /// copies of `h`, and the shortest generator along each ray is kept.
+    /// The ILP encodings of [`contains`](LinearSet::contains) and
+    /// [`concretize_linear`](crate::concretize_linear) give a `λ` to these
+    /// only; the stored set and its printed form keep every generator.
+    pub fn spanning_generators(&self) -> Vec<&IntVec> {
+        self.generators
+            .iter()
+            .filter(|g| {
+                !self
+                    .generators
+                    .iter()
+                    .any(|h| h != *g && positive_multiple(g.as_slice(), h) == Some(true))
+            })
+            .collect()
     }
 
     /// A sound (possibly incomplete) subsumption test: `self ⊆ other`.
@@ -335,6 +358,43 @@ mod tests {
         assert_eq!(positive_multiple(&[i64::MIN], &v(&[-1])), None);
         assert!(!neg.contains(&v(&[i64::MIN])));
         assert!(neg.contains(&v(&[i64::MIN + 1])));
+    }
+
+    #[test]
+    fn spanning_generators_drop_positive_multiples_only() {
+        let l = LinearSet::new(
+            v(&[0, 0]),
+            vec![
+                v(&[0, 45]),
+                v(&[1, 1]),
+                v(&[10, 10]),
+                v(&[20, 20]),
+                v(&[30, 30]),
+                v(&[40, 40]),
+            ],
+        );
+        assert_eq!(l.spanning_generators(), vec![&v(&[0, 45]), &v(&[1, 1])]);
+        assert_eq!(
+            l.generators().len(),
+            6,
+            "the stored set keeps every generator"
+        );
+        // a chain 4h, 2h, h keeps h; −h and (2,3) are not positive multiples
+        let l = LinearSet::new(
+            v(&[0, 0]),
+            vec![v(&[4, 6]), v(&[2, 3]), v(&[-2, -3]), v(&[6, 9]), v(&[4, 7])],
+        );
+        assert_eq!(
+            l.spanning_generators(),
+            vec![&v(&[-2, -3]), &v(&[2, 3]), &v(&[4, 7])]
+        );
+        // h and 2h span only the multiples of h, answered without an ILP
+        let l = LinearSet::new(v(&[1]), vec![v(&[2]), v(&[4])]);
+        assert!(l.contains(&v(&[7])));
+        assert!(!l.contains(&v(&[4])));
+        // a factor of 2⁶³ does not fit: both generators stay
+        let l = LinearSet::new(v(&[0]), vec![v(&[-1]), v(&[i64::MIN])]);
+        assert_eq!(l.spanning_generators().len(), 2);
     }
 
     #[test]

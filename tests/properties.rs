@@ -5,11 +5,17 @@
 //! * exactness of the abstract semantics on sampled terms (Lemma 5.6),
 //! * soundness of the symbolic concretization γ̂ (§5.4),
 //! * agreement between the QF-LIA solver and brute-force evaluation,
+//! * the integer fast path of `Rational` arithmetic against the
+//!   cross-multiplied rule, and the spanning-generator encodings against
+//!   ones over every generator,
 //! * semantic equivalence of the `h(G)` rewriting (Lemma 5.4).
 
-use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
+use logic::{
+    Constraint, Formula, IlpProblem, IlpResult, LinearExpr, LpRel, Rational, Solver, SolverResult,
+    Var,
+};
 use proptest::prelude::*;
-use semilinear::{concretize_semilinear, IntVec, LinearSet, SemiLinearSet};
+use semilinear::{concretize_linear, concretize_semilinear, IntVec, LinearSet, SemiLinearSet};
 use sygus::{ExampleSet, Term};
 
 // ---------------------------------------------------------------------------
@@ -81,6 +87,57 @@ fn quadratic_prune(set: &SemiLinearSet) -> SemiLinearSet {
         keep.push(l.clone());
     }
     SemiLinearSet::from_linear_sets(keep)
+}
+
+/// Membership as an ILP with one `λ` per generator, spanning or not.
+fn all_generators_contains(ls: &LinearSet, target: &IntVec) -> bool {
+    let k = ls.generators().len();
+    let mut problem = IlpProblem::new(k);
+    for d in 0..ls.dim() {
+        let coeffs: Vec<i64> = ls.generators().iter().map(|g| g[d]).collect();
+        problem.add(Constraint::new(coeffs, LpRel::Eq, target[d] - ls.base()[d]));
+    }
+    for i in 0..k {
+        let mut coeffs = vec![0i64; k];
+        coeffs[i] = 1;
+        problem.add(Constraint::new(coeffs, LpRel::Ge, 0));
+    }
+    matches!(problem.solve(), IlpResult::Sat(_))
+}
+
+/// γ̂ of a linear set with one `λ` per generator, spanning or not.
+fn all_generators_gamma(ls: &LinearSet, outputs: &[Var]) -> Formula {
+    let lambdas: Vec<Var> = (0..ls.generators().len())
+        .map(|i| Var::new(format!("all_{i}")))
+        .collect();
+    let mut conjuncts: Vec<Formula> = lambdas
+        .iter()
+        .map(|l| Formula::ge(LinearExpr::var(l.clone()), LinearExpr::constant(0)))
+        .collect();
+    for (j, out) in outputs.iter().enumerate() {
+        let mut rhs = LinearExpr::constant(ls.base()[j]);
+        for (lambda, g) in lambdas.iter().zip(ls.generators()) {
+            rhs.add_term(lambda.clone(), g[j]);
+        }
+        conjuncts.push(Formula::eq(LinearExpr::var(out.clone()), rhs));
+    }
+    Formula::and(conjuncts)
+}
+
+/// Small integers, any `i64`, integers and fractions whose numerator
+/// needs most of `i128`, and small fractions.
+fn rational() -> impl Strategy<Value = Rational> {
+    prop_oneof![
+        (-9i64..=9).prop_map(Rational::from_int),
+        any::<i64>().prop_map(Rational::from_int),
+        (any::<i64>(), any::<i64>())
+            .prop_map(|(hi, lo)| Rational::new((i128::from(hi) << 63) ^ i128::from(lo), 1)),
+        (-40i64..=40, 1i64..=12).prop_map(|(n, d)| Rational::new(n.into(), d.into())),
+        (any::<i64>(), any::<i64>(), 1i64..=i64::MAX).prop_map(|(hi, lo, d)| Rational::new(
+            (i128::from(hi) << 63) ^ i128::from(lo),
+            d.into()
+        )),
+    ]
 }
 
 fn lia_term() -> impl Strategy<Value = Term> {
@@ -242,6 +299,65 @@ proptest! {
         ]);
         let solver_says = Solver::default().check(&pinned).is_sat();
         prop_assert_eq!(solver_says, sl.contains(&probe));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Exact arithmetic and the ILP encodings
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rational_arithmetic_equals_the_cross_multiplied_rule(a in rational(), b in rational()) {
+        let (an, ad, bn, bd) = (a.numer(), a.denom(), b.numer(), b.denom());
+        let cross = |num: Option<i128>, den: Option<i128>| Rational::checked_new(num?, den?);
+        let sum = cross(
+            an.checked_mul(bd).and_then(|x| x.checked_add(bn.checked_mul(ad)?)),
+            ad.checked_mul(bd),
+        );
+        let difference = cross(
+            an.checked_mul(bd).and_then(|x| x.checked_sub(bn.checked_mul(ad)?)),
+            ad.checked_mul(bd),
+        );
+        let product = cross(an.checked_mul(bn), ad.checked_mul(bd));
+        prop_assert_eq!(a.checked_add(b), sum);
+        prop_assert_eq!(a.checked_sub(b), difference);
+        prop_assert_eq!(a.checked_mul(b), product);
+        if let Some(d) = difference {
+            prop_assert_eq!(a.cmp(&b), d.cmp(&Rational::ZERO));
+        }
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+    }
+
+    #[test]
+    fn membership_equals_an_ilp_over_all_generators(
+        a in linear_set_with_multiples(2),
+        probe in small_vec(2),
+    ) {
+        for target in a.enumerate(2).into_iter().chain([probe]) {
+            prop_assert_eq!(a.contains(&target), all_generators_contains(&a, &target), "{} ∋ {}", a, target);
+        }
+    }
+
+    #[test]
+    fn concretization_is_equisatisfiable_with_all_generators(
+        a in linear_set_with_multiples(2),
+        probe in small_vec(2),
+    ) {
+        let outputs = [Var::new("o_1"), Var::new("o_2")];
+        let solver = Solver::default();
+        for target in a.enumerate(1).into_iter().chain([probe]) {
+            let pin = Formula::and(vec![
+                Formula::eq(LinearExpr::var(outputs[0].clone()), LinearExpr::constant(target[0])),
+                Formula::eq(LinearExpr::var(outputs[1].clone()), LinearExpr::constant(target[1])),
+            ]);
+            let spanning = solver.check(&Formula::and(vec![concretize_linear(&a, &outputs, "lam"), pin.clone()]));
+            let all = solver.check(&Formula::and(vec![all_generators_gamma(&a, &outputs), pin]));
+            prop_assert!(!matches!(spanning, SolverResult::Unknown));
+            prop_assert_eq!(spanning.is_sat(), all.is_sat(), "{} at {}", a, target);
+        }
     }
 }
 
