@@ -118,7 +118,9 @@
 //! one, 1 when it does, and 2 on usage or parse errors. Its summary counts
 //! the entries compared and, of those, the entries timed against the
 //! threshold (both completed with one verdict, new time at or above the
-//! floor): only those can be flagged as slowdowns. `solve` exits 0
+//! floor): only those can be flagged as slowdowns. It also prints each
+//! tool's summed time, old → new, over the entries both reports completed,
+//! which shows a suite-wide shift that no single entry does. `solve` exits 0
 //! when every file parses, every engine completes, and (when the corpus
 //! has a `MANIFEST`) every verdict matches the expectation; 1 on any
 //! corpus failure; 2 on usage errors. `fuzz` exits 0 on a clean sweep, 1
@@ -196,6 +198,16 @@ fn run_compare(args: &[String]) -> ! {
     } else {
         compare(&old, &new, &config)
     };
+    if !throughput_only {
+        let totals: Vec<String> = runner::tool_totals(&old, &new)
+            .iter()
+            .map(|(tool, (was, now))| format!("{tool} {was:.1}ms -> {now:.1}ms"))
+            .collect();
+        println!(
+            "tool totals over entries both completed: {}",
+            totals.join(", ")
+        );
+    }
     if regressions.is_empty() {
         if throughput_only {
             println!(

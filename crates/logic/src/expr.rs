@@ -219,15 +219,19 @@ impl LinearExpr {
         rest + by.scale(c)
     }
 
-    /// Evaluates the expression under the assignment given by `lookup`.
+    /// Evaluates the expression exactly, over ℤ, under the assignment given
+    /// by `lookup`: each product `c·v` of two i64 values fits in i128, and
+    /// the sum is checked, so `None` means a partial sum left i128, never a
+    /// wrapped value.
     ///
     /// Variables not covered by `lookup` are treated as 0.
-    pub fn eval_with(&self, lookup: impl Fn(&Var) -> Option<i64>) -> i64 {
-        let mut acc = self.constant;
+    pub fn eval_with(&self, lookup: impl Fn(&Var) -> Option<i64>) -> Option<i128> {
+        let mut acc = i128::from(self.constant);
         for (v, c) in &self.coeffs {
-            acc += c * lookup(v).unwrap_or(0);
+            let term = i128::from(*c) * i128::from(lookup(v).unwrap_or(0));
+            acc = acc.checked_add(term)?;
         }
-        acc
+        Some(acc)
     }
 }
 
@@ -404,7 +408,24 @@ mod tests {
             "y" => Some(1),
             _ => None,
         });
-        assert_eq!(val, 10);
+        assert_eq!(val, Some(10));
+    }
+
+    #[test]
+    fn evaluation_is_exact_beyond_i64() {
+        // 2·(2⁶³ − 1) + 2 = 2⁶⁴, which wraps to 0 in i64
+        let e = LinearExpr::from_terms([(x(), 2)], 2);
+        assert_eq!(e.eval_with(|_| Some(i64::MAX)), Some(1i128 << 64));
+        // (2⁶³ − 1)² twice plus 2⁶³ − 1 still fits in i128, while
+        // (−2⁶³)² twice is 2¹²⁷, one past its largest value
+        let big = LinearExpr::from_terms([(x(), i64::MAX), (y(), i64::MAX)], i64::MAX);
+        let square = i128::from(i64::MAX) * i128::from(i64::MAX);
+        assert_eq!(
+            big.eval_with(|_| Some(i64::MAX)),
+            Some(2 * square + i128::from(i64::MAX))
+        );
+        let bigger = LinearExpr::from_terms([(x(), i64::MIN), (y(), i64::MIN)], 0);
+        assert_eq!(bigger.eval_with(|_| Some(i64::MIN)), None);
     }
 
     #[test]

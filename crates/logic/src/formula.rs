@@ -42,7 +42,7 @@ impl Rel {
     }
 
     /// Evaluates the relation on two integers.
-    pub fn eval(self, a: i64, b: i64) -> bool {
+    pub fn eval<T: Ord>(self, a: T, b: T) -> bool {
         match self {
             Rel::Eq => a == b,
             Rel::Ne => a != b,
@@ -94,11 +94,19 @@ impl Atom {
         }
     }
 
-    /// Evaluates the atom under a model (missing variables read as 0).
+    /// Evaluates the atom under a model (missing variables read as 0);
+    /// see [`Atom::eval_with`].
     pub fn eval(&self, model: &Model) -> bool {
-        let a = self.lhs.eval_with(|v| model.get(v));
-        let b = self.rhs.eval_with(|v| model.get(v));
-        self.rel.eval(a, b)
+        self.eval_with(&|v| model.get(v)) == Some(true)
+    }
+
+    /// Evaluates the atom exactly, over ℤ, under the assignment `lookup`
+    /// (missing variables read as 0); `None` when a side leaves i128
+    /// ([`LinearExpr::eval_with`]).
+    pub fn eval_with(&self, lookup: &impl Fn(&Var) -> Option<i64>) -> Option<bool> {
+        let a = self.lhs.eval_with(lookup)?;
+        let b = self.rhs.eval_with(lookup)?;
+        Some(self.rel.eval(a, b))
     }
 
     /// `lhs - rhs` as a single expression (so the atom reads `diff REL 0`).
@@ -288,15 +296,39 @@ impl Formula {
         out
     }
 
-    /// Evaluates the formula under a model (missing variables read as 0).
+    /// `true` iff the formula holds under a model (missing variables read
+    /// as 0); see [`Formula::eval_with`].
     pub fn eval(&self, model: &Model) -> bool {
+        self.eval_with(&|v| model.get(v)) == Some(true)
+    }
+
+    /// Evaluates the formula exactly, over ℤ, under the assignment
+    /// `lookup` (missing variables read as 0), left to right with
+    /// short-circuit `∧`/`∨`. `None` when an atom it reaches cannot be
+    /// evaluated ([`Atom::eval_with`]); a caller asking whether the formula
+    /// holds reads that as "does not hold".
+    pub fn eval_with(&self, lookup: &impl Fn(&Var) -> Option<i64>) -> Option<bool> {
         match self {
-            Formula::True => true,
-            Formula::False => false,
-            Formula::Atom(a) => a.eval(model),
-            Formula::Not(f) => !f.eval(model),
-            Formula::And(fs) => fs.iter().all(|f| f.eval(model)),
-            Formula::Or(fs) => fs.iter().any(|f| f.eval(model)),
+            Formula::True => Some(true),
+            Formula::False => Some(false),
+            Formula::Atom(a) => a.eval_with(lookup),
+            Formula::Not(f) => f.eval_with(lookup).map(|b| !b),
+            Formula::And(fs) => {
+                for f in fs {
+                    if !f.eval_with(lookup)? {
+                        return Some(false);
+                    }
+                }
+                Some(true)
+            }
+            Formula::Or(fs) => {
+                for f in fs {
+                    if f.eval_with(lookup)? {
+                        return Some(true);
+                    }
+                }
+                Some(false)
+            }
         }
     }
 

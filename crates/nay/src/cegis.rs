@@ -64,8 +64,8 @@ pub struct CegisStats {
     pub total_time: Duration,
     /// Size of the final abstraction of the start symbol.
     pub final_abstraction_size: usize,
-    /// The largest node count of one term search in the run
-    /// ([`enumerative::SearchResult::nodes`]).
+    /// The largest node count of one term search in the run, one node
+    /// per vector kept ([`enumerative::SearchResult::nodes`]).
     pub arena_terms: usize,
 }
 

@@ -65,8 +65,8 @@ pub struct NopeStats {
     /// Kleene rounds of the Horn back end's fixpoint (0 when the bounded
     /// search already decided the verdict).
     pub abstract_iterations: usize,
-    /// Number of witness-log nodes the bounded search recorded while
-    /// exploring reachable vectors ([`enumerative::SearchResult::nodes`]).
+    /// Number of witness-log nodes the bounded search recorded, one per
+    /// vector kept ([`enumerative::SearchResult::nodes`]).
     pub arena_terms: usize,
     /// Wall-clock time of the check.
     pub elapsed: Duration,
@@ -224,6 +224,24 @@ mod tests {
         let examples = ExampleSet::for_single_var("x", [i64::MIN]);
         let (verdict, _) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unknown);
+    }
+
+    #[test]
+    fn a_witness_valid_only_modulo_2_64_is_not_realizable() {
+        // Start ::= −(2⁶³ − 1) | x with f(x) + f(x) = 2 on x = 0: over ℤ
+        // 2·(−2⁶³ + 1) ≠ 2, though the two agree modulo 2⁶⁴.
+        let source = "(set-logic LIA)\n\
+                      (synth-fun f ((x Int)) Int ((Start Int (-9223372036854775807 x))))\n\
+                      (declare-var x Int)\n\
+                      (constraint (= (+ (f x) (f x)) 2))\n\
+                      (check-synth)";
+        let problem = sygus::parser::parse_problem(source, "wrapped_double").unwrap();
+        let examples = ExampleSet::for_single_var("x", [0]);
+        let (verdict, _) = NopeSolver::new().check(&problem, &examples);
+        assert!(
+            !matches!(verdict, NopeVerdict::RealizableOnExamples(_)),
+            "{verdict:?}"
+        );
     }
 
     #[test]

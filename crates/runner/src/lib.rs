@@ -32,8 +32,8 @@ pub use deadline::{DeadlineGuard, DeadlineTimer};
 pub use json::Json;
 pub use pool::{run_jobs, Job, JobResult, JobStatus, PoolConfig};
 pub use report::{
-    compare, compare_throughput, timed_entries, Aggregates, CompareConfig, Entry, Regression,
-    RegressionKind, Report, Throughput, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    compare, compare_throughput, timed_entries, tool_totals, Aggregates, CompareConfig, Entry,
+    Regression, RegressionKind, Report, Throughput, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 pub use timing::measure;
 pub use warm::{Ticket, WarmPool};

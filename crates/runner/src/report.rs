@@ -585,6 +585,25 @@ pub fn timed_entries(old: &Report, new: &Report, config: &CompareConfig) -> usiz
         .count()
 }
 
+/// Per tool, the summed milliseconds `(old, new)` of the entries both
+/// reports completed: a shift spread over the whole suite, which no single
+/// entry shows against the gate's threshold and floor. Not part of the
+/// gate.
+pub fn tool_totals(old: &Report, new: &Report) -> std::collections::BTreeMap<String, (f64, f64)> {
+    let mut totals = std::collections::BTreeMap::new();
+    for o in old.entries.iter().filter(|o| o.status == JobStatus::Ok) {
+        let Some(n) = new.entry(&o.benchmark, &o.tool) else {
+            continue;
+        };
+        if n.status == JobStatus::Ok {
+            let sums: &mut (f64, f64) = totals.entry(o.tool.clone()).or_default();
+            sums.0 += o.millis;
+            sums.1 += n.millis;
+        }
+    }
+    totals
+}
+
 /// The throughput slice of the gate: diffs the two reports' [`Throughput`]
 /// blocks (total rate plus every family both sides measured) and flags
 /// drops beyond [`CompareConfig::throughput_drop_pct`]. Silently passes
@@ -746,6 +765,28 @@ mod tests {
         assert!(regressions
             .iter()
             .any(|r| r.kind == RegressionKind::Slowdown));
+    }
+
+    #[test]
+    fn tool_totals_sum_the_entries_both_reports_completed() {
+        let mut old = all_ok();
+        old.entries.push(entry("plane1", "naySL", 30.0));
+        old.entries.push(entry("plane2", "nope", 5.0));
+        old.entries.push(entry("gone", "nope", 70.0));
+        let mut new = all_ok();
+        new.entries[0].millis = 100.0;
+        new.entries[1].millis = 450.0;
+        new.entries.push(entry("plane1", "naySL", 20.0));
+        let mut timed_out = entry("plane2", "nope", 9.0);
+        timed_out.status = JobStatus::TimedOut;
+        new.entries.push(timed_out);
+        let totals = tool_totals(&old, &new);
+        // naySL: mpg_ite2 120 → 100 and plane1 30 → 20; nope: mpg_ite2
+        // 900 → 450 only (plane2 timed out, gone is missing)
+        assert_eq!(totals.len(), 2);
+        assert_eq!(totals["naySL"], (150.0, 120.0));
+        assert_eq!(totals["nope"], (900.0, 450.0));
+        assert!(tool_totals(&old, &Report::new("quick", Vec::new())).is_empty());
     }
 
     #[test]

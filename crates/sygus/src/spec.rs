@@ -6,6 +6,9 @@ use crate::term::Sort;
 use logic::{Formula, LinearExpr, Model, Var};
 use std::fmt;
 
+/// The name of [`Spec::output_var`].
+const OUTPUT: &str = "__f_out";
+
 /// A single-invocation behavioral specification.
 ///
 /// The specification is a QF-LIA formula over
@@ -43,7 +46,7 @@ pub struct Spec {
 impl Spec {
     /// The reserved logical variable standing for the output `f(x̄)`.
     pub fn output_var() -> Var {
-        Var::new("__f_out")
+        Var::new(OUTPUT)
     }
 
     /// Creates a specification from a formula over the inputs and
@@ -109,14 +112,15 @@ impl Spec {
     }
 
     /// `true` iff the specification holds for the given input example and
-    /// output value (Booleans encoded as 0/1).
+    /// output value (Booleans encoded as 0/1), evaluated exactly over ℤ
+    /// ([`Formula::eval_with`]): an evaluation that cannot be completed
+    /// does not hold, and no value holds only modulo 2⁶⁴.
     pub fn holds(&self, example: &Example, output: i64) -> bool {
-        let mut model = Model::new();
-        model.set(Spec::output_var(), output);
-        for (x, v) in example.iter() {
-            model.set(Var::new(x), v);
-        }
-        self.formula.eval(&model)
+        let lookup = |v: &Var| match v.name() {
+            OUTPUT => Some(output),
+            x => example.get(x),
+        };
+        self.formula.eval_with(&lookup) == Some(true)
     }
 
     /// `true` iff the specification holds for a [`Value`] output.
@@ -172,6 +176,43 @@ mod tests {
         assert!(spec.holds(&Example::from_pairs([("x", 1)]), 4));
         assert!(spec.holds(&Example::from_pairs([("x", 2)]), 6));
         assert!(!spec.holds(&Example::from_pairs([("x", 2)]), 8));
+    }
+
+    #[test]
+    fn holds_is_exact_at_the_i64_boundaries() {
+        // f(x) = x + 1: at x = 2⁶³ − 1 the output 2⁶³ is no i64, and the
+        // wrapped −2⁶³ must not hold
+        let succ = Spec::output_equals(
+            LinearExpr::var(Var::new("x")) + LinearExpr::constant(1),
+            vec!["x".to_string()],
+        );
+        let top = Example::from_pairs([("x", i64::MAX)]);
+        assert!(!succ.holds(&top, i64::MIN));
+        let below = Example::from_pairs([("x", i64::MAX - 1)]);
+        assert!(succ.holds(&below, i64::MAX));
+        // f(x) = 2x: −2⁶³ is 2·(−2⁶²) but not 2·2⁶²
+        let double = Spec::output_equals(
+            LinearExpr::var(Var::new("x")).scale(2),
+            vec!["x".to_string()],
+        );
+        assert!(double.holds(&Example::from_pairs([("x", -(1 << 62))]), i64::MIN));
+        assert!(!double.holds(&Example::from_pairs([("x", 1 << 62)]), i64::MIN));
+        // f(x) + f(x) = 2 holds for 1, not for −(2⁶³ − 1), whose double is
+        // 2 only modulo 2⁶⁴
+        let twice = Spec::new(
+            Formula::eq(
+                LinearExpr::var(Spec::output_var()).scale(2),
+                LinearExpr::constant(2),
+            ),
+            vec!["x".to_string()],
+            Sort::Int,
+        );
+        let zero = Example::from_pairs([("x", 0)]);
+        assert!(twice.holds(&zero, 1));
+        assert!(!twice.holds(&zero, -i64::MAX));
+        assert!(
+            !Spec::new(Formula::not(twice.formula().clone()), vec![], Sort::Int).holds(&zero, 1)
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! The file records
 //! * `gen`'s witness for each realizable instance among the first
 //!   [`GEN_COUNT`] instances of the streams of seeds 42 and 7;
-//! * [`enumerative::search`]'s witness, node count and `exhausted` flag on
-//!   every benchmark's `witness_examples`, and on a one-example set drawn
-//!   with [`sygus::rng::random_example`] from [`sygus::rng::EXAMPLE_SEED`].
+//! * [`enumerative::search`]'s witness, node count (one node per vector
+//!   kept, so it is the total size of the reachable sets) and `exhausted`
+//!   flag on every benchmark's `witness_examples`, and on a one-example set
+//!   drawn with [`sygus::rng::random_example`] from
+//!   [`sygus::rng::EXAMPLE_SEED`].
 //!
 //! Regenerate after an intentional change with
 //! `cargo test --release --test witness_golden -- --ignored`.
