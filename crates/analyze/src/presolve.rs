@@ -37,33 +37,10 @@ use sygus::{Example, ExampleSet, Problem, Spec, Term};
 
 use crate::grammar::analyze_grammar;
 
-/// What the presolve concluded.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PresolveVerdict {
-    /// A verified witness term exists.
-    Realizable,
-    /// No term of the grammar can satisfy the specification.
-    Unrealizable,
-    /// The presolve abstained; engines must run.
-    Unknown,
-}
-
-impl PresolveVerdict {
-    /// Stable lower-case name, matching the engines' verdict strings.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PresolveVerdict::Realizable => "realizable",
-            PresolveVerdict::Unrealizable => "unrealizable",
-            PresolveVerdict::Unknown => "unknown",
-        }
-    }
-}
-
-impl fmt::Display for PresolveVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// What the presolve concluded: `Realizable` with a verified witness
+/// term, `Unrealizable` when no term of the grammar can satisfy the
+/// specification, or `Unknown` when it abstained and the engines must run.
+pub use sygus::Verdict as PresolveVerdict;
 
 /// Why the presolve reached its verdict. Every definitive reason can be
 /// re-validated from scratch via [`Presolver::recheck`].

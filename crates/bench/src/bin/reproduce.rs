@@ -8,7 +8,6 @@
 //! cargo run --release -p bench --bin reproduce -- analyze FILE|DIR [OPTIONS]
 //! cargo run --release -p bench --bin reproduce -- gen --out DIR [OPTIONS]
 //! cargo run --release -p bench --bin reproduce -- fuzz [OPTIONS]
-//! cargo run --release -p bench --bin reproduce -- presolve-diff [OPTIONS]
 //! cargo run --release -p bench --bin reproduce -- serve [OPTIONS]
 //! cargo run --release -p bench --bin reproduce -- bench-serve [OPTIONS]
 //!
@@ -73,15 +72,9 @@
 //!   --throughput-drop-pct P   threshold for the baseline gate (default: 50)
 //!   --families a,b            restrict to these families
 //!   --no-presolve             disable the presolve stage when racing
-//!
-//! presolve-diff OPTIONS:
-//!   --count N           instances to generate (default: 200)
-//!   --seed S            base seed (default: 7)
-//!   --timeout-ms MS     per-engine budget (default: 10000)
-//!   --families a,b      restrict to these families
-//!   --json PATH         write the aggregate JSON report to PATH
-//!   --require-presolved fail unless the presolve settles at least one
-//!                       instance of every attacked family
+//!   --require-presolved       fail unless the presolve settles at least one
+//!                             instance of every attacked family (needs
+//!                             `--engine race` with the presolve stage)
 //!
 //! serve OPTIONS:
 //!   --addr HOST:PORT    TCP bind address (default: 127.0.0.1:7171;
@@ -125,20 +118,49 @@
 //! has a `MANIFEST`) every verdict matches the expectation; 1 on any
 //! corpus failure; 2 on usage errors. `fuzz` exits 0 on a clean sweep, 1
 //! when any oracle (differential, expectation, witness, or print→parse
-//! round-trip) is violated, and 2 on usage errors. `analyze` exits 0 when
+//! round-trip) is violated — the presolve's verdicts included when racing
+//! — or, with `--require-presolved`, when a family was never settled
+//! statically, and 2 on usage errors. `analyze` exits 0 when
 //! no file produces an error-severity diagnostic, 1 otherwise, 2 on usage
-//! errors. `presolve-diff` exits 0 when no generated instance's race
-//! verdict changes with the presolve stage toggled, 1 on any flip (or,
-//! with `--require-presolved`, when a family was never settled
-//! statically), and 2 on usage errors. `serve` blocks until a client
+//! errors. `serve` blocks until a client
 //! sends the `shutdown` op, then exits 0. `bench-serve` exits 0 when
 //! every response matches its expectation (the MANIFEST race column for
 //! corpus instances, non-contradiction for generated ones), 1 on any
 //! mismatch or error response, and 2 on usage errors.
+//!
+//! A reader that closes stdout early (`reproduce compare A B | head -1`)
+//! only drops the rest of the output: the command still ends with its own
+//! exit status.
 
 use runner::{compare, CompareConfig, PoolConfig, Report};
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::Duration;
+
+/// `println!` through [`out`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        out(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes `text` to stdout, like `print!`, except that a closed pipe drops
+/// the output instead of panicking.
+fn out(text: &str) {
+    if let Err(e) = write_quietly(&mut io::stdout(), text) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// Writes `text`, treating a reader that went away ([`io::ErrorKind::BrokenPipe`])
+/// as success.
+fn write_quietly(writer: &mut impl Write, text: &str) -> io::Result<()> {
+    match writer.write_all(text.as_bytes()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
@@ -203,19 +225,19 @@ fn run_compare(args: &[String]) -> ! {
             .iter()
             .map(|(tool, (was, now))| format!("{tool} {was:.1}ms -> {now:.1}ms"))
             .collect();
-        println!(
+        say!(
             "tool totals over entries both completed: {}",
             totals.join(", ")
         );
     }
     if regressions.is_empty() {
         if throughput_only {
-            println!(
+            say!(
                 "no throughput regressions (drop threshold {}%)",
                 config.throughput_drop_pct
             );
         } else {
-            println!(
+            say!(
                 "no regressions: {} entries compared, {} timed (threshold {}%, floor {}ms)",
                 old.entries.len(),
                 runner::timed_entries(&old, &new, &config),
@@ -225,14 +247,14 @@ fn run_compare(args: &[String]) -> ! {
         }
         std::process::exit(0);
     }
-    println!(
+    say!(
         "{} regression(s) against `{old_path}` ({} entries compared, {} timed):",
         regressions.len(),
         old.entries.len(),
         runner::timed_entries(&old, &new, &config)
     );
     for regression in &regressions {
-        println!("  {regression}");
+        say!("  {regression}");
     }
     std::process::exit(1);
 }
@@ -298,7 +320,7 @@ fn run_solve(args: &[String]) -> ! {
             report.suite
         );
     }
-    println!("{}", bench::render_solve(&rows, engine, &totals));
+    say!("{}", bench::render_solve(&rows, engine, &totals));
 
     // Gate against the corpus MANIFEST when one is present next to the
     // problems (the directory itself, or the file's parent directory).
@@ -339,7 +361,7 @@ fn run_solve(args: &[String]) -> ! {
                 eprintln!("{} corpus failure(s) against the MANIFEST", problems.len());
                 std::process::exit(1);
             }
-            println!(
+            say!(
                 "MANIFEST: all {} expected verdicts match for engine {}",
                 files.len(),
                 engine.name()
@@ -378,7 +400,7 @@ fn run_analyze(args: &[String]) -> ! {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    print!("{}", bench::render_analyze(&rows));
+    out(&bench::render_analyze(&rows));
     if let Some(path) = &json_path {
         if let Err(e) = std::fs::write(path, report.to_json()) {
             eprintln!("error: cannot write `{path}`: {e}");
@@ -395,57 +417,6 @@ fn run_analyze(args: &[String]) -> ! {
     } else {
         0
     });
-}
-
-fn run_presolve_diff(args: &[String]) -> ! {
-    let mut config = bench::FuzzConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut require_presolved = false;
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--count" => config.count = parse_value(arg, iter.next()),
-            "--seed" => config.seed = parse_value(arg, iter.next()),
-            "--timeout-ms" => config.timeout = Duration::from_millis(parse_value(arg, iter.next())),
-            "--json" => json_path = Some(parse_value::<String>(arg, iter.next())),
-            "--families" => config.families = Some(parse_families(iter.next())),
-            "--require-presolved" => require_presolved = true,
-            other => usage_error(&format!("unknown presolve-diff option `{other}`")),
-        }
-    }
-    let outcome = bench::run_presolve_diff(&config);
-    print!("{}", bench::render_presolve_diff(&outcome, &config));
-    let mut failed = false;
-    if !outcome.flips.is_empty() {
-        for flip in &outcome.flips {
-            eprintln!("verdict flip: {flip}");
-        }
-        eprintln!(
-            "{} verdict flip(s) — the presolve stage is not verdict-preserving",
-            outcome.flips.len()
-        );
-        failed = true;
-    }
-    if require_presolved {
-        for family in outcome.instances.keys() {
-            if outcome.presolved.get(family).copied().unwrap_or(0) == 0 {
-                eprintln!("family {family}: no instance was settled statically");
-                failed = true;
-            }
-        }
-    }
-    if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, outcome.report.to_json()) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            std::process::exit(2);
-        }
-        eprintln!(
-            "wrote {} aggregate entries to {path} (suite: {})",
-            outcome.report.entries.len(),
-            outcome.report.suite
-        );
-    }
-    std::process::exit(if failed { 1 } else { 0 });
 }
 
 /// Parses a comma-separated `--families` value.
@@ -485,7 +456,7 @@ fn run_gen(args: &[String]) -> ! {
             "--families" => config.families = Some(parse_families(iter.next())),
             "--list-families" => {
                 for family in gen::Family::ALL {
-                    println!("{:<16} {}", family.name(), family.description());
+                    say!("{:<16} {}", family.name(), family.description());
                 }
                 std::process::exit(0);
             }
@@ -508,12 +479,12 @@ fn run_gen(args: &[String]) -> ! {
                     config.count
                 );
             }
-            println!(
+            say!(
                 "wrote {written} instances to {out_dir} (seed {}):",
                 config.seed
             );
             for (family, count) in counts {
-                println!("  {family:<16} {count}");
+                say!("  {family:<16} {count}");
             }
             std::process::exit(0);
         }
@@ -526,6 +497,7 @@ fn run_fuzz(args: &[String]) -> ! {
     let mut failures_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut drop_pct: Option<f64> = None;
+    let mut require_presolved = false;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -542,6 +514,7 @@ fn run_fuzz(args: &[String]) -> ! {
             "--throughput-drop-pct" => drop_pct = Some(parse_value(arg, iter.next())),
             "--families" => config.families = Some(parse_families(iter.next())),
             "--no-presolve" => config.presolve = false,
+            "--require-presolved" => require_presolved = true,
             "--engine" => {
                 let name: String = parse_value(arg, iter.next());
                 config.engine = bench::FuzzEngine::parse(&name).unwrap_or_else(|| {
@@ -553,10 +526,13 @@ fn run_fuzz(args: &[String]) -> ! {
             other => usage_error(&format!("unknown fuzz option `{other}`")),
         }
     }
+    if require_presolved && (config.engine != bench::FuzzEngine::Race || !config.presolve) {
+        usage_error("`--require-presolved` needs `--engine race` with the presolve stage");
+    }
     let outcome = bench::run_fuzz(&config);
     // Violations first: they are the sweep's whole point, and must reach
     // the user even when the JSON report cannot be written.
-    println!("{}", bench::render_fuzz(&outcome, &config));
+    say!("{}", bench::render_fuzz(&outcome, &config));
     if outcome.violations_total > 0 {
         for violation in &outcome.violations {
             eprintln!("{violation}");
@@ -646,26 +622,38 @@ fn run_fuzz(args: &[String]) -> ! {
         };
         let regressions = runner::compare_throughput(&baseline, &outcome.report, &compare_config);
         if regressions.is_empty() {
-            println!(
+            say!(
                 "throughput gate vs `{path}`: ok (drop threshold {}%)",
                 compare_config.throughput_drop_pct
             );
         } else {
-            println!(
+            say!(
                 "{} throughput regression(s) against `{path}`:",
                 regressions.len()
             );
             for regression in &regressions {
-                println!("  {regression}");
+                say!("  {regression}");
             }
             throughput_regressed = true;
         }
     }
-    std::process::exit(if outcome.violations_total == 0 && !throughput_regressed {
-        0
+    // The presolve gate: every attacked family must have an instance the
+    // static analyzer settled (and the oracles above accepted).
+    let unpresolved = if require_presolved {
+        outcome.unpresolved_families()
     } else {
-        1
-    });
+        Vec::new()
+    };
+    for family in &unpresolved {
+        eprintln!("family {family}: no instance was settled statically");
+    }
+    std::process::exit(
+        if outcome.violations_total == 0 && !throughput_regressed && unpresolved.is_empty() {
+            0
+        } else {
+            1
+        },
+    );
 }
 
 fn run_serve(args: &[String]) -> ! {
@@ -700,7 +688,7 @@ fn run_serve(args: &[String]) -> ! {
         eprintln!("error: cannot bind: {e}");
         std::process::exit(2);
     });
-    println!(
+    say!(
         "serving on {} ({} warm workers, cache capacity {}, presolve {})",
         server.endpoint(),
         config.slots,
@@ -708,7 +696,7 @@ fn run_serve(args: &[String]) -> ! {
         if config.presolve { "on" } else { "off" }
     );
     if let Some(scrape) = server.metrics_endpoint() {
-        println!("metrics scrape endpoint on http://{scrape}/metrics");
+        say!("metrics scrape endpoint on http://{scrape}/metrics");
     }
     match server.run() {
         Err(e) => {
@@ -716,9 +704,12 @@ fn run_serve(args: &[String]) -> ! {
             std::process::exit(1);
         }
         Ok(stats) => {
-            println!(
+            say!(
                 "shut down after {} request(s): {} cache hit(s), {} timeout(s), {} error(s)",
-                stats.requests, stats.cache_hits, stats.timeouts, stats.errors
+                stats.requests,
+                stats.cache_hits,
+                stats.timeouts,
+                stats.errors
             );
             std::process::exit(0);
         }
@@ -791,7 +782,7 @@ fn run_bench_serve(args: &[String]) -> ! {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    print!("{}", bench::render_load(&outcome, &config));
+    out(&bench::render_load(&outcome, &config));
 
     if let Some((endpoint, handle)) = own_daemon {
         if let Ok(mut client) = server::Client::connect(&endpoint) {
@@ -833,9 +824,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("fuzz") {
         run_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("presolve-diff") {
-        run_presolve_diff(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("serve") {
         run_serve(&args[1..]);
@@ -918,5 +906,36 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!("{report}");
+    say!("{report}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer whose reader is gone (or, with another kind, broken).
+    struct Closed(io::ErrorKind);
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::from(self.0))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_broken_pipe_is_not_an_error() {
+        assert!(write_quietly(&mut Closed(io::ErrorKind::BrokenPipe), "line\n").is_ok());
+        let other = write_quietly(&mut Closed(io::ErrorKind::PermissionDenied), "line\n");
+        assert_eq!(
+            other.map_err(|e| e.kind()),
+            Err(io::ErrorKind::PermissionDenied)
+        );
+        let mut buffer = Vec::new();
+        write_quietly(&mut buffer, "line\n").unwrap();
+        assert_eq!(buffer, b"line\n");
+    }
 }

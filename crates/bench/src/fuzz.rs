@@ -23,14 +23,12 @@
 //! round-trip gate; any violation fails the sweep loudly with the
 //! reproducing seed and the offending `.sl` text.
 
+use crate::attack::Attacker;
+use crate::Engine;
 use gen::{
-    check_instance, roundtrip_violation, Claim, EngineClaim, Family, GenConfig, ProblemStream,
-    ShardStream, Violation,
+    check_instance, roundtrip_violation, EngineClaim, Family, GenConfig, ShardStream, Violation,
 };
-use portfolio::{solve_nay, solve_nope, Cancel, NopeEngine, Portfolio, SolveVerdict};
-use runner::{
-    run_jobs, DeadlineTimer, Entry, Job, JobStatus, PoolConfig, Report, Throughput, WarmPool,
-};
+use runner::{run_jobs, Entry, Job, JobStatus, PoolConfig, Report, Throughput};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,6 +64,17 @@ impl FuzzEngine {
             FuzzEngine::Nay => "nay",
             FuzzEngine::Nope => "nope",
             FuzzEngine::Check => "check",
+        }
+    }
+
+    /// The attacks one instance gets, in order (none for `check`).
+    fn engines(&self) -> &'static [Engine] {
+        match self {
+            FuzzEngine::Both => &[Engine::Nay, Engine::Nope],
+            FuzzEngine::Race => &[Engine::Race],
+            FuzzEngine::Nay => &[Engine::Nay],
+            FuzzEngine::Nope => &[Engine::Nope],
+            FuzzEngine::Check => &[],
         }
     }
 
@@ -227,13 +236,16 @@ impl FamilyAgg {
             .join(";")
     }
 
-    fn entry(&self, family: &str, tool: &str) -> Entry {
-        let definitive: u64 = self
-            .verdicts
+    /// Instances with a definitive verdict.
+    fn definitive(&self) -> u64 {
+        self.verdicts
             .iter()
             .filter(|(v, _)| v.as_str() == "unrealizable" || v.as_str() == "realizable")
             .map(|(_, n)| n)
-            .sum();
+            .sum()
+    }
+
+    fn entry(&self, family: &str, tool: &str) -> Entry {
         Entry {
             benchmark: format!("gen/{family}"),
             tool: tool.to_string(),
@@ -241,7 +253,7 @@ impl FamilyAgg {
             verdict: self.verdict_distribution(),
             // For an aggregate row, "proved" means fully classified: every
             // instance of the family got a definitive verdict.
-            proved: definitive == self.instances,
+            proved: self.definitive() == self.instances,
             iterations: self.iterations,
             millis: self.millis,
             family: family.to_string(),
@@ -258,6 +270,8 @@ pub struct FuzzRow {
     pub tool: String,
     /// Instances attacked.
     pub instances: u64,
+    /// Instances with a definitive verdict.
+    pub definitive: u64,
     /// Verdict distribution string.
     pub verdicts: String,
     /// Total engine milliseconds.
@@ -313,11 +327,24 @@ pub struct FuzzOutcome {
     pub mem: FuzzMemStats,
 }
 
-fn claim_of(verdict: SolveVerdict) -> Claim {
-    match verdict {
-        SolveVerdict::Unrealizable => Claim::Unrealizable,
-        SolveVerdict::Realizable => Claim::Realizable,
-        SolveVerdict::Unknown | SolveVerdict::Cancelled => Claim::Unknown,
+impl FuzzOutcome {
+    /// The attacked families in which the presolve settled no instance:
+    /// what `reproduce fuzz --require-presolved` fails on. A family's
+    /// `race/presolve` aggregate counts the instances the analyzer settled
+    /// statically in its definitive verdict buckets.
+    pub fn unpresolved_families(&self) -> Vec<&'static str> {
+        let mut settled: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for row in &self.rows {
+            let n = settled.entry(row.family).or_insert(0);
+            if row.tool == "race/presolve" {
+                *n += row.definitive;
+            }
+        }
+        settled
+            .into_iter()
+            .filter(|&(_, n)| n == 0)
+            .map(|(family, _)| family)
+            .collect()
     }
 }
 
@@ -366,11 +393,9 @@ impl MemGauge {
 struct Sweep<O> {
     config: FuzzConfig,
     gen_config: GenConfig,
-    /// Arms a fresh cancel token per solve.
-    timer: DeadlineTimer,
-    /// Runs the races' engine jobs: two workers per shard worker, so every
-    /// concurrent race has both its engines running at once.
-    engines: WarmPool,
+    /// Attacks each instance; its pool has two workers per shard worker,
+    /// so every concurrent race has both its engines running at once.
+    attacker: Attacker,
     mem: MemGauge,
     observer: O,
 }
@@ -380,13 +405,12 @@ struct Sweep<O> {
 fn run_shard(sweep: &Sweep<impl Fn(u64, &str, &str)>, draws: std::ops::Range<u64>) -> ShardResult {
     let Sweep {
         config,
-        timer,
+        attacker,
         mem,
         observer,
         ..
     } = sweep;
     let mut shard = ShardResult::default();
-    let portfolio = Portfolio::new().with_presolve(config.presolve);
     for instance in ShardStream::new(sweep.gen_config.clone(), draws.start, draws.end) {
         mem.enter();
         let family = instance.family.name();
@@ -399,147 +423,37 @@ fn run_shard(sweep: &Sweep<impl Fn(u64, &str, &str)>, draws: std::ops::Range<u64
             shard.push_violation(violation);
         }
 
-        match config.engine {
-            FuzzEngine::Check => {
-                observer(instance.index, "check", instance.expected.name());
-                shard
-                    .aggs
-                    .entry((family, "check".into()))
-                    .or_default()
-                    .fold(JobStatus::Ok, instance.expected.name(), 0, 0.0, 0);
-            }
-            FuzzEngine::Race => {
-                let cancel = Cancel::new();
-                let race = {
-                    let _deadline = timer.register(&cancel, config.timeout);
-                    portfolio.race_on_pool(&instance.problem, &sweep.engines, &cancel)
-                };
-                let mut claims = vec![
-                    EngineClaim::new(
-                        "race/nay",
-                        if race.nay.status == JobStatus::Ok {
-                            claim_of(race.nay.verdict)
-                        } else {
-                            Claim::Unknown
-                        },
-                        (race.nay.verdict == SolveVerdict::Realizable)
-                            .then(|| race.solution.clone())
-                            .flatten(),
-                    ),
-                    EngineClaim::new(
-                        "race/nope",
-                        if race.nope.status == JobStatus::Ok {
-                            claim_of(race.nope.verdict)
-                        } else {
-                            Claim::Unknown
-                        },
-                        None,
-                    ),
-                ];
-                if let Some(stage) = &race.presolve {
-                    // The presolve's claim goes through the same
-                    // by-construction oracle as the engines': a
-                    // statically-settled verdict that contradicts the
-                    // generator's ground truth is a violation.
-                    claims.push(EngineClaim::new(
-                        "race/presolve",
-                        claim_of(stage.verdict),
-                        (stage.verdict == SolveVerdict::Realizable)
-                            .then(|| race.solution.clone())
-                            .flatten(),
-                    ));
-                }
-                for violation in check_instance(&instance, &claims) {
-                    shard.push_violation(violation);
-                }
-                let race_status = race.nay.status.worst(race.nope.status);
-                observer(instance.index, "race", race.verdict.name());
-                shard.aggs.entry((family, "race".into())).or_default().fold(
-                    race_status,
-                    race.verdict.name(),
-                    race.nay.iterations + race.nope.iterations,
-                    race.wall_millis,
-                    race.nay.arena_terms.max(race.nope.arena_terms),
-                );
-                for side in [&race.nay, &race.nope] {
-                    observer(
-                        instance.index,
-                        &format!("race/{}", side.engine),
-                        side.verdict.name(),
-                    );
+        if config.engine == FuzzEngine::Check {
+            observer(instance.index, "check", instance.expected.name());
+            shard
+                .aggs
+                .entry((family, "check".into()))
+                .or_default()
+                .fold(JobStatus::Ok, instance.expected.name(), 0, 0.0, 0);
+        } else {
+            let mut claims = Vec::new();
+            for &engine in config.engine.engines() {
+                for row in attacker.attack(&instance.problem, engine).rows {
+                    // A single engine that did not complete lands in a
+                    // verdict bucket named after its status.
+                    let verdict = row.verdict.map_or(row.status.as_str(), |v| v.name());
+                    observer(instance.index, row.tool, verdict);
                     shard
                         .aggs
-                        .entry((family, format!("race/{}", side.engine)))
+                        .entry((family, row.tool.to_string()))
                         .or_default()
-                        .fold(
-                            side.status,
-                            side.verdict.name(),
-                            side.iterations,
-                            side.millis,
-                            side.arena_terms,
-                        );
-                }
-                if let Some(stage) = &race.presolve {
-                    // The `race/presolve` aggregate's verdict
-                    // distribution is the per-family `presolved`
-                    // count: its definitive buckets are exactly the
-                    // instances the analyzer settled statically.
-                    observer(instance.index, "race/presolve", stage.verdict.name());
-                    shard
-                        .aggs
-                        .entry((family, "race/presolve".into()))
-                        .or_default()
-                        .fold(JobStatus::Ok, stage.verdict.name(), 0, stage.millis, 0);
+                        .fold(row.status, verdict, row.iterations, row.millis, row.nodes);
+                    // Every tool's claim goes through the oracles, the
+                    // presolve's included: a statically-settled verdict
+                    // that contradicts the generator's ground truth is a
+                    // violation. The `race` row restates its winner's.
+                    if row.tool != "race" {
+                        claims.push(EngineClaim::new(row.tool, row.claim(), row.witness));
+                    }
                 }
             }
-            FuzzEngine::Both | FuzzEngine::Nay | FuzzEngine::Nope => {
-                let tools: &[&str] = match config.engine {
-                    FuzzEngine::Both => &["nay", "nope"],
-                    FuzzEngine::Nay => &["nay"],
-                    _ => &["nope"],
-                };
-                let mut claims = Vec::new();
-                for &tool in tools {
-                    // Purely cooperative timeout: the shared timer trips a
-                    // fresh token at the deadline and the engine exits at
-                    // its next poll.
-                    let cancel = Cancel::new();
-                    let guard = timer.register(&cancel, config.timeout);
-                    let solve_started = Instant::now();
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match tool {
-                            "nay" => solve_nay(&instance.problem, &cancel, &nay::Nay::default()),
-                            _ => solve_nope(&instance.problem, &cancel, &NopeEngine::default()),
-                        }));
-                    let millis = solve_started.elapsed().as_secs_f64() * 1000.0;
-                    drop(guard);
-                    let (status, claim, verdict_name, iterations, arena_terms, witness) =
-                        match &outcome {
-                            Ok(outcome) if outcome.verdict != SolveVerdict::Cancelled => (
-                                JobStatus::Ok,
-                                claim_of(outcome.verdict),
-                                outcome.verdict.name(),
-                                outcome.iterations,
-                                outcome.arena_terms,
-                                outcome.solution.clone(),
-                            ),
-                            // A cancelled verdict means the deadline tripped
-                            // the token mid-search: a timeout, which claims
-                            // nothing and lands in its own verdict bucket.
-                            Ok(_) => (JobStatus::TimedOut, Claim::Unknown, "timed_out", 0, 0, None),
-                            Err(_) => (JobStatus::Crashed, Claim::Unknown, "crashed", 0, 0, None),
-                        };
-                    claims.push(EngineClaim::new(tool, claim, witness));
-                    observer(instance.index, tool, verdict_name);
-                    shard
-                        .aggs
-                        .entry((family, tool.to_string()))
-                        .or_default()
-                        .fold(status, verdict_name, iterations, millis, arena_terms);
-                }
-                for violation in check_instance(&instance, &claims) {
-                    shard.push_violation(violation);
-                }
+            for violation in check_instance(&instance, &claims) {
+                shard.push_violation(violation);
             }
         }
         mem.exit();
@@ -580,8 +494,7 @@ pub fn run_fuzz_observed(
     let sweep = Arc::new(Sweep {
         config: config.clone(),
         gen_config,
-        timer: DeadlineTimer::new(),
-        engines: WarmPool::new(2 * workers),
+        attacker: Attacker::new(2 * workers, config.timeout, config.presolve),
         mem: MemGauge::default(),
         observer,
     });
@@ -636,6 +549,7 @@ pub fn run_fuzz_observed(
             family,
             tool: tool.clone(),
             instances: agg.instances,
+            definitive: agg.definitive(),
             verdicts: agg.verdict_distribution(),
             millis: agg.millis,
             peak_arena: agg.peak_arena,
@@ -658,164 +572,6 @@ pub fn run_fuzz_observed(
             peak_live_instances: sweep.mem.peak.load(Ordering::SeqCst),
         },
     }
-}
-
-/// What the presolve differential sweep found.
-#[derive(Clone, Debug)]
-pub struct PresolveDiffOutcome {
-    /// Verdict flips: instances where racing with the presolve enabled
-    /// produced a different race verdict than racing without it. Any entry
-    /// here is a soundness bug in the presolve (or an engine); the sweep
-    /// must fail.
-    pub flips: Vec<String>,
-    /// Per family: instances the presolve settled statically.
-    pub presolved: BTreeMap<&'static str, u64>,
-    /// Per family: instances attacked.
-    pub instances: BTreeMap<&'static str, u64>,
-    /// Aggregate report (suite `presolve-diff`): per family one
-    /// `race+presolve` and one `race-presolve` entry with the two verdict
-    /// distributions, plus a `presolve` entry whose `iterations` field is
-    /// the family's `presolved` count.
-    pub report: Report,
-    /// Wall-clock milliseconds of the whole sweep.
-    pub wall_millis: f64,
-}
-
-/// Runs every generated instance through the portfolio twice — presolve
-/// enabled and disabled — and diffs the race verdicts. The presolve is
-/// verdict-preserving by construction (sound verdicts, recheck gate), so
-/// any flip is a bug; this sweep is the empirical check of that guarantee,
-/// and the engine behind `reproduce presolve-diff` and the CI `analyze`
-/// job.
-pub fn run_presolve_diff(config: &FuzzConfig) -> PresolveDiffOutcome {
-    let sweep_started = Instant::now();
-    let mut flips: Vec<String> = Vec::new();
-    let mut presolved: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut instances: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut aggs: BTreeMap<(&'static str, &'static str), FamilyAgg> = BTreeMap::new();
-    let with_presolve = Portfolio::new().with_presolve(true);
-    let without_presolve = Portfolio::new().with_presolve(false);
-    let pool = WarmPool::new(2);
-    let timer = DeadlineTimer::new();
-    let race = |portfolio: &Portfolio, problem: &sygus::Problem| {
-        let cancel = Cancel::new();
-        let _deadline = timer.register(&cancel, config.timeout);
-        portfolio.race_on_pool(problem, &pool, &cancel)
-    };
-
-    let mut stream = ProblemStream::new(config.gen_config());
-    for instance in stream.by_ref().take(config.count) {
-        let family = instance.family.name();
-        *instances.entry(family).or_insert(0) += 1;
-        let on = race(&with_presolve, &instance.problem);
-        let off = race(&without_presolve, &instance.problem);
-        // A sound presolve may *add* a definitive verdict where the
-        // engines said unknown (that is its whole point on hard
-        // instances), but it may never contradict a definitive engine
-        // verdict — that is the flip this sweep hunts.
-        let contradiction = on.verdict != off.verdict
-            && on.verdict != SolveVerdict::Unknown
-            && off.verdict != SolveVerdict::Unknown;
-        let engines_lost_verdict =
-            on.verdict == SolveVerdict::Unknown && off.verdict != SolveVerdict::Unknown;
-        if contradiction || engines_lost_verdict {
-            flips.push(format!(
-                "{}: race verdict `{}` with presolve vs `{}` without (seed {})",
-                instance.name(),
-                on.verdict.name(),
-                off.verdict.name(),
-                instance.seed,
-            ));
-        }
-        if on.winner == Some("presolve") {
-            *presolved.entry(family).or_insert(0) += 1;
-        }
-        aggs.entry((family, "race+presolve")).or_default().fold(
-            on.nay.status.worst(on.nope.status),
-            on.verdict.name(),
-            on.nay.iterations + on.nope.iterations,
-            on.wall_millis,
-            on.nay.arena_terms.max(on.nope.arena_terms),
-        );
-        aggs.entry((family, "race-presolve")).or_default().fold(
-            off.nay.status.worst(off.nope.status),
-            off.verdict.name(),
-            off.nay.iterations + off.nope.iterations,
-            off.wall_millis,
-            off.nay.arena_terms.max(off.nope.arena_terms),
-        );
-    }
-
-    let mut entries: Vec<Entry> = aggs
-        .iter()
-        .map(|((family, tool), agg)| agg.entry(family, tool))
-        .collect();
-    for (family, n) in &instances {
-        entries.push(Entry {
-            benchmark: format!("gen/{family}"),
-            tool: "presolve".into(),
-            status: JobStatus::Ok,
-            verdict: format!("presolved={}", presolved.get(family).copied().unwrap_or(0)),
-            proved: presolved.get(family).copied().unwrap_or(0) > 0,
-            iterations: presolved.get(family).copied().unwrap_or(0),
-            millis: 0.0,
-            family: family.to_string(),
-        });
-        debug_assert!(*n > 0);
-    }
-    entries.sort_by(|a, b| (&a.benchmark, &a.tool).cmp(&(&b.benchmark, &b.tool)));
-    PresolveDiffOutcome {
-        flips,
-        presolved,
-        instances,
-        report: Report::new("presolve-diff", entries),
-        wall_millis: sweep_started.elapsed().as_secs_f64() * 1000.0,
-    }
-}
-
-/// Renders the presolve differential summary.
-pub fn render_presolve_diff(outcome: &PresolveDiffOutcome, config: &FuzzConfig) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# presolve-diff — count: {}, seed: {}",
-        config.count, config.seed
-    );
-    let _ = writeln!(
-        out,
-        "{:<16} {:>6} {:>10}  verdicts with presolve | without",
-        "family", "n", "presolved"
-    );
-    for (family, n) in &outcome.instances {
-        let dist = |tool: &str| {
-            outcome
-                .report
-                .entries
-                .iter()
-                .find(|e| e.family == *family && e.tool == tool)
-                .map(|e| e.verdict.clone())
-                .unwrap_or_default()
-        };
-        let _ = writeln!(
-            out,
-            "{:<16} {:>6} {:>10}  {} | {}",
-            family,
-            n,
-            outcome.presolved.get(family).copied().unwrap_or(0),
-            dist("race+presolve"),
-            dist("race-presolve"),
-        );
-    }
-    let total_presolved: u64 = outcome.presolved.values().sum();
-    let total: u64 = outcome.instances.values().sum();
-    let _ = writeln!(
-        out,
-        "{total} instance(s), {total_presolved} presolved, {} verdict flip(s); wall-clock {:.1} ms",
-        outcome.flips.len(),
-        outcome.wall_millis
-    );
-    out
 }
 
 /// Renders the human-readable fuzz table, ending with a summary line
@@ -959,23 +715,6 @@ mod tests {
         assert!(tools.contains("race/nay"));
         assert!(tools.contains("race/nope"));
         assert!(tools.contains("race/presolve"));
-    }
-
-    #[test]
-    fn presolve_diff_sweep_has_no_flips() {
-        let config = quick_config(FuzzEngine::Race);
-        let outcome = run_presolve_diff(&config);
-        assert!(
-            outcome.flips.is_empty(),
-            "verdict flips: {:#?}",
-            outcome.flips
-        );
-        assert_eq!(outcome.report.suite, "presolve-diff");
-        let total: u64 = outcome.instances.values().sum();
-        assert_eq!(total, config.count as u64);
-        let rendered = render_presolve_diff(&outcome, &config);
-        assert!(rendered.contains("presolved"));
-        assert!(rendered.contains("0 verdict flip(s)"));
     }
 
     #[test]

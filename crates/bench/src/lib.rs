@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod analysis;
+mod attack;
 mod fuzz;
 mod serve;
 mod solve;
@@ -37,9 +38,8 @@ mod suite;
 
 pub use analysis::{has_analyze_errors, render_analyze, run_analyze, AnalyzeRow};
 pub use fuzz::{
-    render_fuzz, render_presolve_diff, run_fuzz, run_fuzz_observed, run_gen, run_presolve_diff,
-    FuzzConfig, FuzzEngine, FuzzMemStats, FuzzOutcome, FuzzRow, PresolveDiffOutcome,
-    MAX_KEPT_VIOLATIONS,
+    render_fuzz, run_fuzz, run_fuzz_observed, run_gen, FuzzConfig, FuzzEngine, FuzzMemStats,
+    FuzzOutcome, FuzzRow, MAX_KEPT_VIOLATIONS,
 };
 pub use serve::{
     corpus_workload, gen_workload, render_load, run_load, Expected, LoadConfig, LoadOutcome,

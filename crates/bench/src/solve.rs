@@ -6,8 +6,9 @@
 //! turns a solve report plus a manifest into a list of mismatches, which
 //! is what the CI `corpus-check` job gates on.
 
-use portfolio::{solve_nay, solve_nope, Cancel, NopeEngine, Portfolio, SolveVerdict};
-use runner::{run_jobs, DeadlineTimer, Entry, Job, JobStatus, PoolConfig, Report, WarmPool};
+use crate::attack::{Attack, Attacker, Row};
+use portfolio::SolveVerdict;
+use runner::{Entry, JobStatus, Report};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -140,20 +141,20 @@ pub struct SolveTotals {
 /// tool; a race additionally contributes `race/nay` and `race/nope`
 /// entries carrying each engine's own timing, verdict (`cancelled` for the
 /// cancelled loser), and iteration count, so the loser's cancellation
-/// latency is `race/<loser>.millis − race/<winner>.millis`.
+/// latency is `race/<loser>.millis − race/<winner>.millis`. A single
+/// engine that does not complete gets verdict `-`.
 ///
 /// Engines run under a wall-clock budget of `timeout`, defaulting to
 /// [`DEFAULT_SOLVE_TIMEOUT`] for solo and race alike. The budget trips the
 /// engines' cancellation token, so a diverging engine winds down and lands
 /// as a `timed_out` entry instead of hanging the run. Races share one warm
-/// two-worker pool for the whole sweep; solo runs go through
-/// [`run_jobs`] one file at a time.
+/// two-worker pool for the whole sweep.
 ///
 /// When racing with the presolve stage enabled, each race additionally
 /// contributes a `race/presolve` entry carrying the static analyzer's own
 /// verdict (`unknown` when it abstained) and milliseconds; the stage is
-/// verdict-preserving (see [`Portfolio::with_presolve`]) so the `race`
-/// entries the MANIFEST gates on are unaffected.
+/// verdict-preserving (see [`portfolio::Portfolio::with_presolve`]) so the
+/// `race` entries the MANIFEST gates on are unaffected.
 ///
 /// With `trace` set, each race row additionally carries an [`obs::Trace`]
 /// span tree (parse, presolve, per-engine race spans, loser cancellation)
@@ -169,121 +170,37 @@ pub fn run_solve(
     trace: bool,
 ) -> Result<(Vec<SolveRow>, Report, SolveTotals), String> {
     let sweep_started = Instant::now();
-    let timeout = timeout.unwrap_or(DEFAULT_SOLVE_TIMEOUT);
+    let attacker = Attacker::new(2, timeout.unwrap_or(DEFAULT_SOLVE_TIMEOUT), presolve);
     let mut entries: Vec<Entry> = Vec::new();
     let mut rows: Vec<SolveRow> = Vec::new();
-    match engine {
-        Engine::Race => {
-            // One warm pool and one deadline timer serve every race.
-            let pool = WarmPool::new(2);
-            let timer = DeadlineTimer::new();
-            let portfolio = Portfolio::new().with_presolve(presolve);
-            for path in files {
-                let parse_started = Instant::now();
-                let problem = load_problem(path)?;
-                let parse_millis = parse_started.elapsed().as_secs_f64() * 1000.0;
-                let name = problem_name(path);
-                let cancel = Cancel::new();
-                let report = {
-                    let _deadline = timer.register(&cancel, timeout);
-                    portfolio.race_on_pool(&problem, &pool, &cancel)
-                };
-                // The race entry surfaces the *worst* engine status: a
-                // panicking engine is a crash and an engine stopped by the
-                // deadline is a timeout — the corpus gate must fail on
-                // either (a loser cancelled by the winner exits Ok with
-                // verdict `cancelled`, so healthy races are unaffected).
-                let race_status = report.nay.status.worst(report.nope.status);
-                entries.push(Entry {
-                    benchmark: name.clone(),
-                    tool: "race".into(),
-                    status: race_status,
-                    verdict: report.verdict.name().into(),
-                    proved: report.verdict == SolveVerdict::Unrealizable,
-                    iterations: report.nay.iterations + report.nope.iterations,
-                    millis: report.wall_millis,
-                    family: String::new(),
-                });
-                for side in [&report.nay, &report.nope] {
-                    entries.push(Entry {
-                        benchmark: name.clone(),
-                        tool: format!("race/{}", side.engine),
-                        status: side.status,
-                        verdict: side.verdict.name().into(),
-                        proved: side.verdict == SolveVerdict::Unrealizable,
-                        iterations: side.iterations,
-                        millis: side.millis,
-                        family: String::new(),
-                    });
-                }
-                if let Some(stage) = &report.presolve {
-                    entries.push(Entry {
-                        benchmark: name.clone(),
-                        tool: "race/presolve".into(),
-                        status: JobStatus::Ok,
-                        verdict: stage.verdict.name().into(),
-                        proved: stage.verdict == SolveVerdict::Unrealizable,
-                        iterations: 0,
-                        millis: stage.millis,
-                        family: String::new(),
-                    });
-                }
-                rows.push(SolveRow {
-                    trace: trace
-                        .then(|| report.trace_with(obs::fresh_trace_id(), parse_millis, None)),
-                    name,
-                    verdict: report.verdict.name().into(),
-                    winner: report.winner,
-                    millis: report.wall_millis,
-                    loser_cancel_millis: report.loser_cancel_millis,
-                    arena_terms: report.nay.arena_terms.max(report.nope.arena_terms),
-                });
-            }
-        }
-        Engine::Nay | Engine::Nope => {
-            let mut jobs = Vec::new();
-            for path in files {
-                let problem = load_problem(path)?;
-                jobs.push(Job::cancellable(
-                    problem_name(path),
-                    move |cancel| match engine {
-                        Engine::Nay => solve_nay(&problem, cancel, &nay::Nay::default()),
-                        _ => solve_nope(&problem, cancel, &NopeEngine::default()),
-                    },
-                ));
-            }
-            let config = PoolConfig::serial().with_timeout(timeout);
-            for result in run_jobs(jobs, &config) {
-                let millis = result.elapsed.as_secs_f64() * 1000.0;
-                let (verdict, iterations, arena_terms) = match &result.output {
-                    Some(outcome) => (
-                        outcome.verdict.name().to_string(),
-                        outcome.iterations,
-                        outcome.arena_terms,
-                    ),
-                    None => ("-".to_string(), 0, 0),
-                };
-                entries.push(Entry {
-                    benchmark: result.id.clone(),
-                    tool: engine.name().into(),
-                    status: result.status,
-                    verdict: verdict.clone(),
-                    proved: verdict == "unrealizable",
-                    iterations,
-                    millis,
-                    family: String::new(),
-                });
-                rows.push(SolveRow {
-                    name: result.id,
-                    verdict,
-                    winner: None,
-                    millis,
-                    loser_cancel_millis: None,
-                    arena_terms,
-                    trace: None,
-                });
-            }
-        }
+    for path in files {
+        let parse_started = Instant::now();
+        let problem = load_problem(path)?;
+        let parse_millis = parse_started.elapsed().as_secs_f64() * 1000.0;
+        let name = problem_name(path);
+        let Attack { rows: tools, race } = attacker.attack(&problem, engine);
+        let verdict = |row: &Row| row.verdict.map_or("-", |v| v.name()).to_string();
+        rows.push(SolveRow {
+            name: name.clone(),
+            verdict: verdict(&tools[0]),
+            winner: race.as_ref().and_then(|r| r.winner),
+            millis: tools[0].millis,
+            loser_cancel_millis: race.as_ref().and_then(|r| r.loser_cancel_millis),
+            arena_terms: tools[0].nodes,
+            trace: race
+                .filter(|_| trace)
+                .map(|r| r.trace_with(obs::fresh_trace_id(), parse_millis, None)),
+        });
+        entries.extend(tools.iter().map(|row| Entry {
+            benchmark: name.clone(),
+            tool: row.tool.into(),
+            status: row.status,
+            verdict: verdict(row),
+            proved: row.verdict == Some(SolveVerdict::Unrealizable),
+            iterations: row.iterations,
+            millis: row.millis,
+            family: String::new(),
+        }));
     }
     let report = Report::new(format!("solve-{}", engine.name()), entries);
     let totals = SolveTotals {

@@ -19,19 +19,21 @@
 //! # Delta rounds
 //!
 //! The rounds are semi-naive. Every kept vector is stamped with the
-//! evaluation that kept it, and a nonterminal whose last evaluation was
-//! *complete* (no cap truncated it) builds only the argument tuples that
-//! contain a vector kept since then. This is exact because sets only grow
-//! and a vector's witness never changes: a tuple of older vectors was
-//! built by that complete evaluation, over the same vectors and terms, and
-//! its vector was kept then. The caps keep their positions:
+//! evaluation that kept it, and a nonterminal evaluated before builds only
+//! the argument tuples that contain a vector kept since its last
+//! evaluation. This is exact because sets only grow and a vector's witness
+//! never changes: a tuple of older vectors was built by that evaluation,
+//! over the same vectors and terms, and its vector was kept then — unless
+//! a cap stopped the evaluation first. A step cap (`Plus`, `ite` or
+//! binary) stops a production at a position in its tuple order, and an
+//! old tuple's position only grows as the sets grow, so a tuple past the
+//! cap then is past it now and is not built by a full evaluation either.
+//! The new-vectors cap and the merge cap leave the set full, and a full
+//! set is skipped. The caps keep their positions:
 //!
 //! * a skipped tuple still counts toward its production's per-step cap
 //!   (skipped tuples never overflow: a production that ever dropped an
 //!   overflowing run builds every tuple);
-//! * a nonterminal whose last evaluation hit a cap (the `Plus`, `ite` or
-//!   binary step cap, the new-vectors cap or the merge cap) is evaluated
-//!   in full;
 //! * a delta evaluation whose kept and new vectors together could reach
 //!   [`MAX_VECTORS`] is redone in full, since only then can the
 //!   new-vectors or the merge cap trip;
@@ -433,9 +435,9 @@ struct Search<'g, 'e> {
     rules: Vec<Vec<Rule<'g>>>,
     sets: Vec<Kept>,
     indexes: Vec<Index>,
-    /// Per nonterminal, its last evaluation if that was complete, else 0
-    /// (the next evaluation is full).
-    complete: Vec<u32>,
+    /// Per nonterminal, its last evaluation, or 0 before the first (the
+    /// next evaluation is full).
+    last_eval: Vec<u32>,
     log: WitnessLog<'g>,
     /// Set once a cap truncated a set or an overflowing run was dropped.
     cut: bool,
@@ -470,7 +472,7 @@ impl<'g, 'e> Search<'g, 'e> {
             rules,
             sets: vec![Kept::default(); n],
             indexes: vec![Index::with_hasher(Seed(RandomState::new().hash_one(0))); n],
-            complete: vec![0; n],
+            last_eval: vec![0; n],
             log: WitnessLog::default(),
             cut: false,
         }
@@ -519,8 +521,8 @@ impl<'g, 'e> Search<'g, 'e> {
         (None, false)
     }
 
-    /// Evaluates nonterminal `i` as evaluation `eval`, in delta mode when
-    /// its last evaluation was complete, and merges the vectors it finds.
+    /// Evaluates nonterminal `i` as evaluation `eval`, in delta mode after
+    /// its first evaluation, and merges the vectors it finds.
     /// Returns whether a vector was kept.
     fn evaluate(&mut self, i: usize, eval: u32) -> bool {
         if self.sets[i].len() >= MAX_VECTORS {
@@ -528,7 +530,7 @@ impl<'g, 'e> Search<'g, 'e> {
             self.cut = true;
             return false;
         }
-        let since = self.complete[i];
+        let since = self.last_eval[i];
         let mut delta = since > 0;
         loop {
             let mut cands = Candidates {
@@ -603,7 +605,7 @@ impl<'g, 'e> Search<'g, 'e> {
             for k in k..old.len() {
                 set.push(old.vector(k, dim), old.witnesses[k], old.stamps[k]);
             }
-            self.complete[i] = if capped { 0 } else { eval };
+            self.last_eval[i] = eval;
             self.cut |= capped || dropped;
             return !order.is_empty();
         }
@@ -680,7 +682,7 @@ fn production<'g>(
     match symbol {
         _ if args.is_empty() => {
             // a leaf (or a nullary Plus): its one (empty) tuple is old
-            // after a complete evaluation
+            // after the first evaluation
             if since > 0 {
                 return true;
             }

@@ -470,8 +470,8 @@ fn build_max_gap(rng: &mut GenRng, scale: &Scale) -> Built {
 /// `g` is kept even and unrealizable targets are biased toward odd `t`,
 /// so even a parity argument settles a healthy share of these statically;
 /// the presolve's congruence domain can see every `t ≢ 0 (mod g)`. The
-/// `presolve-diff --require-presolved` CI gate needs at least one settled
-/// instance per family.
+/// `fuzz --engine race --require-presolved` CI gate needs at least one
+/// settled instance per family.
 fn build_from_spec(spec: &FamilySpec, rng: &mut GenRng, scale: &Scale) -> Built {
     let magnitude = scale.max_magnitude.max(2);
     let g = 2 * rng.range_i64(1, (magnitude / 2).max(1));

@@ -25,7 +25,7 @@
 //!   ([`roundtrip_violation`]) that a fuzz sweep enforces per instance.
 //!
 //! The crate deliberately knows nothing about the engines: `bench`'s
-//! `reproduce fuzz` maps engine outcomes into [`oracle::Claim`]s and this
+//! `reproduce fuzz` maps engine outcomes into [`EngineClaim`]s and this
 //! crate judges them.
 
 #![forbid(unsafe_code)]
@@ -38,7 +38,7 @@ pub mod stream;
 
 pub use builder::{build, Built};
 pub use families::{Expectation, Family, FamilySpec, Scale, SignSkew, FAMILY_SPECS};
-pub use oracle::{check_instance, roundtrip_violation, Claim, EngineClaim, Violation};
+pub use oracle::{check_instance, roundtrip_violation, EngineClaim, Violation};
 pub use rng::{instance_seed, GenRng};
 pub use stream::{write_corpus, GenConfig, GeneratedInstance, ProblemStream, ShardStream};
 pub use sygus::rng;

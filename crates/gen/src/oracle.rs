@@ -19,31 +19,7 @@
 use crate::families::Expectation;
 use crate::stream::GeneratedInstance;
 use std::fmt;
-use sygus::{Example, ExampleSet, Term};
-
-/// An engine's verdict, reduced to the oracle's vocabulary. Map
-/// budget-exhaustion, cancellation, and timeouts to [`Claim::Unknown`] —
-/// only definitive answers are gated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Claim {
-    /// The engine proved no solution exists.
-    Unrealizable,
-    /// The engine produced (and verified) a solution.
-    Realizable,
-    /// No definitive answer (budget, timeout, cancellation).
-    Unknown,
-}
-
-impl Claim {
-    /// Stable lower-case name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Claim::Unrealizable => "unrealizable",
-            Claim::Realizable => "realizable",
-            Claim::Unknown => "unknown",
-        }
-    }
-}
+use sygus::{Example, ExampleSet, Term, Verdict};
 
 /// One engine's answer on one instance.
 #[derive(Clone, Debug)]
@@ -51,15 +27,16 @@ pub struct EngineClaim {
     /// Engine name as it should appear in failure reports (`nay`, `nope`,
     /// `race`, …).
     pub engine: String,
-    /// The verdict.
-    pub claim: Claim,
+    /// The verdict. Map budget exhaustion, cancellation and timeouts to
+    /// [`Verdict::Unknown`]: only definitive answers are gated.
+    pub claim: Verdict,
     /// The solution term, when the engine produced one.
     pub witness: Option<Term>,
 }
 
 impl EngineClaim {
     /// Convenience constructor.
-    pub fn new(engine: impl Into<String>, claim: Claim, witness: Option<Term>) -> EngineClaim {
+    pub fn new(engine: impl Into<String>, claim: Verdict, witness: Option<Term>) -> EngineClaim {
         EngineClaim {
             engine: engine.into(),
             claim,
@@ -164,11 +141,11 @@ pub fn check_instance(instance: &GeneratedInstance, claims: &[EngineClaim]) -> V
     // Layer 1 — differential: contradictory definitive verdicts.
     let unreal: Vec<&EngineClaim> = claims
         .iter()
-        .filter(|c| c.claim == Claim::Unrealizable)
+        .filter(|c| c.claim == Verdict::Unrealizable)
         .collect();
     let real: Vec<&EngineClaim> = claims
         .iter()
-        .filter(|c| c.claim == Claim::Realizable)
+        .filter(|c| c.claim == Verdict::Realizable)
         .collect();
     if let (Some(u), Some(r)) = (unreal.first(), real.first()) {
         violations.push(violation(format!(
@@ -184,8 +161,8 @@ pub fn check_instance(instance: &GeneratedInstance, claims: &[EngineClaim]) -> V
 
     // Layer 2 — expectation: the construction's forbidden verdict.
     let forbidden = match instance.expected {
-        Expectation::Realizable => Claim::Unrealizable,
-        Expectation::Unrealizable => Claim::Realizable,
+        Expectation::Realizable => Verdict::Unrealizable,
+        Expectation::Unrealizable => Verdict::Realizable,
     };
     for claim in claims.iter().filter(|c| c.claim == forbidden) {
         violations.push(violation(format!(
@@ -259,8 +236,8 @@ mod tests {
     fn consistent_claims_pass() {
         let instance = instance_of(Expectation::Unrealizable);
         let claims = vec![
-            EngineClaim::new("nay", Claim::Unrealizable, None),
-            EngineClaim::new("nope", Claim::Unknown, None),
+            EngineClaim::new("nay", Verdict::Unrealizable, None),
+            EngineClaim::new("nope", Verdict::Unknown, None),
         ];
         assert!(check_instance(&instance, &claims).is_empty());
     }
@@ -270,8 +247,8 @@ mod tests {
         for expected in [Expectation::Realizable, Expectation::Unrealizable] {
             let instance = instance_of(expected);
             let claims = vec![
-                EngineClaim::new("nay", Claim::Unknown, None),
-                EngineClaim::new("nope", Claim::Unknown, None),
+                EngineClaim::new("nay", Verdict::Unknown, None),
+                EngineClaim::new("nope", Verdict::Unknown, None),
             ];
             assert!(check_instance(&instance, &claims).is_empty());
         }
@@ -281,8 +258,8 @@ mod tests {
     fn contradictory_verdicts_are_flagged() {
         let instance = instance_of(Expectation::Unrealizable);
         let claims = vec![
-            EngineClaim::new("nope", Claim::Unrealizable, None),
-            EngineClaim::new("nay", Claim::Realizable, Some(sygus::Term::num(0))),
+            EngineClaim::new("nope", Verdict::Unrealizable, None),
+            EngineClaim::new("nay", Verdict::Realizable, Some(sygus::Term::num(0))),
         ];
         let violations = check_instance(&instance, &claims);
         assert!(
@@ -301,7 +278,7 @@ mod tests {
     #[test]
     fn forbidden_expectation_verdicts_are_flagged() {
         let instance = instance_of(Expectation::Realizable);
-        let claims = vec![EngineClaim::new("nope", Claim::Unrealizable, None)];
+        let claims = vec![EngineClaim::new("nope", Verdict::Unrealizable, None)];
         let violations = check_instance(&instance, &claims);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].detail.contains("expectation mismatch"));
@@ -315,7 +292,7 @@ mod tests {
         // with the expectation.
         let claims = vec![EngineClaim::new(
             "nay",
-            Claim::Realizable,
+            Verdict::Realizable,
             Some(sygus::Term::var("zz")),
         )];
         let violations = check_instance(&instance, &claims);
@@ -329,7 +306,7 @@ mod tests {
     fn valid_witnesses_pass_layer_three() {
         let instance = instance_of(Expectation::Realizable);
         let witness = instance.witness.clone().expect("realizable ⇒ witness");
-        let claims = vec![EngineClaim::new("nay", Claim::Realizable, Some(witness))];
+        let claims = vec![EngineClaim::new("nay", Verdict::Realizable, Some(witness))];
         assert!(check_instance(&instance, &claims).is_empty());
     }
 
@@ -368,7 +345,7 @@ mod tests {
         let m = Term::num(i64::MAX);
         let wrapped = Term::plus(Term::plus(Term::var("x"), m.clone()), m);
         assert!(instance.problem.grammar().contains_term(&wrapped));
-        let claims = vec![EngineClaim::new("nay", Claim::Realizable, Some(wrapped))];
+        let claims = vec![EngineClaim::new("nay", Verdict::Realizable, Some(wrapped))];
         let violations = check_instance(&instance, &claims);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
@@ -410,7 +387,7 @@ mod tests {
             problem: Problem::new("three_vars", grammar, spec),
         };
         let witness = Term::plus(Term::plus(Term::var("x"), Term::var("y")), Term::var("z"));
-        let claims = vec![EngineClaim::new("nay", Claim::Realizable, Some(witness))];
+        let claims = vec![EngineClaim::new("nay", Verdict::Realizable, Some(witness))];
         assert!(check_instance(&instance, &claims).is_empty());
     }
 }

@@ -6,7 +6,8 @@
 //! unsound ground truth or unprintable problems fails here before any
 //! engine ever sees it.
 
-use gen::{check_instance, roundtrip_violation, Claim, EngineClaim, Family, GenConfig};
+use gen::{check_instance, roundtrip_violation, EngineClaim, Family, GenConfig};
+use sygus::Verdict;
 
 fn validate_family(family: Family) {
     let config = GenConfig::new(7).with_families(vec![family]);
@@ -21,8 +22,8 @@ fn validate_family(family: Family) {
         // the probe grid; an unrealizable claim must not contradict the
         // expectation.
         let claim = match instance.witness.clone() {
-            Some(witness) => EngineClaim::new("generator", Claim::Realizable, Some(witness)),
-            None => EngineClaim::new("generator", Claim::Unrealizable, None),
+            Some(witness) => EngineClaim::new("generator", Verdict::Realizable, Some(witness)),
+            None => EngineClaim::new("generator", Verdict::Unrealizable, None),
         };
         let violations = check_instance(&instance, &[claim]);
         assert!(

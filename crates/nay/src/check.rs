@@ -40,30 +40,13 @@ use sygus::{ExampleSet, Problem, Sort, SygusError};
 const PRUNE: bool = true;
 
 /// The verdict of Alg. 1 on the example-restricted problem `sy_E`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// No term of `L(G)` satisfies the specification on the examples — and
-    /// therefore the full SyGuS problem is unrealizable (Lemma 3.5).
-    Unrealizable,
-    /// Some output vector allowed by the (exact) abstraction satisfies the
-    /// specification on the examples, so `sy_E` is realizable and more
-    /// examples are needed to prove the full problem unrealizable.
-    Realizable,
-    /// The check was inconclusive (approximate mode, or solver budget).
-    Unknown,
-}
-
-impl Verdict {
-    /// Stable lower-case name used by the benchmark report
-    /// (`unrealizable`, `realizable`, `unknown`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Verdict::Unrealizable => "unrealizable",
-            Verdict::Realizable => "realizable",
-            Verdict::Unknown => "unknown",
-        }
-    }
-}
+/// `Unrealizable` means no term of `L(G)` satisfies the specification on
+/// the examples, so the full problem is unrealizable too (Lemma 3.5).
+/// `Realizable` means some output vector the (exact) abstraction allows
+/// satisfies the specification on the examples, so more examples are
+/// needed. `Unknown` means the check was inconclusive (approximate mode,
+/// or solver budget).
+pub use sygus::Verdict;
 
 /// The outcome of a single unrealizability check, with statistics used by
 /// the benchmark harness.

@@ -12,7 +12,7 @@ use nay::{CegisOutcome, Nay};
 use nope::{NopeSolver, NopeVerdict};
 use runner::Cancel;
 use sygus::rng::{random_example, EXAMPLE_SEED};
-use sygus::{ExampleSet, Problem, Term};
+use sygus::{ExampleSet, Problem, Term, Verdict};
 
 /// The unified verdict vocabulary of the portfolio.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +43,29 @@ impl SolveVerdict {
     /// the shared token in a race.
     pub fn is_definitive(&self) -> bool {
         matches!(self, SolveVerdict::Unrealizable | SolveVerdict::Realizable)
+    }
+}
+
+/// A checker's three-way verdict in the portfolio's vocabulary.
+impl From<Verdict> for SolveVerdict {
+    fn from(verdict: Verdict) -> SolveVerdict {
+        match verdict {
+            Verdict::Unrealizable => SolveVerdict::Unrealizable,
+            Verdict::Realizable => SolveVerdict::Realizable,
+            Verdict::Unknown => SolveVerdict::Unknown,
+        }
+    }
+}
+
+/// What a solve claims about the problem: a cancelled engine claims
+/// nothing, so [`SolveVerdict::Cancelled`] becomes [`Verdict::Unknown`].
+impl From<SolveVerdict> for Verdict {
+    fn from(verdict: SolveVerdict) -> Verdict {
+        match verdict {
+            SolveVerdict::Unrealizable => Verdict::Unrealizable,
+            SolveVerdict::Realizable => Verdict::Realizable,
+            SolveVerdict::Unknown | SolveVerdict::Cancelled => Verdict::Unknown,
+        }
     }
 }
 

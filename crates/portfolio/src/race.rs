@@ -34,7 +34,7 @@
 //! truth.
 
 use crate::engines::{solve_nay, solve_nope, EngineOutcome, NopeEngine, SolveVerdict};
-use analyze::{PresolveVerdict, Presolver};
+use analyze::Presolver;
 use nay::Nay;
 use runner::{measure, Cancel, Job, JobResult, JobStatus, WarmPool};
 use sygus::{Problem, Term};
@@ -291,11 +291,7 @@ impl Portfolio {
             });
             let millis = elapsed.as_secs_f64() * 1000.0;
             if gated {
-                let verdict = match outcome.verdict {
-                    PresolveVerdict::Realizable => SolveVerdict::Realizable,
-                    PresolveVerdict::Unrealizable => SolveVerdict::Unrealizable,
-                    PresolveVerdict::Unknown => SolveVerdict::Unknown,
-                };
+                let verdict = SolveVerdict::from(outcome.verdict);
                 return Ok(RaceReport {
                     verdict,
                     winner: Some("presolve"),
@@ -514,7 +510,7 @@ mod tests {
             let presolved = Presolver::new().presolve(&problem);
             assert_ne!(
                 presolved.verdict,
-                PresolveVerdict::Unrealizable,
+                analyze::PresolveVerdict::Unrealizable,
                 "looped={looped}"
             );
             for presolve in [true, false] {

@@ -10,7 +10,8 @@
 //! * [`Example`], [`ExampleSet`], [`Output`] — the restricted semantics
 //!   `⟦·⟧_E` with respect to a finite set of input examples (Ex. 3.6, §6.1),
 //! * [`Spec`], [`Problem`] — SyGuS problems `(ψ, G)` (Def. 3.2) and their
-//!   example-restricted variants `sy_E` (Def. 3.4),
+//!   example-restricted variants `sy_E` (Def. 3.4), and the [`Verdict`]
+//!   every checker answers them with,
 //! * [`rewrite::to_plus_form`] — the `h(G)` rewriting that removes `Minus`
 //!   (§5.2),
 //! * [`parser`] — the SyGuS-IF front end, which reports every
@@ -37,7 +38,7 @@ mod term;
 
 pub use example::{Example, ExampleSet, Output};
 pub use grammar::{Grammar, GrammarBuilder, NonTerminal, Production};
-pub use problem::Problem;
+pub use problem::{Problem, Verdict};
 pub use semantics::Value;
 pub use spec::Spec;
 pub use term::{Sort, Symbol, Term};

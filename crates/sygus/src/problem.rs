@@ -170,6 +170,38 @@ impl fmt::Display for Problem {
     }
 }
 
+/// The answer to a SyGuS problem (or to its example-restricted variant
+/// `sy_E`): the three-way verdict the checkers, the presolve and the
+/// fuzzing oracles share. Its [`Verdict::name`] strings are the format of
+/// every report, the corpus MANIFEST and the wire protocol.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// No term of the grammar satisfies the specification.
+    Unrealizable,
+    /// Some term of the grammar satisfies the specification.
+    Realizable,
+    /// No definitive answer (approximation, budget, timeout or
+    /// cancellation).
+    Unknown,
+}
+
+impl Verdict {
+    /// Stable lower-case name: `unrealizable`, `realizable` or `unknown`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Verdict::Unrealizable => "unrealizable",
+            Verdict::Realizable => "realizable",
+            Verdict::Unknown => "unknown",
+        }
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
