@@ -9,7 +9,7 @@
 //! "analyzer-clean" gate is a single glance at the JSON.
 
 use crate::problem_name;
-use analyze::{AnalysisReport, PresolveVerdict, Severity};
+use analyze::{AnalysisReport, Severity};
 use runner::{measure, Entry, JobStatus, Report};
 use std::path::PathBuf;
 
@@ -55,10 +55,6 @@ pub fn run_analyze(files: &[PathBuf]) -> Result<(Vec<AnalyzeRow>, Report), Strin
             tool: "analyze".into(),
             status: JobStatus::Ok,
             verdict,
-            proved: report
-                .presolve
-                .as_ref()
-                .is_some_and(|p| p.verdict == PresolveVerdict::Unrealizable),
             iterations: report.diagnostics.len() as u64,
             millis,
             family: String::new(),

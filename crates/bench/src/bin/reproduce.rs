@@ -23,11 +23,10 @@
 //! compare OPTIONS:
 //!   --threshold-pct P        flag slowdowns beyond P percent (default: 25)
 //!   --min-millis M           ignore entries faster than M ms (default: 50)
-//!   --throughput-drop-pct P  flag fuzz-throughput drops beyond P percent
-//!                            (default: 50; only reports carrying a
-//!                            `throughput` block participate)
-//!   --throughput-only        gate on throughput alone, skipping the
-//!                            per-entry time/verdict comparison
+//!   --throughput-drop-pct P  flag a drop of a fuzz sweep's total
+//!                            instances/sec beyond P percent (default: 50;
+//!                            only when both reports carry a `throughput`
+//!                            block)
 //!
 //! solve OPTIONS:
 //!   --engine nay|nope|race   which engine to drive (default: race)
@@ -66,9 +65,9 @@
 //!   --json PATH               write the aggregate JSON report to PATH
 //!   --failures PATH           write a reproducing-seed failure report for
 //!                             every kept violation (first 64)
-//!   --throughput-baseline B   gate this sweep's instances/sec against the
-//!                             committed report B (exit 1 on a drop beyond
-//!                             the threshold)
+//!   --throughput-baseline B   gate this sweep's total instances/sec
+//!                             against the committed report B (exit 1 on
+//!                             a drop beyond the threshold)
 //!   --throughput-drop-pct P   threshold for the baseline gate (default: 50)
 //!   --families a,b            restrict to these families
 //!   --no-presolve             disable the presolve stage when racing
@@ -120,7 +119,8 @@
 //! when any oracle (differential, expectation, witness, or print→parse
 //! round-trip) is violated — the presolve's verdicts included when racing
 //! — or, with `--require-presolved`, when a family was never settled
-//! statically, and 2 on usage errors. `analyze` exits 0 when
+//! statically, or, with `--throughput-baseline`, when the total rate
+//! dropped beyond the threshold; and 2 on usage errors. `analyze` exits 0 when
 //! no file produces an error-severity diagnostic, 1 otherwise, 2 on usage
 //! errors. `serve` blocks until a client
 //! sends the `shutdown` op, then exits 0. `bench-serve` exits 0 when
@@ -182,14 +182,12 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
 fn run_compare(args: &[String]) -> ! {
     let mut paths: Vec<&String> = Vec::new();
     let mut config = CompareConfig::default();
-    let mut throughput_only = false;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--threshold-pct" => config.threshold_pct = parse_value(arg, iter.next()),
             "--min-millis" => config.min_millis = parse_value(arg, iter.next()),
             "--throughput-drop-pct" => config.throughput_drop_pct = parse_value(arg, iter.next()),
-            "--throughput-only" => throughput_only = true,
             flag if flag.starts_with("--") => {
                 usage_error(&format!("unknown compare option `{flag}`"))
             }
@@ -211,40 +209,23 @@ fn run_compare(args: &[String]) -> ! {
     };
     let old = load(old_path);
     let new = load(new_path);
-    let regressions = if throughput_only {
-        if old.throughput.is_none() {
-            eprintln!("error: `{old_path}` carries no throughput block to gate against");
-            std::process::exit(2);
-        }
-        runner::compare_throughput(&old, &new, &config)
-    } else {
-        compare(&old, &new, &config)
-    };
-    if !throughput_only {
-        let totals: Vec<String> = runner::tool_totals(&old, &new)
-            .iter()
-            .map(|(tool, (was, now))| format!("{tool} {was:.1}ms -> {now:.1}ms"))
-            .collect();
-        say!(
-            "tool totals over entries both completed: {}",
-            totals.join(", ")
-        );
-    }
+    let regressions = compare(&old, &new, &config);
+    let totals: Vec<String> = runner::tool_totals(&old, &new)
+        .iter()
+        .map(|(tool, (was, now))| format!("{tool} {was:.1}ms -> {now:.1}ms"))
+        .collect();
+    say!(
+        "tool totals over entries both completed: {}",
+        totals.join(", ")
+    );
     if regressions.is_empty() {
-        if throughput_only {
-            say!(
-                "no throughput regressions (drop threshold {}%)",
-                config.throughput_drop_pct
-            );
-        } else {
-            say!(
-                "no regressions: {} entries compared, {} timed (threshold {}%, floor {}ms)",
-                old.entries.len(),
-                runner::timed_entries(&old, &new, &config),
-                config.threshold_pct,
-                config.min_millis
-            );
-        }
+        say!(
+            "no regressions: {} entries compared, {} timed (threshold {}%, floor {}ms)",
+            old.entries.len(),
+            runner::timed_entries(&old, &new, &config),
+            config.threshold_pct,
+            config.min_millis
+        );
         std::process::exit(0);
     }
     say!(

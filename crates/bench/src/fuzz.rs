@@ -16,9 +16,12 @@
 //! discipline, end to end.
 //!
 //! The merged aggregate lands in the same schema-versioned [`Report`] the
-//! rest of the harness speaks, now carrying a first-class
-//! [`runner::Throughput`] block (instances/sec per family and total) that
-//! `reproduce compare` gates on. Every instance is also pushed through
+//! rest of the harness speaks, carrying a first-class
+//! [`runner::Throughput`] block (total instances/sec) that
+//! `reproduce compare` and `fuzz --throughput-baseline` gate on. A family's
+//! own rate is its entries' `instances ÷ millis`; a per-family share of
+//! the sweep's wall clock would only restate the total, since `gen` draws
+//! families round-robin. Every instance is also pushed through
 //! the three soundness oracles of [`gen::oracle`] plus the print→parse
 //! round-trip gate; any violation fails the sweep loudly with the
 //! reproducing seed and the offending `.sl` text.
@@ -251,9 +254,6 @@ impl FamilyAgg {
             tool: tool.to_string(),
             status: self.worst_status.unwrap_or(JobStatus::Ok),
             verdict: self.verdict_distribution(),
-            // For an aggregate row, "proved" means fully classified: every
-            // instance of the family got a definitive verdict.
-            proved: self.definitive() == self.instances,
             iterations: self.iterations,
             millis: self.millis,
             family: family.to_string(),
@@ -357,7 +357,6 @@ struct ShardResult {
     violations: Vec<Violation>,
     violations_total: usize,
     attacked: usize,
-    family_counts: BTreeMap<&'static str, u64>,
 }
 
 impl ShardResult {
@@ -415,7 +414,6 @@ fn run_shard(sweep: &Sweep<impl Fn(u64, &str, &str)>, draws: std::ops::Range<u64
         mem.enter();
         let family = instance.family.name();
         shard.attacked += 1;
-        *shard.family_counts.entry(family).or_insert(0) += 1;
 
         // Round-trip gate: generated text must parse back to identical
         // content before we spend engine time on it.
@@ -518,7 +516,6 @@ pub fn run_fuzz_observed(
     let mut violations: Vec<Violation> = Vec::new();
     let mut violations_total = 0usize;
     let mut attacked = 0usize;
-    let mut family_counts: BTreeMap<String, u64> = BTreeMap::new();
     for result in shard_results {
         let shard = result.output.expect("fuzz shard panicked");
         for (key, agg) in &shard.aggs {
@@ -531,9 +528,6 @@ pub fn run_fuzz_observed(
             }
         }
         attacked += shard.attacked;
-        for (family, n) in &shard.family_counts {
-            *family_counts.entry((*family).to_string()).or_insert(0) += n;
-        }
     }
 
     // The aggs map iterates in (family, tool) order, which matches the
@@ -558,7 +552,7 @@ pub fn run_fuzz_observed(
         })
         .collect();
     let wall_millis = sweep_started.elapsed().as_secs_f64() * 1000.0;
-    let throughput = Throughput::from_counts(wall_millis, workers, shards, &family_counts);
+    let throughput = Throughput::from_counts(wall_millis, workers, shards, attacked as u64);
     let report =
         Report::new(format!("fuzz-{}", config.engine.name()), entries).with_throughput(throughput);
     FuzzOutcome {
@@ -629,24 +623,13 @@ pub fn render_fuzz(outcome: &FuzzOutcome, config: &FuzzConfig) -> String {
         }
     );
     if let Some(throughput) = &outcome.report.throughput {
-        let per_family = throughput
-            .per_family
-            .iter()
-            .map(|(family, rate)| format!("{family}={rate:.0}/s"))
-            .collect::<Vec<_>>()
-            .join(" ");
         let _ = writeln!(
             out,
-            "throughput: {:.0} instances/sec total ({} worker(s), {} shard(s), peak {} live instance(s)); {}",
+            "throughput: {:.0} instances/sec total ({} worker(s), {} shard(s), peak {} live instance(s))",
             throughput.total_per_sec,
             throughput.workers,
             throughput.shards,
             outcome.mem.peak_live_instances,
-            if per_family.is_empty() {
-                "-".to_string()
-            } else {
-                per_family
-            }
         );
     }
     out
@@ -818,7 +801,6 @@ mod tests {
         assert_eq!(throughput.shards, 3);
         assert_eq!(throughput.instances, 12);
         assert!(throughput.total_per_sec > 0.0);
-        assert_eq!(throughput.per_family.len(), Family::ALL.len());
         let rendered = render_fuzz(&outcome, &config);
         assert!(rendered.contains("instances/sec"));
     }

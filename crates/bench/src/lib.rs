@@ -54,9 +54,9 @@ pub use suite::{
 };
 
 use benchmarks::{Benchmark, Family};
-use nay::check::{check_unrealizable, Verdict};
+use nay::check::check_unrealizable;
 use nay::Mode;
-use nope::{NopeSolver, NopeVerdict};
+use nope::NopeSolver;
 use runner::{measure, PoolConfig, Report};
 use std::fmt::Write as _;
 
@@ -67,8 +67,6 @@ pub struct Evaluation {
     /// The tool's realizability verdict (`unrealizable`, `realizable`,
     /// `unknown`).
     pub verdict: &'static str,
-    /// Whether the tool proved unrealizability.
-    pub proved: bool,
     /// Solver iterations (equation-solver rounds for nay, abstract-
     /// interpretation passes for nope).
     pub iterations: usize,
@@ -82,7 +80,6 @@ pub fn eval_nay(bench: &Benchmark, mode: &Mode) -> Evaluation {
     let outcome = check_unrealizable(&bench.problem, &bench.witness_examples, mode);
     Evaluation {
         verdict: outcome.verdict.name(),
-        proved: outcome.verdict == Verdict::Unrealizable,
         iterations: outcome.solver_iterations,
     }
 }
@@ -93,7 +90,6 @@ pub fn eval_nope(bench: &Benchmark) -> Evaluation {
     let (verdict, stats) = NopeSolver::new().check(&bench.problem, &bench.witness_examples);
     Evaluation {
         verdict: verdict.name(),
-        proved: verdict == NopeVerdict::Unrealizable,
         iterations: stats.abstract_iterations,
     }
 }
@@ -325,9 +321,7 @@ mod tests {
             .expect("at least one quick benchmark");
         let eval = eval_nay(&bench, &Mode::default());
         let (measured, _) = measure(|| eval_nay(&bench, &Mode::default()));
-        assert_eq!(eval.verdict, measured.verdict);
-        assert_eq!(eval.proved, measured.proved);
-        assert_eq!(eval.proved, eval.verdict == "unrealizable");
+        assert_eq!(eval, measured);
     }
 
     #[test]

@@ -236,7 +236,7 @@ pub fn run_load(
         .ok()
         .and_then(|mut client| client.stats().ok())
         .and_then(|response| response.stats);
-    let report = build_report(&observations, &passes, &mismatches, daemon_stats.as_ref());
+    let report = build_report(&observations, &passes, daemon_stats.as_ref());
     Ok(LoadOutcome {
         passes,
         mismatches,
@@ -382,7 +382,6 @@ fn check_expectations(observations: &[Observation]) -> Vec<String> {
 fn build_report(
     observations: &[Observation],
     passes: &[PassSummary],
-    mismatches: &[String],
     daemon_stats: Option<&StatsSnapshot>,
 ) -> Report {
     let mut entries: Vec<Entry> = observations
@@ -402,7 +401,6 @@ fn build_report(
             } else {
                 o.verdict.clone()
             },
-            proved: o.verdict == "unrealizable",
             iterations: 0,
             millis: o.latency_ms,
             family: o.family.clone(),
@@ -428,9 +426,6 @@ fn build_report(
                 summary.p99_ms,
                 summary.max_ms
             ),
-            // For a summary row, "proved" means the pass was clean: no
-            // errors and no expectation mismatches anywhere in the run.
-            proved: summary.errors == 0 && mismatches.is_empty(),
             iterations: summary.requests as u64,
             millis: summary.wall_millis,
             family: String::new(),
@@ -453,7 +448,6 @@ fn build_report(
                 stats.queue_wait_p50_ms,
                 stats.queue_wait_p99_ms
             ),
-            proved: false,
             iterations: stats.requests,
             millis: 0.0,
             family: String::new(),

@@ -7,7 +7,6 @@
 //! is what the CI `corpus-check` job gates on.
 
 use crate::attack::{Attack, Attacker, Row};
-use portfolio::SolveVerdict;
 use runner::{Entry, JobStatus, Report};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -196,7 +195,6 @@ pub fn run_solve(
             tool: row.tool.into(),
             status: row.status,
             verdict: verdict(row),
-            proved: row.verdict == Some(SolveVerdict::Unrealizable),
             iterations: row.iterations,
             millis: row.millis,
             family: String::new(),
@@ -429,7 +427,6 @@ mod tests {
                     tool: "race".into(),
                     status: JobStatus::Ok,
                     verdict: "unrealizable".into(),
-                    proved: true,
                     iterations: 1,
                     millis: 1.0,
                     family: String::new(),
@@ -439,7 +436,6 @@ mod tests {
                     tool: "race".into(),
                     status: JobStatus::Ok,
                     verdict: "unknown".into(), // mismatch
-                    proved: false,
                     iterations: 1,
                     millis: 1.0,
                     family: String::new(),
@@ -449,7 +445,6 @@ mod tests {
                     tool: "race".into(),
                     status: JobStatus::Ok,
                     verdict: "unknown".into(),
-                    proved: false,
                     iterations: 1,
                     millis: 1.0,
                     family: String::new(),

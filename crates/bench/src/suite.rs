@@ -64,7 +64,6 @@ fn entry_from(benchmark: String, tool: String, result: JobResult<Evaluation>) ->
             tool,
             status: JobStatus::Ok,
             verdict: eval.verdict.into(),
-            proved: eval.proved,
             iterations: eval.iterations as u64,
             millis,
             family: String::new(),
@@ -74,7 +73,6 @@ fn entry_from(benchmark: String, tool: String, result: JobResult<Evaluation>) ->
             tool,
             status,
             verdict: "-".into(),
-            proved: false,
             iterations: 0,
             millis,
             family: String::new(),
@@ -107,13 +105,19 @@ fn find_entry<'a>(entries: &'a [Entry], name: &str, tool: &str) -> Option<&'a En
         .find(|e| e.benchmark == name && e.tool == tool)
 }
 
+/// Whether an entry's tool proved its benchmark unrealizable: the one bit
+/// per (benchmark, tool) that the paper's tables report.
+fn proved(entry: &Entry) -> bool {
+    entry.verdict == "unrealizable"
+}
+
 fn fmt_entry_time(entry: Option<&Entry>) -> String {
     match entry {
         None => "       ?".to_string(),
         Some(e) => match e.status {
             JobStatus::TimedOut => "     t/o".to_string(),
             JobStatus::Crashed => "   crash".to_string(),
-            JobStatus::Ok if e.proved => format!("{:8.3}", e.millis / 1000.0),
+            JobStatus::Ok if proved(e) => format!("{:8.3}", e.millis / 1000.0),
             JobStatus::Ok => "       ✗".to_string(),
         },
     }
@@ -172,7 +176,7 @@ pub fn render_family_table(title: &str, family: Family, quick: bool, entries: &[
 /// Renders the §8.1 solved-benchmark counts from suite entries.
 pub fn render_summary(entries: &[Entry], quick: bool) -> String {
     use std::fmt::Write as _;
-    let proved = |name: &str, tool: &str| find_entry(entries, name, tool).is_some_and(|e| e.proved);
+    let proves = |name: &str, tool: &str| find_entry(entries, name, tool).is_some_and(proved);
     let mut out = String::new();
     let _ = writeln!(out, "# §8.1 — solved-benchmark counts");
     let mut totals = (0usize, 0usize, 0usize, 0usize); // (run, naySL, nayHorn, nope)
@@ -181,9 +185,9 @@ pub fn render_summary(entries: &[Entry], quick: bool) -> String {
         let benches = select(family, quick);
         let mut counts = (0usize, 0usize, 0usize);
         for bench in &benches {
-            let sl = proved(&bench.name, "naySL");
-            let horn = proved(&bench.name, "nayHorn");
-            let nope = proved(&bench.name, "nope");
+            let sl = proves(&bench.name, "naySL");
+            let horn = proves(&bench.name, "nayHorn");
+            let nope = proves(&bench.name, "nope");
             counts.0 += usize::from(sl);
             counts.1 += usize::from(horn);
             counts.2 += usize::from(nope);

@@ -38,7 +38,6 @@ fn canonical_report_is_byte_identical_across_worker_counts() {
     // In particular every verdict matches, entry by entry.
     for (a, b) in serial.entries.iter().zip(&parallel.entries) {
         assert_eq!(a.verdict, b.verdict, "{}/{}", a.benchmark, a.tool);
-        assert_eq!(a.proved, b.proved, "{}/{}", a.benchmark, a.tool);
     }
 }
 

@@ -21,13 +21,17 @@ use std::fmt;
 /// * **1** — entries + aggregates (+ additive `family`/per-family
 ///   rollups; an entry-level `tainted`, no longer written, is ignored).
 /// * **2** — adds the optional top-level `throughput` object
-///   ([`Throughput`]): sweep-level instances/sec, per family and total,
-///   with elapsed wall-clock and worker/shard counts.
-pub const SCHEMA_VERSION: u64 = 2;
+///   ([`Throughput`]): sweep-level instances/sec with elapsed wall-clock
+///   and worker/shard counts.
+/// * **3** — drops the entry and aggregate `proved` fields (the verdict
+///   says whether a tool proved unrealizability) and the throughput's
+///   per-family `families` rates (fixed fractions of the total).
+pub const SCHEMA_VERSION: u64 = 3;
 
-/// Oldest schema version [`Report::from_json`] still reads. Version 2 is a
-/// strict superset of version 1 (`throughput` is optional), so committed
-/// v1 baselines keep parsing; they simply carry no throughput to gate on.
+/// Oldest schema version [`Report::from_json`] still reads. Older
+/// versions differ only by keys the reader ignores (`proved`, `tainted`,
+/// throughput `families`) or by an absent optional `throughput`, so
+/// committed v1 and v2 baselines keep parsing.
 pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Sweep-level throughput: how fast a fuzz campaign pushed instances
@@ -35,7 +39,7 @@ pub const MIN_SCHEMA_VERSION: u64 = 1;
 /// (version 2+) so CI can gate on throughput regressions exactly like it
 /// gates on per-benchmark slowdowns.
 ///
-/// Rates are derived from one wall-clock measurement of the whole sweep
+/// The rate is derived from one wall-clock measurement of the whole sweep
 /// (`instances / elapsed`), not from summing per-job times — with W
 /// workers the two differ by roughly a factor of W.
 #[derive(Clone, Debug, PartialEq)]
@@ -50,35 +54,29 @@ pub struct Throughput {
     pub instances: u64,
     /// Total instances per wall-clock second.
     pub total_per_sec: f64,
-    /// Instances per wall-clock second, per family (family name →
-    /// rate). Family rates share the sweep's wall clock, so they sum to
-    /// `total_per_sec`.
-    pub per_family: std::collections::BTreeMap<String, f64>,
 }
 
 impl Throughput {
     /// Computes the throughput block from a sweep's wall clock and
-    /// per-family instance counts (rates are instances per *second*; a
-    /// zero elapsed time yields zero rates rather than infinities).
+    /// instance count (the rate is instances per *second*; a zero elapsed
+    /// time yields a zero rate rather than infinity).
     pub fn from_counts(
         elapsed_millis: f64,
         workers: usize,
         shards: usize,
-        family_instances: &std::collections::BTreeMap<String, u64>,
+        instances: u64,
     ) -> Throughput {
         let secs = elapsed_millis / 1000.0;
-        let rate = |n: u64| if secs > 0.0 { n as f64 / secs } else { 0.0 };
-        let instances: u64 = family_instances.values().sum();
         Throughput {
             elapsed_millis,
             workers,
             shards,
             instances,
-            total_per_sec: rate(instances),
-            per_family: family_instances
-                .iter()
-                .map(|(family, &n)| (family.clone(), rate(n)))
-                .collect(),
+            total_per_sec: if secs > 0.0 {
+                instances as f64 / secs
+            } else {
+                0.0
+            },
         }
     }
 
@@ -89,18 +87,10 @@ impl Throughput {
             ("shards".into(), Json::Num(self.shards as f64)),
             ("instances".into(), Json::Num(self.instances as f64)),
             ("instances_per_sec".into(), Json::Num(self.total_per_sec)),
-            (
-                "families".into(),
-                Json::Obj(
-                    self.per_family
-                        .iter()
-                        .map(|(name, rate)| (name.clone(), Json::Num(*rate)))
-                        .collect(),
-                ),
-            ),
         ])
     }
 
+    /// Parses a throughput block; a version-2 `families` object is ignored.
     fn from_json(value: &Json) -> Result<Throughput, String> {
         let num = |key: &str| {
             value
@@ -108,26 +98,12 @@ impl Throughput {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("throughput is missing the `{key}` number"))
         };
-        let per_family = match value.get("families") {
-            None => std::collections::BTreeMap::new(),
-            Some(families) => families
-                .as_object()
-                .ok_or("throughput `families` is not an object")?
-                .iter()
-                .map(|(name, rate)| {
-                    rate.as_f64()
-                        .map(|r| (name.clone(), r))
-                        .ok_or_else(|| format!("throughput rate for `{name}` is not a number"))
-                })
-                .collect::<Result<_, _>>()?,
-        };
         Ok(Throughput {
             elapsed_millis: num("elapsed_millis")?,
             workers: num("workers")? as usize,
             shards: num("shards")? as usize,
             instances: num("instances")? as u64,
             total_per_sec: num("instances_per_sec")?,
-            per_family,
         })
     }
 }
@@ -144,8 +120,6 @@ pub struct Entry {
     /// Realizability verdict reported by the tool (`unrealizable`,
     /// `realizable`, `unknown`), or `-` when the job did not complete.
     pub verdict: String,
-    /// Whether the tool proved unrealizability.
-    pub proved: bool,
     /// Solver iterations (equation-solver rounds for nay, abstract-
     /// interpretation passes for nope); 0 when the job did not complete.
     pub iterations: u64,
@@ -167,7 +141,6 @@ impl Entry {
             ("tool".into(), Json::Str(self.tool.clone())),
             ("status".into(), Json::Str(self.status.as_str().into())),
             ("verdict".into(), Json::Str(self.verdict.clone())),
-            ("proved".into(), Json::Bool(self.proved)),
             ("iterations".into(), Json::Num(self.iterations as f64)),
             ("millis".into(), Json::Num(self.millis)),
         ];
@@ -189,7 +162,8 @@ impl Entry {
             .as_str()
             .ok_or("`status` is not a string")?;
         // Compatibility: reports written while timed-out job threads were
-        // abandoned carry a boolean `tainted`, which is ignored.
+        // abandoned carry a boolean `tainted`, and reports before schema 3
+        // a boolean `proved`; both are ignored.
         Ok(Entry {
             benchmark: field("benchmark")?
                 .as_str()
@@ -205,9 +179,6 @@ impl Entry {
                 .as_str()
                 .ok_or("`verdict` is not a string")?
                 .to_string(),
-            proved: field("proved")?
-                .as_bool()
-                .ok_or("`proved` is not a boolean")?,
             iterations: field("iterations")?
                 .as_u64()
                 .ok_or("`iterations` is not an integer")?,
@@ -231,7 +202,7 @@ impl Entry {
 }
 
 /// Suite-level totals, recomputed from the entries.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Aggregates {
     /// Number of entries.
     pub total: usize,
@@ -241,10 +212,21 @@ pub struct Aggregates {
     pub timed_out: usize,
     /// Entries whose job panicked.
     pub crashed: usize,
-    /// Entries that proved unrealizability.
-    pub proved: usize,
     /// Sum of all wall-clock milliseconds.
     pub total_millis: f64,
+}
+
+impl Aggregates {
+    /// Counts one more entry.
+    fn add(&mut self, entry: &Entry) {
+        self.total += 1;
+        match entry.status {
+            JobStatus::Ok => self.ok += 1,
+            JobStatus::TimedOut => self.timed_out += 1,
+            JobStatus::Crashed => self.crashed += 1,
+        }
+        self.total_millis += entry.millis;
+    }
 }
 
 /// A full sweep of the benchmark suite.
@@ -282,22 +264,9 @@ impl Report {
 
     /// Recomputes the suite aggregates.
     pub fn aggregates(&self) -> Aggregates {
-        let mut agg = Aggregates {
-            total: self.entries.len(),
-            ok: 0,
-            timed_out: 0,
-            crashed: 0,
-            proved: 0,
-            total_millis: 0.0,
-        };
+        let mut agg = Aggregates::default();
         for entry in &self.entries {
-            match entry.status {
-                JobStatus::Ok => agg.ok += 1,
-                JobStatus::TimedOut => agg.timed_out += 1,
-                JobStatus::Crashed => agg.crashed += 1,
-            }
-            agg.proved += usize::from(entry.proved);
-            agg.total_millis += entry.millis;
+            agg.add(entry);
         }
         agg
     }
@@ -308,27 +277,12 @@ impl Report {
     }
 
     /// Per-family aggregates over the entries that carry a family, in
-    /// family order (single pass; family-less entries are not grouped).
+    /// family order (family-less entries are not grouped).
     pub fn family_aggregates(&self) -> std::collections::BTreeMap<String, Aggregates> {
         let mut families: std::collections::BTreeMap<String, Aggregates> =
             std::collections::BTreeMap::new();
         for entry in self.entries.iter().filter(|e| !e.family.is_empty()) {
-            let agg = families.entry(entry.family.clone()).or_insert(Aggregates {
-                total: 0,
-                ok: 0,
-                timed_out: 0,
-                crashed: 0,
-                proved: 0,
-                total_millis: 0.0,
-            });
-            agg.total += 1;
-            match entry.status {
-                JobStatus::Ok => agg.ok += 1,
-                JobStatus::TimedOut => agg.timed_out += 1,
-                JobStatus::Crashed => agg.crashed += 1,
-            }
-            agg.proved += usize::from(entry.proved);
-            agg.total_millis += entry.millis;
+            families.entry(entry.family.clone()).or_default().add(entry);
         }
         families
     }
@@ -362,7 +316,6 @@ impl Report {
                 ("ok".into(), Json::Num(agg.ok as f64)),
                 ("timed_out".into(), Json::Num(agg.timed_out as f64)),
                 ("crashed".into(), Json::Num(agg.crashed as f64)),
-                ("proved".into(), Json::Num(agg.proved as f64)),
                 ("total_millis".into(), Json::Num(agg.total_millis)),
             ])
         };
@@ -445,11 +398,11 @@ pub struct CompareConfig {
     /// Entries whose new time is below this floor are never flagged as
     /// slowdowns (shields sub-millisecond benchmarks from scheduler noise).
     pub min_millis: f64,
-    /// Sweep throughput (total or per-family) is a regression when the new
-    /// rate drops below the old rate by more than this percentage. The
-    /// default is deliberately generous: CI runners are noisy 1–2-CPU
-    /// machines, and the verdict/oracle gates catch correctness regardless
-    /// — this gate only has to catch "the sweep got several times slower".
+    /// Sweep throughput is a regression when the new total rate drops
+    /// below the old rate by more than this percentage. The default is
+    /// deliberately generous: CI runners are noisy 1–2-CPU machines, and
+    /// the verdict/oracle gates catch correctness regardless — this gate
+    /// only has to catch "the sweep got several times slower".
     pub throughput_drop_pct: f64,
 }
 
@@ -474,8 +427,8 @@ pub enum RegressionKind {
     Slowdown,
     /// A (benchmark, tool) pair from the old report is gone.
     Missing,
-    /// Sweep-level instances/sec (total or per-family) dropped below the
-    /// configured fraction of the baseline rate.
+    /// Sweep-level instances/sec dropped below the configured fraction of
+    /// the baseline rate.
     ThroughputDrop,
 }
 
@@ -604,39 +557,29 @@ pub fn tool_totals(old: &Report, new: &Report) -> std::collections::BTreeMap<Str
     totals
 }
 
-/// The throughput slice of the gate: diffs the two reports' [`Throughput`]
-/// blocks (total rate plus every family both sides measured) and flags
-/// drops beyond [`CompareConfig::throughput_drop_pct`]. Silently passes
-/// when either report carries no throughput — a v1 baseline cannot gate a
-/// v2 sweep — and never flags a rate the baseline measured at zero.
+/// The throughput slice of the gate: flags a drop of the sweep's total
+/// instances/sec beyond [`CompareConfig::throughput_drop_pct`]. Silently
+/// passes when either report carries no throughput — a v1 baseline cannot
+/// gate a v2+ sweep — and never flags a rate the baseline measured at zero.
 pub fn compare_throughput(old: &Report, new: &Report, config: &CompareConfig) -> Vec<Regression> {
     let (Some(old_tp), Some(new_tp)) = (&old.throughput, &new.throughput) else {
         return Vec::new();
     };
-    let mut regressions = Vec::new();
-    let mut check = |scope: &str, old_rate: f64, new_rate: f64| {
-        let floor = old_rate * (1.0 - config.throughput_drop_pct / 100.0);
-        if old_rate > 0.0 && new_rate < floor {
-            regressions.push(Regression {
-                benchmark: scope.to_string(),
-                tool: "throughput".into(),
-                kind: RegressionKind::ThroughputDrop,
-                detail: format!(
-                    "throughput dropped {:.1}/s -> {:.1}/s (>{:.0}% below baseline)",
-                    old_rate, new_rate, config.throughput_drop_pct
-                ),
-            });
-        }
-    };
-    check("sweep/total", old_tp.total_per_sec, new_tp.total_per_sec);
-    for (family, &old_rate) in &old_tp.per_family {
-        // Families only one side measured are additive differences, same
-        // as the family-scoped Missing gate above.
-        if let Some(&new_rate) = new_tp.per_family.get(family) {
-            check(&format!("sweep/{family}"), old_rate, new_rate);
-        }
+    let (old_rate, new_rate) = (old_tp.total_per_sec, new_tp.total_per_sec);
+    let floor = old_rate * (1.0 - config.throughput_drop_pct / 100.0);
+    if old_rate > 0.0 && new_rate < floor {
+        vec![Regression {
+            benchmark: "sweep/total".into(),
+            tool: "throughput".into(),
+            kind: RegressionKind::ThroughputDrop,
+            detail: format!(
+                "throughput dropped {:.1}/s -> {:.1}/s (>{:.0}% below baseline)",
+                old_rate, new_rate, config.throughput_drop_pct
+            ),
+        }]
+    } else {
+        Vec::new()
     }
-    regressions
 }
 
 #[cfg(test)]
@@ -649,7 +592,6 @@ mod tests {
             tool: tool.into(),
             status: JobStatus::Ok,
             verdict: "unrealizable".into(),
-            proved: true,
             iterations: 3,
             millis,
             family: String::new(),
@@ -672,7 +614,6 @@ mod tests {
                 Entry {
                     status: JobStatus::TimedOut,
                     verdict: "-".into(),
-                    proved: false,
                     iterations: 0,
                     ..entry("plane1", "nayHorn", 5000.0)
                 },
@@ -715,22 +656,26 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_count_statuses_and_proofs() {
+    fn aggregates_count_statuses_and_millis() {
         let agg = sample().aggregates();
         assert_eq!(agg.total, 3);
         assert_eq!(agg.ok, 2);
         assert_eq!(agg.timed_out, 1);
         assert_eq!(agg.crashed, 0);
-        assert_eq!(agg.proved, 2);
-        assert!(agg.total_millis > 6000.0);
+        assert_eq!(agg.total_millis, 6020.0);
     }
 
     #[test]
     fn canonicalization_zeroes_time_but_keeps_verdicts() {
         let canon = sample().canonicalized();
         assert!(canon.entries.iter().all(|e| e.millis == 0.0));
-        assert_eq!(canon.entries.len(), 3);
-        assert_eq!(canon.aggregates().proved, 2);
+        let verdicts = |r: &Report| {
+            r.entries
+                .iter()
+                .map(|e| e.verdict.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(verdicts(&canon), verdicts(&sample()));
     }
 
     #[test]
@@ -754,7 +699,6 @@ mod tests {
         let old = all_ok();
         let mut new = all_ok();
         new.entries[0].verdict = "unknown".into();
-        new.entries[0].proved = false;
         assert_eq!(new.entries[1].tool, "nope");
         new.entries[1].millis = 2000.0;
         let regressions = compare(&old, &new, &CompareConfig::default());
@@ -851,7 +795,6 @@ mod tests {
         new.entries.push(Entry {
             status: JobStatus::TimedOut,
             verdict: "-".into(),
-            proved: false,
             iterations: 0,
             ..entry("plane1", "nayHorn", 5000.0)
         });
@@ -888,7 +831,6 @@ mod tests {
         new.entries.remove(2);
         new.entries[0].status = JobStatus::Crashed;
         new.entries[0].verdict = "-".into();
-        new.entries[0].proved = false;
         let regressions = compare(&old, &new, &CompareConfig::default());
         assert!(regressions
             .iter()
@@ -909,7 +851,6 @@ mod tests {
             vec![Entry {
                 status: JobStatus::TimedOut,
                 verdict: "-".into(),
-                proved: false,
                 iterations: 0,
                 ..entry("plane1", "naySL", 5000.0)
             }],
@@ -926,7 +867,6 @@ mod tests {
             vec![Entry {
                 status: JobStatus::TimedOut,
                 verdict: "-".into(),
-                proved: false,
                 iterations: 0,
                 ..entry("plane1", "naySL", 5000.0)
             }],
@@ -969,7 +909,7 @@ mod tests {
         let families = parsed.family_aggregates();
         assert_eq!(families.len(), 2, "family-less entries are not grouped");
         assert_eq!(families["plus_mod"].total, 1);
-        assert_eq!(families["const_sum"].proved, 1);
+        assert_eq!(families["const_sum"].ok, 1);
     }
 
     #[test]
@@ -1026,40 +966,95 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_rejected() {
-        let mut text = sample().to_json();
-        text = text.replace("\"schema_version\": 2", "\"schema_version\": 99");
-        let err = Report::from_json(&text).unwrap_err();
-        assert!(err.contains("schema version"), "{err}");
+        let text = sample().to_json();
+        let line = "\"schema_version\": 3";
+        assert!(text.contains(line), "{text}");
+        for version in [0, SCHEMA_VERSION + 1, 99] {
+            let text = text.replace(line, &format!("\"schema_version\": {version}"));
+            let err = Report::from_json(&text).unwrap_err();
+            assert!(err.contains("schema version"), "{err}");
+        }
     }
+
+    /// A report as schema version 2 wrote it: entry and aggregate
+    /// `proved`, an entry-level `tainted`, and per-family throughput rates.
+    const V2_REPORT: &str = r#"{
+  "schema_version": 2,
+  "suite": "fuzz-nope",
+  "aggregates": {"total": 2, "ok": 2, "timed_out": 0, "crashed": 0, "proved": 1, "total_millis": 30},
+  "families": {
+    "const_sum": {"total": 1, "ok": 1, "timed_out": 0, "crashed": 0, "proved": 1, "total_millis": 10},
+    "plus_mod": {"total": 1, "ok": 1, "timed_out": 0, "crashed": 0, "proved": 0, "total_millis": 20}
+  },
+  "throughput": {
+    "elapsed_millis": 2000, "workers": 4, "shards": 8, "instances": 2000,
+    "instances_per_sec": 1000,
+    "families": {"const_sum": 500, "plus_mod": 500}
+  },
+  "benchmarks": [
+    {"benchmark": "gen/const_sum", "tool": "nope", "status": "ok", "verdict": "unrealizable=1",
+     "proved": true, "iterations": 3, "millis": 10, "family": "const_sum"},
+    {"benchmark": "gen/plus_mod", "tool": "nope", "status": "ok", "verdict": "realizable=1",
+     "proved": false, "iterations": 3, "millis": 20, "tainted": false, "family": "plus_mod"}
+  ]
+}"#;
 
     #[test]
     fn v1_reports_still_parse() {
-        // Reports written before the bump are schema v1; bumping to v2
-        // must not orphan them. A v1 report is exactly a v2 report with no
-        // `throughput` key.
+        // Reports written before a bump must not be orphaned. A v1 report
+        // is a v2 report with no `throughput` key; a v2 report is a v3
+        // report plus `proved` keys and per-family throughput rates.
         let mut text = sample().to_json();
-        text = text.replace("\"schema_version\": 2", "\"schema_version\": 1");
+        text = text.replace("\"schema_version\": 3", "\"schema_version\": 1");
         let parsed = Report::from_json(&text).expect("v1 parses");
         assert!(parsed.throughput.is_none());
-        assert_eq!(parsed.entries.len(), sample().entries.len());
+        assert_eq!(parsed.entries, sample().entries);
+
+        let v2 = Report::from_json(V2_REPORT).expect("v2 parses");
+        let expected = vec![
+            Entry {
+                verdict: "unrealizable=1".into(),
+                ..family_entry("gen/const_sum", "nope", "const_sum")
+            },
+            Entry {
+                verdict: "realizable=1".into(),
+                millis: 20.0,
+                ..family_entry("gen/plus_mod", "nope", "plus_mod")
+            },
+        ];
+        assert_eq!(v2.entries, expected);
+        let throughput = Throughput::from_counts(2000.0, 4, 8, 2000);
+        assert_eq!(v2.throughput.as_ref(), Some(&throughput));
+        // Written back, it is a v3 report without the removed keys.
+        let rewritten = v2.to_json();
+        assert!(rewritten.contains("\"schema_version\": 3"));
+        assert!(!rewritten.contains("proved") && !rewritten.contains("tainted"));
+        assert_eq!(rewritten.matches("\"families\"").count(), 1, "{rewritten}");
+
+        // Only the total gates: half the total rate still passes (the
+        // per-family rates the baseline carries are not compared), and a
+        // drop of the total beyond the threshold is the one regression.
+        let config = CompareConfig::default();
+        let with_rate = |rate: f64| {
+            let mut report = Report::new("fuzz-nope", expected.clone());
+            report.throughput = Some(Throughput {
+                total_per_sec: rate,
+                ..throughput.clone()
+            });
+            report
+        };
+        assert!(compare_throughput(&v2, &with_rate(500.0), &config).is_empty());
+        let regressions = compare_throughput(&v2, &with_rate(400.0), &config);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert_eq!(regressions[0].benchmark, "sweep/total");
+        assert!(compare(&v2, &with_rate(1000.0), &config).is_empty());
     }
 
     fn sample_throughput(total: f64) -> Throughput {
-        let counts: std::collections::BTreeMap<String, u64> = [
-            ("plus_mod".to_string(), 600),
-            ("const_sum".to_string(), 400),
-        ]
-        .into_iter()
-        .collect();
-        let mut tp = Throughput::from_counts(2000.0, 4, 8, &counts);
-        // from_counts derives 500/s from the counts above; rescale to the
-        // requested total, keeping family proportions.
-        let scale = total / tp.total_per_sec;
-        tp.total_per_sec = total;
-        for rate in tp.per_family.values_mut() {
-            *rate *= scale;
+        Throughput {
+            total_per_sec: total,
+            ..Throughput::from_counts(2000.0, 4, 8, 1000)
         }
-        tp
     }
 
     #[test]
@@ -1080,18 +1075,11 @@ mod tests {
 
     #[test]
     fn throughput_from_counts_is_consistent() {
-        let counts: std::collections::BTreeMap<String, u64> =
-            [("a".to_string(), 750), ("b".to_string(), 250)]
-                .into_iter()
-                .collect();
-        let tp = Throughput::from_counts(500.0, 2, 4, &counts);
+        let tp = Throughput::from_counts(500.0, 2, 4, 1000);
         assert_eq!(tp.instances, 1000);
         assert!((tp.total_per_sec - 2000.0).abs() < 1e-9);
-        assert!((tp.per_family["a"] - 1500.0).abs() < 1e-9);
-        let family_sum: f64 = tp.per_family.values().sum();
-        assert!((family_sum - tp.total_per_sec).abs() < 1e-9);
-        // Degenerate wall clock: zero rates, not infinities.
-        let zero = Throughput::from_counts(0.0, 2, 4, &counts);
+        // Degenerate wall clock: a zero rate, not infinity.
+        let zero = Throughput::from_counts(0.0, 2, 4, 1000);
         assert_eq!(zero.total_per_sec, 0.0);
     }
 
@@ -1099,15 +1087,12 @@ mod tests {
     fn throughput_drops_gate_and_gains_do_not() {
         let base = Report::new("fuzz", vec![entry("a", "nope", 1.0)]);
         let old = base.clone().with_throughput(sample_throughput(1000.0));
-        // 60% drop with a 50% threshold: total and both families flag.
+        // 60% drop with a 50% threshold: the total flags.
         let slow = base.clone().with_throughput(sample_throughput(400.0));
         let regressions = compare(&old, &slow, &CompareConfig::default());
-        assert_eq!(regressions.len(), 3, "{regressions:?}");
-        assert!(regressions
-            .iter()
-            .all(|r| r.kind == RegressionKind::ThroughputDrop));
-        assert!(regressions.iter().any(|r| r.benchmark == "sweep/total"));
-        assert!(regressions.iter().any(|r| r.benchmark == "sweep/plus_mod"));
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert_eq!(regressions[0].kind, RegressionKind::ThroughputDrop);
+        assert_eq!(regressions[0].benchmark, "sweep/total");
         // 40% drop stays under the 50% threshold.
         let ok = base.clone().with_throughput(sample_throughput(600.0));
         assert!(compare(&old, &ok, &CompareConfig::default()).is_empty());
@@ -1119,20 +1104,15 @@ mod tests {
             throughput_drop_pct: 30.0,
             ..CompareConfig::default()
         };
-        assert_eq!(compare(&old, &ok, &tight).len(), 3);
+        assert_eq!(compare(&old, &ok, &tight).len(), 1);
     }
 
     #[test]
-    fn throughput_gate_needs_both_sides_and_skips_one_sided_families() {
+    fn throughput_gate_needs_both_sides() {
         let base = Report::new("fuzz", vec![entry("a", "nope", 1.0)]);
         let with_tp = base.clone().with_throughput(sample_throughput(1000.0));
-        // v1 baseline (no throughput) never gates a v2 sweep, either way.
+        // v1 baseline (no throughput) never gates a v2+ sweep, either way.
         assert!(compare(&with_tp, &base, &CompareConfig::default()).is_empty());
         assert!(compare(&base, &with_tp, &CompareConfig::default()).is_empty());
-        // A family only the baseline measured is additive, not a drop.
-        let mut fewer = sample_throughput(1000.0);
-        fewer.per_family.remove("const_sum");
-        let new = base.clone().with_throughput(fewer);
-        assert!(compare(&with_tp, &new, &CompareConfig::default()).is_empty());
     }
 }
